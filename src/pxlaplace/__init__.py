@@ -12,7 +12,7 @@ Library layout:
 * ``cli``         command-line front end (``pxlaplace`` entry point)
 """
 
-from . import anisotropy, cli, energy, exponents, expressions, grid, \
+from . import anisotropy, energy, exponents, expressions, grid, \
     inequality, problems, reporting, solver
 from .anisotropy import (AnisotropyModel, check_hypothesis_A,
                          check_N_strict_convexity, eval_A, eval_N, flux_a,
@@ -36,7 +36,7 @@ from .problems import (ProblemSpec, build_energy_model, sharpness_regime,
                        validate_corollary_chain, validate_f, validate_g,
                        validate_M)
 from .solver import (SolveReport, SolverOptions, first_eigenpair,
-                     hopf_diagnostic, initial_guess, minimize_energy,
+                     hopf_diagnostic, initial_guess, minimize_energy, solve,
                      solve_kirchhoff, solve_problem1, solve_problem2,
                      uniqueness_experiment, weak_residual)
 

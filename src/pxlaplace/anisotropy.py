@@ -12,7 +12,7 @@ structural property the cone-convexity results rest on.  The flux is
 a(x, xi) = grad_xi A / p(x), extended by zero at xi = 0.
 
 Ellipticity and growth of the flux Jacobian are certified empirically on
-seeded samples; ``check_hypothesis_A`` records the observed constants.
+seeded samples; ``check_hypothesis_A`` reports the observed constants.
 """
 
 from __future__ import annotations
@@ -38,19 +38,13 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnisotropyModel:
-    """Integrand family member: kind, exponent data and optional weights.
-
-    ``gamma_hat``/``Gamma_hat`` hold empirically certified ellipticity and
-    growth constants once ``check_hypothesis_A`` has run.
-    """
+    """Integrand family member: kind, exponent data and optional weights."""
 
     kind: str  # "isotropic" | "weighted-quadratic"
     exponent: ExponentField
     weights: tuple | None = None
-    gamma_hat: float | None = None
-    Gamma_hat: float | None = None
 
     @property
     def mesh(self):
@@ -211,8 +205,6 @@ def check_hypothesis_A(model: AnisotropyModel, sample_count: int,
         Gamma_hat = max(Gamma_hat, float(np.abs(jac).sum()) / scale)
 
     passed = gamma_hat > 0.0 and np.isfinite(Gamma_hat)
-    model.gamma_hat = float(gamma_hat)
-    model.Gamma_hat = float(Gamma_hat)
     return HypothesisAReport(float(gamma_hat), float(Gamma_hat), bool(passed),
                              sample_count, seed)
 

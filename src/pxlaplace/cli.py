@@ -14,6 +14,7 @@ Exit codes: 0 success/pass, 1 check failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -80,16 +81,20 @@ def _field(mesh, source, what: str) -> grid.NodeField:
         raise ConfigError(f"bad expression for {what}: {e}") from None
 
 
+def _build_exponent(cfg: dict, mesh):
+    exp_cfg = _need(cfg, "exponent")
+    try:
+        return exponent_field(mesh, _need(exp_cfg, "p", "exponent"),
+                              float(_need(exp_cfg, "r", "exponent")))
+    except (ExprError, ValueError) as e:
+        raise ConfigError(f"bad exponent block: {e}") from None
+
+
 def _build_cone_model(cfg: dict, mesh) -> energy.EnergyModel:
     """Exponent + optional anisotropy block, for the check suites."""
     from . import anisotropy as aniso_mod
 
-    exp_cfg = _need(cfg, "exponent")
-    try:
-        exponent = exponent_field(mesh, _need(exp_cfg, "p", "exponent"),
-                                  float(_need(exp_cfg, "r", "exponent")))
-    except (ExprError, ValueError) as e:
-        raise ConfigError(f"bad exponent block: {e}") from None
+    exponent = _build_exponent(cfg, mesh)
     aniso = None
     acfg = cfg.get("anisotropy")
     if acfg:
@@ -108,13 +113,7 @@ def _build_cone_model(cfg: dict, mesh) -> energy.EnergyModel:
 
 
 def _build_problem(cfg: dict, mesh) -> problems.ProblemSpec:
-    exp_cfg = _need(cfg, "exponent")
-    try:
-        exponent = exponent_field(mesh, _need(exp_cfg, "p", "exponent"),
-                                  float(_need(exp_cfg, "r", "exponent")))
-    except (ExprError, ValueError) as e:
-        raise ConfigError(f"bad exponent block: {e}") from None
-
+    exponent = _build_exponent(cfg, mesh)
     prob = _need(cfg, "problem")
     kind = _need(prob, "kind", "problem")
     scale = float(prob.get("h_scale", 1.0))
@@ -144,8 +143,7 @@ def _build_problem(cfg: dict, mesh) -> problems.ProblemSpec:
 
 def _solver_options(cfg: dict) -> solver.SolverOptions:
     s = cfg.get("solver", {})
-    known = {"eps0", "eps_min", "continuation_factor", "grad_tol",
-             "max_iters", "armijo", "shrink", "init", "abs_polish", "seed"}
+    known = {f.name for f in dataclasses.fields(solver.SolverOptions)}
     unknown = set(s) - known
     if unknown:
         raise ConfigError(f"unknown solver option(s): {sorted(unknown)}")
@@ -303,20 +301,15 @@ def _cmd_check_comparison(cfg, args) -> int:
 
 
 def _cmd_solve(cfg, args) -> int:
-    from dataclasses import replace as _replace
-
     mesh = _build_mesh(cfg, args)
     spec = _build_problem(cfg, mesh)
     opts = _solver_options(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is not None and "seed" not in cfg.get("solver", {}):
-        opts = _replace(opts, seed=int(seed))
-    dispatch = {"problem1": solver.solve_problem1,
-                "problem2": solver.solve_problem2,
-                "kirchhoff": solver.solve_kirchhoff}
+        opts = dataclasses.replace(opts, seed=int(seed))
     try:
-        rep = dispatch[spec.kind](spec, opts,
-                                  override=bool(cfg.get("override", False)))
+        rep = solver.solve(spec, opts,
+                           override=bool(cfg.get("override", False)))
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
@@ -417,11 +410,8 @@ def _cmd_sweep(cfg, args) -> int:
         mesh = _build_mesh(run_cfg, args)
         spec = _build_problem(run_cfg, mesh)
         opts = _solver_options(run_cfg)
-        dispatch = {"problem1": solver.solve_problem1,
-                    "problem2": solver.solve_problem2,
-                    "kirchhoff": solver.solve_kirchhoff}
-        rep = dispatch[spec.kind](spec, opts,
-                                  override=bool(run_cfg.get("override", False)))
+        rep = solver.solve(spec, opts,
+                           override=bool(run_cfg.get("override", False)))
         any_nonconv = any_nonconv or not rep.converged
         rows.append((val, rep))
     lines = ["value,energy,sup_u,residual_max,converged"]
@@ -447,10 +437,16 @@ def _parser() -> argparse.ArgumentParser:
         prog="pxlaplace",
         description="variable-exponent energies: solvers and property checks")
     sub = ap.add_subparsers(dest="command", required=True)
-    names = ["solve", "check-convexity", "check-diaz-saa", "check-comparison",
-             "eig", "validate", "sweep"]
-    for name in names:
+    handlers = [("solve", _cmd_solve),
+                ("check-convexity", _cmd_check_convexity),
+                ("check-diaz-saa", _cmd_check_diaz_saa),
+                ("check-comparison", _cmd_check_comparison),
+                ("eig", _cmd_eig),
+                ("validate", _cmd_validate),
+                ("sweep", _cmd_sweep)]
+    for name, handler in handlers:
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=name != "eig")
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
@@ -483,16 +479,7 @@ def run_command(argv) -> int:
                               "n": args.n or 64}}
         else:
             cfg = load_config(args.config)
-        handler = {
-            "solve": _cmd_solve,
-            "check-convexity": _cmd_check_convexity,
-            "check-diaz-saa": _cmd_check_diaz_saa,
-            "check-comparison": _cmd_check_comparison,
-            "eig": _cmd_eig,
-            "validate": _cmd_validate,
-            "sweep": _cmd_sweep,
-        }[args.command]
-        return handler(cfg, args)
+        return args.handler(cfg, args)
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_USAGE

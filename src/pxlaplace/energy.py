@@ -16,13 +16,14 @@ the nodal derivative of each discrete energy for the descent solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .anisotropy import AnisotropyModel, _flux_rows, _quad_form
 from .exponents import ExponentField
-from .grid import Mesh, NodeField, cell_average
+from .grid import (Mesh, NodeField, cell_average, cell_gradient, flux_loads,
+                   scatter_add)
 
 __all__ = [
     "ReactionTerm",
@@ -40,6 +41,7 @@ __all__ = [
     "W_functional",
     "W_A_functional",
     "dirichlet_part",
+    "flux_pairing",
     "energy_E",
     "energy_E_hat",
     "energy_J",
@@ -118,8 +120,7 @@ class EnergyModel:
 
     With no terms the model realizes the cone energies W / W_A; a reaction
     adds the problem-1 energy E, absorption the problem-2 energy E_hat,
-    and a Kirchhoff term the nonlocal energy J.  ``eps`` is the solver's
-    flux regularization; the public functionals default to eps = 0.
+    and a Kirchhoff term the nonlocal energy J.
     """
 
     mesh: Mesh
@@ -128,16 +129,12 @@ class EnergyModel:
     reaction: ReactionTerm | None = None
     absorption: AbsorptionTerm | None = None
     kirchhoff: KirchhoffTerm | None = None
-    eps: float = 0.0
 
     def __post_init__(self):
         if self.exponent.mesh is not self.mesh:
             raise ValueError("exponent sampled on a different mesh")
         if self.anisotropy is not None and self.anisotropy.mesh is not self.mesh:
             raise ValueError("anisotropy sampled on a different mesh")
-
-    def with_eps(self, eps: float) -> "EnergyModel":
-        return replace(self, eps=float(eps))
 
     def cell_weights(self) -> np.ndarray | None:
         if self.anisotropy is None or self.anisotropy.kind == "isotropic":
@@ -147,20 +144,23 @@ class EnergyModel:
 
 # -- potentials -------------------------------------------------------------
 
-def _F_cells(term: ReactionTerm, u: np.ndarray, h: np.ndarray,
-             q: np.ndarray | None) -> np.ndarray:
+# Reaction and absorption share these: the absorption g(x, s) =
+# ell s^(Q-1) is a power term with (h, q) = (ell, Q).
+
+def _F_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
+    """Potential h u^q / q for u > 0 (h u when q is None), zero elsewhere."""
     pos = u > 0
     out = np.zeros_like(u)
-    if term.kind == "source":
+    if q is None:
         out[pos] = h[pos] * u[pos]
     else:
         out[pos] = h[pos] * u[pos] ** q[pos] / q[pos]
     return out
 
 
-def _f_cells(term: ReactionTerm, u: np.ndarray, h: np.ndarray,
-             q: np.ndarray | None) -> np.ndarray:
-    if term.kind == "source":
+def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
+    """Derivative of ``_F_cells`` in u."""
+    if q is None:
         return np.where(u >= 0, h, 0.0)
     out = np.zeros_like(u)
     pos = u > 0
@@ -172,37 +172,24 @@ def _f_cells(term: ReactionTerm, u: np.ndarray, h: np.ndarray,
     return out
 
 
-def _G_cells(term: AbsorptionTerm, u: np.ndarray, ell: np.ndarray,
-             Q: np.ndarray) -> np.ndarray:
-    pos = u > 0
-    out = np.zeros_like(u)
-    out[pos] = ell[pos] * u[pos] ** Q[pos] / Q[pos]
-    return out
-
-
-def _g_cells(term: AbsorptionTerm, u: np.ndarray, ell: np.ndarray,
-             Q: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = ell[pos] * u[pos] ** (Q[pos] - 1.0)
-    zero = u == 0
-    if zero.any():
-        out[zero] = np.where(Q[zero] == 1.0, ell[zero], 0.0)
-    return out
+def _reaction_cells(term: ReactionTerm) -> tuple:
+    """Cell values of h and q (q is None for the source kind)."""
+    q = cell_average(term.q) if term.kind == "power" else None
+    return cell_average(term.h), q
 
 
 def potential_F(term: ReactionTerm, x, u: float) -> float:
     """F(x, u) = integral of f(x, s) over s in [0, u]; zero for u < 0."""
     h = np.atleast_1d(term.h.at(x))
-    q = np.atleast_1d(term.q.at(x)) if term.q is not None else None
-    return float(_F_cells(term, np.atleast_1d(float(u)), h, q)[0])
+    q = np.atleast_1d(term.q.at(x)) if term.kind == "power" else None
+    return float(_F_cells(np.atleast_1d(float(u)), h, q)[0])
 
 
 def potential_G(term: AbsorptionTerm, x, u: float) -> float:
     """G(x, u) = integral of g(x, s) over s in [0, u]; zero for u < 0."""
     ell = np.atleast_1d(term.ell.at(x))
     Q = np.atleast_1d(term.Q.at(x))
-    return float(_G_cells(term, np.atleast_1d(float(u)), ell, Q)[0])
+    return float(_F_cells(np.atleast_1d(float(u)), ell, Q)[0])
 
 
 def M_hat(term: KirchhoffTerm, t: float) -> float:
@@ -230,19 +217,19 @@ def _root_field(v: NodeField, r: float) -> np.ndarray:
     return v.values if r == 1.0 else v.values ** (1.0 / r)
 
 
-def _grad_rows(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
-    return np.einsum("cvd,cv->cd", mesh.shape_grads, nodal[mesh.cells])
+def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
+    _require_cone(v)
+    mesh = model.mesh
+    r = model.exponent.r
+    gw = cell_gradient(mesh, _root_field(v, r))
+    p = model.exponent.cellwise()
+    dens = (r / p) * _quad_form(weights, gw) ** (p / 2.0)
+    return float(np.sum(dens * mesh.cell_measures))
 
 
 def W_functional(v: NodeField, model: EnergyModel) -> float:
     """Cone energy: integral of (r/p) |grad(v^(1/r))|^p, isotropic."""
-    _require_cone(v)
-    mesh = model.mesh
-    r = model.exponent.r
-    gw = _grad_rows(mesh, _root_field(v, r))
-    p = model.exponent.cellwise()
-    dens = (r / p) * _quad_form(None, gw) ** (p / 2.0)
-    return float(np.sum(dens * mesh.cell_measures))
+    return _cone_energy(v, model, None)
 
 
 def W_A_functional(v: NodeField, model: EnergyModel) -> float:
@@ -251,29 +238,19 @@ def W_A_functional(v: NodeField, model: EnergyModel) -> float:
     Coincides with ``W_functional`` (same arithmetic) for the isotropic
     family.
     """
-    w = model.cell_weights()
-    if w is None:
-        return W_functional(v, model)
-    _require_cone(v)
-    mesh = model.mesh
-    r = model.exponent.r
-    gw = _grad_rows(mesh, _root_field(v, r))
-    p = model.exponent.cellwise()
-    dens = (r / p) * _quad_form(w, gw) ** (p / 2.0)
-    return float(np.sum(dens * mesh.cell_measures))
+    return _cone_energy(v, model, model.cell_weights())
 
 
-def dirichlet_part(u: NodeField, model: EnergyModel, eps: float | None = None) -> float:
+def dirichlet_part(u: NodeField, model: EnergyModel,
+                   eps: float = 0.0) -> float:
     """Integral of (1/p) A(x, grad u), with optional flux regularization.
 
     For eps > 0 the density is ((eps^2 + |grad u|_A^2)^(p/2) - eps^p)/p,
     whose xi-gradient is the regularized flux; the subtraction keeps the
     zero field at zero energy.
     """
-    if eps is None:
-        eps = model.eps
     mesh = model.mesh
-    gu = _grad_rows(mesh, u.values)
+    gu = cell_gradient(mesh, u.values)
     p = model.exponent.cellwise()
     q = _quad_form(model.cell_weights(), gu)
     if eps > 0.0:
@@ -283,12 +260,24 @@ def dirichlet_part(u: NodeField, model: EnergyModel, eps: float | None = None) -
     return float(np.sum(dens * mesh.cell_measures))
 
 
+def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,
+                 weights) -> float:
+    """Integral of a(x, grad w) . grad s for nodal values w and s.
+
+    ``weights`` are the cell weights of the anisotropic flux, or None for
+    the isotropic one.
+    """
+    mesh = model.mesh
+    p = model.exponent.cellwise()
+    flux = _flux_rows(p, weights, cell_gradient(mesh, w))
+    gs = cell_gradient(mesh, s)
+    return float(np.sum(np.einsum("cd,cd->c", flux, gs) * mesh.cell_measures))
+
+
 def _reaction_integral(u: NodeField, model: EnergyModel) -> float:
-    term = model.reaction
     uc = cell_average(u)
-    h = cell_average(term.h)
-    q = cell_average(term.q) if term.q is not None else None
-    return float(np.sum(_F_cells(term, uc, h, q) * model.mesh.cell_measures))
+    h, q = _reaction_cells(model.reaction)
+    return float(np.sum(_F_cells(uc, h, q) * model.mesh.cell_measures))
 
 
 def _absorption_integral(u: NodeField, model: EnergyModel) -> float:
@@ -296,24 +285,24 @@ def _absorption_integral(u: NodeField, model: EnergyModel) -> float:
     uc = cell_average(u)
     ell = cell_average(term.ell)
     Q = cell_average(term.Q)
-    return float(np.sum(_G_cells(term, uc, ell, Q) * model.mesh.cell_measures))
+    return float(np.sum(_F_cells(uc, ell, Q) * model.mesh.cell_measures))
 
 
-def energy_E(u: NodeField, model: EnergyModel, eps: float | None = None) -> float:
+def energy_E(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
     """Problem-1 energy: gradient part minus the reaction potential."""
     if model.reaction is None:
         raise ValueError("energy_E needs a reaction term")
     return dirichlet_part(u, model, eps) - _reaction_integral(u, model)
 
 
-def energy_E_hat(u: NodeField, model: EnergyModel, eps: float | None = None) -> float:
+def energy_E_hat(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
     """Problem-2 energy: energy_E plus the absorption potential."""
     if model.absorption is None:
         raise ValueError("energy_E_hat needs an absorption term")
     return energy_E(u, model, eps) + _absorption_integral(u, model)
 
 
-def energy_J(u: NodeField, model: EnergyModel, eps: float | None = None) -> float:
+def energy_J(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
     """Nonlocal energy: M_hat of the gradient part, minus the potential."""
     if model.kirchhoff is None or model.reaction is None:
         raise ValueError("energy_J needs reaction and Kirchhoff terms")
@@ -321,7 +310,7 @@ def energy_J(u: NodeField, model: EnergyModel, eps: float | None = None) -> floa
             - _reaction_integral(u, model))
 
 
-def energy_value(u: NodeField, model: EnergyModel, eps: float | None = None) -> float:
+def energy_value(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
     """The energy the model realizes (J, E_hat, E, or the gradient part)."""
     if model.kirchhoff is not None:
         return energy_J(u, model, eps)
@@ -377,7 +366,7 @@ def phi_line(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
         return W_A_functional(v, model)
     if kind == "J_hat":
         u = NodeField(model.mesh, _root_field(v, model.exponent.r))
-        return energy_J(u, model, eps=0.0)
+        return energy_J(u, model)
     raise ValueError(f"unknown line functional {kind!r}")
 
 
@@ -409,28 +398,20 @@ def phi_prime(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
     v = _combination(v1, v2, theta)
     mesh = model.mesh
     r = model.exponent.r
-    p = model.exponent.cellwise()
     w_nodal = _root_field(v, r)
-    gw = _grad_rows(mesh, w_nodal)
     s = _quotient(v1, v2, v, r)
-    gs = _grad_rows(mesh, s)
     weights = None if kind == "W" else model.cell_weights()
-    flux = _flux_rows(p, weights, gw)
-    base = float(np.sum(np.einsum("cd,cd->c", flux, gs) * mesh.cell_measures))
+    base = flux_pairing(model, w_nodal, s, weights)
     if kind in ("W", "W_A"):
         return base
     if kind != "J_hat":
         raise ValueError(f"unknown line functional {kind!r}")
     if model.kirchhoff is None or model.reaction is None:
         raise ValueError("J_hat needs reaction and Kirchhoff terms")
-    q = _quad_form(weights, gw)
-    D = float(np.sum(q ** (p / 2.0) / p * mesh.cell_measures))
-    pref = kirchhoff_M(model.kirchhoff, D)
-    term = model.reaction
-    wc = cell_average(NodeField(mesh, w_nodal))
-    h = cell_average(term.h)
-    qq = cell_average(term.q) if term.q is not None else None
-    f = _f_cells(term, wc, h, qq)
+    w = NodeField(mesh, w_nodal)
+    pref = kirchhoff_M(model.kirchhoff, dirichlet_part(w, model))
+    h, q = _reaction_cells(model.reaction)
+    f = _f_cells(cell_average(w), h, q)
     sc = cell_average(NodeField(mesh, s))
     reaction = float(np.sum(f * sc * mesh.cell_measures))
     return pref * base / r - reaction / r
@@ -439,7 +420,7 @@ def phi_prime(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
 # -- Gateaux gradient for the solver ----------------------------------------
 
 def gateaux_gradient(model: EnergyModel, u: NodeField,
-                     eps: float | None = None) -> NodeField:
+                     eps: float = 0.0) -> NodeField:
     """Nodal derivative of the discrete energy; boundary entries are zero.
 
     The pairing of the returned field with any nodal test field equals the
@@ -447,33 +428,28 @@ def gateaux_gradient(model: EnergyModel, u: NodeField,
     per-cell flux contributions plus reaction/absorption terms; a present
     Kirchhoff term scales the flux part by M(dirichlet part).
     """
-    if eps is None:
-        eps = model.eps
     mesh = model.mesh
     p = model.exponent.cellwise()
     w = model.cell_weights()
-    gu = _grad_rows(mesh, u.values)
+    gu = cell_gradient(mesh, u.values)
     flux = _flux_rows(p, w, gu, eps)
     if model.kirchhoff is not None:
         flux = flux * kirchhoff_M(model.kirchhoff, dirichlet_part(u, model, eps))
 
     m = mesh.cell_measures
-    contrib = np.einsum("cd,cvd->cv", flux * m[:, None], mesh.shape_grads)
+    contrib = flux_loads(mesh, flux)
 
     n_loc = mesh.dimension + 1
     uc = cell_average(u)
     if model.reaction is not None:
-        term = model.reaction
-        h = cell_average(term.h)
-        q = cell_average(term.q) if term.q is not None else None
-        contrib -= (_f_cells(term, uc, h, q) * m / n_loc)[:, None]
+        h, q = _reaction_cells(model.reaction)
+        contrib -= (_f_cells(uc, h, q) * m / n_loc)[:, None]
     if model.absorption is not None:
         term = model.absorption
         ell = cell_average(term.ell)
         Q = cell_average(term.Q)
-        contrib += (_g_cells(term, uc, ell, Q) * m / n_loc)[:, None]
+        contrib += (_f_cells(uc, ell, Q) * m / n_loc)[:, None]
 
-    g = np.zeros(mesh.n_nodes)
-    np.add.at(g, mesh.cells, contrib)
+    g = scatter_add(mesh, contrib)
     g[mesh.boundary_mask] = 0.0
     return NodeField(mesh, g)

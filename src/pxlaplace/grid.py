@@ -22,6 +22,9 @@ __all__ = [
     "build_interval",
     "build_rectangle",
     "gradient",
+    "cell_gradient",
+    "flux_loads",
+    "scatter_add",
     "integrate",
     "interpolate",
     "cell_average",
@@ -237,9 +240,30 @@ def gradient(u: NodeField) -> CellVectorField:
     In 1D this is the forward difference quotient per segment.  Exact for
     globally affine fields and linear in ``u``.
     """
-    mesh = u.mesh
-    vecs = np.einsum("cvd,cv->cd", mesh.shape_grads, u.values[mesh.cells])
-    return CellVectorField(mesh, vecs)
+    return CellVectorField(u.mesh, cell_gradient(u.mesh, u.values))
+
+
+def cell_gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
+    """(n_cells, dimension) gradients of the P1 interpolant of nodal values."""
+    return np.einsum("cvd,cv->cd", mesh.shape_grads, nodal[mesh.cells])
+
+
+def flux_loads(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
+    """(n_cells, dimension+1) integrals of a cellwise constant flux against
+    the gradient of each cell vertex's basis function."""
+    return np.einsum("cd,cvd->cv", flux * mesh.cell_measures[:, None],
+                     mesh.shape_grads)
+
+
+def scatter_add(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
+    """Nodal sums of per-cell, per-vertex contributions.
+
+    ``contrib`` has shape (n_cells, dimension+1), or (n_cells, 1) for one
+    value shared by a cell's vertices; cells are added in their fixed order.
+    """
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, mesh.cells, contrib)
+    return out
 
 
 def cell_average(u: NodeField) -> np.ndarray:

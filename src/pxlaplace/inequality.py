@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyModel, gateaux_gradient, phi_line, phi_prime,
-                     power_reaction, source_reaction)
+from .energy import (EnergyModel, flux_pairing, gateaux_gradient, phi_line,
+                     phi_prime, power_reaction, source_reaction)
 from .grid import NodeField, constant_field
 
 __all__ = [
@@ -57,21 +57,13 @@ class GapReport:
     scale: float
 
 
-class RatioBounds(tuple):
-    """(sup12, sup21) with an admissibility flag against the cap."""
+@dataclass(frozen=True)
+class RatioBounds:
+    """Interior sups of u1/u2 and u2/u1 with an admissibility flag."""
 
-    def __new__(cls, sup12, sup21, admissible):
-        self = super().__new__(cls, (float(sup12), float(sup21)))
-        self.admissible = bool(admissible)
-        return self
-
-    @property
-    def sup12(self):
-        return self[0]
-
-    @property
-    def sup21(self):
-        return self[1]
+    sup12: float
+    sup21: float
+    admissible: bool
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,7 @@ def ratio_bound(u1: NodeField, u2: NodeField, cap: float = RATIO_CAP) -> RatioBo
         raise ValueError("ratio_bound needs positive interior values")
     sup12 = float(np.max(a / b))
     sup21 = float(np.max(b / a))
-    return RatioBounds(sup12, sup21, sup12 <= cap and sup21 <= cap)
+    return RatioBounds(sup12, sup21, bool(sup12 <= cap and sup21 <= cap))
 
 
 def _classify_equality(w1: NodeField, w2: NodeField) -> str:
@@ -186,8 +178,11 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
     d0 = phi_prime(v1, v2, 0.0, model, "W_A")
     gap = d1 - d0
 
-    i1 = _flux_pairing(w1, _transport(w1, w2, r, sign=+1), model)
-    i2 = _flux_pairing(w2, _transport(w2, w1, r, sign=-1), model)
+    weights = model.cell_weights()
+    t1 = _transport(w1, w2, r, sign=+1)
+    t2 = _transport(w2, w1, r, sign=-1)
+    i1 = flux_pairing(model, w1.values, t1.values, weights)
+    i2 = flux_pairing(model, w2.values, t2.values, weights)
     scale = _scale(abs(i1) + abs(i2))
     return GapReport(gap=float(gap), i1=float(i1), i2=float(i2),
                      equality_class=_classify_equality(w1, w2),
@@ -202,16 +197,6 @@ def _transport(wa: NodeField, wb: NodeField, r: float, sign: int) -> NodeField:
     pos = a > 0
     out[pos] = a[pos] - b[pos] ** r / a[pos] ** (r - 1.0)
     return NodeField(wa.mesh, out if sign > 0 else -out)
-
-
-def _flux_pairing(w: NodeField, t: NodeField, model: EnergyModel) -> float:
-    from .anisotropy import _flux_rows
-    from .energy import _grad_rows
-    mesh = model.mesh
-    p = model.exponent.cellwise()
-    flux = _flux_rows(p, model.cell_weights(), _grad_rows(mesh, w.values))
-    gt = _grad_rows(mesh, t.values)
-    return float(np.sum(np.einsum("cd,cd->c", flux, gt) * mesh.cell_measures))
 
 
 def _fraction_p_above_r(model: EnergyModel) -> float:

@@ -54,14 +54,13 @@ class ProblemSpec:
             raise ValueError("exponent sampled on a different mesh")
 
 
-def build_energy_model(spec: ProblemSpec, eps: float = 0.0) -> EnergyModel:
+def build_energy_model(spec: ProblemSpec) -> EnergyModel:
     return EnergyModel(
         mesh=spec.mesh,
         exponent=spec.exponent,
         reaction=spec.reaction,
         absorption=spec.absorption if spec.kind == "problem2" else None,
         kirchhoff=spec.kirchhoff if spec.kind == "kirchhoff" else None,
-        eps=eps,
     )
 
 
@@ -69,7 +68,7 @@ def _extrema(f: NodeField) -> tuple:
     return float(f.values.min()), float(f.values.max())
 
 
-def validate_f(term: ReactionTerm, r: float, s_grid=None) -> ValidationReport:
+def validate_f(term: ReactionTerm, r: float) -> ValidationReport:
     """Hypotheses on the reaction term, decided in closed form.
 
     (f1) nonnegativity with f(x, 0) = 0;
@@ -79,8 +78,7 @@ def validate_f(term: ReactionTerm, r: float, s_grid=None) -> ValidationReport:
 
     For the power kind these reduce to q > 1 nodewise, q < r nodewise,
     and q_plus < r; for the plain source kind (f2) needs r > 1 and (f3)
-    holds iff r > 1.  ``s_grid`` is accepted for interface symmetry but
-    the decisions do not depend on it.
+    holds iff r > 1.
     """
     report = ValidationReport()
     h_min = float(term.h.values.min())
@@ -108,7 +106,7 @@ def validate_f(term: ReactionTerm, r: float, s_grid=None) -> ValidationReport:
 
 
 def validate_g(term: AbsorptionTerm, r: float, p: ExponentField,
-               dimension: int, s_grid=None) -> ValidationReport:
+               dimension: int) -> ValidationReport:
     """Hypotheses on the absorption term, decided in closed form.
 
     (g1) positivity for s > 0 with g(x, 0) = 0;

@@ -3,7 +3,7 @@
 The solver runs damped descent on the regularized energy with a geometric
 continuation in the flux regularization eps: the degenerate/singular
 |grad u|^(p-2) factor is replaced by (eps^2 + |grad u|^2)^((p-2)/2) and
-eps is driven from ``eps0`` down to ``eps_min``.  Descent directions are
+eps is driven from ``EPS0`` down to ``EPS_MIN``.  Descent directions are
 preconditioned by the lagged-diffusivity metric (the SPD weighted
 stiffness assembled from the current flux weights); a plain backtracking
 line search on the regularized energy guarantees monotone decrease, and
@@ -20,9 +20,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .anisotropy import _quad_form
 from .energy import (EnergyModel, dirichlet_part, energy_value,
                      gateaux_gradient, kirchhoff_M)
-from .grid import Mesh, NodeField
+from .grid import Mesh, NodeField, cell_gradient, flux_loads, scatter_add
 from .inequality import diaz_saa_gap
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
     validate_f, validate_g, validate_M
@@ -34,6 +35,7 @@ __all__ = [
     "minimize_energy",
     "initial_guess",
     "weak_residual",
+    "solve",
     "solve_problem1",
     "solve_problem2",
     "solve_kirchhoff",
@@ -43,22 +45,23 @@ __all__ = [
 ]
 
 
+# eps-continuation ladder: EPS0, EPS0 * CONTINUATION_FACTOR, ..., EPS_MIN
+EPS0 = 1e-2
+EPS_MIN = 1e-8
+CONTINUATION_FACTOR = 0.1
+# backtracking line search: Armijo constant and step shrink factor
+ARMIJO = 1e-4
+SHRINK = 0.5
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    eps0: float = 1e-2
-    eps_min: float = 1e-8
-    continuation_factor: float = 0.1
     grad_tol: float = 1e-9
     max_iters: int = 5000
-    armijo: float = 1e-4
-    shrink: float = 0.5
     init: object = "bump"  # "bump" | "random" | NodeField
-    abs_polish: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps_min > self.eps0:
-            raise ValueError("need eps_min <= eps0")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
 
@@ -131,41 +134,46 @@ def initial_guess(model: EnergyModel, opts: SolverOptions,
     if model.reaction is None:
         return base, None
     ts = np.geomspace(1e-4, 10.0, 60)
-    energies = [energy_value(NodeField(mesh, t * prof), model, eps=0.0)
-                for t in ts]
+    energies = [energy_value(NodeField(mesh, t * prof), model) for t in ts]
     k = int(np.argmin(energies))
     return NodeField(mesh, ts[k] * prof), bool(energies[k] < 0.0)
 
 
-def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
-                     pref: float) -> sp.csr_array:
-    """Lagged-diffusivity metric: weighted stiffness on interior nodes."""
-    mesh = model.mesh
-    p = model.exponent.cellwise()
-    G = mesh.shape_grads
-    gu = np.einsum("cvd,cv->cd", G, u[mesh.cells])
-    w = model.cell_weights()
-    if w is None:
-        q = np.einsum("cd,cd->c", gu, gu)
-    else:
-        q = np.einsum("cd,cd->c", w * gu, gu)
-    omega = pref * (eps * eps + q) ** ((p - 2.0) / 2.0) * mesh.cell_measures
-    if w is None:
-        loc = np.einsum("c,cid,cjd->cij", omega, G, G)
-    else:
-        loc = np.einsum("c,cd,cid,cjd->cij", omega, w, G, G)
-
+def _interior_pattern(mesh: Mesh) -> tuple:
+    """Where the cell stiffness entries go in the interior-node matrix:
+    (rows, cols, keep mask over all cell entries, interior node count)."""
     nloc = mesh.dimension + 1
     idx = np.full(mesh.n_nodes, -1, dtype=int)
     interior = mesh.interior
     idx[interior] = np.arange(interior.size)
     rows = np.repeat(idx[mesh.cells], nloc, axis=1).ravel()
     cols = np.tile(idx[mesh.cells], (1, nloc)).ravel()
-    vals = loc.ravel()
     keep = (rows >= 0) & (cols >= 0)
-    K = sp.coo_array((vals[keep], (rows[keep], cols[keep])),
-                     shape=(interior.size, interior.size))
-    return K.tocsr()
+    return rows[keep], cols[keep], keep, interior.size
+
+
+def _stiffness(mesh: Mesh, pattern: tuple, omega: np.ndarray,
+               w: np.ndarray | None = None) -> sp.csr_array:
+    """Interior stiffness with cell factors omega (and cell weights w)."""
+    G = mesh.shape_grads
+    if w is None:
+        loc = np.einsum("c,cid,cjd->cij", omega, G, G)
+    else:
+        loc = np.einsum("c,cd,cid,cjd->cij", omega, w, G, G)
+    rows, cols, keep, n = pattern
+    return sp.coo_array((loc.ravel()[keep], (rows, cols)),
+                        shape=(n, n)).tocsr()
+
+
+def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
+                     pref: float, pattern: tuple) -> sp.csr_array:
+    """Lagged-diffusivity metric: weighted stiffness on interior nodes."""
+    mesh = model.mesh
+    p = model.exponent.cellwise()
+    w = model.cell_weights()
+    q = _quad_form(w, cell_gradient(mesh, u))
+    omega = pref * (eps * eps + q) ** ((p - 2.0) / 2.0) * mesh.cell_measures
+    return _stiffness(mesh, pattern, omega, w)
 
 
 def _polish(u: np.ndarray, model: EnergyModel) -> np.ndarray:
@@ -187,25 +195,25 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
     """
     mesh = model.mesh
     interior = mesh.interior
+    pattern = _interior_pattern(mesh)
     u0, init_flag = initial_guess(model, opts)
     u = u0.values.copy()
     u[mesh.boundary_mask] = 0.0
 
     ladder = []
-    eps = opts.eps0
-    while eps > opts.eps_min:
+    eps = EPS0
+    while eps > EPS_MIN:
         ladder.append(eps)
-        eps *= opts.continuation_factor
-    ladder.append(opts.eps_min)
+        eps *= CONTINUATION_FACTOR
+    ladder.append(EPS_MIN)
 
     iterations = []
     converged = False
     for eps in ladder:
-        stage_model = model.with_eps(eps)
         pref = 1.0
         n_it = 0
         for n_it in range(opts.max_iters):
-            g = gateaux_gradient(stage_model, NodeField(mesh, u)).values
+            g = gateaux_gradient(model, NodeField(mesh, u), eps).values
             if np.abs(g[interior]).max() <= opts.grad_tol:
                 converged = True
                 break
@@ -213,7 +221,7 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
             if model.kirchhoff is not None:
                 pref = kirchhoff_M(model.kirchhoff,
                                    dirichlet_part(NodeField(mesh, u), model, eps))
-            K = _interior_matrix(stage_model, u, eps, pref)
+            K = _interior_matrix(model, u, eps, pref, pattern)
             d = np.zeros_like(u)
             d[interior] = spla.spsolve(K, -g[interior])
             gd = float(g @ d)
@@ -222,38 +230,36 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
                 gd = float(g @ d)
                 if gd >= 0.0:
                     break
-            e0 = energy_value(NodeField(mesh, u), stage_model)
+            e0 = energy_value(NodeField(mesh, u), model, eps)
             if not np.isfinite(e0):
                 raise ValueError("non-finite energy: bad model inputs")
             t = 1.0
             accepted = False
             while t > 1e-18:
                 trial = u + t * d
-                e1 = energy_value(NodeField(mesh, trial), stage_model)
-                if e1 <= e0 + opts.armijo * t * gd:
+                e1 = energy_value(NodeField(mesh, trial), model, eps)
+                if e1 <= e0 + ARMIJO * t * gd:
                     accepted = True
                     break
-                t *= opts.shrink
+                t *= SHRINK
             if not accepted:
                 break  # at the floating-point floor of this stage
-            u = trial
-            if opts.abs_polish:
-                polished = _polish(u, model)
-                e_pol = energy_value(NodeField(mesh, polished), stage_model)
-                if e_pol > e1 + 1e-12 * (1.0 + abs(e1)):
-                    raise AssertionError("polish increased the energy")
-                u, e1 = polished, e_pol
+            polished = _polish(trial, model)
+            e_pol = energy_value(NodeField(mesh, polished), model, eps)
+            if e_pol > e1 + 1e-12 * (1.0 + abs(e1)):
+                raise AssertionError("polish increased the energy")
+            u, e1 = polished, e_pol
             if e1 > e0 + 1e-12 * (1.0 + abs(e0)):
                 raise AssertionError("energy increased within a stage")
         iterations.append(n_it)
 
     sol = NodeField(mesh, u)
     residual = float(np.abs(
-        gateaux_gradient(model, sol, eps=0.0).values[interior]).max())
-    e_final = energy_value(sol, model, eps=0.0)
+        gateaux_gradient(model, sol).values[interior]).max())
+    e_final = energy_value(sol, model)
     m0 = None
     if model.kirchhoff is not None:
-        m0 = kirchhoff_M(model.kirchhoff, dirichlet_part(sol, model, eps=0.0))
+        m0 = kirchhoff_M(model.kirchhoff, dirichlet_part(sol, model))
     return SolveReport(
         solution=sol,
         energy=float(e_final),
@@ -277,12 +283,31 @@ def weak_residual(u: NodeField, spec: ProblemSpec) -> float:
     """
     if np.any(u.values[u.mesh.boundary_mask] != 0):
         raise ValueError("weak_residual needs a zero-trace field")
-    model = build_energy_model(spec)
-    g = gateaux_gradient(model, u, eps=0.0)
+    g = gateaux_gradient(build_energy_model(spec), u)
     return float(np.abs(g.values[u.mesh.interior]).max())
 
 
-def _attach(report: SolveReport, spec: ProblemSpec) -> SolveReport:
+def solve(spec: ProblemSpec, opts: SolverOptions,
+          override: bool = False) -> SolveReport:
+    """Solve the problem ``spec`` describes by energy minimization.
+
+    The reaction hypotheses are validated for every kind, the absorption
+    hypotheses for problem2 and the diffusion-scale hypotheses for
+    kirchhoff; a failure raises ValueError unless ``override`` is set.
+    The report carries the regime tag of power-reaction instances.
+    """
+    r = spec.exponent.r
+    reports = [validate_f(spec.reaction, r)]
+    if spec.kind == "problem2":
+        reports.append(validate_g(spec.absorption, r, spec.exponent,
+                                  spec.mesh.dimension))
+    elif spec.kind == "kirchhoff":
+        reports.append(validate_M(spec.kirchhoff))
+    bad = [e for rep in reports for e in rep.failures()]
+    if bad and not override:
+        raise ValueError("hypotheses fail: "
+                         + "; ".join(f"{e.name}: {e.witness}" for e in bad))
+    report = minimize_energy(build_energy_model(spec), opts)
     try:
         regime = sharpness_regime(spec).name
     except ValueError:
@@ -290,52 +315,21 @@ def _attach(report: SolveReport, spec: ProblemSpec) -> SolveReport:
     return replace(report, regime=regime)
 
 
-def solve_problem1(spec: ProblemSpec, opts: SolverOptions,
-                   override: bool = False) -> SolveReport:
-    """Solve the subhomogeneous reaction problem by energy minimization."""
-    val = validate_f(spec.reaction, spec.exponent.r)
-    if not val.passed and not override:
-        raise ValueError(
-            "reaction hypotheses fail: "
-            + "; ".join(f"{e.name}: {e.witness}" for e in val.failures()))
-    return _attach(minimize_energy(build_energy_model(spec), opts), spec)
-
-
-def solve_problem2(spec: ProblemSpec, opts: SolverOptions,
-                   override: bool = False) -> SolveReport:
-    """Solve the absorption variant by minimizing the extended energy."""
-    val_f = validate_f(spec.reaction, spec.exponent.r)
-    val_g = validate_g(spec.absorption, spec.exponent.r, spec.exponent,
-                       spec.mesh.dimension)
-    if not (val_f.passed and val_g.passed) and not override:
-        bad = val_f.failures() + val_g.failures()
-        raise ValueError("hypotheses fail: "
-                         + "; ".join(f"{e.name}: {e.witness}" for e in bad))
-    return _attach(minimize_energy(build_energy_model(spec), opts), spec)
-
-
-def solve_kirchhoff(spec: ProblemSpec, opts: SolverOptions,
-                    override: bool = False) -> SolveReport:
-    """Solve the nonlocal problem; the flux carries the M(.) prefactor."""
-    val_f = validate_f(spec.reaction, spec.exponent.r)
-    val_m = validate_M(spec.kirchhoff)
-    if not (val_f.passed and val_m.passed) and not override:
-        bad = val_f.failures() + val_m.failures()
-        raise ValueError("hypotheses fail: "
-                         + "; ".join(f"{e.name}: {e.witness}" for e in bad))
-    return _attach(minimize_energy(build_energy_model(spec), opts), spec)
+# one entry point serves every kind; the per-kind names stay for callers
+solve_problem1 = solve_problem2 = solve_kirchhoff = solve
 
 
 # -- first eigenpair ---------------------------------------------------------
 
 def _rayleigh(mesh: Mesh, r: float, u: np.ndarray):
-    G = mesh.shape_grads
-    gu = np.einsum("cvd,cv->cd", G, u[mesh.cells])
-    q = np.einsum("cd,cd->c", gu, gu)
+    """Numerator and denominator of the Rayleigh quotient of u, with the
+    cell gradients, their squared norms and the cell values they use."""
+    gu = cell_gradient(mesh, u)
+    q = _quad_form(None, gu)
     num = float(np.sum(q ** (r / 2.0) * mesh.cell_measures))
     uc = u[mesh.cells].mean(axis=1)
     den = float(np.sum(np.abs(uc) ** r * mesh.cell_measures))
-    return num, den
+    return num, den, gu, q, uc
 
 
 def first_eigenpair(mesh: Mesh, r: float, tol: float = 1e-12,
@@ -350,48 +344,31 @@ def first_eigenpair(mesh: Mesh, r: float, tol: float = 1e-12,
     if not r > 1:
         raise ValueError("need r > 1")
     interior = mesh.interior
-    G = mesh.shape_grads
     m = mesh.cell_measures
     nloc = mesh.dimension + 1
+    pattern = _interior_pattern(mesh)
 
     u = _bump_profile(mesh)
-    num, den = _rayleigh(mesh, r, u)
+    den = _rayleigh(mesh, r, u)[1]
     u = u / den ** (1.0 / r)
-
-    idx = np.full(mesh.n_nodes, -1, dtype=int)
-    idx[interior] = np.arange(interior.size)
-    rows_t = np.repeat(idx[mesh.cells], nloc, axis=1).ravel()
-    cols_t = np.tile(idx[mesh.cells], (1, nloc)).ravel()
-    keep = (rows_t >= 0) & (cols_t >= 0)
 
     lam = np.inf
     for _ in range(max_iters):
-        gu = np.einsum("cvd,cv->cd", G, u[mesh.cells])
-        q = np.einsum("cd,cd->c", gu, gu)
-        uc = u[mesh.cells].mean(axis=1)
-        num = float(np.sum(q ** (r / 2.0) * m))
-        den = float(np.sum(np.abs(uc) ** r * m))
+        num, den, gu, q, uc = _rayleigh(mesh, r, u)
         lam = num / den
 
         flux = np.zeros_like(gu)
         nz = q > 0
         flux[nz] = (r * q[nz] ** ((r - 2.0) / 2.0))[:, None] * gu[nz]
-        gN = np.zeros(mesh.n_nodes)
-        np.add.at(gN, mesh.cells,
-                  np.einsum("cd,cvd->cv", flux * m[:, None], G))
+        gN = scatter_add(mesh, flux_loads(mesh, flux))
         gden_c = r * np.sign(uc) * np.abs(uc) ** (r - 1.0) * m / nloc
-        gM = np.zeros(mesh.n_nodes)
-        np.add.at(gM, mesh.cells, np.broadcast_to(gden_c[:, None],
-                                                  (mesh.n_cells, nloc)))
+        gM = scatter_add(mesh, gden_c[:, None])
         g = (gN - lam * gM) / den
         g[mesh.boundary_mask] = 0.0
         if np.abs(g[interior]).max() <= tol * max(1.0, lam):
             break
 
-        omega = (1e-30 + q) ** ((r - 2.0) / 2.0) * m
-        loc = np.einsum("c,cid,cjd->cij", omega, G, G)
-        K = sp.coo_array((loc.ravel()[keep], (rows_t[keep], cols_t[keep])),
-                         shape=(interior.size, interior.size)).tocsr()
+        K = _stiffness(mesh, pattern, (1e-30 + q) ** ((r - 2.0) / 2.0) * m)
         d = np.zeros_like(u)
         d[interior] = spla.spsolve(K, -g[interior])
 
@@ -399,7 +376,7 @@ def first_eigenpair(mesh: Mesh, r: float, tol: float = 1e-12,
         improved = False
         while t > 1e-16:
             trial = np.abs(u + t * d)
-            n2, d2 = _rayleigh(mesh, r, trial)
+            n2, d2 = _rayleigh(mesh, r, trial)[:2]
             if d2 > 0 and n2 / d2 < lam:
                 u = trial / d2 ** (1.0 / r)
                 improved = True
@@ -408,9 +385,9 @@ def first_eigenpair(mesh: Mesh, r: float, tol: float = 1e-12,
         if not improved:
             break
 
-    num, den = _rayleigh(mesh, r, u)
+    den = _rayleigh(mesh, r, u)[1]
     phi = NodeField(mesh, np.abs(u) / den ** (1.0 / r))
-    num, den = _rayleigh(mesh, r, phi.values)
+    num, den = _rayleigh(mesh, r, phi.values)[:2]
     return num / den, phi
 
 
@@ -483,19 +460,17 @@ def hopf_diagnostic(u: NodeField) -> float:
     For each boundary node, (value at the nearest interior node) / distance;
     a positive minimum certifies the discrete boundary-slope sign of the
     maximum principle.  The field must vanish on the boundary.
+
+    On the structured grid the nearest interior node is unique: clip the
+    boundary node's grid index into the interior index range per axis.
     """
     mesh = u.mesh
     if np.any(u.values[mesh.boundary_mask] != 0):
         raise ValueError("hopf_diagnostic needs a zero-trace field")
     bidx = np.flatnonzero(mesh.boundary_mask)
-    iidx = mesh.interior
-    inodes = mesh.nodes[iidx]
-    worst = np.inf
-    for start in range(0, bidx.size, 256):
-        chunk = bidx[start:start + 256]
-        d = np.linalg.norm(mesh.nodes[chunk][:, None, :] - inodes[None, :, :],
-                           axis=-1)
-        nearest = np.argmin(d, axis=1)
-        quot = u.values[iidx[nearest]] / d[np.arange(chunk.size), nearest]
-        worst = min(worst, float(quot.min()))
-    return worst
+    shape = tuple(n + 1 for n in mesh.resolution)
+    index = np.unravel_index(bidx, shape)
+    nearest = np.ravel_multi_index(
+        [np.clip(i, 1, n - 1) for i, n in zip(index, mesh.resolution)], shape)
+    d = np.linalg.norm(mesh.nodes[bidx] - mesh.nodes[nearest], axis=-1)
+    return float((u.values[nearest] / d).min())

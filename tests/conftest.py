@@ -8,17 +8,17 @@ BASELINES = pathlib.Path(__file__).parent / "_baselines.json"
 
 @pytest.fixture(scope="session")
 def regression():
-    """Pin a value on first run, compare against the stored pin afterwards."""
-    stored = json.loads(BASELINES.read_text()) if BASELINES.exists() else {}
+    """Compare a value against its pin in ``_baselines.json``.
+
+    A missing pin fails; new pins are added to the file by hand.
+    """
+    stored = json.loads(BASELINES.read_text())
 
     def check(name: str, value: float, rel_tol: float = 1e-6):
-        if name in stored:
-            ref = stored[name]
-            assert value == pytest.approx(ref, rel=rel_tol), \
-                f"regression {name}: {value} vs pinned {ref}"
-        else:
-            stored[name] = value
-            BASELINES.write_text(json.dumps(stored, indent=2, sort_keys=True))
+        assert name in stored, f"regression {name}: no pin in {BASELINES.name}"
+        ref = stored[name]
+        assert value == pytest.approx(ref, rel=rel_tol), \
+            f"regression {name}: {value} vs pinned {ref}"
         return value
 
     return check

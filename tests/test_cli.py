@@ -86,6 +86,12 @@ class TestSolveCommand:
         assert run_command(["solve", "--config", str(bad), "--seed", "1"]) \
             == EXIT_USAGE
 
+    def test_removed_solver_option_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json", solver={"armijo": 1e-4})
+        assert run_command(["solve", "--config", str(cfg), "--seed",
+                            "7"]) == EXIT_USAGE
+        assert "unknown solver option" in capsys.readouterr().err
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", solver={"max_iters": 1})
         assert run_command(["solve", "--config", str(cfg), "--seed", "1",

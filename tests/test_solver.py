@@ -3,8 +3,9 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from pxlaplace.energy import (dirichlet_part, kirchhoff_M, power_reaction,
-                              saturating_kirchhoff, source_reaction)
+from pxlaplace.energy import (KirchhoffTerm, dirichlet_part, kirchhoff_M,
+                              power_reaction, saturating_kirchhoff,
+                              source_reaction)
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import NodeField, build_interval, build_rectangle, \
     constant_field, interpolate
@@ -223,6 +224,17 @@ class TestKirchhoff:
         assert np.abs(repk.solution.values - scaled).max() <= 1e-6
         assert abs(repk.kirchhoff_M0 - M0) <= 1e-6
 
+    def test_validator_gate(self):
+        # m_inf < m0: M decreases, so (M2) fails
+        mesh = build_interval(0, 1, 32)
+        spec = ProblemSpec("kirchhoff", mesh, exponent_field(mesh, 2.0, r=2.0),
+                           power_reaction(constant_field(mesh, 1.0),
+                                          constant_field(mesh, 1.5)),
+                           kirchhoff=KirchhoffTerm(1.0, 0.5))
+        with pytest.raises(ValueError, match="hypotheses fail: M2"):
+            solve_kirchhoff(spec, SolverOptions())
+        assert solve_kirchhoff(spec, SolverOptions(), override=True).converged
+
 
 class TestFirstEigenpair:
     def test_unit_interval_r2(self):
@@ -312,6 +324,24 @@ class TestHopfDiagnostic:
         mesh = build_rectangle(0, 1, 0, 1, 8, 8)
         u = interpolate(mesh, lambda x, y: x * (1 - x) * y * (1 - y))
         assert hopf_diagnostic(u) > 0
+
+    def test_2d_matches_nearest_node_search(self):
+        # hx != hy; a small value at each interior node in turn makes the
+        # boundary nodes next to it, corners included, set the minimum
+        mesh = build_rectangle(0, 2.5, 0, 1, 5, 3)
+        rng = np.random.default_rng(0)
+        inner = mesh.nodes[mesh.interior]
+        for k in mesh.interior:
+            vals = rng.uniform(1.0, 2.0, mesh.n_nodes)
+            vals[mesh.boundary_mask] = 0.0
+            vals[k] = 1e-3
+            oracle = np.inf
+            for b in np.flatnonzero(mesh.boundary_mask):
+                d = np.linalg.norm(inner - mesh.nodes[b], axis=1)
+                j = np.argmin(d)
+                oracle = min(oracle, vals[mesh.interior[j]] / d[j])
+            assert hopf_diagnostic(NodeField(mesh, vals)) == \
+                pytest.approx(oracle, rel=1e-14)
 
 
 class TestSolve2D:
