@@ -112,9 +112,15 @@ def _build_cone_model(cfg: dict, mesh) -> energy.EnergyModel:
     return energy.EnergyModel(mesh, exponent, anisotropy=aniso)
 
 
+_PROBLEM_KEYS = {"kind", "h", "q", "ell", "Q", "m0", "m_inf", "h_scale"}
+
+
 def _build_problem(cfg: dict, mesh) -> problems.ProblemSpec:
     exponent = _build_exponent(cfg, mesh)
     prob = _need(cfg, "problem")
+    unknown = set(prob) - _PROBLEM_KEYS
+    if unknown:
+        raise ConfigError(f"unknown problem key(s): {sorted(unknown)}")
     kind = _need(prob, "kind", "problem")
     scale = float(prob.get("h_scale", 1.0))
     h = _field(mesh, prob.get("h", "1"), "h")
@@ -151,6 +157,17 @@ def _solver_options(cfg: dict) -> solver.SolverOptions:
         return solver.SolverOptions(**s)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad solver block: {e}") from None
+
+
+def _spec_and_options(cfg: dict, args) -> tuple:
+    """Problem spec and solver options of a config.  The solver seed is
+    the solver block's, else --seed, else the config's top-level seed."""
+    spec = _build_problem(cfg, _build_mesh(cfg, args))
+    opts = _solver_options(cfg)
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    if seed is not None and "seed" not in cfg.get("solver", {}):
+        opts = dataclasses.replace(opts, seed=int(seed))
+    return spec, opts
 
 
 # -- deterministic output ----------------------------------------------------
@@ -301,12 +318,7 @@ def _cmd_check_comparison(cfg, args) -> int:
 
 
 def _cmd_solve(cfg, args) -> int:
-    mesh = _build_mesh(cfg, args)
-    spec = _build_problem(cfg, mesh)
-    opts = _solver_options(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is not None and "seed" not in cfg.get("solver", {}):
-        opts = dataclasses.replace(opts, seed=int(seed))
+    spec, opts = _spec_and_options(cfg, args)
     try:
         rep = solver.solve(spec, opts,
                            override=bool(cfg.get("override", False)))
@@ -391,8 +403,6 @@ def _set_by_path(cfg: dict, dotted: str, value):
         if not isinstance(node.get(key), dict):
             raise ConfigError(f"sweep parameter path {dotted!r} not in config")
         node = node[key]
-    if parts[-1] not in node:
-        raise ConfigError(f"sweep parameter path {dotted!r} not in config")
     node[parts[-1]] = value
 
 
@@ -407,9 +417,7 @@ def _cmd_sweep(cfg, args) -> int:
     for val in values:
         run_cfg = json.loads(json.dumps(cfg))  # deep copy
         _set_by_path(run_cfg, param, val)
-        mesh = _build_mesh(run_cfg, args)
-        spec = _build_problem(run_cfg, mesh)
-        opts = _solver_options(run_cfg)
+        spec, opts = _spec_and_options(run_cfg, args)
         rep = solver.solve(spec, opts,
                            override=bool(run_cfg.get("override", False)))
         any_nonconv = any_nonconv or not rep.converged

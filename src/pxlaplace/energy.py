@@ -16,7 +16,7 @@ the nodal derivative of each discrete energy for the descent solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,6 +121,11 @@ class EnergyModel:
     With no terms the model realizes the cone energies W / W_A; a reaction
     adds the problem-1 energy E, absorption the problem-2 energy E_hat,
     and a Kirchhoff term the nonlocal energy J.
+
+    The quadrature-point data are averaged once, at construction, into
+    read-only arrays: ``p_cells``, ``w_cells`` (None for the isotropic
+    flux) and ``potentials``, the (sign, h, q) cell data of the reaction
+    (sign -1) and the absorption (sign +1), in that order.
     """
 
     mesh: Mesh
@@ -129,17 +134,35 @@ class EnergyModel:
     reaction: ReactionTerm | None = None
     absorption: AbsorptionTerm | None = None
     kirchhoff: KirchhoffTerm | None = None
+    p_cells: np.ndarray = field(init=False, repr=False, compare=False)
+    w_cells: np.ndarray | None = field(init=False, repr=False, compare=False)
+    potentials: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent.mesh is not self.mesh:
             raise ValueError("exponent sampled on a different mesh")
         if self.anisotropy is not None and self.anisotropy.mesh is not self.mesh:
             raise ValueError("anisotropy sampled on a different mesh")
-
-    def cell_weights(self) -> np.ndarray | None:
-        if self.anisotropy is None or self.anisotropy.kind == "isotropic":
-            return None
-        return self.anisotropy.weights_at_cells()
+        if self.kirchhoff is not None and self.absorption is not None:
+            raise ValueError("the nonlocal energy J has no absorption term")
+        p = self.exponent.cellwise()
+        w = None
+        if self.anisotropy is not None and self.anisotropy.kind != "isotropic":
+            w = self.anisotropy.weights_at_cells()
+        potentials = []
+        if self.reaction is not None:
+            f = self.reaction
+            q = cell_average(f.q) if f.kind == "power" else None
+            potentials.append((-1.0, cell_average(f.h), q))
+        if self.absorption is not None:
+            g = self.absorption
+            potentials.append((1.0, cell_average(g.ell), cell_average(g.Q)))
+        for a in (p, w, *(c for _, h, q in potentials for c in (h, q))):
+            if a is not None:
+                a.flags.writeable = False
+        object.__setattr__(self, "p_cells", p)
+        object.__setattr__(self, "w_cells", w)
+        object.__setattr__(self, "potentials", tuple(potentials))
 
 
 # -- potentials -------------------------------------------------------------
@@ -170,12 +193,6 @@ def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
     if zero.any():
         out[zero] = np.where(q[zero] == 1.0, h[zero], 0.0)
     return out
-
-
-def _reaction_cells(term: ReactionTerm) -> tuple:
-    """Cell values of h and q (q is None for the source kind)."""
-    q = cell_average(term.q) if term.kind == "power" else None
-    return cell_average(term.h), q
 
 
 def potential_F(term: ReactionTerm, x, u: float) -> float:
@@ -222,7 +239,7 @@ def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
     mesh = model.mesh
     r = model.exponent.r
     gw = cell_gradient(mesh, _root_field(v, r))
-    p = model.exponent.cellwise()
+    p = model.p_cells
     dens = (r / p) * _quad_form(weights, gw) ** (p / 2.0)
     return float(np.sum(dens * mesh.cell_measures))
 
@@ -238,7 +255,7 @@ def W_A_functional(v: NodeField, model: EnergyModel) -> float:
     Coincides with ``W_functional`` (same arithmetic) for the isotropic
     family.
     """
-    return _cone_energy(v, model, model.cell_weights())
+    return _cone_energy(v, model, model.w_cells)
 
 
 def dirichlet_part(u: NodeField, model: EnergyModel,
@@ -251,8 +268,8 @@ def dirichlet_part(u: NodeField, model: EnergyModel,
     """
     mesh = model.mesh
     gu = cell_gradient(mesh, u.values)
-    p = model.exponent.cellwise()
-    q = _quad_form(model.cell_weights(), gu)
+    p = model.p_cells
+    q = _quad_form(model.w_cells, gu)
     if eps > 0.0:
         dens = ((eps * eps + q) ** (p / 2.0) - eps ** p) / p
     else:
@@ -268,46 +285,39 @@ def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,
     the isotropic one.
     """
     mesh = model.mesh
-    p = model.exponent.cellwise()
-    flux = _flux_rows(p, weights, cell_gradient(mesh, w))
+    flux = _flux_rows(model.p_cells, weights, cell_gradient(mesh, w))
     gs = cell_gradient(mesh, s)
     return float(np.sum(np.einsum("cd,cd->c", flux, gs) * mesh.cell_measures))
 
 
-def _reaction_integral(u: NodeField, model: EnergyModel) -> float:
+def _plus_F(base: float, u: NodeField, potentials) -> float:
+    """base plus sign times the integral of each potential, in order."""
     uc = cell_average(u)
-    h, q = _reaction_cells(model.reaction)
-    return float(np.sum(_F_cells(uc, h, q) * model.mesh.cell_measures))
-
-
-def _absorption_integral(u: NodeField, model: EnergyModel) -> float:
-    term = model.absorption
-    uc = cell_average(u)
-    ell = cell_average(term.ell)
-    Q = cell_average(term.Q)
-    return float(np.sum(_F_cells(uc, ell, Q) * model.mesh.cell_measures))
+    for sign, h, q in potentials:
+        base += sign * float(np.sum(_F_cells(uc, h, q) * u.mesh.cell_measures))
+    return base
 
 
 def energy_E(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
     """Problem-1 energy: gradient part minus the reaction potential."""
     if model.reaction is None:
         raise ValueError("energy_E needs a reaction term")
-    return dirichlet_part(u, model, eps) - _reaction_integral(u, model)
+    return _plus_F(dirichlet_part(u, model, eps), u, model.potentials[:1])
 
 
 def energy_E_hat(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
     """Problem-2 energy: energy_E plus the absorption potential."""
-    if model.absorption is None:
-        raise ValueError("energy_E_hat needs an absorption term")
-    return energy_E(u, model, eps) + _absorption_integral(u, model)
+    if model.absorption is None or model.reaction is None:
+        raise ValueError("energy_E_hat needs reaction and absorption terms")
+    return _plus_F(dirichlet_part(u, model, eps), u, model.potentials)
 
 
 def energy_J(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
     """Nonlocal energy: M_hat of the gradient part, minus the potential."""
     if model.kirchhoff is None or model.reaction is None:
         raise ValueError("energy_J needs reaction and Kirchhoff terms")
-    return (M_hat(model.kirchhoff, dirichlet_part(u, model, eps))
-            - _reaction_integral(u, model))
+    d = dirichlet_part(u, model, eps)
+    return _plus_F(M_hat(model.kirchhoff, d), u, model.potentials)
 
 
 def energy_value(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
@@ -400,7 +410,7 @@ def phi_prime(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
     r = model.exponent.r
     w_nodal = _root_field(v, r)
     s = _quotient(v1, v2, v, r)
-    weights = None if kind == "W" else model.cell_weights()
+    weights = None if kind == "W" else model.w_cells
     base = flux_pairing(model, w_nodal, s, weights)
     if kind in ("W", "W_A"):
         return base
@@ -409,12 +419,13 @@ def phi_prime(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
     if model.kirchhoff is None or model.reaction is None:
         raise ValueError("J_hat needs reaction and Kirchhoff terms")
     w = NodeField(mesh, w_nodal)
-    pref = kirchhoff_M(model.kirchhoff, dirichlet_part(w, model))
-    h, q = _reaction_cells(model.reaction)
-    f = _f_cells(cell_average(w), h, q)
+    out = kirchhoff_M(model.kirchhoff, dirichlet_part(w, model)) * base / r
+    wc = cell_average(w)
     sc = cell_average(NodeField(mesh, s))
-    reaction = float(np.sum(f * sc * mesh.cell_measures))
-    return pref * base / r - reaction / r
+    for sign, h, q in model.potentials:
+        out += sign * float(np.sum(_f_cells(wc, h, q) * sc
+                                   * mesh.cell_measures)) / r
+    return out
 
 
 # -- Gateaux gradient for the solver ----------------------------------------
@@ -429,10 +440,8 @@ def gateaux_gradient(model: EnergyModel, u: NodeField,
     Kirchhoff term scales the flux part by M(dirichlet part).
     """
     mesh = model.mesh
-    p = model.exponent.cellwise()
-    w = model.cell_weights()
     gu = cell_gradient(mesh, u.values)
-    flux = _flux_rows(p, w, gu, eps)
+    flux = _flux_rows(model.p_cells, model.w_cells, gu, eps)
     if model.kirchhoff is not None:
         flux = flux * kirchhoff_M(model.kirchhoff, dirichlet_part(u, model, eps))
 
@@ -441,14 +450,8 @@ def gateaux_gradient(model: EnergyModel, u: NodeField,
 
     n_loc = mesh.dimension + 1
     uc = cell_average(u)
-    if model.reaction is not None:
-        h, q = _reaction_cells(model.reaction)
-        contrib -= (_f_cells(uc, h, q) * m / n_loc)[:, None]
-    if model.absorption is not None:
-        term = model.absorption
-        ell = cell_average(term.ell)
-        Q = cell_average(term.Q)
-        contrib += (_f_cells(uc, ell, Q) * m / n_loc)[:, None]
+    for sign, h, q in model.potentials:
+        contrib += (sign * _f_cells(uc, h, q) * m / n_loc)[:, None]
 
     g = scatter_add(mesh, contrib)
     g[mesh.boundary_mask] = 0.0

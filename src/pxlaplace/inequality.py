@@ -104,8 +104,7 @@ def check_ray_convexity(v1: NodeField, v2: NodeField, model: EnergyModel,
     proportional = (ratios.size > 0
                     and np.ptp(ratios) <= 1e-10 * max(1.0, np.abs(ratios).max())
                     and np.array_equal(b[~pos] == 0, a[~pos] == 0))
-    p_cells = model.exponent.cellwise()
-    p_eq_r = bool(np.max(np.abs(p_cells - model.exponent.r)) <= 1e-12)
+    p_eq_r = bool(np.max(np.abs(model.p_cells - model.exponent.r)) <= 1e-12)
 
     return RayConvexityReport(
         slacks=slacks,
@@ -178,11 +177,10 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
     d0 = phi_prime(v1, v2, 0.0, model, "W_A")
     gap = d1 - d0
 
-    weights = model.cell_weights()
     t1 = _transport(w1, w2, r, sign=+1)
     t2 = _transport(w2, w1, r, sign=-1)
-    i1 = flux_pairing(model, w1.values, t1.values, weights)
-    i2 = flux_pairing(model, w2.values, t2.values, weights)
+    i1 = flux_pairing(model, w1.values, t1.values, model.w_cells)
+    i2 = flux_pairing(model, w2.values, t2.values, model.w_cells)
     scale = _scale(abs(i1) + abs(i2))
     return GapReport(gap=float(gap), i1=float(i1), i2=float(i2),
                      equality_class=_classify_equality(w1, w2),
@@ -200,8 +198,7 @@ def _transport(wa: NodeField, wb: NodeField, r: float, sign: int) -> NodeField:
 
 
 def _fraction_p_above_r(model: EnergyModel) -> float:
-    p = model.exponent.cellwise()
-    return float(np.mean(p - model.exponent.r > 1e-12))
+    return float(np.mean(model.p_cells - model.exponent.r > 1e-12))
 
 
 def comparison_check(u1: NodeField, u2: NodeField, f1: NodeField,

@@ -169,10 +169,10 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
                      pref: float, pattern: tuple) -> sp.csr_array:
     """Lagged-diffusivity metric: weighted stiffness on interior nodes."""
     mesh = model.mesh
-    p = model.exponent.cellwise()
-    w = model.cell_weights()
+    w = model.w_cells
     q = _quad_form(w, cell_gradient(mesh, u))
-    omega = pref * (eps * eps + q) ** ((p - 2.0) / 2.0) * mesh.cell_measures
+    omega = (pref * (eps * eps + q) ** ((model.p_cells - 2.0) / 2.0)
+             * mesh.cell_measures)
     return _stiffness(mesh, pattern, omega, w)
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pxlaplace
 from pxlaplace.cli import (EXIT_CHECK_FAILED, EXIT_NONCONVERGED, EXIT_OK,
                            EXIT_USAGE, run_command)
 
@@ -85,6 +90,12 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"domain": {"kind": "interval"}}))
         assert run_command(["solve", "--config", str(bad), "--seed", "1"]) \
             == EXIT_USAGE
+
+    def test_unknown_problem_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json", problem={"h_sacle": 2.0})
+        assert run_command(["solve", "--config", str(cfg), "--seed",
+                            "7"]) == EXIT_USAGE
+        assert "unknown problem key" in capsys.readouterr().err
 
     def test_removed_solver_option_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", solver={"armijo": 1e-4})
@@ -205,3 +216,49 @@ class TestSweepCommand:
                            sweep={"parameter": "problem.nope", "values": [1]})
         assert run_command(["sweep", "--config", str(cfg), "--seed", "2",
                             "--quiet"]) == EXIT_USAGE
+
+    def _sweep_csv(self, tmp_path, cfg, seed):
+        out = tmp_path / f"out-{seed}"
+        assert run_command(["sweep", "--config", str(cfg), "--seed",
+                            str(seed), "--out", str(out), "--quiet"]) == EXIT_OK
+        return (out / "sweep.csv").read_bytes()
+
+    def test_seed_reaches_random_init(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "run.json",
+            domain={"kind": "interval", "n": 32},
+            solver={"init": "random"},
+            sweep={"parameter": "problem.h_scale", "values": [1.0]},
+        )
+        one = self._sweep_csv(tmp_path, cfg, 1)
+        assert self._sweep_csv(tmp_path, cfg, 2) != one
+        assert self._sweep_csv(tmp_path, cfg, 1) == one
+
+    def test_readme_parameter_without_key(self, tmp_path):
+        # the README config names no h_scale; the sweep sets it
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 32},
+            "exponent": {"p": "2+x", "r": 1.5},
+            "problem": {"kind": "problem1", "h": "1", "q": "1.2"},
+            "solver": {"grad_tol": 1e-9},
+            "seed": 7,
+            "sweep": {"parameter": "problem.h_scale", "values": [0.5, 1, 2]},
+        }))
+        lines = self._sweep_csv(tmp_path, cfg, 1).decode().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            ["0.5", "1.0", "2.0"]
+        energies = [float(line.split(",")[1]) for line in lines[1:]]
+        assert energies[0] > energies[1] > energies[2]
+
+
+def test_python_dash_m_entry_point():
+    src = str(pathlib.Path(pxlaplace.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pxlaplace", "eig", "--n", "8", "--levels",
+         "1", "--quiet"], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""

@@ -407,3 +407,49 @@ class TestGateauxGradient:
                       - energy_value(NodeField(mesh, u - t * phi), model,
                                      eps=0.0)) / (2 * t)
                 assert pairing == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+
+class TestModelCells:
+    """Quadrature-point data are averaged once, when the model is built."""
+
+    def test_cell_arrays_are_read_only(self):
+        mesh = build_rectangle(0, 1, 0, 1, 3, 3)
+        exponent = exponent_field(mesh, "2+x", r=1.5)
+        aniso = weighted_quadratic(exponent, [interpolate(mesh, "1+x"),
+                                              interpolate(mesh, "2-y")])
+        model = EnergyModel(
+            mesh, exponent, anisotropy=aniso,
+            reaction=power_reaction(constant_field(mesh, 1.0),
+                                    constant_field(mesh, 1.2)),
+            absorption=power_absorption(constant_field(mesh, 1.0),
+                                        constant_field(mesh, 2.0)))
+        arrays = [model.p_cells, model.w_cells]
+        arrays += [a for _, h, q in model.potentials for a in (h, q)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert [sign for sign, _, _ in model.potentials] == [-1.0, 1.0]
+
+    def test_isotropic_flux_has_no_weights(self):
+        model = make_model(p="2+x", r=1.5)
+        assert model.w_cells is None and model.potentials == ()
+
+    def test_replace_carries_the_new_cells(self):
+        from dataclasses import replace
+        model = make_model(n=16, h="1", q="1.2", r=1.5, p="2+x")
+        mesh = model.mesh
+        h_new = interpolate(mesh, "2+x")
+        new = replace(model, reaction=power_reaction(
+            h_new, constant_field(mesh, 1.4)))
+        (sign, h, q), = new.potentials
+        assert sign == -1.0
+        assert np.array_equal(h, h_new.values[mesh.cells].mean(axis=1))
+        assert np.all(q == 1.4)
+        assert np.all(model.potentials[0][1] == 1.0)
+
+    def test_kirchhoff_with_absorption_rejected(self):
+        # J has no absorption term: energy_value would ignore it while the
+        # gradient added it
+        with pytest.raises(ValueError, match="no absorption"):
+            make_model(h="1", q="1.2", ell="1", Q="2", r=1.5, p="2+x",
+                       kirchhoff=saturating_kirchhoff(1.0, 2.0))
