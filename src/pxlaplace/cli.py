@@ -237,6 +237,17 @@ def _random_cone_field(rng, mesh, zero_boundary: bool) -> grid.NodeField:
     return grid.NodeField(mesh, vals)
 
 
+def _check_result(cfg, args, check: str, key: str, value: float,
+                  failures: int) -> int:
+    """Report a check suite's worst ``key`` value and failure count as
+    ``check_<check>.json``; the exit code says whether all samples passed."""
+    report = {"check": check, "samples": args.samples, "seed": args.seed,
+              key: value, "failures": failures, "passed": failures == 0}
+    name = "check_" + check.replace("-", "_") + ".json"
+    _dump_report(report, _out_path(args, cfg, name), args.quiet)
+    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+
+
 def _cmd_check_convexity(cfg, args) -> int:
     mesh = _build_mesh(cfg, args)
     model = _build_cone_model(cfg, mesh)
@@ -251,16 +262,8 @@ def _cmd_check_convexity(cfg, args) -> int:
                                              kind="W_A")
         worst = min(worst, rep.min_slack / rep.scale)
         failures += 0 if rep.passed else 1
-    report = {
-        "check": "convexity",
-        "samples": args.samples,
-        "seed": args.seed,
-        "worst_relative_slack": worst,
-        "failures": failures,
-        "passed": failures == 0,
-    }
-    _dump_report(report, _out_path(args, cfg, "check_convexity.json"), args.quiet)
-    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+    return _check_result(cfg, args, "convexity", "worst_relative_slack",
+                         worst, failures)
 
 
 def _cmd_check_diaz_saa(cfg, args) -> int:
@@ -277,16 +280,8 @@ def _cmd_check_diaz_saa(cfg, args) -> int:
         min_gap = min(min_gap, rel)
         tol = 1e-10 if mesh.dimension == 1 else 1e-8
         failures += 0 if rel >= -tol else 1
-    report = {
-        "check": "diaz-saa",
-        "samples": args.samples,
-        "seed": args.seed,
-        "min_relative_gap": min_gap,
-        "failures": failures,
-        "passed": failures == 0,
-    }
-    _dump_report(report, _out_path(args, cfg, "check_diaz_saa.json"), args.quiet)
-    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+    return _check_result(cfg, args, "diaz-saa", "min_relative_gap",
+                         min_gap, failures)
 
 
 def _cmd_check_comparison(cfg, args) -> int:
@@ -305,16 +300,8 @@ def _cmd_check_comparison(cfg, args) -> int:
                                                         tol=1e-6)
         worst = max(worst, verdict.max_excess)
         failures += 0 if (verdict.hypothesis_ok and verdict.conclusion_ok) else 1
-    report = {
-        "check": "comparison",
-        "samples": args.samples,
-        "seed": args.seed,
-        "worst_excess": worst,
-        "failures": failures,
-        "passed": failures == 0,
-    }
-    _dump_report(report, _out_path(args, cfg, "check_comparison.json"), args.quiet)
-    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+    return _check_result(cfg, args, "comparison", "worst_excess", worst,
+                         failures)
 
 
 def _cmd_solve(cfg, args) -> int:

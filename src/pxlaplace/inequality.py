@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 RATIO_CAP = 1e6  # finite surrogate for an essentially bounded ratio
+# subsolution/supersolution bound on the residual pairings in comparison_check
+SUBSUPER_RESIDUAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -203,15 +205,15 @@ def _fraction_p_above_r(model: EnergyModel) -> float:
 
 def comparison_check(u1: NodeField, u2: NodeField, f1: NodeField,
                      f2: NodeField, model: EnergyModel, tol: float,
-                     mode: str = "solutions",
-                     residual_tol: float = 1e-7) -> ComparisonVerdict:
+                     mode: str = "solutions") -> ComparisonVerdict:
     """Weak-comparison verdict for two positive fields.
 
     Hypotheses: 0 <= f1 <= f2 nodewise, positive interior values with
     admissible ratios, and p not identically r.  In ``mode="subsuper"``
     the fields need not solve anything exactly: the discrete residual of
-    u1 must be a subsolution pairing (<= residual_tol against every
-    nonnegative nodal test function) and u2 a supersolution pairing.
+    u1 must be a subsolution pairing (<= ``SUBSUPER_RESIDUAL_TOL``
+    against every nonnegative nodal test function) and u2 a
+    supersolution pairing.
     Hypothesis violations are reported in the verdict, not raised.
     """
     notes = []
@@ -239,10 +241,10 @@ def comparison_check(u1: NodeField, u2: NodeField, f1: NodeField,
     if mode == "subsuper" and hypothesis_ok:
         r1 = _bvp_residual(u1, f1, model)
         r2 = _bvp_residual(u2, f2, model)
-        if np.max(r1.values[interior]) > residual_tol:
+        if np.max(r1.values[interior]) > SUBSUPER_RESIDUAL_TOL:
             hypothesis_ok = False
             notes.append("u1 is not a discrete subsolution")
-        if np.min(r2.values[interior]) < -residual_tol:
+        if np.min(r2.values[interior]) < -SUBSUPER_RESIDUAL_TOL:
             hypothesis_ok = False
             notes.append("u2 is not a discrete supersolution")
     elif mode not in ("solutions", "subsuper"):

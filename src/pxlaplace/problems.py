@@ -148,13 +148,13 @@ def validate_g(term: AbsorptionTerm, r: float, p: ExponentField,
     return report
 
 
-def validate_M(term: KirchhoffTerm, t_grid=None) -> ValidationReport:
+def validate_M(term: KirchhoffTerm) -> ValidationReport:
     """Hypotheses on the diffusion scale, closed form for the saturating kind.
 
     (M1) M(0) > 0; (M2) monotone increasing; (M3) bounded with a finite
     monotone limit.  The antiderivative sandwich
-    M(0) t <= M_hat(t) <= M(inf) t is checked on ``t_grid``
-    (default: 101 points spanning [0, 100]).
+    M(0) t <= M_hat(t) <= M(inf) t is checked on 101 points spanning
+    [0, 100].
     """
     report = ValidationReport()
     report.add("M1", PASS if term.m0 > 0 else FAIL, f"M(0) = {term.m0}")
@@ -163,7 +163,7 @@ def validate_M(term: KirchhoffTerm, t_grid=None) -> ValidationReport:
     report.add("M3", PASS if np.isfinite(term.m_inf) else FAIL,
                f"M(+inf) = {term.m_inf}")
     if report.passed:
-        ts = np.linspace(0.0, 100.0, 101) if t_grid is None else np.asarray(t_grid)
+        ts = np.linspace(0.0, 100.0, 101)
         hats = np.array([M_hat(term, float(t)) for t in ts])
         ok = np.all(term.m0 * ts - 1e-12 <= hats) and np.all(
             hats <= term.m_inf * ts + 1e-12)

@@ -14,6 +14,7 @@ energy.  Reported residuals use the unregularized flux.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +23,9 @@ import scipy.sparse.linalg as spla
 
 from .anisotropy import _quad_form
 from .energy import (EnergyModel, dirichlet_part, energy_value,
-                     gateaux_gradient, kirchhoff_M)
-from .grid import Mesh, NodeField, cell_gradient, flux_loads, scatter_add
+                     gateaux_gradient, kirchhoff_M, power_reaction)
+from .exponents import exponent_field
+from .grid import Mesh, NodeField, cell_average, cell_gradient, constant_field
 from .inequality import diaz_saa_gap
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
     validate_f, validate_g, validate_M
@@ -52,6 +54,12 @@ CONTINUATION_FACTOR = 0.1
 # backtracking line search: Armijo constant and step shrink factor
 ARMIJO = 1e-4
 SHRINK = 0.5
+# first_eigenpair: stationarity tolerance (relative to max(1, lam)), the
+# iteration cap, and the metric's eps, whose square only keeps the weight
+# finite on cells where the gradient vanishes
+EIGEN_TOL = 1e-12
+EIGEN_MAX_ITERS = 400
+EIGEN_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,7 @@ def _bump_profile(mesh: Mesh) -> np.ndarray:
     return prof / prof.max()
 
 
-def initial_guess(model: EnergyModel, opts: SolverOptions,
-                  rng: np.random.Generator | None = None):
+def initial_guess(model: EnergyModel, opts: SolverOptions):
     """Starting field for the descent, scaled to negative energy when possible.
 
     A bump (or seeded random positive field, zeroed on the boundary) is
@@ -125,7 +132,7 @@ def initial_guess(model: EnergyModel, opts: SolverOptions,
     if opts.init == "bump":
         prof = _bump_profile(mesh)
     elif opts.init == "random":
-        rng = np.random.default_rng(opts.seed) if rng is None else rng
+        rng = np.random.default_rng(opts.seed)
         prof = np.exp(rng.uniform(-1.0, 1.0, mesh.n_nodes))
         prof[mesh.boundary_mask] = 0.0
     else:
@@ -152,9 +159,14 @@ def _interior_pattern(mesh: Mesh) -> tuple:
     return rows[keep], cols[keep], keep, interior.size
 
 
-def _stiffness(mesh: Mesh, pattern: tuple, omega: np.ndarray,
-               w: np.ndarray | None = None) -> sp.csr_array:
-    """Interior stiffness with cell factors omega (and cell weights w)."""
+def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
+                     pref: float, pattern: tuple) -> sp.csr_array:
+    """Lagged-diffusivity metric: weighted stiffness on interior nodes."""
+    mesh = model.mesh
+    w = model.w_cells
+    q = _quad_form(w, cell_gradient(mesh, u))
+    omega = (pref * (eps * eps + q) ** ((model.p_cells - 2.0) / 2.0)
+             * mesh.cell_measures)
     G = mesh.shape_grads
     if w is None:
         loc = np.einsum("c,cid,cjd->cij", omega, G, G)
@@ -165,23 +177,26 @@ def _stiffness(mesh: Mesh, pattern: tuple, omega: np.ndarray,
                         shape=(n, n)).tocsr()
 
 
-def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
-                     pref: float, pattern: tuple) -> sp.csr_array:
-    """Lagged-diffusivity metric: weighted stiffness on interior nodes."""
-    mesh = model.mesh
-    w = model.w_cells
-    q = _quad_form(w, cell_gradient(mesh, u))
-    omega = (pref * (eps * eps + q) ** ((model.p_cells - 2.0) / 2.0)
-             * mesh.cell_measures)
-    return _stiffness(mesh, pattern, omega, w)
-
-
 def _polish(u: np.ndarray, model: EnergyModel) -> np.ndarray:
     # with an absorption term, |u| could increase the energy; the positive
     # part never does
     if model.absorption is not None:
         return np.maximum(u, 0.0)
     return np.abs(u)
+
+
+def _eps_ladder() -> list:
+    """EPS0, EPS0 * CONTINUATION_FACTOR, ... with EPS_MIN as the last rung.
+
+    The rung count comes from the logarithms: the repeated product rounds
+    (1e-2 * 0.1**6 is 1.0000000000000004e-08), so comparing it with
+    EPS_MIN would add a rung that differs from EPS_MIN only by rounding.
+    """
+    n = round(math.log(EPS_MIN / EPS0, CONTINUATION_FACTOR))
+    ladder = [EPS0]
+    for _ in range(n - 1):
+        ladder.append(ladder[-1] * CONTINUATION_FACTOR)
+    return ladder + [EPS_MIN]
 
 
 def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
@@ -200,16 +215,9 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
     u = u0.values.copy()
     u[mesh.boundary_mask] = 0.0
 
-    ladder = []
-    eps = EPS0
-    while eps > EPS_MIN:
-        ladder.append(eps)
-        eps *= CONTINUATION_FACTOR
-    ladder.append(EPS_MIN)
-
     iterations = []
     converged = False
-    for eps in ladder:
+    for eps in _eps_ladder():
         pref = 1.0
         n_it = 0
         for n_it in range(opts.max_iters):
@@ -248,6 +256,10 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
             e_pol = energy_value(NodeField(mesh, polished), model, eps)
             if e_pol > e1 + 1e-12 * (1.0 + abs(e1)):
                 raise AssertionError("polish increased the energy")
+            if polished.tobytes() == u.tobytes():
+                # a frozen iterate: each iteration is a function of (u, eps)
+                # alone, so the rest of this stage would repeat this one
+                break
             u, e1 = polished, e_pol
             if e1 > e0 + 1e-12 * (1.0 + abs(e0)):
                 raise AssertionError("energy increased within a stage")
@@ -321,73 +333,62 @@ solve_problem1 = solve_problem2 = solve_kirchhoff = solve
 
 # -- first eigenpair ---------------------------------------------------------
 
-def _rayleigh(mesh: Mesh, r: float, u: np.ndarray):
-    """Numerator and denominator of the Rayleigh quotient of u, with the
-    cell gradients, their squared norms and the cell values they use."""
-    gu = cell_gradient(mesh, u)
-    q = _quad_form(None, gu)
-    num = float(np.sum(q ** (r / 2.0) * mesh.cell_measures))
-    uc = u[mesh.cells].mean(axis=1)
-    den = float(np.sum(np.abs(uc) ** r * mesh.cell_measures))
-    return num, den, gu, q, uc
-
-
-def first_eigenpair(mesh: Mesh, r: float, tol: float = 1e-12,
-                    max_iters: int = 400):
+def first_eigenpair(mesh: Mesh, r: float):
     """Smallest Rayleigh quotient of the r-homogeneous gradient energy.
 
     Minimizes (integral |grad u|^r) / (integral |u|^r) over zero-trace
-    fields by normalized preconditioned descent from the bump profile.
-    Returns (lam, phi) with phi nonnegative and its r-modular normalized
-    to one; lam is the Rayleigh value of phi itself.
+    fields by normalized preconditioned descent from the bump profile, on
+    the energy layer of the r-constant model: the numerator is r times its
+    Dirichlet part, the quotient's gradient is r/den times the problem-1
+    gradient with p = q = r and h = lam, and the metric is the
+    lagged-diffusivity stiffness.  Returns (lam, phi) with phi nonnegative
+    and its r-modular normalized to one; lam is the Rayleigh value of phi
+    itself.
     """
     if not r > 1:
         raise ValueError("need r > 1")
     interior = mesh.interior
-    m = mesh.cell_measures
-    nloc = mesh.dimension + 1
+    exponent = exponent_field(mesh, r, r)
+    model = EnergyModel(mesh, exponent)
     pattern = _interior_pattern(mesh)
 
+    def quotient(v: np.ndarray) -> tuple:
+        """Numerator and denominator of the Rayleigh quotient of v >= 0."""
+        field = NodeField(mesh, v)
+        den = float(np.sum(cell_average(field) ** r * mesh.cell_measures))
+        return r * dirichlet_part(field, model), den
+
     u = _bump_profile(mesh)
-    den = _rayleigh(mesh, r, u)[1]
-    u = u / den ** (1.0 / r)
-
-    lam = np.inf
-    for _ in range(max_iters):
-        num, den, gu, q, uc = _rayleigh(mesh, r, u)
+    u = u / quotient(u)[1] ** (1.0 / r)
+    num, den = quotient(u)
+    for _ in range(EIGEN_MAX_ITERS):
         lam = num / den
-
-        flux = np.zeros_like(gu)
-        nz = q > 0
-        flux[nz] = (r * q[nz] ** ((r - 2.0) / 2.0))[:, None] * gu[nz]
-        gN = scatter_add(mesh, flux_loads(mesh, flux))
-        gden_c = r * np.sign(uc) * np.abs(uc) ** (r - 1.0) * m / nloc
-        gM = scatter_add(mesh, gden_c[:, None])
-        g = (gN - lam * gM) / den
-        g[mesh.boundary_mask] = 0.0
-        if np.abs(g[interior]).max() <= tol * max(1.0, lam):
+        eigen = replace(model, reaction=power_reaction(
+            constant_field(mesh, lam), exponent.values))
+        g = gateaux_gradient(eigen, NodeField(mesh, u)).values * (r / den)
+        if np.abs(g[interior]).max() <= EIGEN_TOL * max(1.0, lam):
             break
 
-        K = _stiffness(mesh, pattern, (1e-30 + q) ** ((r - 2.0) / 2.0) * m)
+        K = _interior_matrix(model, u, EIGEN_EPS, 1.0, pattern)
         d = np.zeros_like(u)
         d[interior] = spla.spsolve(K, -g[interior])
 
         t = 1.0
-        improved = False
         while t > 1e-16:
             trial = np.abs(u + t * d)
-            n2, d2 = _rayleigh(mesh, r, trial)[:2]
+            n2, d2 = quotient(trial)
             if d2 > 0 and n2 / d2 < lam:
-                u = trial / d2 ** (1.0 / r)
-                improved = True
                 break
-            t *= 0.5
-        if not improved:
-            break
+            t *= SHRINK
+        else:
+            break  # no decrease down to t = 1e-16
+        # renormalized, the accepted trial has the quotient (n2 / d2) / 1
+        u = trial / d2 ** (1.0 / r)
+        num, den = n2 / d2, 1.0
 
-    den = _rayleigh(mesh, r, u)[1]
+    den = quotient(u)[1]
     phi = NodeField(mesh, np.abs(u) / den ** (1.0 / r))
-    num, den = _rayleigh(mesh, r, phi.values)[:2]
+    num, den = quotient(phi.values)
     return num / den, phi
 
 

@@ -147,6 +147,26 @@ class TestCheckCommands:
                           "--samples", "3", "--seed", "5"])
         assert rc == EXIT_OK
 
+    def test_check_reports_share_one_layout(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.json",
+                           domain={"kind": "interval", "n": 16},
+                           exponent={"p": "2+x", "r": 1.5},
+                           output={"dir": str(out)})
+        for command, key in (("check-convexity", "worst_relative_slack"),
+                             ("check-diaz-saa", "min_relative_gap"),
+                             ("check-comparison", "worst_excess")):
+            rc = run_command([command, "--config", str(cfg),
+                              "--samples", "2", "--seed", "3"])
+            assert rc == EXIT_OK
+            text = capsys.readouterr().out
+            path = out / (command.replace("-", "_") + ".json")
+            assert path.read_text() == text
+            report = json.loads(text)
+            assert report == {"check": command[len("check-"):],
+                              "samples": 2, "seed": 3, key: report[key],
+                              "failures": 0, "passed": True}
+
     def test_seed_required_for_checks(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
         assert run_command(["check-diaz-saa", "--config", str(cfg)]) \

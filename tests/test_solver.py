@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from pxlaplace.energy import (KirchhoffTerm, dirichlet_part, kirchhoff_M,
@@ -138,6 +139,24 @@ class TestSubhomogeneousInstance:
         rep = solve_problem1(spec, SolverOptions(max_iters=1))
         assert not rep.converged
 
+    def test_frozen_stage_ends_early(self):
+        # n = 48 reaches the floating-point floor in some eps-stages: the
+        # accepted step leaves the iterate bitwise unchanged, and the stage
+        # ends there instead of repeating that step up to the cap
+        spec = problem1_spec(n=48, p="2+x", r=1.5, q="1.2")
+        short = solve_problem1(spec, SolverOptions(max_iters=500))
+        long = solve_problem1(spec, SolverOptions(max_iters=5000))
+        assert short.solution.values.tobytes() == long.solution.values.tobytes()
+        assert short.iterations == long.iterations
+        assert max(short.iterations) < 499
+        assert (short.energy, short.residual_max, short.converged) == \
+            (long.energy, long.residual_max, long.converged)
+
+    def test_eps_ladder_has_seven_stages(self):
+        # 1e-2 down to 1e-8 by factors of 0.1, with no repeat of EPS_MIN
+        rep = solve_problem1(problem1_spec(n=32), SolverOptions())
+        assert len(rep.iterations) == 7
+
     def test_converged_residual_within_grad_tol_margin(self):
         opts = SolverOptions()
         for spec in (problem1_spec(n=64),
@@ -272,6 +291,23 @@ class TestFirstEigenpair:
     def test_r_must_exceed_one(self):
         with pytest.raises(ValueError):
             first_eigenpair(build_interval(0, 1, 16), 1.0)
+
+    def test_unit_square_matches_dense_eigensolver(self):
+        # independent oracle: the interior P1 stiffness and the one-point
+        # mass sum_c m_c / nloc^2 * 11^T, assembled here densely
+        mesh = build_rectangle(0, 1, 0, 1, 16, 16)
+        nloc = mesh.dimension + 1
+        K = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        M = np.zeros_like(K)
+        for cell, m, G in zip(mesh.cells, mesh.cell_measures,
+                              mesh.shape_grads):
+            K[np.ix_(cell, cell)] += m * G @ G.T
+            M[np.ix_(cell, cell)] += m / nloc ** 2
+        inner = np.ix_(mesh.interior, mesh.interior)
+        lam_dense = eigh(K[inner], M[inner], eigvals_only=True,
+                         subset_by_index=[0, 0])[0]
+        lam, _ = first_eigenpair(mesh, 2.0)
+        assert lam == pytest.approx(lam_dense, rel=1e-7)
 
     def test_unit_square(self):
         lam, phi = first_eigenpair(build_rectangle(0, 1, 0, 1, 24, 24), 2.0)
