@@ -161,12 +161,11 @@ def _solver_options(cfg: dict) -> solver.SolverOptions:
 
 def _spec_and_options(cfg: dict, args) -> tuple:
     """Problem spec and solver options of a config.  The solver seed is
-    the solver block's, else --seed, else the config's top-level seed."""
+    the solver block's, else --seed (which solve and sweep require)."""
     spec = _build_problem(cfg, _build_mesh(cfg, args))
     opts = _solver_options(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is not None and "seed" not in cfg.get("solver", {}):
-        opts = dataclasses.replace(opts, seed=int(seed))
+    if "seed" not in cfg.get("solver", {}):
+        opts = dataclasses.replace(opts, seed=args.seed)
     return spec, opts
 
 

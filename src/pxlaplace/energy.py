@@ -141,8 +141,9 @@ class EnergyModel:
     def __post_init__(self):
         if self.exponent.mesh is not self.mesh:
             raise ValueError("exponent sampled on a different mesh")
-        if self.anisotropy is not None and self.anisotropy.mesh is not self.mesh:
-            raise ValueError("anisotropy sampled on a different mesh")
+        if (self.anisotropy is not None
+                and self.anisotropy.exponent is not self.exponent):
+            raise ValueError("anisotropy built on a different exponent")
         if self.kirchhoff is not None and self.absorption is not None:
             raise ValueError("the nonlocal energy J has no absorption term")
         p = self.exponent.cellwise()

@@ -107,24 +107,6 @@ class NodeField:
         """Evaluate the piecewise-linear interpolant at arbitrary points."""
         return _interp_p1(self, points)
 
-    def __add__(self, other):
-        return NodeField(self.mesh, self.values + _vals(other))
-
-    def __sub__(self, other):
-        return NodeField(self.mesh, self.values - _vals(other))
-
-    def __mul__(self, other):
-        return NodeField(self.mesh, self.values * _vals(other))
-
-    __rmul__ = __mul__
-
-    def __abs__(self):
-        return NodeField(self.mesh, np.abs(self.values))
-
-
-def _vals(x):
-    return x.values if isinstance(x, NodeField) else x
-
 
 @dataclass(frozen=True)
 class CellVectorField:

@@ -3,18 +3,18 @@
 The solver runs damped descent on the regularized energy with a geometric
 continuation in the flux regularization eps: the degenerate/singular
 |grad u|^(p-2) factor is replaced by (eps^2 + |grad u|^2)^((p-2)/2) and
-eps is driven from ``EPS0`` down to ``EPS_MIN``.  Descent directions are
+eps steps down the rungs of ``EPS_LADDER``.  Descent directions are
 preconditioned by the lagged-diffusivity metric (the SPD weighted
-stiffness assembled from the current flux weights); a plain backtracking
-line search on the regularized energy guarantees monotone decrease, and
-every accepted iterate is polished to its absolute value (positive part
-when an absorption term is present), which never increases the discrete
-energy.  Reported residuals use the unregularized flux.
+stiffness assembled from the current flux weights).  Each line-search
+trial is polished to its absolute value (positive part when an absorption
+term is present), which never increases the discrete energy, and the
+backtracking Armijo test runs on the polished trial: one energy
+evaluation per trial, and the accepted trial's energy carries into the
+next iteration.  Reported residuals use the unregularized flux.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,10 +47,12 @@ __all__ = [
 ]
 
 
-# eps-continuation ladder: EPS0, EPS0 * CONTINUATION_FACTOR, ..., EPS_MIN
-EPS0 = 1e-2
-EPS_MIN = 1e-8
-CONTINUATION_FACTOR = 0.1
+# eps-continuation ladder, 1e-2 down to 1e-8 by factors of ten.  The
+# first six rungs are the repeated products 1e-2 * 0.1 * ... * 0.1, so two
+# of them sit one and two ulps above the decimals 1e-06 and 1e-07; the
+# iterates, and so the pinned results, depend on these exact values.
+EPS_LADDER = (0.01, 0.001, 0.0001, 1e-05, 1.0000000000000002e-06,
+              1.0000000000000002e-07, 1e-08)
 # backtracking line search: Armijo constant and step shrink factor
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -185,20 +187,6 @@ def _polish(u: np.ndarray, model: EnergyModel) -> np.ndarray:
     return np.abs(u)
 
 
-def _eps_ladder() -> list:
-    """EPS0, EPS0 * CONTINUATION_FACTOR, ... with EPS_MIN as the last rung.
-
-    The rung count comes from the logarithms: the repeated product rounds
-    (1e-2 * 0.1**6 is 1.0000000000000004e-08), so comparing it with
-    EPS_MIN would add a rung that differs from EPS_MIN only by rounding.
-    """
-    n = round(math.log(EPS_MIN / EPS0, CONTINUATION_FACTOR))
-    ladder = [EPS0]
-    for _ in range(n - 1):
-        ladder.append(ladder[-1] * CONTINUATION_FACTOR)
-    return ladder + [EPS_MIN]
-
-
 def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
     """Minimize the model energy over fields vanishing on the boundary.
 
@@ -217,9 +205,10 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
 
     iterations = []
     converged = False
-    for eps in _eps_ladder():
+    for eps in EPS_LADDER:
         pref = 1.0
         n_it = 0
+        e0 = energy_value(NodeField(mesh, u), model, eps)
         for n_it in range(opts.max_iters):
             g = gateaux_gradient(model, NodeField(mesh, u), eps).values
             if np.abs(g[interior]).max() <= opts.grad_tol:
@@ -238,31 +227,22 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
                 gd = float(g @ d)
                 if gd >= 0.0:
                     break
-            e0 = energy_value(NodeField(mesh, u), model, eps)
             if not np.isfinite(e0):
                 raise ValueError("non-finite energy: bad model inputs")
             t = 1.0
-            accepted = False
             while t > 1e-18:
-                trial = u + t * d
+                trial = _polish(u + t * d, model)
                 e1 = energy_value(NodeField(mesh, trial), model, eps)
                 if e1 <= e0 + ARMIJO * t * gd:
-                    accepted = True
                     break
                 t *= SHRINK
-            if not accepted:
+            else:
                 break  # at the floating-point floor of this stage
-            polished = _polish(trial, model)
-            e_pol = energy_value(NodeField(mesh, polished), model, eps)
-            if e_pol > e1 + 1e-12 * (1.0 + abs(e1)):
-                raise AssertionError("polish increased the energy")
-            if polished.tobytes() == u.tobytes():
+            if trial.tobytes() == u.tobytes():
                 # a frozen iterate: each iteration is a function of (u, eps)
                 # alone, so the rest of this stage would repeat this one
                 break
-            u, e1 = polished, e_pol
-            if e1 > e0 + 1e-12 * (1.0 + abs(e0)):
-                raise AssertionError("energy increased within a stage")
+            u, e0 = trial, e1
         iterations.append(n_it)
 
     sol = NodeField(mesh, u)

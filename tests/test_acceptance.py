@@ -416,7 +416,6 @@ def test_criterion_13_cli_contract(tmp_path):
         "exponent": {"p": "2", "r": 2.0},
         "problem": {"kind": "problem1", "h": "1", "q": "1.5"},
         "solver": {"grad_tol": 1e-9},
-        "seed": 7,
         "output": {"dir": str(tmp_path / "out")},
     }
     path = tmp_path / "run.json"

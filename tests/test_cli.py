@@ -17,7 +17,6 @@ def write_config(path, **overrides):
         "exponent": {"p": "2", "r": 2.0},
         "problem": {"kind": "problem1", "h": "1", "q": "1.5"},
         "solver": {"grad_tol": 1e-9},
-        "seed": 7,
     }
     for key, val in overrides.items():
         if isinstance(val, dict) and isinstance(cfg.get(key), dict):
@@ -215,6 +214,46 @@ class TestEigCommand:
         assert report["extrapolated"] == pytest.approx(np.pi ** 2, rel=5e-4)
 
 
+@pytest.mark.parametrize("domain", [
+    {"kind": "interval", "a": 0.0, "b": 1.0, "n": 24},
+    {"kind": "rectangle", "nx": 6, "ny": 6},
+], ids=["interval", "rectangle"])
+@pytest.mark.parametrize("problem", [
+    {"kind": "problem2", "h": "1", "q": "1.2", "ell": "1", "Q": "2"},
+    {"kind": "kirchhoff", "h": "1", "q": "1.2", "m0": 1.0, "m_inf": 2.0},
+], ids=["problem2", "kirchhoff"])
+class TestProblemKinds:
+    def config(self, tmp_path, domain, problem):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "domain": domain,
+            "exponent": {"p": "2+x", "r": 1.5},
+            "problem": problem,
+            "output": {"dir": str(tmp_path / "out")},
+        }))
+        return path
+
+    def test_validate(self, tmp_path, capsys, domain, problem):
+        cfg = self.config(tmp_path, domain, problem)
+        assert run_command(["validate", "--config", str(cfg),
+                            "--quiet"]) == EXIT_OK
+        report = json.loads(
+            (tmp_path / "out" / "validation.json").read_text())
+        assert report["passed"]
+        expected = {"g", "corollary_chain"} \
+            if problem["kind"] == "problem2" else {"M"}
+        assert {"g", "corollary_chain", "M"} & set(report) == expected
+
+    def test_solve(self, tmp_path, capsys, domain, problem):
+        cfg = self.config(tmp_path, domain, problem)
+        assert run_command(["solve", "--config", str(cfg), "--seed", "1",
+                            "--quiet"]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["converged"]
+        assert (report["kirchhoff_M0"] is not None) == \
+            (problem["kind"] == "kirchhoff")
+
+
 class TestSweepCommand:
     def test_amplitude_sweep(self, tmp_path, capsys):
         cfg = write_config(
@@ -262,7 +301,6 @@ class TestSweepCommand:
             "exponent": {"p": "2+x", "r": 1.5},
             "problem": {"kind": "problem1", "h": "1", "q": "1.2"},
             "solver": {"grad_tol": 1e-9},
-            "seed": 7,
             "sweep": {"parameter": "problem.h_scale", "values": [0.5, 1, 2]},
         }))
         lines = self._sweep_csv(tmp_path, cfg, 1).decode().splitlines()

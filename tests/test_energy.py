@@ -453,3 +453,12 @@ class TestModelCells:
         with pytest.raises(ValueError, match="no absorption"):
             make_model(h="1", q="1.2", ell="1", Q="2", r=1.5, p="2+x",
                        kirchhoff=saturating_kirchhoff(1.0, 2.0))
+
+    def test_anisotropy_on_another_exponent_rejected(self):
+        # the energies would use p = 2+x, the anisotropy's flux p = 4
+        mesh = build_rectangle(0, 1, 0, 1, 3, 3)
+        weights = [constant_field(mesh, 1.0), constant_field(mesh, 2.0)]
+        aniso = weighted_quadratic(exponent_field(mesh, 4.0, r=1.5), weights)
+        with pytest.raises(ValueError, match="different exponent"):
+            EnergyModel(mesh, exponent_field(mesh, "2+x", r=1.5),
+                        anisotropy=aniso)

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
-from pxlaplace.energy import (KirchhoffTerm, dirichlet_part, kirchhoff_M,
+from pxlaplace import solver
+from pxlaplace.anisotropy import weighted_quadratic
+from pxlaplace.energy import (EnergyModel, KirchhoffTerm, dirichlet_part,
+                              energy_value, kirchhoff_M, power_absorption,
                               power_reaction, saturating_kirchhoff,
                               source_reaction)
 from pxlaplace.exponents import exponent_field
@@ -152,8 +157,26 @@ class TestSubhomogeneousInstance:
         assert (short.energy, short.residual_max, short.converged) == \
             (long.energy, long.residual_max, long.converged)
 
+    def test_one_energy_evaluation_per_trial(self, monkeypatch):
+        # README instance.  Besides the 60-amplitude scan of initial_guess
+        # and the report's final value, the descent evaluates the energy
+        # once per eps-stage start and once per line-search trial; most
+        # iterations accept their first trial
+        spec = problem1_spec(n=256, p="2+x", r=1.5, q="1.2")
+        calls = []
+        real = solver.energy_value
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "energy_value", counting)
+        rep = solve_problem1(spec, SolverOptions())
+        descent = len(calls) - 60 - 1
+        assert descent <= 1.1 * (sum(rep.iterations) + len(rep.iterations))
+
     def test_eps_ladder_has_seven_stages(self):
-        # 1e-2 down to 1e-8 by factors of 0.1, with no repeat of EPS_MIN
+        # 1e-2 down to 1e-8 by factors of 0.1, with no repeat of the last rung
         rep = solve_problem1(problem1_spec(n=32), SolverOptions())
         assert len(rep.iterations) == 7
 
@@ -164,6 +187,40 @@ class TestSubhomogeneousInstance:
             rep = solve_problem1(spec, opts)
             assert rep.converged
             assert rep.residual_max <= 10 * opts.grad_tol
+
+
+def _polish_model(mesh, kind):
+    exponent = exponent_field(mesh, "2+x", r=1.5)
+    reaction = power_reaction(constant_field(mesh, 1.0),
+                              constant_field(mesh, 1.2))
+    if kind == "problem2":
+        return EnergyModel(mesh, exponent, reaction=reaction,
+                           absorption=power_absorption(
+                               constant_field(mesh, 1.0),
+                               constant_field(mesh, 2.0)))
+    if kind == "kirchhoff":
+        return EnergyModel(mesh, exponent, reaction=reaction,
+                           kirchhoff=saturating_kirchhoff(1.0, 2.0))
+    return EnergyModel(mesh, exponent, reaction=reaction)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("kind", ["problem1", "problem2", "kirchhoff"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_polish_never_increases_energy(dim, kind, eps):
+    # the line search tests polished trials: with E(polish(w)) <= E(w),
+    # every step whose unpolished trial passes the Armijo test passes it
+    mesh = build_interval(0, 1, 32) if dim == 1 else \
+        build_rectangle(0, 1, 0, 1, 6, 6)
+    model = _polish_model(mesh, kind)
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        u = rng.standard_normal(mesh.n_nodes) * 10.0 ** rng.uniform(-2, 2)
+        u[mesh.boundary_mask] = 0.0
+        e = energy_value(NodeField(mesh, u), model, eps)
+        polished = energy_value(
+            NodeField(mesh, solver._polish(u, model)), model, eps)
+        assert polished <= e + 1e-12 * (1.0 + abs(e))
 
 
 class TestProblem2:
@@ -397,3 +454,27 @@ class TestSolve2D:
                         / (m * k * (m ** 2 + k ** 2)))
         center = np.argmin(np.linalg.norm(mesh.nodes - 0.5, axis=1))
         assert rep.solution.values[center] == pytest.approx(ref, rel=5e-3)
+
+    def _problem1_8x8(self, weights=None):
+        mesh = build_rectangle(0, 1, 0, 1, 8, 8)
+        spec = problem1_spec(p="2+x", r=1.5, q="1.2", mesh=mesh)
+        model = build_energy_model(spec)
+        if weights is None:
+            return model
+        return replace(model, anisotropy=weighted_quadratic(
+            spec.exponent, [interpolate(mesh, w) for w in weights]))
+
+    def test_unit_weights_match_isotropic_solve(self):
+        # the weighted-quadratic branch of the metric with w = 1 is the
+        # isotropic one
+        iso = minimize_energy(self._problem1_8x8(), SolverOptions())
+        unit = minimize_energy(self._problem1_8x8(("1", "1")), SolverOptions())
+        assert unit.energy == pytest.approx(iso.energy, rel=1e-12)
+        assert np.abs(unit.solution.values - iso.solution.values).max() \
+            <= 1e-10
+
+    def test_weighted_anisotropy_converges(self):
+        opts = SolverOptions()
+        rep = minimize_energy(self._problem1_8x8(("1+x", "2-y")), opts)
+        assert rep.converged and rep.positivity_ok
+        assert rep.residual_max <= opts.grad_tol
