@@ -1,16 +1,18 @@
 """Energy-minimization solver, eigenpair computation and diagnostics.
 
-The solver runs damped descent on the regularized energy with a geometric
-continuation in the flux regularization eps: the degenerate/singular
-|grad u|^(p-2) factor is replaced by (eps^2 + |grad u|^2)^((p-2)/2) and
-eps steps down the rungs of ``EPS_LADDER``.  Descent directions are
-preconditioned by the lagged-diffusivity metric (the SPD weighted
-stiffness assembled from the current flux weights).  Each line-search
-trial is polished to its absolute value (positive part when an absorption
-term is present), which never increases the discrete energy, and the
-backtracking Armijo test runs on the polished trial: one energy
-evaluation per trial, and the accepted trial's energy carries into the
-next iteration.  Reported residuals use the unregularized flux.
+The solver runs a damped Newton method on the regularized energy with a
+geometric continuation in the flux regularization eps: the
+degenerate/singular |grad u|^(p-2) factor is replaced by
+(eps^2 + |grad u|^2)^((p-2)/2) and eps steps down the rungs of
+``EPS_LADDER``.  The metric is the exact Hessian of the regularized
+Dirichlet part (scaled by M(D) under a Kirchhoff term), which is SPD for
+p > 1.  It leaves out the -F'' reaction part, which can make the Hessian
+indefinite, and the dense rank-one Kirchhoff term M'(D) grad D grad D^T.
+Each line-search trial is polished to its absolute value (positive part
+when an absorption term is present), which never increases the discrete
+energy, and the backtracking Armijo test runs on the polished trial: one
+energy evaluation per trial, and the accepted trial's energy carries into
+the next iteration.  Reported residuals use the unregularized flux.
 """
 
 from __future__ import annotations
@@ -163,17 +165,30 @@ def _interior_pattern(mesh: Mesh) -> tuple:
 
 def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
                      pref: float, pattern: tuple) -> sp.csr_array:
-    """Lagged-diffusivity metric: weighted stiffness on interior nodes."""
+    """Newton metric on interior nodes.
+
+    The Hessian of ``pref`` times the eps-regularized Dirichlet part: with
+    q = |xi|_W^2 and omega = pref (eps^2 + q)^((p-2)/2) |cell|, the local
+    matrix is G_i^T (omega W) G_j + omega (p-2)/(eps^2+q) a_i a_j with
+    a_i = G_i . W xi (W = I for the isotropic flux).  Relative to omega W
+    its eigenvalues lie between min(1, p-1) and max(1, p-1), so it is SPD
+    for p > 1.  The reaction, absorption and M'(D) parts are left out.
+    """
     mesh = model.mesh
     w = model.w_cells
-    q = _quad_form(w, cell_gradient(mesh, u))
-    omega = (pref * (eps * eps + q) ** ((model.p_cells - 2.0) / 2.0)
-             * mesh.cell_measures)
+    p = model.p_cells
+    xi = cell_gradient(mesh, u)
+    s = eps * eps + _quad_form(w, xi)
+    omega = pref * s ** ((p - 2.0) / 2.0) * mesh.cell_measures
     G = mesh.shape_grads
     if w is None:
         loc = np.einsum("c,cid,cjd->cij", omega, G, G)
     else:
         loc = np.einsum("c,cd,cid,cjd->cij", omega, w, G, G)
+        xi = w * xi
+    # the rank-one term along a_i = G_i . W xi; it vanishes at p = 2
+    a = np.einsum("cid,cd->ci", G, xi)
+    loc += np.einsum("c,ci,cj->cij", omega * (p - 2.0) / s, a, a)
     rows, cols, keep, n = pattern
     return sp.coo_array((loc.ravel()[keep], (rows, cols)),
                         shape=(n, n)).tocsr()
@@ -321,7 +336,9 @@ def first_eigenpair(mesh: Mesh, r: float):
     the energy layer of the r-constant model: the numerator is r times its
     Dirichlet part, the quotient's gradient is r/den times the problem-1
     gradient with p = q = r and h = lam, and the metric is the
-    lagged-diffusivity stiffness.  Returns (lam, phi) with phi nonnegative
+    Newton metric of the Dirichlet part (without the -lam |u|^(r-2) term of
+    the denominator).  At r = 2 that metric is the u-independent stiffness,
+    factored once.  Returns (lam, phi) with phi nonnegative
     and its r-modular normalized to one; lam is the Rayleigh value of phi
     itself.
     """
@@ -341,6 +358,7 @@ def first_eigenpair(mesh: Mesh, r: float):
     u = _bump_profile(mesh)
     u = u / quotient(u)[1] ** (1.0 / r)
     num, den = quotient(u)
+    lu = None
     for _ in range(EIGEN_MAX_ITERS):
         lam = num / den
         eigen = replace(model, reaction=power_reaction(
@@ -349,9 +367,12 @@ def first_eigenpair(mesh: Mesh, r: float):
         if np.abs(g[interior]).max() <= EIGEN_TOL * max(1.0, lam):
             break
 
-        K = _interior_matrix(model, u, EIGEN_EPS, 1.0, pattern)
+        if lu is None or r != 2:
+            # at r = 2 the metric does not depend on u: factor it once
+            lu = spla.splu(_interior_matrix(
+                model, u, EIGEN_EPS, 1.0, pattern).tocsc())
         d = np.zeros_like(u)
-        d[interior] = spla.spsolve(K, -g[interior])
+        d[interior] = lu.solve(-g[interior])
 
         t = 1.0
         while t > 1e-16:

@@ -9,9 +9,9 @@ from scipy.optimize import brentq
 from pxlaplace import solver
 from pxlaplace.anisotropy import weighted_quadratic
 from pxlaplace.energy import (EnergyModel, KirchhoffTerm, dirichlet_part,
-                              energy_value, kirchhoff_M, power_absorption,
-                              power_reaction, saturating_kirchhoff,
-                              source_reaction)
+                              energy_value, gateaux_gradient, kirchhoff_M,
+                              power_absorption, power_reaction,
+                              saturating_kirchhoff, source_reaction)
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import NodeField, build_interval, build_rectangle, \
     constant_field, interpolate
@@ -145,9 +145,10 @@ class TestSubhomogeneousInstance:
         assert not rep.converged
 
     def test_frozen_stage_ends_early(self):
-        # n = 48 reaches the floating-point floor in some eps-stages: the
-        # accepted step leaves the iterate bitwise unchanged, and the stage
-        # ends there instead of repeating that step up to the cap
+        # the cap is far above what any stage needs at n = 48, so raising
+        # it must not change the result; a stage that reaches the
+        # floating-point floor (an accepted step leaving the iterate
+        # bitwise unchanged) ends there instead of repeating that step
         spec = problem1_spec(n=48, p="2+x", r=1.5, q="1.2")
         short = solve_problem1(spec, SolverOptions(max_iters=500))
         long = solve_problem1(spec, SolverOptions(max_iters=5000))
@@ -187,6 +188,77 @@ class TestSubhomogeneousInstance:
             rep = solve_problem1(spec, opts)
             assert rep.converged
             assert rep.residual_max <= 10 * opts.grad_tol
+
+    def test_iteration_budget(self):
+        # README instance: the Newton metric converges superlinearly in
+        # every eps-stage; a linear-rate metric needs thousands of steps
+        spec = problem1_spec(n=256, p="2+x", r=1.5, q="1.2")
+        rep = solve_problem1(spec, SolverOptions())
+        assert rep.converged
+        assert sum(rep.iterations) <= 40
+
+
+def _bench_spec(kind, n):
+    # p = 2+x, r = 1.5, h = 1, q = 1.2; absorption ell = 1 with power 2,
+    # Kirchhoff M(s) saturating from 1 to 2
+    mesh = build_interval(0, 1, n)
+    spec = problem1_spec(mesh=mesh, p="2+x", r=1.5, q="1.2")
+    if kind == "problem2":
+        return replace(spec, kind=kind, absorption=power_absorption(
+            constant_field(mesh, 1.0), constant_field(mesh, 2.0)))
+    return replace(spec, kind=kind, kirchhoff=saturating_kirchhoff(1.0, 2.0))
+
+
+@pytest.mark.parametrize("kind", ["problem2", "kirchhoff"])
+def test_random_init_converges(kind):
+    # from this start a linear-rate metric stalls at the floating-point
+    # floor of a stage above grad_tol
+    opts = SolverOptions(init="random", seed=1)
+    rep = solver.solve(_bench_spec(kind, 48), opts)
+    assert rep.converged
+    assert rep.residual_max <= opts.grad_tol
+
+
+def _difference_jacobian(model, u, eps, step=1e-6):
+    """Central differences of the interior gradient entries."""
+    interior = model.mesh.interior
+    cols = []
+    for j in interior:
+        e = np.zeros_like(u)
+        e[j] = step
+        g_plus = gateaux_gradient(model, NodeField(model.mesh, u + e), eps)
+        g_minus = gateaux_gradient(model, NodeField(model.mesh, u - e), eps)
+        cols.append((g_plus.values - g_minus.values)[interior] / (2 * step))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("flux", ["isotropic", "weighted"])
+@pytest.mark.parametrize("p", ["2+x", 1.5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_metric_is_exact_hessian(dim, p, flux):
+    # without a reaction the metric is the Hessian of the regularized
+    # energy: it matches the difference Jacobian of the gradient
+    if dim == 1:
+        mesh = build_interval(0, 1, 12)
+        weights = [interpolate(mesh, "1+x")]
+    else:
+        mesh = build_rectangle(0, 1, 0, 1, 5, 4)
+        weights = [interpolate(mesh, "1+x"), interpolate(mesh, "2-y")]
+    exponent = exponent_field(mesh, p, r=1.5)
+    anisotropy = None
+    if flux == "weighted":
+        anisotropy = weighted_quadratic(exponent, weights)
+    model = EnergyModel(mesh, exponent, anisotropy=anisotropy)
+    u = np.random.default_rng(3).uniform(0.0, 1.0, mesh.n_nodes)
+    u[mesh.boundary_mask] = 0.0
+    eps = 1e-2
+    K = solver._interior_matrix(model, u, eps, 1.0,
+                                solver._interior_pattern(mesh)).toarray()
+    J = _difference_jacobian(model, u, eps)
+    assert np.abs(K - J).max() <= 1e-7 * np.abs(J).max()
+    # the sparse assembly sums duplicate entries in either order
+    assert np.abs(K - K.T).max() <= 1e-14 * np.abs(K).max()
+    assert np.linalg.eigvalsh(K).min() > 0
 
 
 def _polish_model(mesh, kind):
