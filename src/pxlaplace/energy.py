@@ -172,13 +172,18 @@ class EnergyModel:
 # ell s^(Q-1) is a power term with (h, q) = (ell, Q).
 
 def _F_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
-    """Potential h u^q / q for u > 0 (h u when q is None), zero elsewhere."""
-    pos = u > 0
-    out = np.zeros_like(u)
+    """Potential h u^q / q for u > 0 (h u when q is None), zero elsewhere.
+
+    The cell arrays h and q broadcast against u, which may stack several
+    fields; each step works in place on one array of u's shape.
+    """
+    out = np.maximum(u, 0.0)
     if q is None:
-        out[pos] = h[pos] * u[pos]
-    else:
-        out[pos] = h[pos] * u[pos] ** q[pos] / q[pos]
+        out *= h
+        return out
+    out **= q
+    out *= h
+    out /= q
     return out
 
 
@@ -211,8 +216,11 @@ def potential_G(term: AbsorptionTerm, x, u: float) -> float:
 
 
 def M_hat(term: KirchhoffTerm, t: float) -> float:
-    """Antiderivative of M; satisfies m0*t <= M_hat(t) <= m_inf*t."""
-    if t < 0:
+    """Antiderivative of M; satisfies m0*t <= M_hat(t) <= m_inf*t.
+
+    ``t`` may be a number or an array.
+    """
+    if np.min(t) < 0:
         raise ValueError("M_hat is defined for t >= 0")
     return term.m_inf * t - (term.m_inf - term.m0) * np.log1p(t)
 

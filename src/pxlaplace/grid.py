@@ -241,11 +241,11 @@ def scatter_add(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
     """Nodal sums of per-cell, per-vertex contributions.
 
     ``contrib`` has shape (n_cells, dimension+1), or (n_cells, 1) for one
-    value shared by a cell's vertices; cells are added in their fixed order.
+    value shared by a cell's vertices; cells are added in their fixed order,
+    each node's sum starting from zero.
     """
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.cells, contrib)
-    return out
+    weights = np.broadcast_to(contrib, mesh.cells.shape).ravel()
+    return np.bincount(mesh.cells.ravel(), weights, mesh.n_nodes)
 
 
 def cell_average(u: NodeField) -> np.ndarray:

@@ -8,6 +8,12 @@ degenerate/singular |grad u|^(p-2) factor is replaced by
 Dirichlet part (scaled by M(D) under a Kirchhoff term), which is SPD for
 p > 1.  It leaves out the -F'' reaction part, which can make the Hessian
 indefinite, and the dense rank-one Kirchhoff term M'(D) grad D grad D^T.
+Each solve builds one assembly plan for its mesh: the cell products
+G_i . G_j, a fixed CSR pattern and the slot of every cell entry in it, so
+a Newton step only scales the products, adds the rank-one term and sums
+the entries into place.  SuperLU solves the step under a symmetric
+minimum-degree ordering (``MMD_AT_PLUS_A``).  The initial amplitude scan
+evaluates all of its amplitudes as one array.
 Each line-search trial is polished to its absolute value (positive part
 when an absorption term is present), which never increases the discrete
 energy, and the backtracking Armijo test runs on the polished trial: one
@@ -24,8 +30,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .anisotropy import _quad_form
-from .energy import (EnergyModel, dirichlet_part, energy_value,
-                     gateaux_gradient, kirchhoff_M, power_reaction)
+from .energy import (EnergyModel, M_hat, _F_cells, dirichlet_part,
+                     energy_value, gateaux_gradient, kirchhoff_M,
+                     power_reaction)
 from .exponents import exponent_field
 from .grid import Mesh, NodeField, cell_average, cell_gradient, constant_field
 from .inequality import diaz_saa_gap
@@ -127,7 +134,7 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
     A bump (or seeded random positive field, zeroed on the boundary) is
     scanned over a logarithmic amplitude grid; the amplitude minimizing
     the model energy is kept.  Returns (field, found_negative) where the
-    flag records whether some amplitude achieved negative energy; a
+    flag records whether the kept amplitude has negative energy; a
     user-provided field passes through unchanged with flag None.
     """
     if isinstance(opts.init, NodeField):
@@ -144,27 +151,46 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
     base = NodeField(mesh, prof)
     if model.reaction is None:
         return base, None
+    # the energies of all amplitudes t as one array: along t * prof the
+    # squared cell gradients scale by t^2 and the cell averages by t
     ts = np.geomspace(1e-4, 10.0, 60)
-    energies = [energy_value(NodeField(mesh, t * prof), model) for t in ts]
-    k = int(np.argmin(energies))
-    return NodeField(mesh, ts[k] * prof), bool(energies[k] < 0.0)
+    t = ts[:, None]
+    p, m = model.p_cells, mesh.cell_measures
+    sq = _quad_form(model.w_cells, cell_gradient(mesh, prof))
+    energies = ((t * t * sq) ** (p / 2.0) / p) @ m
+    if model.kirchhoff is not None:
+        energies = M_hat(model.kirchhoff, energies)
+    uc = t * cell_average(base)
+    for sign, h, q in model.potentials:
+        energies += sign * (_F_cells(uc, h, q) @ m)
+    u0 = NodeField(mesh, ts[np.argmin(energies)] * prof)
+    return u0, bool(energy_value(u0, model) < 0.0)
 
 
 def _interior_pattern(mesh: Mesh) -> tuple:
-    """Where the cell stiffness entries go in the interior-node matrix:
-    (rows, cols, keep mask over all cell entries, interior node count)."""
+    """Assembly plan of the interior-node matrix, built once per mesh.
+
+    Holds the per-cell products G_i . G_j, the CSR ``indices`` and
+    ``indptr`` (the pattern is symmetric, so they are also the CSC ones)
+    and the slot in ``data`` of every cell entry; entries on a boundary
+    row or column get the slot one past the end.
+    """
     nloc = mesh.dimension + 1
-    idx = np.full(mesh.n_nodes, -1, dtype=int)
-    interior = mesh.interior
-    idx[interior] = np.arange(interior.size)
+    n = mesh.interior.size
+    idx = np.full(mesh.n_nodes, -1)
+    idx[mesh.interior] = np.arange(n)
     rows = np.repeat(idx[mesh.cells], nloc, axis=1).ravel()
     cols = np.tile(idx[mesh.cells], (1, nloc)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return rows[keep], cols[keep], keep, interior.size
+    keys = np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n)
+    keys, slots = np.unique(keys, return_inverse=True)
+    keys = keys[keys < n * n]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)
+    GG = np.einsum("cid,cjd->cij", mesh.shape_grads, mesh.shape_grads)
+    return GG, (keys % n).astype(np.intc), indptr, slots
 
 
 def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
-                     pref: float, pattern: tuple) -> sp.csr_array:
+                     pref: float, plan: tuple) -> sp.csr_array:
     """Newton metric on interior nodes.
 
     The Hessian of ``pref`` times the eps-regularized Dirichlet part: with
@@ -173,25 +199,29 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
     a_i = G_i . W xi (W = I for the isotropic flux).  Relative to omega W
     its eigenvalues lie between min(1, p-1) and max(1, p-1), so it is SPD
     for p > 1.  The reaction, absorption and M'(D) parts are left out.
+    The entries are summed into the fixed pattern of ``plan``, in cell
+    order; for the isotropic flux the matrix is bitwise symmetric.
     """
     mesh = model.mesh
     w = model.w_cells
     p = model.p_cells
+    GG, indices, indptr, slots = plan
     xi = cell_gradient(mesh, u)
     s = eps * eps + _quad_form(w, xi)
     omega = pref * s ** ((p - 2.0) / 2.0) * mesh.cell_measures
     G = mesh.shape_grads
     if w is None:
-        loc = np.einsum("c,cid,cjd->cij", omega, G, G)
+        loc = omega[:, None, None] * GG
     else:
         loc = np.einsum("c,cd,cid,cjd->cij", omega, w, G, G)
         xi = w * xi
     # the rank-one term along a_i = G_i . W xi; it vanishes at p = 2
     a = np.einsum("cid,cd->ci", G, xi)
-    loc += np.einsum("c,ci,cj->cij", omega * (p - 2.0) / s, a, a)
-    rows, cols, keep, n = pattern
-    return sp.coo_array((loc.ravel()[keep], (rows, cols)),
-                        shape=(n, n)).tocsr()
+    loc += ((omega * (p - 2.0) / s)[:, None, None]
+            * (a[:, :, None] * a[:, None]))
+    data = np.bincount(slots, loc.ravel(), indptr[-1] + 1)[:-1]
+    n = indptr.size - 1
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def _polish(u: np.ndarray, model: EnergyModel) -> np.ndarray:
@@ -207,35 +237,38 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
 
     Runs the eps-continuation described in the module docstring; each
     stage ends when the max-norm of the regularized nodal gradient drops
-    below ``grad_tol``.  The report carries the unregularized residual,
+    below ``grad_tol``, and the report's ``converged`` says whether every
+    stage ended that way.  The report carries the unregularized residual,
     positivity and boundary-slope diagnostics, and the negative-energy
     certificate of nontriviality.
     """
     mesh = model.mesh
     interior = mesh.interior
-    pattern = _interior_pattern(mesh)
+    plan = _interior_pattern(mesh)
     u0, init_flag = initial_guess(model, opts)
     u = u0.values.copy()
     u[mesh.boundary_mask] = 0.0
 
     iterations = []
-    converged = False
+    converged = True
     for eps in EPS_LADDER:
         pref = 1.0
         n_it = 0
+        met = False
         e0 = energy_value(NodeField(mesh, u), model, eps)
         for n_it in range(opts.max_iters):
             g = gateaux_gradient(model, NodeField(mesh, u), eps).values
-            if np.abs(g[interior]).max() <= opts.grad_tol:
-                converged = True
+            met = np.abs(g[interior]).max() <= opts.grad_tol
+            if met:
                 break
-            converged = False
             if model.kirchhoff is not None:
                 pref = kirchhoff_M(model.kirchhoff,
                                    dirichlet_part(NodeField(mesh, u), model, eps))
-            K = _interior_matrix(model, u, eps, pref, pattern)
+            K = _interior_matrix(model, u, eps, pref, plan)
             d = np.zeros_like(u)
-            d[interior] = spla.spsolve(K, -g[interior])
+            # K is SPD: a symmetric fill-reducing ordering fits
+            d[interior] = spla.spsolve(K, -g[interior],
+                                       permc_spec="MMD_AT_PLUS_A")
             gd = float(g @ d)
             if not np.isfinite(gd) or gd >= 0.0:
                 d = -g
@@ -259,6 +292,7 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
                 break
             u, e0 = trial, e1
         iterations.append(n_it)
+        converged = converged and met
 
     sol = NodeField(mesh, u)
     residual = float(np.abs(
@@ -347,7 +381,7 @@ def first_eigenpair(mesh: Mesh, r: float):
     interior = mesh.interior
     exponent = exponent_field(mesh, r, r)
     model = EnergyModel(mesh, exponent)
-    pattern = _interior_pattern(mesh)
+    plan = _interior_pattern(mesh)
 
     def quotient(v: np.ndarray) -> tuple:
         """Numerator and denominator of the Rayleigh quotient of v >= 0."""
@@ -368,9 +402,10 @@ def first_eigenpair(mesh: Mesh, r: float):
             break
 
         if lu is None or r != 2:
-            # at r = 2 the metric does not depend on u: factor it once
+            # at r = 2 the metric does not depend on u: factor it once.
+            # It is symmetric, so its transpose is the CSC view splu takes
             lu = spla.splu(_interior_matrix(
-                model, u, EIGEN_EPS, 1.0, pattern).tocsc())
+                model, u, EIGEN_EPS, 1.0, plan).T)
         d = np.zeros_like(u)
         d[interior] = lu.solve(-g[interior])
 

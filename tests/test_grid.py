@@ -3,7 +3,7 @@ import pytest
 
 from pxlaplace.grid import (NodeField, build_interval, build_rectangle,
                             cell_average, constant_field, gradient, integrate,
-                            interpolate)
+                            interpolate, scatter_add)
 
 
 class TestBuildInterval:
@@ -90,6 +90,21 @@ class TestGradient:
         combo = gradient(NodeField(mesh, a * u.values + b * v.values)).vectors
         split = a * gradient(u).vectors + b * gradient(v).vectors
         assert np.array_equal(combo, split) or np.allclose(combo, split, atol=1e-15)
+
+
+@pytest.mark.parametrize("width", ["vertices", "shared"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scatter_add_matches_add_at_bitwise(dim, width):
+    # both add each node's terms in cell order, starting from zero
+    mesh = build_interval(0, 1, 37) if dim == 1 else \
+        build_rectangle(0, 1.5, 0, 1, 7, 5)
+    cols = mesh.dimension + 1 if width == "vertices" else 1
+    rng = np.random.default_rng(11)
+    contrib = rng.standard_normal((mesh.n_cells, cols)) \
+        * 10.0 ** rng.uniform(-8, 8, (mesh.n_cells, cols))
+    expected = np.zeros(mesh.n_nodes)
+    np.add.at(expected, mesh.cells, contrib)
+    assert scatter_add(mesh, contrib).tobytes() == expected.tobytes()
 
 
 class TestIntegrate:

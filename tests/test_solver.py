@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
 from scipy.optimize import brentq
@@ -159,10 +160,10 @@ class TestSubhomogeneousInstance:
             (long.energy, long.residual_max, long.converged)
 
     def test_one_energy_evaluation_per_trial(self, monkeypatch):
-        # README instance.  Besides the 60-amplitude scan of initial_guess
-        # and the report's final value, the descent evaluates the energy
-        # once per eps-stage start and once per line-search trial; most
-        # iterations accept their first trial
+        # README instance.  Besides the value of initial_guess's chosen
+        # amplitude and the report's final value, the descent evaluates the
+        # energy once per eps-stage start and once per line-search trial;
+        # most iterations accept their first trial
         spec = problem1_spec(n=256, p="2+x", r=1.5, q="1.2")
         calls = []
         real = solver.energy_value
@@ -173,8 +174,16 @@ class TestSubhomogeneousInstance:
 
         monkeypatch.setattr(solver, "energy_value", counting)
         rep = solve_problem1(spec, SolverOptions())
-        descent = len(calls) - 60 - 1
+        descent = len(calls) - 1 - 1
         assert descent <= 1.1 * (sum(rep.iterations) + len(rep.iterations))
+
+    def test_converged_needs_every_stage(self):
+        # README instance: the first three stages stop at the cap and the
+        # rest meet grad_tol, so the solve has not converged
+        spec = problem1_spec(n=256, p="2+x", r=1.5, q="1.2")
+        rep = solve_problem1(spec, SolverOptions(max_iters=3))
+        assert rep.iterations == (2, 2, 2, 1, 0, 0, 0)
+        assert not rep.converged
 
     def test_eps_ladder_has_seven_stages(self):
         # 1e-2 down to 1e-8 by factors of 0.1, with no repeat of the last rung
@@ -198,15 +207,54 @@ class TestSubhomogeneousInstance:
         assert sum(rep.iterations) <= 40
 
 
-def _bench_spec(kind, n):
+def _bench_spec(kind, n, dim=1):
     # p = 2+x, r = 1.5, h = 1, q = 1.2; absorption ell = 1 with power 2,
     # Kirchhoff M(s) saturating from 1 to 2
-    mesh = build_interval(0, 1, n)
+    mesh = build_interval(0, 1, n) if dim == 1 else \
+        build_rectangle(0, 1, 0, 1, n, n)
     spec = problem1_spec(mesh=mesh, p="2+x", r=1.5, q="1.2")
+    if kind == "problem1":
+        return spec
     if kind == "problem2":
         return replace(spec, kind=kind, absorption=power_absorption(
             constant_field(mesh, 1.0), constant_field(mesh, 2.0)))
     return replace(spec, kind=kind, kirchhoff=saturating_kirchhoff(1.0, 2.0))
+
+
+@pytest.mark.parametrize("kind, n, dim", [("problem1", 48, 1),
+                                          ("problem2", 40, 1),
+                                          ("kirchhoff", 48, 1),
+                                          ("problem1", 8, 2)])
+def test_unreachable_tolerance_stops_at_the_floor(kind, n, dim):
+    # no stage can meet grad_tol = 1e-300, so each one must end on a stall
+    # exit (a frozen iterate or no Armijo step), far below the cap
+    opts = SolverOptions(grad_tol=1e-300, max_iters=500)
+    rep = solver.solve(_bench_spec(kind, n, dim), opts)
+    assert len(rep.iterations) == 7
+    assert max(rep.iterations) < opts.max_iters // 2
+    assert not rep.converged
+
+
+@pytest.mark.parametrize("init", ["bump", "random"])
+@pytest.mark.parametrize("kind", ["problem1", "problem2", "kirchhoff"])
+def test_batched_scan_matches_energy_loop(kind, init):
+    # the amplitude scan evaluates all amplitudes as one array; it keeps
+    # the amplitude, and the flag, of one energy_value call per amplitude
+    model = build_energy_model(_bench_spec(kind, 48))
+    mesh = model.mesh
+    opts = SolverOptions(init=init, seed=4)
+    if init == "bump":
+        prof = solver._bump_profile(mesh)
+    else:
+        prof = np.exp(np.random.default_rng(4).uniform(-1.0, 1.0,
+                                                       mesh.n_nodes))
+        prof[mesh.boundary_mask] = 0.0
+    ts = np.geomspace(1e-4, 10.0, 60)
+    energies = [energy_value(NodeField(mesh, t * prof), model) for t in ts]
+    k = int(np.argmin(energies))
+    u0, found = initial_guess(model, opts)
+    assert u0.values.tobytes() == (ts[k] * prof).tobytes()
+    assert found is bool(energies[k] < 0.0)
 
 
 @pytest.mark.parametrize("kind", ["problem2", "kirchhoff"])
@@ -259,6 +307,54 @@ def test_metric_is_exact_hessian(dim, p, flux):
     # the sparse assembly sums duplicate entries in either order
     assert np.abs(K - K.T).max() <= 1e-14 * np.abs(K).max()
     assert np.linalg.eigvalsh(K).min() > 0
+
+
+@pytest.mark.parametrize("flux", ["isotropic", "weighted"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_planned_metric_matches_coo_assembly(dim, flux):
+    # the metric filled into the plan's fixed pattern equals a COO
+    # assembly of local matrices formed cell by cell
+    if dim == 1:
+        mesh = build_interval(0, 2, 13)
+        weights = [interpolate(mesh, "1+x")]
+    else:
+        mesh = build_rectangle(0, 1.5, 0, 1, 6, 5)
+        weights = [interpolate(mesh, "1+x"), interpolate(mesh, "2-y")]
+    exponent = exponent_field(mesh, "2+x", r=1.5)
+    anisotropy = None
+    if flux == "weighted":
+        anisotropy = weighted_quadratic(exponent, weights)
+    model = EnergyModel(mesh, exponent, anisotropy=anisotropy)
+    u = np.random.default_rng(5).uniform(0.0, 1.0, mesh.n_nodes)
+    u[mesh.boundary_mask] = 0.0
+    eps, pref = 1e-2, 1.7
+    idx = np.full(mesh.n_nodes, -1)
+    idx[mesh.interior] = np.arange(mesh.interior.size)
+    rows, cols, vals = [], [], []
+    for c, cell in enumerate(mesh.cells):
+        G = mesh.shape_grads[c]
+        W = np.eye(mesh.dimension) if model.w_cells is None else \
+            np.diag(model.w_cells[c])
+        p = model.p_cells[c]
+        xi = G.T @ u[cell]
+        s = eps ** 2 + xi @ W @ xi
+        omega = pref * s ** ((p - 2) / 2) * mesh.cell_measures[c]
+        a = G @ W @ xi
+        loc = omega * G @ W @ G.T + omega * (p - 2) / s * np.outer(a, a)
+        for i, j in np.ndindex(loc.shape):
+            if idx[cell[i]] >= 0 and idx[cell[j]] >= 0:
+                rows.append(idx[cell[i]])
+                cols.append(idx[cell[j]])
+                vals.append(loc[i, j])
+    n = mesh.interior.size
+    ref = sp.coo_array((vals, (rows, cols)), shape=(n, n)).toarray()
+    K = solver._interior_matrix(model, u, eps, pref,
+                                solver._interior_pattern(mesh))
+    assert K.format == "csr" and K.has_sorted_indices
+    assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+    if flux == "isotropic":
+        # first_eigenpair factors the transpose, the CSC view of K
+        assert (K.T.toarray() == K.toarray()).all()
 
 
 def _polish_model(mesh, kind):
