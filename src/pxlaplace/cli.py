@@ -22,6 +22,7 @@ import tempfile
 
 import numpy as np
 
+from . import anisotropy as aniso_mod
 from . import energy, grid, inequality, problems, solver
 from .exponents import exponent_field
 from .expressions import ExprError
@@ -65,9 +66,9 @@ def _build_mesh(cfg: dict, args) -> grid.Mesh:
     if kind == "interval":
         n = args.n or dom.get("n", 64)
         return grid.build_interval(dom.get("a", 0.0), dom.get("b", 1.0), n)
-    if kind == "rectangle":
-        nx = args.nx or dom.get("nx", 16)
-        ny = args.ny or dom.get("ny", 16)
+    if kind == "rectangle":  # eig takes no --nx/--ny
+        nx = getattr(args, "nx", None) or dom.get("nx", 16)
+        ny = getattr(args, "ny", None) or dom.get("ny", 16)
         return grid.build_rectangle(dom.get("ax", 0.0), dom.get("bx", 1.0),
                                     dom.get("ay", 0.0), dom.get("by", 1.0),
                                     nx, ny)
@@ -92,8 +93,6 @@ def _build_exponent(cfg: dict, mesh):
 
 def _build_cone_model(cfg: dict, mesh) -> energy.EnergyModel:
     """Exponent + optional anisotropy block, for the check suites."""
-    from . import anisotropy as aniso_mod
-
     exponent = _build_exponent(cfg, mesh)
     aniso = None
     acfg = cfg.get("anisotropy")
@@ -176,20 +175,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _write_atomic(path: str, data: str):
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
@@ -205,7 +190,7 @@ def _write_atomic(path: str, data: str):
 
 
 def _dump_report(report: dict, path: str | None, quiet: bool):
-    text = json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if path is not None:
         _write_atomic(path, text)
     if not quiet:
@@ -236,81 +221,65 @@ def _random_cone_field(rng, mesh, zero_boundary: bool) -> grid.NodeField:
     return grid.NodeField(mesh, vals)
 
 
-def _check_result(cfg, args, check: str, key: str, value: float,
-                  failures: int) -> int:
-    """Report a check suite's worst ``key`` value and failure count as
-    ``check_<check>.json``; the exit code says whether all samples passed."""
+def _convexity_sample(rng, model, cfg) -> tuple:
+    v1 = _random_cone_field(rng, model.mesh, zero_boundary=False)
+    v2 = _random_cone_field(rng, model.mesh, zero_boundary=False)
+    rep = inequality.check_ray_convexity(v1, v2, model,
+                                         np.linspace(0.05, 0.95, 7),
+                                         kind="W_A")
+    return rep.min_slack / rep.scale, rep.passed
+
+
+def _diaz_saa_sample(rng, model, cfg) -> tuple:
+    w1 = _random_cone_field(rng, model.mesh, zero_boundary=True)
+    w2 = _random_cone_field(rng, model.mesh, zero_boundary=True)
+    rep = inequality.diaz_saa_gap(w1, w2, model)
+    rel = rep.gap / (abs(rep.i1) + abs(rep.i2) + 1.0)
+    return rel, rel >= -(1e-10 if model.mesh.dimension == 1 else 1e-8)
+
+
+def _comparison_sample(rng, model, cfg) -> tuple:
+    base = rng.uniform(0.5, 1.5)
+    extra = rng.uniform(0.0, 1.0, model.mesh.n_nodes)
+    verdict = inequality.weak_comparison_experiment(
+        model, grid.constant_field(model.mesh, base),
+        grid.NodeField(model.mesh, base + extra), _solver_options(cfg),
+        tol=1e-6)
+    return verdict.max_excess, verdict.hypothesis_ok and verdict.conclusion_ok
+
+
+# subcommand: (report key of the worst value, the worse of two values, sampler)
+_CHECKS = {
+    "check-convexity": ("worst_relative_slack", min, _convexity_sample),
+    "check-diaz-saa": ("min_relative_gap", min, _diaz_saa_sample),
+    "check-comparison": ("worst_excess", max, _comparison_sample),
+}
+
+
+def _cmd_check(cfg, args) -> int:
+    """Draw ``--samples`` instances of a check and report the worst value
+    and the failure count as ``check_<name>.json``; the exit code says
+    whether all samples passed."""
+    key, worse, sample = _CHECKS[args.command]
+    model = _build_cone_model(cfg, _build_mesh(cfg, args))
+    rng = np.random.default_rng(args.seed)
+    worst = np.inf if worse is min else -np.inf
+    failures = 0
+    for _ in range(args.samples):
+        value, passed = sample(rng, model, cfg)
+        worst = worse(worst, value)
+        failures += not passed
+    check = args.command[len("check-"):]
     report = {"check": check, "samples": args.samples, "seed": args.seed,
-              key: value, "failures": failures, "passed": failures == 0}
+              key: worst, "failures": failures, "passed": failures == 0}
     name = "check_" + check.replace("-", "_") + ".json"
     _dump_report(report, _out_path(args, cfg, name), args.quiet)
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-def _cmd_check_convexity(cfg, args) -> int:
-    mesh = _build_mesh(cfg, args)
-    model = _build_cone_model(cfg, mesh)
-    rng = np.random.default_rng(args.seed)
-    thetas = np.linspace(0.05, 0.95, 7)
-    worst = np.inf
-    failures = 0
-    for _ in range(args.samples):
-        v1 = _random_cone_field(rng, mesh, zero_boundary=False)
-        v2 = _random_cone_field(rng, mesh, zero_boundary=False)
-        rep = inequality.check_ray_convexity(v1, v2, model, thetas,
-                                             kind="W_A")
-        worst = min(worst, rep.min_slack / rep.scale)
-        failures += 0 if rep.passed else 1
-    return _check_result(cfg, args, "convexity", "worst_relative_slack",
-                         worst, failures)
-
-
-def _cmd_check_diaz_saa(cfg, args) -> int:
-    mesh = _build_mesh(cfg, args)
-    model = _build_cone_model(cfg, mesh)
-    rng = np.random.default_rng(args.seed)
-    min_gap = np.inf
-    failures = 0
-    for _ in range(args.samples):
-        w1 = _random_cone_field(rng, mesh, zero_boundary=True)
-        w2 = _random_cone_field(rng, mesh, zero_boundary=True)
-        rep = inequality.diaz_saa_gap(w1, w2, model)
-        rel = rep.gap / (abs(rep.i1) + abs(rep.i2) + 1.0)
-        min_gap = min(min_gap, rel)
-        tol = 1e-10 if mesh.dimension == 1 else 1e-8
-        failures += 0 if rel >= -tol else 1
-    return _check_result(cfg, args, "diaz-saa", "min_relative_gap",
-                         min_gap, failures)
-
-
-def _cmd_check_comparison(cfg, args) -> int:
-    mesh = _build_mesh(cfg, args)
-    model = _build_cone_model(cfg, mesh)
-    opts = _solver_options(cfg)
-    rng = np.random.default_rng(args.seed)
-    worst = -np.inf
-    failures = 0
-    for _ in range(args.samples):
-        base = rng.uniform(0.5, 1.5)
-        extra = rng.uniform(0.0, 1.0, mesh.n_nodes)
-        f1 = grid.constant_field(mesh, base)
-        f2 = grid.NodeField(mesh, base + extra)
-        verdict = inequality.weak_comparison_experiment(model, f1, f2, opts,
-                                                        tol=1e-6)
-        worst = max(worst, verdict.max_excess)
-        failures += 0 if (verdict.hypothesis_ok and verdict.conclusion_ok) else 1
-    return _check_result(cfg, args, "comparison", "worst_excess", worst,
-                         failures)
-
-
 def _cmd_solve(cfg, args) -> int:
     spec, opts = _spec_and_options(cfg, args)
-    try:
-        rep = solver.solve(spec, opts,
-                           override=bool(cfg.get("override", False)))
-    except ValueError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_USAGE
+    rep = solver.solve(spec, opts, override=bool(cfg.get("override", False)))
     table = _solution_table(rep.solution)
     path = _out_path(args, cfg, "solution.csv")
     if path is not None:
@@ -320,34 +289,20 @@ def _cmd_solve(cfg, args) -> int:
 
 
 def _cmd_eig(cfg, args) -> int:
-    base_cfg = dict(cfg)
-    levels = args.levels
-    lambdas = []
-    sizes = []
-    mesh0 = _build_mesh(base_cfg, args)
+    if cfg is None:  # no --config: the unit interval
+        cfg = {"domain": {"kind": "interval"}}
+    mesh0 = _build_mesh(cfg, args)
     if mesh0.dimension != 1:
         raise ConfigError("eig refinement ladder is 1D only")
     a, b = mesh0.bounds
-    n = mesh0.resolution[0]
-    for k in range(levels):
-        mesh = grid.build_interval(a, b, n * 2 ** k)
-        lam, _ = solver.first_eigenpair(mesh, args.r)
-        sizes.append(n * 2 ** k)
-        lambdas.append(lam)
-    extrapolated = lambdas[-1]
-    if len(lambdas) >= 2:
-        # eliminate the h^2 error term pairwise
-        seq = list(lambdas)
-        while len(seq) > 1:
-            seq = [(4.0 * seq[i + 1] - seq[i]) / 3.0 for i in range(len(seq) - 1)]
-        extrapolated = seq[0]
-    report = {
-        "command": "eig",
-        "r": args.r,
-        "sizes": sizes,
-        "lambdas": lambdas,
-        "extrapolated": extrapolated,
-    }
+    sizes = [mesh0.resolution[0] * 2 ** k for k in range(args.levels)]
+    lambdas = [solver.first_eigenpair(grid.build_interval(a, b, n), args.r)[0]
+               for n in sizes]
+    seq = lambdas
+    while len(seq) > 1:  # eliminate the h^2 error term pairwise
+        seq = [(4.0 * seq[i + 1] - seq[i]) / 3.0 for i in range(len(seq) - 1)]
+    report = {"command": "eig", "r": args.r, "sizes": sizes,
+              "lambdas": lambdas, "extrapolated": seq[0]}
     _dump_report(report, _out_path(args, cfg, "eig_report.json"), args.quiet)
     return EXIT_OK
 
@@ -426,37 +381,42 @@ def _cmd_sweep(cfg, args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+_MESH = ("--n", "--nx", "--ny")
+# subcommand: (handler, the flags it reads besides --config, --out, --quiet)
+_COMMANDS = {
+    "solve": (_cmd_solve, ("--seed",) + _MESH),
+    "check-convexity": (_cmd_check, ("--seed",) + _MESH + ("--samples",)),
+    "check-diaz-saa": (_cmd_check, ("--seed",) + _MESH + ("--samples",)),
+    "check-comparison": (_cmd_check, ("--seed",) + _MESH + ("--samples",)),
+    "eig": (_cmd_eig, ("--n", "--levels", "--r")),
+    "validate": (_cmd_validate, _MESH),
+    "sweep": (_cmd_sweep, ("--seed",) + _MESH),
+}
+_FLAGS = {
+    "--seed": {"type": int, "required": True},
+    "--n": {"type": int},
+    "--nx": {"type": int},
+    "--ny": {"type": int},
+    "--samples": {"type": int, "default": 50},
+    "--levels": {"type": int, "default": 3},
+    "--r": {"type": float, "default": 2.0},
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pxlaplace",
         description="variable-exponent energies: solvers and property checks")
     sub = ap.add_subparsers(dest="command", required=True)
-    handlers = [("solve", _cmd_solve),
-                ("check-convexity", _cmd_check_convexity),
-                ("check-diaz-saa", _cmd_check_diaz_saa),
-                ("check-comparison", _cmd_check_comparison),
-                ("eig", _cmd_eig),
-                ("validate", _cmd_validate),
-                ("sweep", _cmd_sweep)]
-    for name, handler in handlers:
+    for name, (handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=name != "eig")
-        p.add_argument("--seed", type=int)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out")
-        p.add_argument("--n", type=int)
-        p.add_argument("--nx", type=int)
-        p.add_argument("--ny", type=int)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--levels", type=int, default=3)
         p.add_argument("--quiet", action="store_true")
-        if name == "eig":
-            p.add_argument("--r", type=float, default=2.0)
     return ap
-
-
-_RANDOMIZED = {"solve", "check-convexity", "check-diaz-saa",
-               "check-comparison", "sweep"}
 
 
 def run_command(argv) -> int:
@@ -466,13 +426,7 @@ def run_command(argv) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        if args.command in _RANDOMIZED and args.seed is None:
-            raise ConfigError(f"{args.command} requires --seed")
-        if args.command == "eig" and args.config is None:
-            cfg = {"domain": {"kind": "interval", "a": 0.0, "b": 1.0,
-                              "n": args.n or 64}}
-        else:
-            cfg = load_config(args.config)
+        cfg = None if args.config is None else load_config(args.config)
         return args.handler(cfg, args)
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")

@@ -259,17 +259,17 @@ def comparison_check(u1: NodeField, u2: NodeField, f1: NodeField,
     )
 
 
-def _comparison_reaction(f: NodeField, r: float):
-    """Reaction f(x) u^(r-1): a plain source for r = 1, else a power term."""
-    if r == 1.0:
-        return source_reaction(f)
-    return power_reaction(f, constant_field(f.mesh, r))
+def _comparison_model(model: EnergyModel, f: NodeField) -> EnergyModel:
+    """The model's flux with the reaction f(x) u^(r-1) alone: a plain
+    source for r = 1, else a power term."""
+    r = model.exponent.r
+    reaction = source_reaction(f) if r == 1.0 else \
+        power_reaction(f, constant_field(f.mesh, r))
+    return replace(model, reaction=reaction, absorption=None, kirchhoff=None)
 
 
 def _bvp_residual(u: NodeField, f: NodeField, model: EnergyModel) -> NodeField:
-    bvp = replace(model, reaction=_comparison_reaction(f, model.exponent.r),
-                  absorption=None, kirchhoff=None)
-    return gateaux_gradient(bvp, u, eps=0.0)
+    return gateaux_gradient(_comparison_model(model, f), u, eps=0.0)
 
 
 def weak_comparison_experiment(model: EnergyModel, f1: NodeField,
@@ -284,9 +284,7 @@ def weak_comparison_experiment(model: EnergyModel, f1: NodeField,
 
     results = []
     for f in (f1, f2):
-        bvp = replace(model, reaction=_comparison_reaction(f, model.exponent.r),
-                      absorption=None, kirchhoff=None)
-        rep = minimize_energy(bvp, solver_opts)
+        rep = minimize_energy(_comparison_model(model, f), solver_opts)
         if not rep.converged:
             raise RuntimeError("comparison solve did not converge")
         results.append(rep.solution)

@@ -164,7 +164,7 @@ def validate_M(term: KirchhoffTerm) -> ValidationReport:
                f"M(+inf) = {term.m_inf}")
     if report.passed:
         ts = np.linspace(0.0, 100.0, 101)
-        hats = np.array([M_hat(term, float(t)) for t in ts])
+        hats = M_hat(term, ts)
         ok = np.all(term.m0 * ts - 1e-12 <= hats) and np.all(
             hats <= term.m_inf * ts + 1e-12)
         report.add("M_hat_sandwich", PASS if ok else FAIL,

@@ -237,10 +237,11 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
 
     Runs the eps-continuation described in the module docstring; each
     stage ends when the max-norm of the regularized nodal gradient drops
-    below ``grad_tol``, and the report's ``converged`` says whether every
-    stage ended that way.  The report carries the unregularized residual,
-    positivity and boundary-slope diagnostics, and the negative-energy
-    certificate of nontriviality.
+    below ``grad_tol``.  The report's ``converged`` says whether every
+    stage ended that way and the unregularized residual ``residual_max``
+    is at most ``grad_tol`` too (for p < 2 the two gradients differ).  The
+    report also carries positivity and boundary-slope diagnostics and the
+    negative-energy certificate of nontriviality.
     """
     mesh = model.mesh
     interior = mesh.interior
@@ -306,7 +307,7 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
         energy=float(e_final),
         residual_max=residual,
         iterations=tuple(iterations),
-        converged=bool(converged),
+        converged=bool(converged and residual <= opts.grad_tol),
         positivity_ok=bool(np.all(u[interior] > 0.0)),
         hopf_margin=hopf_diagnostic(sol),
         negative_energy=bool(e_final < 0.0),

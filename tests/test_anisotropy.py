@@ -28,9 +28,7 @@ class TestEvalA:
     def test_zero_argument(self):
         for model in (iso_1d(2.5, 1.5), weighted_2d((4, 1), 2.0, 2.0)):
             zero = np.zeros(model.mesh.dimension)
-            assert eval_A(model, model.quad_point0(), zero) == 0.0 \
-                if hasattr(model, "quad_point0") else \
-                eval_A(model, model.mesh.quad_points[0], zero) == 0.0
+            assert eval_A(model, model.mesh.quad_points[0], zero) == 0.0
 
     def test_weighted_quadratic_value(self):
         # N^2 with w=(4,1), xi=(1,1): 4+1 = 5

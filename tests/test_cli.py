@@ -310,6 +310,24 @@ class TestSweepCommand:
         assert energies[0] > energies[1] > energies[2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--config", "run.json", "--samples", "3"],
+    ["validate", "--config", "run.json", "--seed", "1"],
+    ["solve", "--config", "run.json", "--seed", "1", "--levels", "2"],
+    ["sweep", "--config", "run.json", "--seed", "1", "--samples", "3"],
+    ["check-diaz-saa", "--config", "run.json", "--seed", "1", "--r", "2"],
+    ["eig", "--seed", "1"],
+    ["eig", "--nx", "8"],
+    ["eig", "--samples", "3"],
+])
+def test_unread_flag_rejected(tmp_path, monkeypatch, capsys, argv):
+    # each subcommand registers only the flags it reads
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "run.json")
+    assert run_command(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_python_dash_m_entry_point():
     src = str(pathlib.Path(pxlaplace.__file__).parents[1])
     env = dict(os.environ)

@@ -65,6 +65,14 @@ class TestPotentials:
         term = saturating_kirchhoff(1.0, 2.0)
         assert M_hat(term, 1.0) == pytest.approx(2 - np.log(2), rel=1e-14)
 
+    def test_M_hat_array_matches_scalar_loop(self):
+        # validate_M evaluates its 101-point grid as one array
+        ts = np.linspace(0.0, 100.0, 101)
+        for m0, m_inf in ((1.0, 2.0), (0.5, 3.7), (2.0, 2.0)):
+            term = saturating_kirchhoff(m0, m_inf)
+            loop = np.array([M_hat(term, float(t)) for t in ts])
+            assert M_hat(term, ts).tobytes() == loop.tobytes()
+
     def test_M_hat_negative_argument(self):
         with pytest.raises(ValueError):
             M_hat(saturating_kirchhoff(1.0, 2.0), -0.1)

@@ -185,6 +185,16 @@ class TestSubhomogeneousInstance:
         assert rep.iterations == (2, 2, 2, 1, 0, 0, 0)
         assert not rep.converged
 
+    def test_converged_needs_the_unregularized_residual(self):
+        # p = 1.5 < 2: every stage meets grad_tol on its regularized
+        # gradient, but the unregularized residual stays above it
+        opts = SolverOptions()
+        spec = problem1_spec(n=128, p="1.5", r=1.5, q="1.2")
+        rep = solve_problem1(spec, opts)
+        assert rep.iterations == (12, 13, 10, 6, 4, 3, 1)
+        assert rep.residual_max > opts.grad_tol
+        assert not rep.converged
+
     def test_eps_ladder_has_seven_stages(self):
         # 1e-2 down to 1e-8 by factors of 0.1, with no repeat of the last rung
         rep = solve_problem1(problem1_spec(n=32), SolverOptions())
