@@ -102,10 +102,13 @@ def _flux_rows(p: np.ndarray, w, xi: np.ndarray, eps: float = 0.0) -> np.ndarray
     wxi = xi if w is None else w * xi
     if eps > 0.0:
         return (eps * eps + q)[:, None] ** ((p - 2.0) / 2.0)[:, None] * wxi
-    out = np.zeros_like(xi)
+    # every row at once, with 1 standing in for q where q = 0 so that no
+    # power of zero is taken; those rows then get the continuous
+    # extension at xi = 0, the zero flux
     nz = q > 0.0
-    out[nz] = q[nz, None] ** ((p[nz] - 2.0) / 2.0)[:, None] * wxi[nz]
-    return out  # zero rows: continuous extension at xi = 0
+    out = np.where(nz, q, 1.0)[:, None] ** ((p - 2.0) / 2.0)[:, None] * wxi
+    out[~nz] = 0.0
+    return out
 
 
 def _point_data(model: AnisotropyModel, x):

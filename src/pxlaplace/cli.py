@@ -392,13 +392,27 @@ _COMMANDS = {
     "validate": (_cmd_validate, _MESH),
     "sweep": (_cmd_sweep, ("--seed",) + _MESH),
 }
+
+
+def _count(text: str) -> int:
+    """argparse type of --samples and --levels: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") \
+            from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 _FLAGS = {
     "--seed": {"type": int, "required": True},
     "--n": {"type": int},
     "--nx": {"type": int},
     "--ny": {"type": int},
-    "--samples": {"type": int, "default": 50},
-    "--levels": {"type": int, "default": 3},
+    "--samples": {"type": _count, "default": 50},
+    "--levels": {"type": _count, "default": 3},
     "--r": {"type": float, "default": 2.0},
 }
 

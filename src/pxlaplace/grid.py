@@ -7,11 +7,20 @@ gradients are the (constant) gradients of the piecewise-linear interpolant,
 and integrals use one quadrature point per cell (segment midpoint, triangle
 centroid).  Node ordering is lexicographic by coordinate, so all reductions
 are reproducible.
+
+The kernels work vertex by vertex.  Each mesh keeps vertex-major,
+read-only copies of its cell table and basis gradients, built once with
+the mesh: per cell vertex, one contiguous array of node indices and one
+contiguous array per gradient component.  A cell gradient is then the sum
+over vertices of basis gradient times vertex value, and a cell average the
+sum of the vertex values divided once by their count; both add in the same
+order as the dense per-cell formulas, so their results are bitwise the
+same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +62,10 @@ class Mesh:
         quad_points: one point per cell (midpoint / centroid).
         shape_grads: (n_cells, dimension+1, dimension) gradients of the
             nodal P1 basis restricted to each cell.
+        vertex_cells: (dimension+1, n_cells) copy of ``cells``, one row
+            per cell vertex.
+        vertex_grads: (dimension+1, dimension, n_cells) copy of
+            ``shape_grads``, one row per vertex and gradient component.
     """
 
     dimension: int
@@ -64,6 +77,13 @@ class Mesh:
     cell_measures: np.ndarray
     quad_points: np.ndarray
     shape_grads: np.ndarray
+    vertex_cells: np.ndarray = field(init=False, repr=False, compare=False)
+    vertex_grads: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertex_cells", _readonly(self.cells.T))
+        object.__setattr__(self, "vertex_grads",
+                           _readonly(self.shape_grads.transpose(1, 2, 0)))
 
     @property
     def n_nodes(self) -> int:
@@ -85,10 +105,16 @@ class Mesh:
 
 @dataclass(frozen=True)
 class NodeField:
-    """One finite scalar per mesh node."""
+    """One finite scalar per mesh node.
+
+    Its cell averages are computed on first use by ``cell_average`` and
+    kept with the field.
+    """
 
     mesh: Mesh
     values: np.ndarray
+    _cell_values: np.ndarray | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -226,8 +252,16 @@ def gradient(u: NodeField) -> CellVectorField:
 
 
 def cell_gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
-    """(n_cells, dimension) gradients of the P1 interpolant of nodal values."""
-    return np.einsum("cvd,cv->cd", mesh.shape_grads, nodal[mesh.cells])
+    """(n_cells, dimension) gradients of the P1 interpolant of nodal values.
+
+    Summed vertex by vertex in ``vertex_grads`` layout, so the result is
+    the transpose of a (dimension, n_cells) array.
+    """
+    G, C = mesh.vertex_grads, mesh.vertex_cells
+    out = G[0] * nodal[C[0]]
+    for g, c in zip(G[1:], C[1:]):
+        out += g * nodal[c]
+    return out.T
 
 
 def flux_loads(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
@@ -249,8 +283,20 @@ def scatter_add(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
 
 
 def cell_average(u: NodeField) -> np.ndarray:
-    """Vertex average of a nodal field per cell (its quad-point value)."""
-    return u.values[u.mesh.cells].mean(axis=1)
+    """Vertex average of a nodal field per cell (its quad-point value).
+
+    Computed on the first call for a field, kept with it and returned
+    read-only.
+    """
+    if u._cell_values is None:
+        C, v = u.mesh.vertex_cells, u.values
+        out = v[C[0]] + v[C[1]]
+        for c in C[2:]:
+            out += v[c]
+        out /= len(C)
+        out.flags.writeable = False
+        object.__setattr__(u, "_cell_values", out)
+    return u._cell_values
 
 
 def integrate(values, mesh: Mesh | None = None) -> float:

@@ -30,9 +30,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .anisotropy import _quad_form
-from .energy import (EnergyModel, M_hat, _F_cells, dirichlet_part,
-                     energy_value, gateaux_gradient, kirchhoff_M,
-                     power_reaction)
+from .energy import (EnergyModel, M_hat, ReactionTerm, _F_cells,
+                     dirichlet_part, energy_value, gateaux_gradient,
+                     kirchhoff_M)
 from .exponents import exponent_field
 from .grid import Mesh, NodeField, cell_average, cell_gradient, constant_field
 from .inequality import diaz_saa_gap
@@ -373,9 +373,14 @@ def first_eigenpair(mesh: Mesh, r: float):
     gradient with p = q = r and h = lam, and the metric is the
     Newton metric of the Dirichlet part (without the -lam |u|^(r-2) term of
     the denominator).  At r = 2 that metric is the u-independent stiffness,
-    factored once.  Returns (lam, phi) with phi nonnegative
-    and its r-modular normalized to one; lam is the Rayleigh value of phi
-    itself.
+    factored once.  Each iteration builds only what depends on lam: the
+    reaction h = lam, whose q = r is the exponent field itself, so the
+    exponent is averaged to cells once per call.  The descent stops when
+    the quotient's gradient is below ``EIGEN_TOL`` (relative to
+    max(1, lam)), no step decreases the quotient, or after
+    ``EIGEN_MAX_ITERS`` iterations; at r = 2 every mesh measured ends at
+    that cap.  Returns (lam, phi) with phi nonnegative and its r-modular
+    normalized to one; lam is the Rayleigh value of phi itself.
     """
     if not r > 1:
         raise ValueError("need r > 1")
@@ -396,8 +401,9 @@ def first_eigenpair(mesh: Mesh, r: float):
     lu = None
     for _ in range(EIGEN_MAX_ITERS):
         lam = num / den
-        eigen = replace(model, reaction=power_reaction(
-            constant_field(mesh, lam), exponent.values))
+        # lam > 0 and q = r > 1, so the term skips power_reaction's checks
+        eigen = replace(model, reaction=ReactionTerm(
+            "power", constant_field(mesh, lam), exponent.values))
         g = gateaux_gradient(eigen, NodeField(mesh, u)).values * (r / den)
         if np.abs(g[interior]).max() <= EIGEN_TOL * max(1.0, lam):
             break

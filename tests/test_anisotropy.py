@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pxlaplace.anisotropy import (AnisotropyModel, check_hypothesis_A,
+from pxlaplace.anisotropy import (AnisotropyModel, _flux_rows,
+                                  check_hypothesis_A,
                                   check_N_strict_convexity, eval_A, eval_N,
                                   flux_a, isotropic, weighted_quadratic)
 from pxlaplace.exponents import exponent_field
@@ -115,6 +116,24 @@ class TestFlux:
                     / (2 * step) / p
             a = flux_a(model, x, xi)
             assert np.allclose(a, fd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_flux_rows_match_masked_formula_bitwise(dim, weighted):
+    # the masked form the all-rows power replaced: zero rows stay zero
+    rng = np.random.default_rng(23)
+    n = 400
+    p = rng.uniform(1.2, 4.0, n)
+    xi = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+    xi[::7] = 0.0
+    w = rng.uniform(0.5, 2.0, (n, dim)) if weighted else None
+    q = np.einsum("cd,cd->c", xi if w is None else w * xi, xi)
+    wxi = xi if w is None else w * xi
+    expected = np.zeros_like(xi)
+    nz = q > 0.0
+    expected[nz] = q[nz, None] ** ((p[nz] - 2.0) / 2.0)[:, None] * wxi[nz]
+    assert _flux_rows(p, w, xi).tobytes() == expected.tobytes()
 
 
 class TestHypothesisA:

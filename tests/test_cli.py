@@ -328,6 +328,26 @@ def test_unread_flag_rejected(tmp_path, monkeypatch, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eig", "--levels", "0"],
+    ["eig", "--levels", "-2"],
+    ["check-convexity", "--config", "run.json", "--seed", "1",
+     "--samples", "0"],
+    ["check-diaz-saa", "--config", "run.json", "--seed", "1",
+     "--samples", "-1"],
+    ["check-comparison", "--config", "run.json", "--seed", "1",
+     "--samples", "0"],
+])
+def test_count_below_one_rejected(tmp_path, monkeypatch, capsys, argv):
+    # nothing is computed or written: argparse rejects the count
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "run.json")
+    assert run_command(argv + ["--out", "out"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_python_dash_m_entry_point():
     src = str(pathlib.Path(pxlaplace.__file__).parents[1])
     env = dict(os.environ)
@@ -338,3 +358,8 @@ def test_python_dash_m_entry_point():
          "1", "--quiet"], env=env, capture_output=True, text=True)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pxlaplace", "eig", "--levels", "0",
+         "--quiet"], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr

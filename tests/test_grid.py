@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pxlaplace.grid import (NodeField, build_interval, build_rectangle,
-                            cell_average, constant_field, gradient, integrate,
-                            interpolate, scatter_add)
+                            cell_average, cell_gradient, constant_field,
+                            gradient, integrate, interpolate, scatter_add)
 
 
 class TestBuildInterval:
@@ -105,6 +105,58 @@ def test_scatter_add_matches_add_at_bitwise(dim, width):
     expected = np.zeros(mesh.n_nodes)
     np.add.at(expected, mesh.cells, contrib)
     assert scatter_add(mesh, contrib).tobytes() == expected.tobytes()
+
+
+KERNEL_MESHES = [(1, 7), (1, 256), (1, 1024), (2, (3, 4)), (2, (16, 17)),
+                 (2, (64, 64))]
+
+
+@pytest.mark.parametrize("dim,size", KERNEL_MESHES,
+                         ids=[f"{d}d-{s}" for d, s in KERNEL_MESHES])
+def test_vertex_kernels_match_dense_formulas_bitwise(dim, size):
+    # the dense per-cell formulas the vertex-major kernels replaced
+    mesh = build_interval(0, 1, size) if dim == 1 else \
+        build_rectangle(0, 1.5, 0, 1, *size)
+    rng = np.random.default_rng(17)
+    for scale in (1.0, 1e3, 1e6, 1e9):
+        vals = rng.standard_normal(mesh.n_nodes) * scale
+        vals[rng.random(mesh.n_nodes) < 0.25] = 0.0
+        vals[:3] = 0.0  # a cell, or in 2D part of one, with zero vertices
+        dense_grad = np.einsum("cvd,cv->cd", mesh.shape_grads,
+                               vals[mesh.cells])
+        dense_avg = vals[mesh.cells].mean(axis=1)
+        grad = cell_gradient(mesh, vals)
+        avg = cell_average(NodeField(mesh, vals))
+        assert grad.shape == dense_grad.shape
+        assert np.ascontiguousarray(grad).tobytes() == dense_grad.tobytes()
+        assert avg.tobytes() == dense_avg.tobytes()
+
+
+def test_vertex_major_copies_are_read_only():
+    for mesh in (build_interval(0, 1, 8), build_rectangle(0, 1, 0, 1, 3, 4)):
+        nloc = mesh.dimension + 1
+        assert mesh.vertex_cells.shape == (nloc, mesh.n_cells)
+        assert mesh.vertex_grads.shape == (nloc, mesh.dimension,
+                                           mesh.n_cells)
+        assert np.array_equal(mesh.vertex_cells.T, mesh.cells)
+        assert np.array_equal(mesh.vertex_grads.transpose(2, 0, 1),
+                              mesh.shape_grads)
+        for a in (mesh.vertex_cells, mesh.vertex_grads):
+            assert a.flags.c_contiguous and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+
+
+def test_cell_average_is_kept_with_the_field():
+    mesh = build_rectangle(0, 1, 0, 1, 3, 4)
+    u = interpolate(mesh, "x + 2*y")
+    avg = cell_average(u)
+    assert cell_average(u) is avg
+    with pytest.raises(ValueError):
+        avg[0] = 1.0
+    # the kept average takes no part in comparison or repr
+    assert NodeField(mesh, u.values) == u
+    assert "_cell_values" not in repr(u)
 
 
 class TestIntegrate:

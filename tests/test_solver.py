@@ -523,6 +523,16 @@ class TestFirstEigenpair:
         assert lams[2] == pytest.approx(classical, rel=1e-4)
         regression("eigenvalue_r3_n256", lams[2], rel_tol=1e-6)
 
+    @pytest.mark.parametrize("mesh,r,pin", [
+        (build_rectangle(0, 1, 0, 1, 16, 16), 2.0, 20.01582250296904),
+        (build_interval(0, 1, 256), 3.0, 28.289995939202697),
+    ], ids=["2d-16x16-r2", "1d-n256-r3"])
+    def test_trajectory_pinned(self, mesh, r, pin):
+        # the r = 2 descent stops at EIGEN_MAX_ITERS, so its value depends
+        # on every iterate; pinned as tightly as the benchmark's reference
+        lam, _ = first_eigenpair(mesh, r)
+        assert lam == pytest.approx(pin, rel=1e-12)
+
     def test_r_must_exceed_one(self):
         with pytest.raises(ValueError):
             first_eigenpair(build_interval(0, 1, 16), 1.0)
