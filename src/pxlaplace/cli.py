@@ -60,18 +60,24 @@ def _need(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _size(args, dom: dict, key: str, default: int) -> int:
+    """A mesh size: its flag when given (eig takes no --nx/--ny), else the
+    domain block's value, else ``default``."""
+    flag = getattr(args, key, None)
+    return dom.get(key, default) if flag is None else flag
+
+
 def _build_mesh(cfg: dict, args) -> grid.Mesh:
     dom = _need(cfg, "domain")
     kind = _need(dom, "kind", "domain")
     if kind == "interval":
-        n = args.n or dom.get("n", 64)
-        return grid.build_interval(dom.get("a", 0.0), dom.get("b", 1.0), n)
-    if kind == "rectangle":  # eig takes no --nx/--ny
-        nx = getattr(args, "nx", None) or dom.get("nx", 16)
-        ny = getattr(args, "ny", None) or dom.get("ny", 16)
+        return grid.build_interval(dom.get("a", 0.0), dom.get("b", 1.0),
+                                   _size(args, dom, "n", 64))
+    if kind == "rectangle":
         return grid.build_rectangle(dom.get("ax", 0.0), dom.get("bx", 1.0),
                                     dom.get("ay", 0.0), dom.get("by", 1.0),
-                                    nx, ny)
+                                    _size(args, dom, "nx", 16),
+                                    _size(args, dom, "ny", 16))
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
@@ -395,7 +401,7 @@ _COMMANDS = {
 
 
 def _count(text: str) -> int:
-    """argparse type of --samples and --levels: an integer of at least 1."""
+    """argparse type of the counts and mesh sizes: an integer of at least 1."""
     try:
         n = int(text)
     except ValueError:
@@ -408,9 +414,9 @@ def _count(text: str) -> int:
 
 _FLAGS = {
     "--seed": {"type": int, "required": True},
-    "--n": {"type": int},
-    "--nx": {"type": int},
-    "--ny": {"type": int},
+    "--n": {"type": _count},
+    "--nx": {"type": _count},
+    "--ny": {"type": _count},
     "--samples": {"type": _count, "default": 50},
     "--levels": {"type": _count, "default": 3},
     "--r": {"type": float, "default": 2.0},

@@ -42,7 +42,8 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only C-contiguous copy of ``a``, private to its holder."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
@@ -107,8 +108,12 @@ class Mesh:
 class NodeField:
     """One finite scalar per mesh node.
 
+    The field holds a private read-only copy of the values it is given:
+    the caller's array stays writable, and later writes to it do not
+    reach the field.
     Its cell averages are computed on first use by ``cell_average`` and
-    kept with the field.
+    kept with the field.  Two fields are equal when they share the mesh
+    object and have equal values.
     """
 
     mesh: Mesh
@@ -125,6 +130,12 @@ class NodeField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", _readonly(v))
+
+    def __eq__(self, other):
+        if not isinstance(other, NodeField):
+            return NotImplemented
+        return self.mesh is other.mesh and np.array_equal(self.values,
+                                                          other.values)
 
     def with_values(self, values) -> "NodeField":
         return NodeField(self.mesh, values)

@@ -19,6 +19,12 @@ when an absorption term is present), which never increases the discrete
 energy, and the backtracking Armijo test runs on the polished trial: one
 energy evaluation per trial, and the accepted trial's energy carries into
 the next iteration.  Reported residuals use the unregularized flux.
+
+``first_eigenpair`` runs a normalized preconditioned descent on the
+Rayleigh quotient from the same plan.  At r = 2 it fills the interior
+stiffness and one-point mass once and works with matrix-vector products
+alone; other r go through the energy layer.  At r = 2 it stops at
+``EIGEN_MAX_ITERS`` on every mesh measured.
 """
 
 from __future__ import annotations
@@ -189,6 +195,28 @@ def _interior_pattern(mesh: Mesh) -> tuple:
     return GG, (keys % n).astype(np.intc), indptr, slots
 
 
+def _fill(plan: tuple, loc: np.ndarray) -> sp.csr_array:
+    """Sum the local matrices ``loc`` (n_cells, d+1, d+1) into the plan's
+    fixed interior pattern, in cell order."""
+    _, indices, indptr, slots = plan
+    data = np.bincount(slots, loc.ravel(), indptr[-1] + 1)[:-1]
+    n = indptr.size - 1
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+
+def _stiffness_and_mass(mesh: Mesh, plan: tuple) -> tuple:
+    """Interior P1 stiffness K and one-point mass B = sum_c m_c/(d+1)^2 11^T.
+
+    For u vanishing on the boundary, u.Ku is twice the Dirichlet part at
+    p = 2 and u.Bu the integral of the squared cell averages.
+    """
+    GG = plan[0]
+    m = mesh.cell_measures[:, None, None]
+    return (_fill(plan, m * GG),
+            _fill(plan, np.broadcast_to(m / (mesh.dimension + 1) ** 2,
+                                        GG.shape)))
+
+
 def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
                      pref: float, plan: tuple) -> sp.csr_array:
     """Newton metric on interior nodes.
@@ -205,7 +233,7 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
     mesh = model.mesh
     w = model.w_cells
     p = model.p_cells
-    GG, indices, indptr, slots = plan
+    GG = plan[0]
     xi = cell_gradient(mesh, u)
     s = eps * eps + _quad_form(w, xi)
     omega = pref * s ** ((p - 2.0) / 2.0) * mesh.cell_measures
@@ -219,9 +247,7 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
     a = np.einsum("cid,cd->ci", G, xi)
     loc += ((omega * (p - 2.0) / s)[:, None, None]
             * (a[:, :, None] * a[:, None]))
-    data = np.bincount(slots, loc.ravel(), indptr[-1] + 1)[:-1]
-    n = indptr.size - 1
-    return sp.csr_array((data, indices, indptr), shape=(n, n))
+    return _fill(plan, loc)
 
 
 def _polish(u: np.ndarray, model: EnergyModel) -> np.ndarray:
@@ -367,20 +393,22 @@ def first_eigenpair(mesh: Mesh, r: float):
     """Smallest Rayleigh quotient of the r-homogeneous gradient energy.
 
     Minimizes (integral |grad u|^r) / (integral |u|^r) over zero-trace
-    fields by normalized preconditioned descent from the bump profile, on
-    the energy layer of the r-constant model: the numerator is r times its
-    Dirichlet part, the quotient's gradient is r/den times the problem-1
-    gradient with p = q = r and h = lam, and the metric is the
-    Newton metric of the Dirichlet part (without the -lam |u|^(r-2) term of
-    the denominator).  At r = 2 that metric is the u-independent stiffness,
-    factored once.  Each iteration builds only what depends on lam: the
-    reaction h = lam, whose q = r is the exponent field itself, so the
-    exponent is averaged to cells once per call.  The descent stops when
-    the quotient's gradient is below ``EIGEN_TOL`` (relative to
-    max(1, lam)), no step decreases the quotient, or after
-    ``EIGEN_MAX_ITERS`` iterations; at r = 2 every mesh measured ends at
-    that cap.  Returns (lam, phi) with phi nonnegative and its r-modular
-    normalized to one; lam is the Rayleigh value of phi itself.
+    fields by normalized preconditioned descent from the bump profile.  For
+    r != 2 it runs on the energy layer of the r-constant model: the
+    numerator is r times its Dirichlet part, the quotient's gradient is
+    r/den times the problem-1 gradient with p = q = r and h = lam, and the
+    metric is the Newton metric of the Dirichlet part (without the
+    -lam |u|^(r-2) term of the denominator), rebuilt each iteration.  At
+    r = 2 the quotient is u.Ku / u.Bu for the interior stiffness K and
+    one-point mass B, both assembled once per call: each quotient is two
+    sparse matrix-vector products, the gradient is (2/den)(Ku - lam Bu)
+    and the metric is K, factored once.  Both run the same loop and line
+    search.  The descent stops when the quotient's gradient is below
+    ``EIGEN_TOL`` (relative to max(1, lam)), no step decreases the
+    quotient, or after ``EIGEN_MAX_ITERS`` iterations; at r = 2 every
+    mesh measured ends at that cap.  Returns (lam, phi) with phi
+    nonnegative and its r-modular normalized to one; lam is the Rayleigh
+    value of phi itself, evaluated on the energy layer for every r.
     """
     if not r > 1:
         raise ValueError("need r > 1")
@@ -389,32 +417,51 @@ def first_eigenpair(mesh: Mesh, r: float):
     model = EnergyModel(mesh, exponent)
     plan = _interior_pattern(mesh)
 
-    def quotient(v: np.ndarray) -> tuple:
+    def rayleigh(v: np.ndarray) -> tuple:
         """Numerator and denominator of the Rayleigh quotient of v >= 0."""
         field = NodeField(mesh, v)
         den = float(np.sum(cell_average(field) ** r * mesh.cell_measures))
         return r * dirichlet_part(field, model), den
 
+    if r == 2:
+        # the quotient of two fixed quadratic forms; the metric is the
+        # stiffness itself, factored once.  K is symmetric, so its
+        # transpose is the CSC view splu takes
+        K, B = _stiffness_and_mass(mesh, plan)
+        lu = spla.splu(K.T)
+
+        def quotient(v: np.ndarray) -> tuple:
+            w = NodeField(mesh, v).values[interior]
+            return float(w @ (K @ w)), float(w @ (B @ w))
+
+        def gradient(v: np.ndarray, lam: float, den: float) -> np.ndarray:
+            w = v[interior]
+            return (K @ w - lam * (B @ w)) * (2.0 / den)
+    else:
+        quotient = rayleigh
+
+        def gradient(v: np.ndarray, lam: float, den: float) -> np.ndarray:
+            # lam > 0 and q = r > 1, so the term skips power_reaction's
+            # checks
+            eigen = replace(model, reaction=ReactionTerm(
+                "power", constant_field(mesh, lam), exponent.values))
+            g = gateaux_gradient(eigen, NodeField(mesh, v)).values
+            return g[interior] * (r / den)
+
     u = _bump_profile(mesh)
     u = u / quotient(u)[1] ** (1.0 / r)
     num, den = quotient(u)
-    lu = None
     for _ in range(EIGEN_MAX_ITERS):
         lam = num / den
-        # lam > 0 and q = r > 1, so the term skips power_reaction's checks
-        eigen = replace(model, reaction=ReactionTerm(
-            "power", constant_field(mesh, lam), exponent.values))
-        g = gateaux_gradient(eigen, NodeField(mesh, u)).values * (r / den)
-        if np.abs(g[interior]).max() <= EIGEN_TOL * max(1.0, lam):
+        g = gradient(u, lam, den)
+        if np.abs(g).max() <= EIGEN_TOL * max(1.0, lam):
             break
 
-        if lu is None or r != 2:
-            # at r = 2 the metric does not depend on u: factor it once.
-            # It is symmetric, so its transpose is the CSC view splu takes
+        if r != 2:
             lu = spla.splu(_interior_matrix(
                 model, u, EIGEN_EPS, 1.0, plan).T)
         d = np.zeros_like(u)
-        d[interior] = lu.solve(-g[interior])
+        d[interior] = lu.solve(-g)
 
         t = 1.0
         while t > 1e-16:
@@ -429,9 +476,9 @@ def first_eigenpair(mesh: Mesh, r: float):
         u = trial / d2 ** (1.0 / r)
         num, den = n2 / d2, 1.0
 
-    den = quotient(u)[1]
+    den = rayleigh(u)[1]
     phi = NodeField(mesh, np.abs(u) / den ** (1.0 / r))
-    num, den = quotient(phi.values)
+    num, den = rayleigh(phi.values)
     return num / den, phi
 
 

@@ -337,6 +337,11 @@ def test_unread_flag_rejected(tmp_path, monkeypatch, capsys, argv):
      "--samples", "-1"],
     ["check-comparison", "--config", "run.json", "--seed", "1",
      "--samples", "0"],
+    ["eig", "--n", "0"],
+    ["solve", "--config", "run.json", "--seed", "1", "--n", "0"],
+    ["solve", "--config", "run.json", "--seed", "1", "--nx", "0"],
+    ["validate", "--config", "run.json", "--ny", "0"],
+    ["sweep", "--config", "run.json", "--seed", "1", "--ny", "-3"],
 ])
 def test_count_below_one_rejected(tmp_path, monkeypatch, capsys, argv):
     # nothing is computed or written: argparse rejects the count

@@ -245,3 +245,27 @@ class TestNodeField:
         u = constant_field(mesh, 1.0)
         with pytest.raises(ValueError):
             u.values[0] = 2.0
+
+    def test_holds_a_private_copy(self):
+        # the caller's array stays writable, and writing to it (or to the
+        # base of a view) changes neither the field nor its kept average
+        mesh = build_interval(0, 1, 4)
+        v = np.zeros(5)
+        u = NodeField(mesh, v)
+        v[1] = 3.0
+        assert u.values[1] == 0.0
+        base = np.ones(10)
+        w = NodeField(mesh, base[::2])
+        avg = cell_average(w)
+        base[2] = 7.0
+        assert np.array_equal(w.values, np.ones(5))
+        assert np.array_equal(cell_average(w), avg)
+        assert np.array_equal(avg, np.ones(4))
+
+    def test_value_equality(self):
+        mesh = build_rectangle(0, 1, 0, 1, 3, 2)
+        v = np.linspace(0.0, 1.0, mesh.n_nodes)
+        assert NodeField(mesh, v) == NodeField(mesh, v.copy())
+        assert NodeField(mesh, v) != NodeField(mesh, v + 1.0)
+        other = build_rectangle(0, 1, 0, 1, 3, 2)
+        assert NodeField(mesh, v) != NodeField(other, v)

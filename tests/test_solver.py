@@ -15,7 +15,7 @@ from pxlaplace.energy import (EnergyModel, KirchhoffTerm, dirichlet_part,
                               saturating_kirchhoff, source_reaction)
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import NodeField, build_interval, build_rectangle, \
-    constant_field, interpolate
+    cell_average, constant_field, interpolate
 from pxlaplace.problems import ProblemSpec, build_energy_model
 from pxlaplace.solver import (SolverOptions, first_eigenpair, hopf_diagnostic,
                               initial_guess, minimize_energy, solve_kirchhoff,
@@ -490,6 +490,18 @@ class TestKirchhoff:
         assert solve_kirchhoff(spec, SolverOptions(), override=True).converged
 
 
+def _dense_stiffness_and_mass(mesh):
+    """Independent oracle: the P1 stiffness and the one-point mass
+    sum_c m_c / nloc^2 * 11^T on all nodes, assembled densely."""
+    nloc = mesh.dimension + 1
+    K = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    M = np.zeros_like(K)
+    for cell, m, G in zip(mesh.cells, mesh.cell_measures, mesh.shape_grads):
+        K[np.ix_(cell, cell)] += m * G @ G.T
+        M[np.ix_(cell, cell)] += m / nloc ** 2
+    return K, M
+
+
 class TestFirstEigenpair:
     def test_unit_interval_r2(self):
         mesh = build_interval(0, 1, 256)
@@ -497,7 +509,7 @@ class TestFirstEigenpair:
         assert lam == pytest.approx(np.pi ** 2, rel=5e-3)
         assert np.all(phi.values >= 0)
         # r-modular normalization
-        from pxlaplace.grid import cell_average, integrate
+        from pxlaplace.grid import integrate
         mod = integrate(cell_average(phi) ** 2, mesh)
         assert mod == pytest.approx(1.0, abs=1e-10)
 
@@ -525,8 +537,10 @@ class TestFirstEigenpair:
 
     @pytest.mark.parametrize("mesh,r,pin", [
         (build_rectangle(0, 1, 0, 1, 16, 16), 2.0, 20.01582250296904),
+        (build_rectangle(0, 1, 0, 1, 32, 32), 2.0, 19.808032024201342),
+        (build_interval(0, 1, 256), 2.0, 9.869879979542391),
         (build_interval(0, 1, 256), 3.0, 28.289995939202697),
-    ], ids=["2d-16x16-r2", "1d-n256-r3"])
+    ], ids=["2d-16x16-r2", "2d-32x32-r2", "1d-n256-r2", "1d-n256-r3"])
     def test_trajectory_pinned(self, mesh, r, pin):
         # the r = 2 descent stops at EIGEN_MAX_ITERS, so its value depends
         # on every iterate; pinned as tightly as the benchmark's reference
@@ -538,21 +552,39 @@ class TestFirstEigenpair:
             first_eigenpair(build_interval(0, 1, 16), 1.0)
 
     def test_unit_square_matches_dense_eigensolver(self):
-        # independent oracle: the interior P1 stiffness and the one-point
-        # mass sum_c m_c / nloc^2 * 11^T, assembled here densely
         mesh = build_rectangle(0, 1, 0, 1, 16, 16)
-        nloc = mesh.dimension + 1
-        K = np.zeros((mesh.n_nodes, mesh.n_nodes))
-        M = np.zeros_like(K)
-        for cell, m, G in zip(mesh.cells, mesh.cell_measures,
-                              mesh.shape_grads):
-            K[np.ix_(cell, cell)] += m * G @ G.T
-            M[np.ix_(cell, cell)] += m / nloc ** 2
+        K, M = _dense_stiffness_and_mass(mesh)
         inner = np.ix_(mesh.interior, mesh.interior)
         lam_dense = eigh(K[inner], M[inner], eigvals_only=True,
                          subset_by_index=[0, 0])[0]
         lam, _ = first_eigenpair(mesh, 2.0)
         assert lam == pytest.approx(lam_dense, rel=1e-7)
+
+    @pytest.mark.parametrize("mesh", [
+        build_interval(0, 2, 13), build_rectangle(0, 1.5, 0, 1, 6, 5),
+    ], ids=["1d", "2d"])
+    def test_planned_stiffness_and_mass_match_dense(self, mesh):
+        K, M = _dense_stiffness_and_mass(mesh)
+        inner = np.ix_(mesh.interior, mesh.interior)
+        Kp, Bp = solver._stiffness_and_mass(mesh,
+                                            solver._interior_pattern(mesh))
+        assert np.abs(Kp.toarray() - K[inner]).max() <= \
+            1e-14 * np.abs(K).max()
+        assert np.abs(Bp.toarray() - M[inner]).max() <= \
+            1e-14 * np.abs(M).max()
+
+    @pytest.mark.parametrize("mesh,r", [
+        (build_rectangle(0, 1, 0, 1, 8, 8), 2.0),
+        (build_interval(0, 1, 64), 2.0),
+        (build_interval(0, 1, 64), 3.0),
+    ], ids=["2d-8x8-r2", "1d-n64-r2", "1d-n64-r3"])
+    def test_eigenvalue_is_the_energy_layer_quotient(self, mesh, r):
+        # the returned lam is the Rayleigh value of phi on the energy
+        # layer, whichever path the descent took
+        lam, phi = first_eigenpair(mesh, r)
+        model = EnergyModel(mesh, exponent_field(mesh, r, r))
+        den = np.sum(cell_average(phi) ** r * mesh.cell_measures)
+        assert lam == r * dirichlet_part(phi, model) / float(den)
 
     def test_unit_square(self):
         lam, phi = first_eigenpair(build_rectangle(0, 1, 0, 1, 24, 24), 2.0)
