@@ -4,7 +4,7 @@
 #     -div(|grad u|^(p(x)-2) grad u) = h(x) u^(q(x)-1),   u > 0,  u|bd = 0,
 #
 # with 1 <= q(x) <= r <= p(x) and the quotient f(x,s)/s^(r-1) strictly
-# decreasing.  The solver minimizes the energy by preconditioned descent
+# decreasing.  The solver minimizes the energy by damped Newton steps
 # with flux-regularization continuation; nontriviality is certified by a
 # negative energy, positivity nodewise, and the boundary slope by an
 # inward difference quotient.

@@ -52,6 +52,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Mesh:
     """Immutable simplicial mesh of an interval or rectangle.
 
+    The mesh holds private read-only copies of its six array fields, so
+    later writes to the caller's arrays do not reach it.
+
     Attributes:
         dimension: 1 or 2.
         bounds: (a, b) in 1D, (ax, bx, ay, by) in 2D.
@@ -82,6 +85,9 @@ class Mesh:
     vertex_grads: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("nodes", "cells", "boundary_mask", "cell_measures",
+                     "quad_points", "shape_grads"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         object.__setattr__(self, "vertex_cells", _readonly(self.cells.T))
         object.__setattr__(self, "vertex_grads",
                            _readonly(self.shape_grads.transpose(1, 2, 0)))
@@ -184,9 +190,8 @@ def build_interval(a: float, b: float, n_cells: int) -> Mesh:
     inv_h = 1.0 / measures
     shape_grads = np.stack([-inv_h[:, None], inv_h[:, None]], axis=1)
 
-    mesh = Mesh(1, (a, b), (n_cells,), _readonly(nodes), _readonly(cells),
-                _readonly(boundary), _readonly(measures), _readonly(quad),
-                _readonly(shape_grads))
+    mesh = Mesh(1, (a, b), (n_cells,), nodes, cells, boundary, measures, quad,
+                shape_grads)
     _check_measures(mesh, b - a)
     return mesh
 
@@ -239,9 +244,8 @@ def build_rectangle(ax: float, bx: float, ay: float, by: float,
     g2 = np.column_stack([-e1[:, 1], e1[:, 0]]) * inv_det[:, None]
     shape_grads = np.stack([-(g1 + g2), g1, g2], axis=1)
 
-    mesh = Mesh(2, (ax, bx, ay, by), (nx, ny), _readonly(nodes),
-                _readonly(cells), _readonly(boundary), _readonly(measures),
-                _readonly(quad), _readonly(shape_grads))
+    mesh = Mesh(2, (ax, bx, ay, by), (nx, ny), nodes, cells, boundary,
+                measures, quad, shape_grads)
     _check_measures(mesh, (bx - ax) * (by - ay))
     return mesh
 

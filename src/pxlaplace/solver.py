@@ -18,7 +18,11 @@ Each line-search trial is polished to its absolute value (positive part
 when an absorption term is present), which never increases the discrete
 energy, and the backtracking Armijo test runs on the polished trial: one
 energy evaluation per trial, and the accepted trial's energy carries into
-the next iteration.  Reported residuals use the unregularized flux.
+the next iteration.  Each eps-stage ends for one reason, recorded in the
+report's ``stage_exits``: ``tol`` (the gradient met ``grad_tol``),
+``floor`` (no Armijo step down to t = 1e-18), ``frozen`` (an accepted step
+left the iterate bitwise unchanged) or ``max_iters``.  Reported residuals
+use the unregularized flux.
 
 ``first_eigenpair`` runs a normalized preconditioned descent on the
 Rayleigh quotient from the same plan.  At r = 2 it fills the interior
@@ -29,7 +33,7 @@ alone; other r go through the energy layer.  At r = 2 it stops at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,6 +101,7 @@ class SolveReport:
     energy: float
     residual_max: float
     iterations: tuple
+    stage_exits: tuple
     converged: bool
     positivity_ok: bool
     hopf_margin: float
@@ -106,19 +111,11 @@ class SolveReport:
     regime: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "energy": self.energy,
-            "residual_max": self.residual_max,
-            "iterations": list(self.iterations),
-            "converged": self.converged,
-            "positivity_ok": self.positivity_ok,
-            "hopf_margin": self.hopf_margin,
-            "negative_energy": self.negative_energy,
-            "kirchhoff_M0": self.kirchhoff_M0,
-            "init_negative_energy": self.init_negative_energy,
-            "regime": self.regime,
-            "sup_u": float(np.abs(self.solution.values).max()),
-        }
+        """Every field but the solution, plus its sup-norm ``sup_u``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "solution"}
+        out["sup_u"] = float(np.abs(self.solution.values).max())
+        return out
 
 
 def _bump_profile(mesh: Mesh) -> np.ndarray:
@@ -261,11 +258,13 @@ def _polish(u: np.ndarray, model: EnergyModel) -> np.ndarray:
 def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
     """Minimize the model energy over fields vanishing on the boundary.
 
-    Runs the eps-continuation described in the module docstring; each
-    stage ends when the max-norm of the regularized nodal gradient drops
-    below ``grad_tol``.  The report's ``converged`` says whether every
-    stage ended that way and the unregularized residual ``residual_max``
-    is at most ``grad_tol`` too (for p < 2 the two gradients differ).  The
+    Runs the eps-continuation described in the module docstring.  The
+    report's ``iterations`` and ``stage_exits`` hold, per stage, the
+    number of steps taken (``max_iters - 1`` for a capped stage) and the
+    exit reason.  ``converged`` is true when every stage exited on
+    ``tol`` (the max-norm of its regularized nodal gradient at most
+    ``grad_tol``) and the unregularized residual ``residual_max`` is at
+    most ``grad_tol`` too (for p < 2 the two gradients differ).  The
     report also carries positivity and boundary-slope diagnostics and the
     negative-energy certificate of nontriviality.
     """
@@ -276,17 +275,16 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
     u = u0.values.copy()
     u[mesh.boundary_mask] = 0.0
 
-    iterations = []
-    converged = True
+    iterations, exits = [], []
     for eps in EPS_LADDER:
         pref = 1.0
         n_it = 0
-        met = False
+        reason = "max_iters"
         e0 = energy_value(NodeField(mesh, u), model, eps)
         for n_it in range(opts.max_iters):
             g = gateaux_gradient(model, NodeField(mesh, u), eps).values
-            met = np.abs(g[interior]).max() <= opts.grad_tol
-            if met:
+            if np.abs(g[interior]).max() <= opts.grad_tol:
+                reason = "tol"
                 break
             if model.kirchhoff is not None:
                 pref = kirchhoff_M(model.kirchhoff,
@@ -298,10 +296,10 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
                                        permc_spec="MMD_AT_PLUS_A")
             gd = float(g @ d)
             if not np.isfinite(gd) or gd >= 0.0:
+                # spsolve gives NaN on an exactly singular K (p = 20 gets
+                # there); along -g, gd = -g.g < 0 as g is above grad_tol
                 d = -g
                 gd = float(g @ d)
-                if gd >= 0.0:
-                    break
             if not np.isfinite(e0):
                 raise ValueError("non-finite energy: bad model inputs")
             t = 1.0
@@ -312,14 +310,16 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
                     break
                 t *= SHRINK
             else:
-                break  # at the floating-point floor of this stage
+                reason = "floor"  # no Armijo step down to t = 1e-18
+                break
             if trial.tobytes() == u.tobytes():
                 # a frozen iterate: each iteration is a function of (u, eps)
                 # alone, so the rest of this stage would repeat this one
+                reason = "frozen"
                 break
             u, e0 = trial, e1
         iterations.append(n_it)
-        converged = converged and met
+        exits.append(reason)
 
     sol = NodeField(mesh, u)
     residual = float(np.abs(
@@ -333,7 +333,8 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
         energy=float(e_final),
         residual_max=residual,
         iterations=tuple(iterations),
-        converged=bool(converged and residual <= opts.grad_tol),
+        stage_exits=tuple(exits),
+        converged=all(r == "tol" for r in exits) and residual <= opts.grad_tol,
         positivity_ok=bool(np.all(u[interior] > 0.0)),
         hopf_margin=hopf_diagnostic(sol),
         negative_energy=bool(e_final < 0.0),

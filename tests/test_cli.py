@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 import pxlaplace
 from pxlaplace.cli import (EXIT_CHECK_FAILED, EXIT_NONCONVERGED, EXIT_OK,
                            EXIT_USAGE, run_command)
+from pxlaplace.solver import SolveReport
 
 
 def write_config(path, **overrides):
@@ -77,6 +79,19 @@ class TestSolveCommand:
         raw = (tmp_path / "out" / "report.json").read_text()
         again = json.dumps(json.loads(raw), sort_keys=True, indent=2) + "\n"
         assert again == raw
+
+    def test_report_holds_every_field_but_the_solution(self, tmp_path,
+                                                       capsys):
+        cfg = write_config(tmp_path / "run.json", solver={"max_iters": 3},
+                           output={"dir": str(tmp_path / "out")})
+        assert run_command(["solve", "--config", str(cfg), "--seed", "7",
+                            "--quiet"]) == EXIT_NONCONVERGED
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        names = {f.name for f in dataclasses.fields(SolveReport)}
+        assert set(report) == names - {"solution"} | {"sup_u"}
+        assert len(report["stage_exits"]) == len(report["iterations"])
+        assert "max_iters" in report["stage_exits"]
+        assert not report["converged"]
 
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,25 @@ def test_vertex_major_copies_are_read_only():
             assert a.flags.c_contiguous and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 1
+
+
+def test_mesh_keeps_private_copies_of_its_arrays():
+    # a mesh built from the caller's arrays must not see later writes to
+    # them: its cells and the kept vertex-major copy stay in agreement
+    mesh = build_interval(0, 1, 4)
+    cells = np.array(mesh.cells)
+    nodes = np.array(mesh.nodes)
+    m2 = replace(mesh, cells=cells, nodes=nodes)
+    cells[0] = [1, 2]
+    nodes[0] = 5.0
+    assert np.array_equal(m2.cells, mesh.cells)
+    assert np.array_equal(m2.vertex_cells.T, m2.cells)
+    assert np.array_equal(m2.nodes, mesh.nodes)
+    for name in ("nodes", "cells", "boundary_mask", "cell_measures",
+                 "quad_points", "shape_grads"):
+        a = getattr(m2, name)
+        assert a.flags.c_contiguous and not a.flags.writeable
+    assert cells.flags.writeable
 
 
 def test_cell_average_is_kept_with_the_field():

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
 from scipy.optimize import brentq
@@ -178,11 +179,13 @@ class TestSubhomogeneousInstance:
         assert descent <= 1.1 * (sum(rep.iterations) + len(rep.iterations))
 
     def test_converged_needs_every_stage(self):
-        # README instance: the first three stages stop at the cap and the
-        # rest meet grad_tol, so the solve has not converged
+        # README instance: the first two stages stop at the cap and report
+        # max_iters - 1 steps; the third meets grad_tol on its last allowed
+        # step and the rest meet it too, so the solve has not converged
         spec = problem1_spec(n=256, p="2+x", r=1.5, q="1.2")
         rep = solve_problem1(spec, SolverOptions(max_iters=3))
         assert rep.iterations == (2, 2, 2, 1, 0, 0, 0)
+        assert rep.stage_exits == ("max_iters",) * 2 + ("tol",) * 5
         assert not rep.converged
 
     def test_converged_needs_the_unregularized_residual(self):
@@ -214,6 +217,7 @@ class TestSubhomogeneousInstance:
         spec = problem1_spec(n=256, p="2+x", r=1.5, q="1.2")
         rep = solve_problem1(spec, SolverOptions())
         assert rep.converged
+        assert rep.stage_exits == ("tol",) * 7
         assert sum(rep.iterations) <= 40
 
 
@@ -237,12 +241,44 @@ def _bench_spec(kind, n, dim=1):
                                           ("problem1", 8, 2)])
 def test_unreachable_tolerance_stops_at_the_floor(kind, n, dim):
     # no stage can meet grad_tol = 1e-300, so each one must end on a stall
-    # exit (a frozen iterate or no Armijo step), far below the cap
+    # exit, far below the cap; here every stage ends on a frozen iterate
     opts = SolverOptions(grad_tol=1e-300, max_iters=500)
     rep = solver.solve(_bench_spec(kind, n, dim), opts)
-    assert len(rep.iterations) == 7
+    assert rep.stage_exits == ("frozen",) * 7
     assert max(rep.iterations) < opts.max_iters // 2
     assert not rep.converged
+
+
+def _steep_spec():
+    # p = 20 > r = 1.5 > q = 1.2: the hypotheses hold (regime unique-full),
+    # but the flux weight (eps^2 + |u'|^2)^9 overflows on steep trials and
+    # spans more than sixteen orders of magnitude across the metric
+    return problem1_spec(n=32, p="20", r=1.5, q="1.2")
+
+
+def test_overflowing_trials_end_every_stage_on_the_floor():
+    # from the bump the Newton direction is about 1e22 long, so every
+    # trial down to t = 1e-18 has a huge or overflowing energy and no
+    # stage takes a step
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rep = solver.solve(_steep_spec(), SolverOptions())
+    assert rep.regime == "unique-full"
+    assert rep.iterations == (0,) * 7
+    assert rep.stage_exits == ("floor",) * 7
+    assert not rep.converged
+
+
+def test_singular_metric_falls_back_to_steepest_descent():
+    # from this start SuperLU finds the metric exactly singular and the
+    # Newton direction is NaN; the steps along -g keep the solve going
+    opts = SolverOptions(init="random", seed=3)
+    with pytest.warns((RuntimeWarning, spla.MatrixRankWarning)) as caught:
+        rep = solver.solve(_steep_spec(), opts)
+    assert {w.category for w in caught} == {RuntimeWarning,
+                                             spla.MatrixRankWarning}
+    assert rep.iterations == (1, 21, 6, 12, 4, 5, 12)
+    assert rep.stage_exits == ("floor",) * 7
+    assert rep.positivity_ok
 
 
 @pytest.mark.parametrize("init", ["bump", "random"])
