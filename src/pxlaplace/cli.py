@@ -25,7 +25,6 @@ import numpy as np
 from . import anisotropy as aniso_mod
 from . import energy, grid, inequality, problems, solver
 from .exponents import exponent_field
-from .expressions import ExprError
 
 __all__ = ["main", "run_command", "load_config", "ConfigError"]
 
@@ -84,7 +83,7 @@ def _build_mesh(cfg: dict, args) -> grid.Mesh:
 def _field(mesh, source, what: str) -> grid.NodeField:
     try:
         return grid.interpolate(mesh, source)
-    except (ExprError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad expression for {what}: {e}") from None
 
 
@@ -93,7 +92,7 @@ def _build_exponent(cfg: dict, mesh):
     try:
         return exponent_field(mesh, _need(exp_cfg, "p", "exponent"),
                               float(_need(exp_cfg, "r", "exponent")))
-    except (ExprError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad exponent block: {e}") from None
 
 
@@ -451,7 +450,7 @@ def run_command(argv) -> int:
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_USAGE
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         sys.stderr.write(f"invalid input: {e}\n")
         return EXIT_USAGE
     except RuntimeError as e:

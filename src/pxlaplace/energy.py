@@ -23,7 +23,7 @@ import numpy as np
 from .anisotropy import AnisotropyModel, _flux_rows, _quad_form
 from .exponents import ExponentField
 from .grid import (Mesh, NodeField, cell_average, cell_gradient, flux_loads,
-                   scatter_add)
+                   integrate, scatter_add)
 
 __all__ = [
     "ReactionTerm",
@@ -250,7 +250,7 @@ def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
     gw = cell_gradient(mesh, _root_field(v, r))
     p = model.p_cells
     dens = (r / p) * _quad_form(weights, gw) ** (p / 2.0)
-    return float(np.sum(dens * mesh.cell_measures))
+    return integrate(dens, mesh)
 
 
 def W_functional(v: NodeField, model: EnergyModel) -> float:
@@ -283,7 +283,7 @@ def dirichlet_part(u: NodeField, model: EnergyModel,
         dens = ((eps * eps + q) ** (p / 2.0) - eps ** p) / p
     else:
         dens = q ** (p / 2.0) / p
-    return float(np.sum(dens * mesh.cell_measures))
+    return integrate(dens, mesh)
 
 
 def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,
@@ -296,14 +296,14 @@ def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,
     mesh = model.mesh
     flux = _flux_rows(model.p_cells, weights, cell_gradient(mesh, w))
     gs = cell_gradient(mesh, s)
-    return float(np.sum(np.einsum("cd,cd->c", flux, gs) * mesh.cell_measures))
+    return integrate(np.einsum("cd,cd->c", flux, gs), mesh)
 
 
 def _plus_F(base: float, u: NodeField, potentials) -> float:
     """base plus sign times the integral of each potential, in order."""
     uc = cell_average(u)
     for sign, h, q in potentials:
-        base += sign * float(np.sum(_F_cells(uc, h, q) * u.mesh.cell_measures))
+        base += sign * integrate(_F_cells(uc, h, q), u.mesh)
     return base
 
 
@@ -318,26 +318,29 @@ def energy_E_hat(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
     """Problem-2 energy: energy_E plus the absorption potential."""
     if model.absorption is None or model.reaction is None:
         raise ValueError("energy_E_hat needs reaction and absorption terms")
-    return _plus_F(dirichlet_part(u, model, eps), u, model.potentials)
+    return energy_value(u, model, eps)
 
 
 def energy_J(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
     """Nonlocal energy: M_hat of the gradient part, minus the potential."""
     if model.kirchhoff is None or model.reaction is None:
         raise ValueError("energy_J needs reaction and Kirchhoff terms")
-    d = dirichlet_part(u, model, eps)
-    return _plus_F(M_hat(model.kirchhoff, d), u, model.potentials)
+    return energy_value(u, model, eps)
 
 
 def energy_value(u: NodeField, model: EnergyModel, eps: float = 0.0) -> float:
-    """The energy the model realizes (J, E_hat, E, or the gradient part)."""
+    """The energy the model realizes, composed from its terms.
+
+    The Dirichlet part, under M_hat when a Kirchhoff term is present, plus
+    sign times each potential of ``model.potentials``: minus the reaction,
+    plus the absorption.  With no terms this is the Dirichlet part alone;
+    with a reaction it is E, with an absorption too E_hat, and with a
+    Kirchhoff term J.
+    """
+    d = dirichlet_part(u, model, eps)
     if model.kirchhoff is not None:
-        return energy_J(u, model, eps)
-    if model.absorption is not None:
-        return energy_E_hat(u, model, eps)
-    if model.reaction is not None:
-        return energy_E(u, model, eps)
-    return dirichlet_part(u, model, eps)
+        d = M_hat(model.kirchhoff, d)
+    return _plus_F(d, u, model.potentials)
 
 
 # -- line restrictions on the cone ------------------------------------------
@@ -432,8 +435,7 @@ def phi_prime(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
     wc = cell_average(w)
     sc = cell_average(NodeField(mesh, s))
     for sign, h, q in model.potentials:
-        out += sign * float(np.sum(_f_cells(wc, h, q) * sc
-                                   * mesh.cell_measures)) / r
+        out += sign * integrate(_f_cells(wc, h, q) * sc, mesh) / r
     return out
 
 

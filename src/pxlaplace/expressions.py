@@ -1,12 +1,20 @@
 """Tiny scalar-expression language for coefficient fields.
 
-Grammar (whitespace-insensitive, '^' is right-associative):
+One table, ``_BINARY``, gives each binary operator a binding power
+(higher binds tighter) and the function that applies it:
 
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := unary ('^' factor)?
-    unary  := '-'? base
-    base   := number | 'x' | 'y' | ident '(' expr (',' expr)* ')' | '(' expr ')'
+    +  -   power 1       *  /   power 2       ^   power 3
+
+The parser, the evaluator, the printer and ``variables`` all read it.
+Operands are unary expressions (whitespace-insensitive):
+
+    unary := '-'? base
+    base  := number | 'x' | 'y' | ident '(' expr (',' expr)* ')' | '(' expr ')'
+
+where expr is any binary expression.  '+', '-', '*' and '/' are
+left-associative, so 1-2-3 is (1-2)-3; '^' is right-associative, so
+2^3^2 is 2^(3^2).  A unary minus binds tighter than every operator:
+-2^2 is (-2)^2 = 4.
 
 Known functions: sin, cos, exp, log, abs, sqrt, min, max (min/max binary).
 Parse errors carry the byte offset of the offending token.  Printing a
@@ -15,6 +23,7 @@ parsed expression and reparsing it reproduces the same tree.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +40,11 @@ _FUNCTIONS = {
     "min": (2, np.minimum),
     "max": (2, np.maximum),
 }
+
+# operator: (binding power, function); '^' alone is right-associative
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
+           "*": (2, operator.mul), "/": (2, operator.truediv),
+           "^": (3, operator.pow)}
 
 
 class ExprError(ValueError):
@@ -56,7 +70,7 @@ class ScalarExpr:
                 out.add(n[1])
             elif tag == "neg":
                 walk(n[1])
-            elif tag in "+-*/^":
+            elif tag in _BINARY:
                 walk(n[1])
                 walk(n[2])
             elif tag == "call":
@@ -81,16 +95,8 @@ class ScalarExpr:
                 return env[n[1]]
             if tag == "neg":
                 return -ev(n[1])
-            if tag == "+":
-                return ev(n[1]) + ev(n[2])
-            if tag == "-":
-                return ev(n[1]) - ev(n[2])
-            if tag == "*":
-                return ev(n[1]) * ev(n[2])
-            if tag == "/":
-                return ev(n[1]) / ev(n[2])
-            if tag == "^":
-                return ev(n[1]) ** ev(n[2])
+            if tag in _BINARY:
+                return _BINARY[tag][1](ev(n[1]), ev(n[2]))
             if tag == "call":
                 _, fn = _FUNCTIONS[n[1]]
                 return fn(*[ev(a) for a in n[2]])
@@ -107,7 +113,7 @@ class ScalarExpr:
                 return n[1]
             if tag == "neg":
                 return f"(-{s(n[1])})"
-            if tag in "+-*/^":
+            if tag in _BINARY:
                 return f"({s(n[1])}{tag}{s(n[2])})"
             if tag == "call":
                 return f"{n[1]}({','.join(s(a) for a in n[2])})"
@@ -169,25 +175,13 @@ def parse_expr(source: str) -> ScalarExpr:
         pos[0] += 1
         return t
 
-    def expr():
-        node = term()
-        while peek()[0] in "+-":
-            op = take()[0]
-            node = (op, node, term())
-        return node
-
-    def term():
-        node = factor()
-        while peek()[0] in "*/":
-            op = take()[0]
-            node = (op, node, factor())
-        return node
-
-    def factor():
+    def binary(min_power):
+        """Operands joined by operators of at least ``min_power``."""
         node = unary()
-        if peek()[0] == "^":
-            take()
-            node = ("^", node, factor())  # right-associative
+        while _BINARY.get(peek()[0], (0,))[0] >= min_power:
+            op = take()[0]
+            power = _BINARY[op][0]
+            node = (op, node, binary(power if op == "^" else power + 1))
         return node
 
     def unary():
@@ -203,7 +197,7 @@ def parse_expr(source: str) -> ScalarExpr:
             return ("num", t[1])
         if t[0] == "(":
             take()
-            node = expr()
+            node = binary(1)
             take(")")
             return node
         if t[0] == "ident":
@@ -213,10 +207,10 @@ def parse_expr(source: str) -> ScalarExpr:
                 if name not in _FUNCTIONS:
                     raise ExprError(f"unknown function {name!r}", t[2])
                 take("(")
-                args = [expr()]
+                args = [binary(1)]
                 while peek()[0] == ",":
                     take()
-                    args.append(expr())
+                    args.append(binary(1))
                 take(")")
                 arity = _FUNCTIONS[name][0]
                 if len(args) != arity:
@@ -228,7 +222,7 @@ def parse_expr(source: str) -> ScalarExpr:
             raise ExprError(f"unknown identifier {name!r}", t[2])
         raise ExprError(f"unexpected token {t[1]!r}", t[2])
 
-    node = expr()
+    node = binary(1)
     t = peek()
     if t[0] != "end":
         raise ExprError(f"trailing input {t[1]!r}", t[2])

@@ -168,6 +168,13 @@ class CellVectorField:
         object.__setattr__(self, "vectors", _readonly(v))
 
 
+def _cell_count(n, name: str) -> int:
+    """A cell count given as an integral number (16 or 16.0, not 16.9)."""
+    if not float(n).is_integer():
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
 def build_interval(a: float, b: float, n_cells: int) -> Mesh:
     """Uniform mesh of (a, b) with ``n_cells`` segments.
 
@@ -176,7 +183,7 @@ def build_interval(a: float, b: float, n_cells: int) -> Mesh:
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"degenerate interval: a={a} must be < b={b}")
-    n_cells = int(n_cells)
+    n_cells = _cell_count(n_cells, "n_cells")
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
 
@@ -203,7 +210,7 @@ def build_rectangle(ax: float, bx: float, ay: float, by: float,
     ax, bx, ay, by = map(float, (ax, bx, ay, by))
     if not (ax < bx and ay < by):
         raise ValueError("degenerate rectangle: need ax < bx and ay < by")
-    nx, ny = int(nx), int(ny)
+    nx, ny = _cell_count(nx, "nx"), _cell_count(ny, "ny")
     if nx < 2 or ny < 2:
         raise ValueError(f"nx, ny must be >= 2, got {nx}, {ny}")
 
@@ -317,8 +324,10 @@ def cell_average(u: NodeField) -> np.ndarray:
 def integrate(values, mesh: Mesh | None = None) -> float:
     """Integral over the domain: sum of quad-point values times measures.
 
-    Accepts per-cell scalars or a NodeField (averaged to quad points
-    first).  Cells are reduced in their fixed construction order.
+    The one cell quadrature: every energy, pairing and modular in the
+    package integrates through it.  Accepts per-cell scalars or a
+    NodeField (averaged to quad points first).  Cells are reduced in
+    their fixed construction order.
     """
     if isinstance(values, NodeField):
         mesh = values.mesh

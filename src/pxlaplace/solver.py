@@ -44,7 +44,8 @@ from .energy import (EnergyModel, M_hat, ReactionTerm, _F_cells,
                      dirichlet_part, energy_value, gateaux_gradient,
                      kirchhoff_M)
 from .exponents import exponent_field
-from .grid import Mesh, NodeField, cell_average, cell_gradient, constant_field
+from .grid import (Mesh, NodeField, cell_average, cell_gradient,
+                   constant_field, integrate)
 from .inequality import diaz_saa_gap
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
     validate_f, validate_g, validate_M
@@ -91,8 +92,16 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if isinstance(self.grad_tol, bool) or not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
+        if not isinstance(self.max_iters, (int, np.integer)) \
+                or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("seed must be an integer")
+        if not (isinstance(self.init, NodeField)
+                or self.init in ("bump", "random")):
+            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -145,12 +154,10 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
     mesh = model.mesh
     if opts.init == "bump":
         prof = _bump_profile(mesh)
-    elif opts.init == "random":
+    else:  # "random"
         rng = np.random.default_rng(opts.seed)
         prof = np.exp(rng.uniform(-1.0, 1.0, mesh.n_nodes))
         prof[mesh.boundary_mask] = 0.0
-    else:
-        raise ValueError(f"unknown init {opts.init!r}")
     base = NodeField(mesh, prof)
     if model.reaction is None:
         return base, None
@@ -421,7 +428,7 @@ def first_eigenpair(mesh: Mesh, r: float):
     def rayleigh(v: np.ndarray) -> tuple:
         """Numerator and denominator of the Rayleigh quotient of v >= 0."""
         field = NodeField(mesh, v)
-        den = float(np.sum(cell_average(field) ** r * mesh.cell_measures))
+        den = integrate(cell_average(field) ** r, mesh)
         return r * dirichlet_part(field, model), den
 
     if r == 2:

@@ -117,6 +117,38 @@ class TestSolveCommand:
                             "7"]) == EXIT_USAGE
         assert "unknown solver option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", [
+        {"grad_tol": float("inf")},
+        {"grad_tol": float("nan")},
+        {"grad_tol": 0.0},
+        {"grad_tol": True},
+        {"max_iters": 2.5},
+        {"max_iters": 0},
+        {"seed": 1.5, "init": "random"},
+        {"init": "flat"},
+    ], ids=["tol-inf", "tol-nan", "tol-zero", "tol-bool", "iters-float",
+            "iters-zero", "seed-float", "init-unknown"])
+    def test_bad_solver_value_rejected(self, tmp_path, capsys, block):
+        cfg = write_config(tmp_path / "run.json", solver=block)
+        assert run_command(["solve", "--config", str(cfg), "--seed", "7",
+                            "--quiet"]) == EXIT_USAGE
+        assert "config error: bad solver block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        {"domain": {"a": [0]}},
+        {"domain": {"n": 16.9}},
+        {"exponent": {"r": [1.5]}},
+        {"output": {"dir": 5}},
+        {"domain": 5},
+    ], ids=["domain-a-list", "domain-n-fraction", "exponent-r-list",
+            "output-dir-int", "domain-int"])
+    def test_wrong_typed_config_value_exits_2(self, tmp_path, capsys,
+                                              override):
+        cfg = write_config(tmp_path / "run.json", **override)
+        assert run_command(["solve", "--config", str(cfg), "--seed", "7",
+                            "--quiet"]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", solver={"max_iters": 1})
         assert run_command(["solve", "--config", str(cfg), "--seed", "1",

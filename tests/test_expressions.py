@@ -11,16 +11,22 @@ class TestParsing:
 
     def test_power_right_associative(self):
         assert parse_expr("2^3^2").evaluate(0.0) == 512.0
+        assert parse_expr("2^-1").evaluate(3.0) == 0.5
 
     def test_binary_min(self):
         assert parse_expr("min(x, 1-x)").evaluate(0.3) == pytest.approx(0.3)
 
     def test_precedence(self):
         assert parse_expr("1+2*3^2").evaluate(0.0) == 19.0
+        assert parse_expr("2^3*4").evaluate(3.0) == 32.0
+        # '+', '-', '*' and '/' are left-associative
+        assert parse_expr("1-2-3").evaluate(3.0) == -4.0
+        assert parse_expr("8/4/2").evaluate(3.0) == 1.0
 
     def test_unary_minus_binds_before_power(self):
-        # grammar: factor := unary ('^' factor)?, so -2^2 = (-2)^2
+        # a unary minus binds tighter than '^', so -2^2 = (-2)^2
         assert parse_expr("-2^2").evaluate(0.0) == 4.0
+        assert parse_expr("-x^2").evaluate(3.0) == 9.0
 
     def test_vectorized_evaluation(self):
         xs = np.linspace(0, 1, 5)
@@ -38,6 +44,12 @@ class TestErrors:
         with pytest.raises(ExprError) as err:
             parse_expr("2+*3")
         assert err.value.offset == 2
+        with pytest.raises(ExprError, match=r"expected '\)'") as err:
+            parse_expr("(1+2")
+        assert err.value.offset == 4
+        with pytest.raises(ExprError, match=r"expected '\)'") as err:
+            parse_expr("min(x,1")
+        assert err.value.offset == 7
 
     def test_unknown_identifier(self):
         with pytest.raises(ExprError, match="unknown identifier"):

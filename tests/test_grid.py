@@ -23,6 +23,14 @@ class TestBuildInterval:
         with pytest.raises(ValueError, match="degenerate"):
             build_interval(1, 0, 4)
 
+    def test_cell_count_must_be_integral(self):
+        assert build_interval(0, 1, 16.0).n_cells == 16
+        assert build_rectangle(0, 1, 0, 1, 4.0, 3).n_cells == 2 * 4 * 3
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_interval(0, 1, 16.9)
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_rectangle(0, 1, 0, 1, 4, 3.5)
+
     def test_too_few_cells(self):
         with pytest.raises(ValueError):
             build_interval(0, 1, 1)
