@@ -88,25 +88,20 @@ def _quad_form(w: np.ndarray | None, xi: np.ndarray) -> np.ndarray:
     return np.einsum("cd,cd->c", w * xi, xi)
 
 
-def _A_rows(p: np.ndarray, w, xi: np.ndarray) -> np.ndarray:
-    return _quad_form(w, xi) ** (p / 2.0)
-
-
 def _N_rows(r: float, w, xi: np.ndarray) -> np.ndarray:
     return _quad_form(w, xi) ** (r / 2.0)
 
 
 def _flux_rows(p: np.ndarray, w, xi: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """a(x, xi) rows; eps > 0 regularizes the |xi|^(p-2) factor."""
-    q = _quad_form(w, xi)
+    """a(x, xi) rows: s^((p-2)/2) W xi with s = eps^2 + |xi|_W^2, so eps > 0
+    regularizes the |xi|^(p-2) factor."""
+    s = eps * eps + _quad_form(w, xi)
     wxi = xi if w is None else w * xi
-    if eps > 0.0:
-        return (eps * eps + q)[:, None] ** ((p - 2.0) / 2.0)[:, None] * wxi
-    # every row at once, with 1 standing in for q where q = 0 so that no
-    # power of zero is taken; those rows then get the continuous
-    # extension at xi = 0, the zero flux
-    nz = q > 0.0
-    out = np.where(nz, q, 1.0)[:, None] ** ((p - 2.0) / 2.0)[:, None] * wxi
+    # every row at once, with 1 standing in for s where s = 0 so that no
+    # power of zero is taken; those rows (xi = 0 at eps = 0) then get the
+    # continuous extension at xi = 0, the zero flux
+    nz = s > 0.0
+    out = np.where(nz, s, 1.0)[:, None] ** ((p - 2.0) / 2.0)[:, None] * wxi
     out[~nz] = 0.0
     return out
 
@@ -121,7 +116,7 @@ def eval_A(model: AnisotropyModel, x, xi) -> float:
     """A(x, xi) at a single point; nonnegative, p(x)-homogeneous in xi."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     p, w = _point_data(model, x)
-    return float(_A_rows(p, w, xi)[0])
+    return float((_quad_form(w, xi) ** (p / 2.0))[0])
 
 
 def eval_N(model: AnisotropyModel, x, xi) -> float:

@@ -40,6 +40,14 @@ class ConfigError(ValueError):
 
 # -- config ------------------------------------------------------------------
 
+def _known(block: dict, keys, what: str) -> dict:
+    """``block`` itself, once it holds no key outside ``keys``."""
+    unknown = set(block) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+    return block
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -50,6 +58,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"malformed config {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
+    _known(cfg.get("output", {}), {"dir"}, "output key(s)")
     return cfg
 
 
@@ -66,18 +75,24 @@ def _size(args, dom: dict, key: str, default: int) -> int:
     return dom.get(key, default) if flag is None else flag
 
 
+# domain kind: the keys of its block
+_DOMAIN_KEYS = {"interval": {"kind", "a", "b", "n"},
+                "rectangle": {"kind", "ax", "bx", "ay", "by", "nx", "ny"}}
+
+
 def _build_mesh(cfg: dict, args) -> grid.Mesh:
     dom = _need(cfg, "domain")
     kind = _need(dom, "kind", "domain")
+    if kind not in _DOMAIN_KEYS:
+        raise ConfigError(f"unknown domain kind {kind!r}")
+    _known(dom, _DOMAIN_KEYS[kind], "domain key(s)")
     if kind == "interval":
         return grid.build_interval(dom.get("a", 0.0), dom.get("b", 1.0),
                                    _size(args, dom, "n", 64))
-    if kind == "rectangle":
-        return grid.build_rectangle(dom.get("ax", 0.0), dom.get("bx", 1.0),
-                                    dom.get("ay", 0.0), dom.get("by", 1.0),
-                                    _size(args, dom, "nx", 16),
-                                    _size(args, dom, "ny", 16))
-    raise ConfigError(f"unknown domain kind {kind!r}")
+    return grid.build_rectangle(dom.get("ax", 0.0), dom.get("bx", 1.0),
+                                dom.get("ay", 0.0), dom.get("by", 1.0),
+                                _size(args, dom, "nx", 16),
+                                _size(args, dom, "ny", 16))
 
 
 def _field(mesh, source, what: str) -> grid.NodeField:
@@ -88,7 +103,7 @@ def _field(mesh, source, what: str) -> grid.NodeField:
 
 
 def _build_exponent(cfg: dict, mesh):
-    exp_cfg = _need(cfg, "exponent")
+    exp_cfg = _known(_need(cfg, "exponent"), {"p", "r"}, "exponent key(s)")
     try:
         return exponent_field(mesh, _need(exp_cfg, "p", "exponent"),
                               float(_need(exp_cfg, "r", "exponent")))
@@ -102,6 +117,7 @@ def _build_cone_model(cfg: dict, mesh) -> energy.EnergyModel:
     aniso = None
     acfg = cfg.get("anisotropy")
     if acfg:
+        _known(acfg, {"kind", "weights"}, "anisotropy key(s)")
         kind = acfg.get("kind", "isotropic")
         if kind == "weighted-quadratic":
             weights = [_field(mesh, w, f"anisotropy weight {i}")
@@ -116,15 +132,11 @@ def _build_cone_model(cfg: dict, mesh) -> energy.EnergyModel:
     return energy.EnergyModel(mesh, exponent, anisotropy=aniso)
 
 
-_PROBLEM_KEYS = {"kind", "h", "q", "ell", "Q", "m0", "m_inf", "h_scale"}
-
-
 def _build_problem(cfg: dict, mesh) -> problems.ProblemSpec:
     exponent = _build_exponent(cfg, mesh)
-    prob = _need(cfg, "problem")
-    unknown = set(prob) - _PROBLEM_KEYS
-    if unknown:
-        raise ConfigError(f"unknown problem key(s): {sorted(unknown)}")
+    prob = _known(_need(cfg, "problem"),
+                  {"kind", "h", "q", "ell", "Q", "m0", "m_inf", "h_scale"},
+                  "problem key(s)")
     kind = _need(prob, "kind", "problem")
     scale = float(prob.get("h_scale", 1.0))
     h = _field(mesh, prob.get("h", "1"), "h")
@@ -152,11 +164,9 @@ def _build_problem(cfg: dict, mesh) -> problems.ProblemSpec:
 
 
 def _solver_options(cfg: dict) -> solver.SolverOptions:
-    s = cfg.get("solver", {})
-    known = {f.name for f in dataclasses.fields(solver.SolverOptions)}
-    unknown = set(s) - known
-    if unknown:
-        raise ConfigError(f"unknown solver option(s): {sorted(unknown)}")
+    s = _known(cfg.get("solver", {}),
+               (f.name for f in dataclasses.fields(solver.SolverOptions)),
+               "solver option(s)")
     try:
         return solver.SolverOptions(**s)
     except (TypeError, ValueError) as e:
@@ -313,25 +323,16 @@ def _cmd_eig(cfg, args) -> int:
 
 
 def _cmd_validate(cfg, args) -> int:
-    mesh = _build_mesh(cfg, args)
-    spec = _build_problem(cfg, mesh)
-    r = spec.exponent.r
-    out = {"f": problems.validate_f(spec.reaction, r).as_dict()}
-    ok = out["f"]["passed"]
-    if spec.absorption is not None:
-        rep = problems.validate_g(spec.absorption, r, spec.exponent,
-                                  mesh.dimension)
-        out["g"] = rep.as_dict()
-        ok = ok and rep.passed
-        if spec.reaction.kind == "power":
-            chain = problems.validate_corollary_chain(
-                spec.reaction.q, spec.absorption.Q, r, spec.exponent)
-            out["corollary_chain"] = chain.as_dict()
-            ok = ok and chain.passed
-    if spec.kirchhoff is not None:
-        rep = problems.validate_M(spec.kirchhoff)
-        out["M"] = rep.as_dict()
-        ok = ok and rep.passed
+    """The solver's hypothesis table, plus the corollary chain of a
+    power-reaction problem2 and the regime of a power reaction."""
+    spec = _build_problem(cfg, _build_mesh(cfg, args))
+    reports = solver.hypotheses(spec)
+    if spec.reaction.kind == "power" and spec.kind == "problem2":
+        reports["corollary_chain"] = problems.validate_corollary_chain(
+            spec.reaction.q, spec.absorption.Q, spec.exponent.r,
+            spec.exponent)
+    out = {key: rep.as_dict() for key, rep in reports.items()}
+    ok = all(rep.passed for rep in reports.values())
     if spec.reaction.kind == "power":
         tag = problems.sharpness_regime(spec)
         out["regime"] = {"name": tag.name,

@@ -271,19 +271,14 @@ def dirichlet_part(u: NodeField, model: EnergyModel,
                    eps: float = 0.0) -> float:
     """Integral of (1/p) A(x, grad u), with optional flux regularization.
 
-    For eps > 0 the density is ((eps^2 + |grad u|_A^2)^(p/2) - eps^p)/p,
-    whose xi-gradient is the regularized flux; the subtraction keeps the
-    zero field at zero energy.
+    The density is (s^(p/2) - eps^p)/p with s = eps^2 + |grad u|_A^2, whose
+    xi-gradient is the regularized flux; the subtraction keeps the zero
+    field at zero energy.  At eps = 0 it is A(x, grad u)/p.
     """
     mesh = model.mesh
-    gu = cell_gradient(mesh, u.values)
     p = model.p_cells
-    q = _quad_form(model.w_cells, gu)
-    if eps > 0.0:
-        dens = ((eps * eps + q) ** (p / 2.0) - eps ** p) / p
-    else:
-        dens = q ** (p / 2.0) / p
-    return integrate(dens, mesh)
+    s = eps * eps + _quad_form(model.w_cells, cell_gradient(mesh, u.values))
+    return integrate((s ** (p / 2.0) - eps ** p) / p, mesh)
 
 
 def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,

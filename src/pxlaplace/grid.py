@@ -16,6 +16,10 @@ over vertices of basis gradient times vertex value, and a cell average the
 sum of the vertex values divided once by their count; both add in the same
 order as the dense per-cell formulas, so their results are bitwise the
 same.
+
+The interior-node matrices (the Newton metric, the r = 2 stiffness and
+mass) share one assembly plan per mesh, built on first use and kept with
+the mesh: ``assemble`` sums local cell matrices into its fixed CSR pattern.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -34,6 +39,8 @@ __all__ = [
     "cell_gradient",
     "flux_loads",
     "scatter_add",
+    "interior_plan",
+    "assemble",
     "integrate",
     "interpolate",
     "cell_average",
@@ -53,7 +60,9 @@ class Mesh:
     """Immutable simplicial mesh of an interval or rectangle.
 
     The mesh holds private read-only copies of its six array fields, so
-    later writes to the caller's arrays do not reach it.
+    later writes to the caller's arrays do not reach it.  Its interior
+    assembly plan is built on first use by ``interior_plan`` and kept with
+    the mesh.
 
     Attributes:
         dimension: 1 or 2.
@@ -83,6 +92,8 @@ class Mesh:
     shape_grads: np.ndarray
     vertex_cells: np.ndarray = field(init=False, repr=False, compare=False)
     vertex_grads: np.ndarray = field(init=False, repr=False, compare=False)
+    _plan: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         for name in ("nodes", "cells", "boundary_mask", "cell_measures",
@@ -302,6 +313,41 @@ def scatter_add(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
     """
     weights = np.broadcast_to(contrib, mesh.cells.shape).ravel()
     return np.bincount(mesh.cells.ravel(), weights, mesh.n_nodes)
+
+
+def interior_plan(mesh: Mesh) -> tuple:
+    """Assembly plan of the interior-node matrix.
+
+    Built on the first call for a mesh, kept with it and returned as
+    read-only arrays: the per-cell products G_i . G_j, the CSR ``indices``
+    and ``indptr`` (the pattern is symmetric, so they are also the CSC
+    ones) and the slot in ``data`` of every cell entry; entries on a
+    boundary row or column get the slot one past the end.
+    """
+    if mesh._plan is None:
+        nloc = mesh.dimension + 1
+        n = mesh.interior.size
+        idx = np.full(mesh.n_nodes, -1)
+        idx[mesh.interior] = np.arange(n)
+        rows = np.repeat(idx[mesh.cells], nloc, axis=1).ravel()
+        cols = np.tile(idx[mesh.cells], (1, nloc)).ravel()
+        keys = np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n)
+        keys, slots = np.unique(keys, return_inverse=True)
+        keys = keys[keys < n * n]
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)
+        GG = np.einsum("cid,cjd->cij", mesh.shape_grads, mesh.shape_grads)
+        plan = (GG, (keys % n).astype(np.intc), indptr, slots)
+        object.__setattr__(mesh, "_plan", tuple(map(_readonly, plan)))
+    return mesh._plan
+
+
+def assemble(mesh: Mesh, loc: np.ndarray) -> sp.csr_array:
+    """Interior-node matrix summed from the local matrices ``loc``
+    (n_cells, d+1, d+1) into the mesh's fixed pattern, in cell order."""
+    _, indices, indptr, slots = interior_plan(mesh)
+    data = np.bincount(slots, loc.ravel(), indptr[-1] + 1)[:-1]
+    n = indptr.size - 1
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def cell_average(u: NodeField) -> np.ndarray:

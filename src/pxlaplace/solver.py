@@ -8,12 +8,13 @@ degenerate/singular |grad u|^(p-2) factor is replaced by
 Dirichlet part (scaled by M(D) under a Kirchhoff term), which is SPD for
 p > 1.  It leaves out the -F'' reaction part, which can make the Hessian
 indefinite, and the dense rank-one Kirchhoff term M'(D) grad D grad D^T.
-Each solve builds one assembly plan for its mesh: the cell products
-G_i . G_j, a fixed CSR pattern and the slot of every cell entry in it, so
-a Newton step only scales the products, adds the rank-one term and sums
-the entries into place.  SuperLU solves the step under a symmetric
-minimum-degree ordering (``MMD_AT_PLUS_A``).  The initial amplitude scan
-evaluates all of its amplitudes as one array.
+The metric is summed into the mesh's one interior assembly plan
+(``grid.interior_plan``, built on first use and kept with the mesh): a
+Newton step only scales the plan's cell products G_i . G_j, adds the
+rank-one term and sums the entries into the plan's fixed pattern.
+SuperLU solves the step under a symmetric minimum-degree ordering
+(``MMD_AT_PLUS_A``).  The initial amplitude scan evaluates all of its
+amplitudes as one array.
 Each line-search trial is polished to its absolute value (positive part
 when an absorption term is present), which never increases the discrete
 energy, and the backtracking Armijo test runs on the polished trial: one
@@ -25,10 +26,11 @@ left the iterate bitwise unchanged) or ``max_iters``.  Reported residuals
 use the unregularized flux.
 
 ``first_eigenpair`` runs a normalized preconditioned descent on the
-Rayleigh quotient from the same plan.  At r = 2 it fills the interior
-stiffness and one-point mass once and works with matrix-vector products
-alone; other r go through the energy layer.  At r = 2 it stops at
-``EIGEN_MAX_ITERS`` on every mesh measured.
+Rayleigh quotient on the same plan.  At r = 2 it takes the interior
+stiffness from the Newton metric at p = 2, assembles the one-point mass
+and works with matrix-vector products alone; other r go through the
+energy layer.  At r = 2 it stops at ``EIGEN_MAX_ITERS`` on every mesh
+measured.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .energy import (EnergyModel, M_hat, ReactionTerm, _F_cells,
                      dirichlet_part, energy_value, gateaux_gradient,
                      kirchhoff_M)
 from .exponents import exponent_field
-from .grid import (Mesh, NodeField, cell_average, cell_gradient,
-                   constant_field, integrate)
+from .grid import (Mesh, NodeField, assemble, cell_average, cell_gradient,
+                   constant_field, integrate, interior_plan)
 from .inequality import diaz_saa_gap
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
     validate_f, validate_g, validate_M
@@ -57,6 +59,7 @@ __all__ = [
     "minimize_energy",
     "initial_guess",
     "weak_residual",
+    "hypotheses",
     "solve",
     "solve_problem1",
     "solve_problem2",
@@ -84,6 +87,11 @@ EIGEN_MAX_ITERS = 400
 EIGEN_EPS = 1e-15
 
 
+def _is_int(x) -> bool:
+    """An integer, but not a bool (JSON ``true`` is not a count)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     grad_tol: float = 1e-9
@@ -94,10 +102,9 @@ class SolverOptions:
     def __post_init__(self):
         if isinstance(self.grad_tol, bool) or not 0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be positive and finite")
-        if not isinstance(self.max_iters, (int, np.integer)) \
-                or self.max_iters < 1:
+        if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not _is_int(self.seed):
             raise ValueError("seed must be an integer")
         if not (isinstance(self.init, NodeField)
                 or self.init in ("bump", "random")):
@@ -177,52 +184,8 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
     return u0, bool(energy_value(u0, model) < 0.0)
 
 
-def _interior_pattern(mesh: Mesh) -> tuple:
-    """Assembly plan of the interior-node matrix, built once per mesh.
-
-    Holds the per-cell products G_i . G_j, the CSR ``indices`` and
-    ``indptr`` (the pattern is symmetric, so they are also the CSC ones)
-    and the slot in ``data`` of every cell entry; entries on a boundary
-    row or column get the slot one past the end.
-    """
-    nloc = mesh.dimension + 1
-    n = mesh.interior.size
-    idx = np.full(mesh.n_nodes, -1)
-    idx[mesh.interior] = np.arange(n)
-    rows = np.repeat(idx[mesh.cells], nloc, axis=1).ravel()
-    cols = np.tile(idx[mesh.cells], (1, nloc)).ravel()
-    keys = np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n)
-    keys, slots = np.unique(keys, return_inverse=True)
-    keys = keys[keys < n * n]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)
-    GG = np.einsum("cid,cjd->cij", mesh.shape_grads, mesh.shape_grads)
-    return GG, (keys % n).astype(np.intc), indptr, slots
-
-
-def _fill(plan: tuple, loc: np.ndarray) -> sp.csr_array:
-    """Sum the local matrices ``loc`` (n_cells, d+1, d+1) into the plan's
-    fixed interior pattern, in cell order."""
-    _, indices, indptr, slots = plan
-    data = np.bincount(slots, loc.ravel(), indptr[-1] + 1)[:-1]
-    n = indptr.size - 1
-    return sp.csr_array((data, indices, indptr), shape=(n, n))
-
-
-def _stiffness_and_mass(mesh: Mesh, plan: tuple) -> tuple:
-    """Interior P1 stiffness K and one-point mass B = sum_c m_c/(d+1)^2 11^T.
-
-    For u vanishing on the boundary, u.Ku is twice the Dirichlet part at
-    p = 2 and u.Bu the integral of the squared cell averages.
-    """
-    GG = plan[0]
-    m = mesh.cell_measures[:, None, None]
-    return (_fill(plan, m * GG),
-            _fill(plan, np.broadcast_to(m / (mesh.dimension + 1) ** 2,
-                                        GG.shape)))
-
-
 def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
-                     pref: float, plan: tuple) -> sp.csr_array:
+                     pref: float) -> sp.csr_array:
     """Newton metric on interior nodes.
 
     The Hessian of ``pref`` times the eps-regularized Dirichlet part: with
@@ -231,19 +194,20 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
     a_i = G_i . W xi (W = I for the isotropic flux).  Relative to omega W
     its eigenvalues lie between min(1, p-1) and max(1, p-1), so it is SPD
     for p > 1.  The reaction, absorption and M'(D) parts are left out.
-    The entries are summed into the fixed pattern of ``plan``, in cell
-    order; for the isotropic flux the matrix is bitwise symmetric.
+    The entries are summed into the mesh's interior pattern, in cell
+    order; for the isotropic flux the matrix is bitwise symmetric.  At
+    p = 2 it does not depend on u: with pref = 1 it is the interior P1
+    stiffness.
     """
     mesh = model.mesh
     w = model.w_cells
     p = model.p_cells
-    GG = plan[0]
     xi = cell_gradient(mesh, u)
     s = eps * eps + _quad_form(w, xi)
     omega = pref * s ** ((p - 2.0) / 2.0) * mesh.cell_measures
     G = mesh.shape_grads
     if w is None:
-        loc = omega[:, None, None] * GG
+        loc = omega[:, None, None] * interior_plan(mesh)[0]
     else:
         loc = np.einsum("c,cd,cid,cjd->cij", omega, w, G, G)
         xi = w * xi
@@ -251,7 +215,7 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
     a = np.einsum("cid,cd->ci", G, xi)
     loc += ((omega * (p - 2.0) / s)[:, None, None]
             * (a[:, :, None] * a[:, None]))
-    return _fill(plan, loc)
+    return assemble(mesh, loc)
 
 
 def _polish(u: np.ndarray, model: EnergyModel) -> np.ndarray:
@@ -277,27 +241,29 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
     """
     mesh = model.mesh
     interior = mesh.interior
-    plan = _interior_pattern(mesh)
     u0, init_flag = initial_guess(model, opts)
-    u = u0.values.copy()
-    u[mesh.boundary_mask] = 0.0
+    v = u0.values.copy()
+    v[mesh.boundary_mask] = 0.0
+    # the iterate stays a NodeField, so the accepted trial's cell average
+    # carries into the next gradient
+    u = NodeField(mesh, v)
 
     iterations, exits = [], []
     for eps in EPS_LADDER:
         pref = 1.0
         n_it = 0
         reason = "max_iters"
-        e0 = energy_value(NodeField(mesh, u), model, eps)
+        e0 = energy_value(u, model, eps)
         for n_it in range(opts.max_iters):
-            g = gateaux_gradient(model, NodeField(mesh, u), eps).values
+            g = gateaux_gradient(model, u, eps).values
             if np.abs(g[interior]).max() <= opts.grad_tol:
                 reason = "tol"
                 break
             if model.kirchhoff is not None:
                 pref = kirchhoff_M(model.kirchhoff,
-                                   dirichlet_part(NodeField(mesh, u), model, eps))
-            K = _interior_matrix(model, u, eps, pref, plan)
-            d = np.zeros_like(u)
+                                   dirichlet_part(u, model, eps))
+            K = _interior_matrix(model, u.values, eps, pref)
+            d = np.zeros_like(g)
             # K is SPD: a symmetric fill-reducing ordering fits
             d[interior] = spla.spsolve(K, -g[interior],
                                        permc_spec="MMD_AT_PLUS_A")
@@ -311,15 +277,15 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
                 raise ValueError("non-finite energy: bad model inputs")
             t = 1.0
             while t > 1e-18:
-                trial = _polish(u + t * d, model)
-                e1 = energy_value(NodeField(mesh, trial), model, eps)
+                trial = NodeField(mesh, _polish(u.values + t * d, model))
+                e1 = energy_value(trial, model, eps)
                 if e1 <= e0 + ARMIJO * t * gd:
                     break
                 t *= SHRINK
             else:
                 reason = "floor"  # no Armijo step down to t = 1e-18
                 break
-            if trial.tobytes() == u.tobytes():
+            if trial.values.tobytes() == u.values.tobytes():
                 # a frozen iterate: each iteration is a function of (u, eps)
                 # alone, so the rest of this stage would repeat this one
                 reason = "frozen"
@@ -328,22 +294,21 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
         iterations.append(n_it)
         exits.append(reason)
 
-    sol = NodeField(mesh, u)
     residual = float(np.abs(
-        gateaux_gradient(model, sol).values[interior]).max())
-    e_final = energy_value(sol, model)
+        gateaux_gradient(model, u).values[interior]).max())
+    e_final = energy_value(u, model)
     m0 = None
     if model.kirchhoff is not None:
-        m0 = kirchhoff_M(model.kirchhoff, dirichlet_part(sol, model))
+        m0 = kirchhoff_M(model.kirchhoff, dirichlet_part(u, model))
     return SolveReport(
-        solution=sol,
+        solution=u,
         energy=float(e_final),
         residual_max=residual,
         iterations=tuple(iterations),
         stage_exits=tuple(exits),
         converged=all(r == "tol" for r in exits) and residual <= opts.grad_tol,
-        positivity_ok=bool(np.all(u[interior] > 0.0)),
-        hopf_margin=hopf_diagnostic(sol),
+        positivity_ok=bool(np.all(u.values[interior] > 0.0)),
+        hopf_margin=hopf_diagnostic(u),
         negative_energy=bool(e_final < 0.0),
         kirchhoff_M0=m0,
         init_negative_energy=init_flag,
@@ -363,31 +328,36 @@ def weak_residual(u: NodeField, spec: ProblemSpec) -> float:
     return float(np.abs(g.values[u.mesh.interior]).max())
 
 
+def hypotheses(spec: ProblemSpec) -> dict:
+    """The hypothesis reports of a problem, keyed by the term they test:
+    the reaction's ("f") for every kind, the absorption's ("g") for
+    problem2 and the diffusion scale's ("M") for kirchhoff."""
+    r = spec.exponent.r
+    reports = {"f": validate_f(spec.reaction, r)}
+    if spec.kind == "problem2":
+        reports["g"] = validate_g(spec.absorption, r, spec.exponent,
+                                  spec.mesh.dimension)
+    elif spec.kind == "kirchhoff":
+        reports["M"] = validate_M(spec.kirchhoff)
+    return reports
+
+
 def solve(spec: ProblemSpec, opts: SolverOptions,
           override: bool = False) -> SolveReport:
     """Solve the problem ``spec`` describes by energy minimization.
 
-    The reaction hypotheses are validated for every kind, the absorption
-    hypotheses for problem2 and the diffusion-scale hypotheses for
-    kirchhoff; a failure raises ValueError unless ``override`` is set.
-    The report carries the regime tag of power-reaction instances.
+    A failure of any of its ``hypotheses`` raises ValueError unless
+    ``override`` is set.  The report carries the regime tag of
+    power-reaction instances.
     """
-    r = spec.exponent.r
-    reports = [validate_f(spec.reaction, r)]
-    if spec.kind == "problem2":
-        reports.append(validate_g(spec.absorption, r, spec.exponent,
-                                  spec.mesh.dimension))
-    elif spec.kind == "kirchhoff":
-        reports.append(validate_M(spec.kirchhoff))
-    bad = [e for rep in reports for e in rep.failures()]
+    bad = [e for rep in hypotheses(spec).values() for e in rep.failures()]
     if bad and not override:
         raise ValueError("hypotheses fail: "
                          + "; ".join(f"{e.name}: {e.witness}" for e in bad))
     report = minimize_energy(build_energy_model(spec), opts)
-    try:
+    regime = None
+    if spec.reaction.kind == "power":
         regime = sharpness_regime(spec).name
-    except ValueError:
-        regime = None
     return replace(report, regime=regime)
 
 
@@ -407,14 +377,14 @@ def first_eigenpair(mesh: Mesh, r: float):
     r/den times the problem-1 gradient with p = q = r and h = lam, and the
     metric is the Newton metric of the Dirichlet part (without the
     -lam |u|^(r-2) term of the denominator), rebuilt each iteration.  At
-    r = 2 the quotient is u.Ku / u.Bu for the interior stiffness K and
-    one-point mass B, both assembled once per call: each quotient is two
-    sparse matrix-vector products, the gradient is (2/den)(Ku - lam Bu)
-    and the metric is K, factored once.  Both run the same loop and line
-    search.  The descent stops when the quotient's gradient is below
-    ``EIGEN_TOL`` (relative to max(1, lam)), no step decreases the
-    quotient, or after ``EIGEN_MAX_ITERS`` iterations; at r = 2 every
-    mesh measured ends at that cap.  Returns (lam, phi) with phi
+    r = 2 the quotient is u.Ku / u.Bu for the interior stiffness K (the
+    Newton metric at p = 2) and one-point mass B, both assembled once per
+    call: each quotient is two sparse matrix-vector products, the gradient
+    is (2/den)(Ku - lam Bu) and the metric is K, factored once.  Both run
+    the same loop and line search.  The descent stops when the quotient's
+    gradient is below ``EIGEN_TOL`` (relative to max(1, lam)), no step
+    decreases the quotient, or after ``EIGEN_MAX_ITERS`` iterations; at
+    r = 2 every mesh measured ends at that cap.  Returns (lam, phi) with phi
     nonnegative and its r-modular normalized to one; lam is the Rayleigh
     value of phi itself, evaluated on the energy layer for every r.
     """
@@ -423,7 +393,7 @@ def first_eigenpair(mesh: Mesh, r: float):
     interior = mesh.interior
     exponent = exponent_field(mesh, r, r)
     model = EnergyModel(mesh, exponent)
-    plan = _interior_pattern(mesh)
+    u = _bump_profile(mesh)
 
     def rayleigh(v: np.ndarray) -> tuple:
         """Numerator and denominator of the Rayleigh quotient of v >= 0."""
@@ -432,10 +402,15 @@ def first_eigenpair(mesh: Mesh, r: float):
         return r * dirichlet_part(field, model), den
 
     if r == 2:
-        # the quotient of two fixed quadratic forms; the metric is the
-        # stiffness itself, factored once.  K is symmetric, so its
-        # transpose is the CSC view splu takes
-        K, B = _stiffness_and_mass(mesh, plan)
+        # the quotient of two fixed quadratic forms: K is the metric at
+        # p = 2, which does not depend on u, and B the one-point mass
+        # sum_c m_c/(d+1)^2 11^T.  K is symmetric, so its transpose is the
+        # CSC view splu takes; it is factored once
+        nloc = mesh.dimension + 1
+        K = _interior_matrix(model, u, EIGEN_EPS, 1.0)
+        B = assemble(mesh, np.broadcast_to(
+            mesh.cell_measures[:, None, None] / nloc ** 2,
+            (mesh.n_cells, nloc, nloc)))
         lu = spla.splu(K.T)
 
         def quotient(v: np.ndarray) -> tuple:
@@ -456,7 +431,6 @@ def first_eigenpair(mesh: Mesh, r: float):
             g = gateaux_gradient(eigen, NodeField(mesh, v)).values
             return g[interior] * (r / den)
 
-    u = _bump_profile(mesh)
     u = u / quotient(u)[1] ** (1.0 / r)
     num, den = quotient(u)
     for _ in range(EIGEN_MAX_ITERS):
@@ -466,8 +440,7 @@ def first_eigenpair(mesh: Mesh, r: float):
             break
 
         if r != 2:
-            lu = spla.splu(_interior_matrix(
-                model, u, EIGEN_EPS, 1.0, plan).T)
+            lu = spla.splu(_interior_matrix(model, u, EIGEN_EPS, 1.0).T)
         d = np.zeros_like(u)
         d[interior] = lu.solve(-g)
 

@@ -124,15 +124,33 @@ class TestSolveCommand:
         {"grad_tol": True},
         {"max_iters": 2.5},
         {"max_iters": 0},
+        {"max_iters": True},
         {"seed": 1.5, "init": "random"},
+        {"seed": True},
         {"init": "flat"},
     ], ids=["tol-inf", "tol-nan", "tol-zero", "tol-bool", "iters-float",
-            "iters-zero", "seed-float", "init-unknown"])
+            "iters-zero", "iters-bool", "seed-float", "seed-bool",
+            "init-unknown"])
     def test_bad_solver_value_rejected(self, tmp_path, capsys, block):
         cfg = write_config(tmp_path / "run.json", solver=block)
         assert run_command(["solve", "--config", str(cfg), "--seed", "7",
                             "--quiet"]) == EXIT_USAGE
         assert "config error: bad solver block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,message", [
+        ({"domain": {"N": 16}}, "unknown domain key(s): ['N']"),
+        # the interval keys a, b and n are not rectangle keys
+        ({"domain": {"kind": "rectangle", "nx": 4, "ny": 4}},
+         "unknown domain key(s): ['a', 'b', 'n']"),
+        ({"exponent": {"q": "1.2"}}, "unknown exponent key(s): ['q']"),
+        ({"output": {"directory": "out"}}, "unknown output key(s)"),
+    ], ids=["domain-N", "rectangle-n", "exponent-q", "output-directory"])
+    def test_unknown_block_key_rejected(self, tmp_path, capsys, override,
+                                        message):
+        cfg = write_config(tmp_path / "run.json", **override)
+        assert run_command(["solve", "--config", str(cfg), "--seed", "7",
+                            "--quiet"]) == EXIT_USAGE
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
         {"domain": {"a": [0]}},
@@ -229,6 +247,15 @@ class TestCheckCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["min_relative_gap"] >= -1e-10
 
+    def test_unknown_anisotropy_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json",
+                           anisotropy={"kind": "isotropic", "weight": ["1"]})
+        assert run_command(["check-convexity", "--config", str(cfg),
+                            "--samples", "2", "--seed", "1", "--quiet"]) \
+            == EXIT_USAGE
+        assert "unknown anisotropy key(s): ['weight']" in \
+            capsys.readouterr().err
+
     def test_bad_anisotropy_kind(self, tmp_path):
         cfg = write_config(tmp_path / "run.json",
                            anisotropy={"kind": "mystery"})
@@ -322,6 +349,13 @@ class TestSweepCommand:
                            sweep={"parameter": "problem.nope", "values": [1]})
         assert run_command(["sweep", "--config", str(cfg), "--seed", "2",
                             "--quiet"]) == EXIT_USAGE
+
+    def test_unknown_swept_domain_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json",
+                           sweep={"parameter": "domain.N", "values": [16]})
+        assert run_command(["sweep", "--config", str(cfg), "--seed", "2",
+                            "--quiet"]) == EXIT_USAGE
+        assert "unknown domain key(s): ['N']" in capsys.readouterr().err
 
     def _sweep_csv(self, tmp_path, cfg, seed):
         out = tmp_path / f"out-{seed}"

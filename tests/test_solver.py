@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
-from pxlaplace import solver
+from pxlaplace import grid, solver
 from pxlaplace.anisotropy import weighted_quadratic
 from pxlaplace.energy import (EnergyModel, KirchhoffTerm, dirichlet_part,
                               energy_value, gateaux_gradient, kirchhoff_M,
@@ -346,8 +346,7 @@ def test_metric_is_exact_hessian(dim, p, flux):
     u = np.random.default_rng(3).uniform(0.0, 1.0, mesh.n_nodes)
     u[mesh.boundary_mask] = 0.0
     eps = 1e-2
-    K = solver._interior_matrix(model, u, eps, 1.0,
-                                solver._interior_pattern(mesh)).toarray()
+    K = solver._interior_matrix(model, u, eps, 1.0).toarray()
     J = _difference_jacobian(model, u, eps)
     assert np.abs(K - J).max() <= 1e-7 * np.abs(J).max()
     # the sparse assembly sums duplicate entries in either order
@@ -358,8 +357,8 @@ def test_metric_is_exact_hessian(dim, p, flux):
 @pytest.mark.parametrize("flux", ["isotropic", "weighted"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_planned_metric_matches_coo_assembly(dim, flux):
-    # the metric filled into the plan's fixed pattern equals a COO
-    # assembly of local matrices formed cell by cell
+    # the metric summed into the mesh's fixed interior pattern equals a
+    # COO assembly of local matrices formed cell by cell
     if dim == 1:
         mesh = build_interval(0, 2, 13)
         weights = [interpolate(mesh, "1+x")]
@@ -394,13 +393,31 @@ def test_planned_metric_matches_coo_assembly(dim, flux):
                 vals.append(loc[i, j])
     n = mesh.interior.size
     ref = sp.coo_array((vals, (rows, cols)), shape=(n, n)).toarray()
-    K = solver._interior_matrix(model, u, eps, pref,
-                                solver._interior_pattern(mesh))
+    K = solver._interior_matrix(model, u, eps, pref)
     assert K.format == "csr" and K.has_sorted_indices
     assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
     if flux == "isotropic":
         # first_eigenpair factors the transpose, the CSC view of K
         assert (K.T.toarray() == K.toarray()).all()
+
+
+def test_interior_plan_is_built_once_per_mesh():
+    # two solves and both eigen paths on one mesh fill the plan the first
+    # solve built and kept with the mesh; its arrays are read-only
+    mesh = build_rectangle(0, 1, 0, 1, 6, 5)
+    spec = problem1_spec(p="2+x", r=1.5, q="1.2", mesh=mesh)
+    assert mesh._plan is None
+    solve_problem1(spec, SolverOptions())
+    plan = mesh._plan
+    assert plan is not None
+    solve_problem1(spec, SolverOptions(init="random"))
+    first_eigenpair(mesh, 2.0)
+    first_eigenpair(mesh, 3.0)
+    assert grid.interior_plan(mesh) is plan and mesh._plan is plan
+    for a in plan:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
 
 
 def _polish_model(mesh, kind):
@@ -526,6 +543,22 @@ class TestKirchhoff:
         assert solve_kirchhoff(spec, SolverOptions(), override=True).converged
 
 
+@pytest.mark.parametrize("kind,keys", [
+    ("problem1", {"f"}), ("problem2", {"f", "g"}), ("kirchhoff", {"f", "M"}),
+])
+def test_hypotheses_table_per_kind(kind, keys):
+    mesh = build_interval(0, 1, 16)
+    spec = ProblemSpec(kind, mesh, exponent_field(mesh, "2+x", r=1.5),
+                       power_reaction(constant_field(mesh, 1.0),
+                                      constant_field(mesh, 1.2)),
+                       power_absorption(constant_field(mesh, 1.0),
+                                        constant_field(mesh, 2.0)),
+                       saturating_kirchhoff(1.0, 2.0))
+    table = solver.hypotheses(spec)
+    assert set(table) == keys
+    assert all(rep.passed for rep in table.values())
+
+
 def _dense_stiffness_and_mass(mesh):
     """Independent oracle: the P1 stiffness and the one-point mass
     sum_c m_c / nloc^2 * 11^T on all nodes, assembled densely."""
@@ -600,10 +633,17 @@ class TestFirstEigenpair:
         build_interval(0, 2, 13), build_rectangle(0, 1.5, 0, 1, 6, 5),
     ], ids=["1d", "2d"])
     def test_planned_stiffness_and_mass_match_dense(self, mesh):
+        # K is the Newton metric at p = 2, B the one-point mass summed
+        # into the same pattern, as first_eigenpair forms them at r = 2
         K, M = _dense_stiffness_and_mass(mesh)
         inner = np.ix_(mesh.interior, mesh.interior)
-        Kp, Bp = solver._stiffness_and_mass(mesh,
-                                            solver._interior_pattern(mesh))
+        model = EnergyModel(mesh, exponent_field(mesh, 2.0, 2.0))
+        u = np.random.default_rng(2).uniform(0.0, 1.0, mesh.n_nodes)
+        Kp = solver._interior_matrix(model, u, solver.EIGEN_EPS, 1.0)
+        nloc = mesh.dimension + 1
+        Bp = grid.assemble(mesh, np.broadcast_to(
+            mesh.cell_measures[:, None, None] / nloc ** 2,
+            (mesh.n_cells, nloc, nloc)))
         assert np.abs(Kp.toarray() - K[inner]).max() <= \
             1e-14 * np.abs(K).max()
         assert np.abs(Bp.toarray() - M[inner]).max() <= \
