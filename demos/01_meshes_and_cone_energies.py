@@ -15,8 +15,8 @@
 import numpy as np
 
 from pxlaplace import (EnergyModel, NodeField, W_functional, build_interval,
-                       build_rectangle, exponent_field, gradient, integrate,
-                       interpolate, phi_line)
+                       build_rectangle, cell_gradient, exponent_field,
+                       integrate, interpolate, phi_line)
 
 print("=" * 68)
 print("1. Interval mesh and quadrature")
@@ -27,7 +27,7 @@ print(f"cell sizes:   {mesh.cell_measures}")
 print(f"boundary:     {mesh.boundary_mask.astype(int)}")
 u = interpolate(mesh, "x*(1-x)")
 print(f"u = x(1-x):   {np.round(u.values, 4)}")
-print(f"grad u:       {np.round(gradient(u).vectors.ravel(), 4)}")
+print(f"grad u:       {np.round(cell_gradient(mesh, u.values).ravel(), 4)}")
 print(f"int u dx:     {integrate(u):.6f}   (exact 1/6 = {1/6:.6f})")
 
 print()

@@ -26,9 +26,9 @@ from .exponents import (ExponentField, exponent_bounds, exponent_field,
                         luxemburg_norm, modular, sobolev_conjugate,
                         validate_exponent_hypothesis)
 from .expressions import ScalarExpr, parse_expr
-from .grid import (CellVectorField, Mesh, NodeField, build_interval,
-                   build_rectangle, cell_average, constant_field, gradient,
-                   integrate, interpolate)
+from .grid import (Mesh, NodeField, build_interval, build_rectangle,
+                   cell_average, cell_gradient, constant_field, integrate,
+                   interpolate)
 from .inequality import (ComparisonVerdict, GapReport, check_ray_convexity,
                          comparison_check, diaz_saa_gap, ratio_bound,
                          weak_comparison_experiment)

@@ -68,11 +68,25 @@ def _need(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _scalar(block: dict, key: str, where: str, default=None,
+            flag: bool = False):
+    """``block[key]``, else ``default`` (the key is required when there is
+    none).  A flag must be a JSON boolean and a number must not be one:
+    float() would read true as 1, and bool() any nonempty string as true."""
+    value = _need(block, key, where) if default is None \
+        else block.get(key, default)
+    if isinstance(value, bool) != flag:
+        kind = "true or false" if flag else "a number"
+        raise ConfigError(f"{where}.{key} must be {kind}, "
+                          f"got {json.dumps(value)}")
+    return value
+
+
 def _size(args, dom: dict, key: str, default: int) -> int:
     """A mesh size: its flag when given (eig takes no --nx/--ny), else the
     domain block's value, else ``default``."""
     flag = getattr(args, key, None)
-    return dom.get(key, default) if flag is None else flag
+    return _scalar(dom, key, "domain", default) if flag is None else flag
 
 
 # domain kind: the keys of its block
@@ -87,10 +101,13 @@ def _build_mesh(cfg: dict, args) -> grid.Mesh:
         raise ConfigError(f"unknown domain kind {kind!r}")
     _known(dom, _DOMAIN_KEYS[kind], "domain key(s)")
     if kind == "interval":
-        return grid.build_interval(dom.get("a", 0.0), dom.get("b", 1.0),
+        return grid.build_interval(_scalar(dom, "a", "domain", 0.0),
+                                   _scalar(dom, "b", "domain", 1.0),
                                    _size(args, dom, "n", 64))
-    return grid.build_rectangle(dom.get("ax", 0.0), dom.get("bx", 1.0),
-                                dom.get("ay", 0.0), dom.get("by", 1.0),
+    return grid.build_rectangle(_scalar(dom, "ax", "domain", 0.0),
+                                _scalar(dom, "bx", "domain", 1.0),
+                                _scalar(dom, "ay", "domain", 0.0),
+                                _scalar(dom, "by", "domain", 1.0),
                                 _size(args, dom, "nx", 16),
                                 _size(args, dom, "ny", 16))
 
@@ -106,7 +123,7 @@ def _build_exponent(cfg: dict, mesh):
     exp_cfg = _known(_need(cfg, "exponent"), {"p", "r"}, "exponent key(s)")
     try:
         return exponent_field(mesh, _need(exp_cfg, "p", "exponent"),
-                              float(_need(exp_cfg, "r", "exponent")))
+                              float(_scalar(exp_cfg, "r", "exponent")))
     except ValueError as e:
         raise ConfigError(f"bad exponent block: {e}") from None
 
@@ -138,7 +155,7 @@ def _build_problem(cfg: dict, mesh) -> problems.ProblemSpec:
                   {"kind", "h", "q", "ell", "Q", "m0", "m_inf", "h_scale"},
                   "problem key(s)")
     kind = _need(prob, "kind", "problem")
-    scale = float(prob.get("h_scale", 1.0))
+    scale = float(_scalar(prob, "h_scale", "problem", 1.0))
     h = _field(mesh, prob.get("h", "1"), "h")
     if scale != 1.0:
         h = grid.NodeField(mesh, scale * h.values)
@@ -155,8 +172,8 @@ def _build_problem(cfg: dict, mesh) -> problems.ProblemSpec:
         kirchhoff = None
         if kind == "kirchhoff":
             kirchhoff = energy.saturating_kirchhoff(
-                float(_need(prob, "m0", "problem")),
-                float(_need(prob, "m_inf", "problem")))
+                float(_scalar(prob, "m0", "problem")),
+                float(_scalar(prob, "m_inf", "problem")))
         return problems.ProblemSpec(kind, mesh, exponent, reaction,
                                     absorption, kirchhoff)
     except ValueError as e:
@@ -173,14 +190,16 @@ def _solver_options(cfg: dict) -> solver.SolverOptions:
         raise ConfigError(f"bad solver block: {e}") from None
 
 
-def _spec_and_options(cfg: dict, args) -> tuple:
-    """Problem spec and solver options of a config.  The solver seed is
-    the solver block's, else --seed (which solve and sweep require)."""
+def _solve(cfg: dict, args) -> solver.SolveReport:
+    """Solve a config's problem.  The solver seed is the solver block's,
+    else --seed (which solve and sweep require); a JSON true
+    ``override`` runs the solve although a hypothesis fails."""
     spec = _build_problem(cfg, _build_mesh(cfg, args))
     opts = _solver_options(cfg)
     if "seed" not in cfg.get("solver", {}):
         opts = dataclasses.replace(opts, seed=args.seed)
-    return spec, opts
+    override = _scalar(cfg, "override", "config", False, flag=True)
+    return solver.solve(spec, opts, override=override)
 
 
 # -- deterministic output ----------------------------------------------------
@@ -293,8 +312,7 @@ def _cmd_check(cfg, args) -> int:
 
 
 def _cmd_solve(cfg, args) -> int:
-    spec, opts = _spec_and_options(cfg, args)
-    rep = solver.solve(spec, opts, override=bool(cfg.get("override", False)))
+    rep = _solve(cfg, args)
     table = _solution_table(rep.solution)
     path = _out_path(args, cfg, "solution.csv")
     if path is not None:
@@ -364,9 +382,7 @@ def _cmd_sweep(cfg, args) -> int:
     for val in values:
         run_cfg = json.loads(json.dumps(cfg))  # deep copy
         _set_by_path(run_cfg, param, val)
-        spec, opts = _spec_and_options(run_cfg, args)
-        rep = solver.solve(spec, opts,
-                           override=bool(run_cfg.get("override", False)))
+        rep = _solve(run_cfg, args)
         any_nonconv = any_nonconv or not rep.converged
         rows.append((val, rep))
     lines = ["value,energy,sup_u,residual_max,converged"]

@@ -5,7 +5,7 @@ One table, ``_BINARY``, gives each binary operator a binding power
 
     +  -   power 1       *  /   power 2       ^   power 3
 
-The parser, the evaluator, the printer and ``variables`` all read it.
+The parser, the evaluator and the printer all read it.
 Operands are unary expressions (whitespace-insensitive):
 
     unary := '-'? base
@@ -17,6 +17,9 @@ left-associative, so 1-2-3 is (1-2)-3; '^' is right-associative, so
 -2^2 is (-2)^2 = 4.
 
 Known functions: sin, cos, exp, log, abs, sqrt, min, max (min/max binary).
+Evaluation has no short-circuit: every operand and argument is evaluated,
+so an expression that names y raises ``ValueError`` when evaluated
+without y (as on a 1D mesh), wherever the y sits in the tree.
 Parse errors carry the byte offset of the offending token.  Printing a
 parsed expression and reparsing it reproduces the same tree.
 """
@@ -60,25 +63,6 @@ class ScalarExpr:
     """Parsed expression tree over the variables x and y."""
 
     node: tuple  # ("num", v) | ("var", name) | ("neg", e) | (op, a, b) | ("call", name, args)
-
-    def variables(self) -> set:
-        out = set()
-
-        def walk(n):
-            tag = n[0]
-            if tag == "var":
-                out.add(n[1])
-            elif tag == "neg":
-                walk(n[1])
-            elif tag in _BINARY:
-                walk(n[1])
-                walk(n[2])
-            elif tag == "call":
-                for a in n[2]:
-                    walk(a)
-
-        walk(self.node)
-        return out
 
     def evaluate(self, x, y=None):
         env = {"x": np.asarray(x, dtype=float)}

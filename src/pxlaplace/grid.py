@@ -32,10 +32,8 @@ import scipy.sparse as sp
 __all__ = [
     "Mesh",
     "NodeField",
-    "CellVectorField",
     "build_interval",
     "build_rectangle",
-    "gradient",
     "cell_gradient",
     "flux_loads",
     "scatter_add",
@@ -162,23 +160,6 @@ class NodeField:
         return _interp_p1(self, points)
 
 
-@dataclass(frozen=True)
-class CellVectorField:
-    """One vector per cell, the value at the cell's quadrature point."""
-
-    mesh: Mesh
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        if v.shape != (self.mesh.n_cells, self.mesh.dimension):
-            raise ValueError(
-                f"vector field shape {v.shape} does not match "
-                f"({self.mesh.n_cells}, {self.mesh.dimension})"
-            )
-        object.__setattr__(self, "vectors", _readonly(v))
-
-
 def _cell_count(n, name: str) -> int:
     """A cell count given as an integral number (16 or 16.0, not 16.9)."""
     if not float(n).is_integer():
@@ -275,20 +256,15 @@ def _check_measures(mesh: Mesh, volume: float):
         raise ValueError("cell measures do not sum to the domain measure")
 
 
-def gradient(u: NodeField) -> CellVectorField:
-    """Cellwise gradient of the P1 interpolant of ``u``.
-
-    In 1D this is the forward difference quotient per segment.  Exact for
-    globally affine fields and linear in ``u``.
-    """
-    return CellVectorField(u.mesh, cell_gradient(u.mesh, u.values))
-
-
 def cell_gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
     """(n_cells, dimension) gradients of the P1 interpolant of nodal values.
 
-    Summed vertex by vertex in ``vertex_grads`` layout, so the result is
-    the transpose of a (dimension, n_cells) array.
+    The one gradient kernel: every energy, flux, metric and checker in the
+    package differentiates through it.  In 1D it is the difference
+    quotient per segment; it is exact for globally affine fields and
+    linear in the values.  Summed vertex by vertex in ``vertex_grads``
+    layout, so the result is the transpose of a (dimension, n_cells)
+    array.
     """
     G, C = mesh.vertex_grads, mesh.vertex_cells
     out = G[0] * nodal[C[0]]
@@ -393,16 +369,18 @@ def interpolate(mesh: Mesh, f) -> NodeField:
     """Sample an expression at the mesh nodes.
 
     ``f`` may be a callable (of x, or of x and y in 2D), a parsed or
-    textual scalar expression over {x, y}, or a number.
+    textual scalar expression over {x, y}, or a number.  An expression
+    that uses y on a 1D mesh raises ``ValueError`` when it is evaluated,
+    and so does a bool, which is not a number here.
     """
     from . import expressions
 
+    if isinstance(f, bool):
+        raise ValueError(f"expected a number or an expression, got {f!r}")
     if isinstance(f, str):
         f = expressions.parse_expr(f)
     x = mesh.nodes[:, 0]
     if isinstance(f, expressions.ScalarExpr):
-        if mesh.dimension == 1 and "y" in f.variables():
-            raise ValueError("expression uses 'y' on a 1D mesh")
         y = mesh.nodes[:, 1] if mesh.dimension == 2 else None
         vals = f.evaluate(x, y)
         return NodeField(mesh, np.broadcast_to(vals, x.shape).copy())

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyModel, flux_pairing, gateaux_gradient, phi_line,
-                     phi_prime, power_reaction, source_reaction)
+from .energy import (EnergyModel, gateaux_gradient, phi_line, phi_prime,
+                     power_reaction, source_reaction)
 from .grid import NodeField, constant_field
 
 __all__ = [
@@ -50,6 +50,9 @@ class RayConvexityReport:
 
 @dataclass(frozen=True)
 class GapReport:
+    """The gap i1 - i2 and the two Diaz-Saa flux integrals, which are
+    the line derivatives i1 = -Phi'(0) and i2 = -Phi'(1)."""
+
     gap: float
     i1: float
     i2: float
@@ -152,14 +155,17 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
                  cap: float = RATIO_CAP) -> GapReport:
     """Operator-difference gap for a pair of positive zero-trace fields.
 
-    Computes Phi'(1) - Phi'(0) along theta -> W_A((1-theta) w1^r + theta w2^r)
-    (nonnegative by discrete convexity) together with the two flux
-    integrals i1, i2 it equals the difference of:
+    Phi is theta -> W_A((1-theta) w1^r + theta w2^r).  Its line
+    derivatives at the ends are the two Diaz-Saa flux integrals, up to
+    sign: the quotient ``phi_prime`` pairs with is -(w1 - w2^r / w1^(r-1))
+    at theta = 0 and w2 - w1^r / w2^(r-1) at theta = 1, so
 
-        i1 = integral a(x, grad w1) . grad(w1 - w2^r / w1^(r-1))
-        i2 = integral a(x, grad w2) . grad(w1^r / w2^(r-1) - w2)
+        i1 = -Phi'(0) = integral a(x, grad w1) . grad(w1 - w2^r / w1^(r-1))
+        i2 = -Phi'(1) = integral a(x, grad w2) . grad(w1^r / w2^(r-1) - w2)
 
-    Raises for pairs whose interior ratio exceeds the admissibility cap.
+    and the gap Phi'(1) - Phi'(0) = i1 - i2 is nonnegative by discrete
+    convexity.  Raises for pairs whose interior ratio exceeds the
+    admissibility cap.
     """
     mesh = model.mesh
     for w in (w1, w2):
@@ -175,28 +181,12 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
     r = model.exponent.r
     v1 = NodeField(mesh, w1.values ** r)
     v2 = NodeField(mesh, w2.values ** r)
-    d1 = phi_prime(v1, v2, 1.0, model, "W_A")
-    d0 = phi_prime(v1, v2, 0.0, model, "W_A")
-    gap = d1 - d0
-
-    t1 = _transport(w1, w2, r, sign=+1)
-    t2 = _transport(w2, w1, r, sign=-1)
-    i1 = flux_pairing(model, w1.values, t1.values, model.w_cells)
-    i2 = flux_pairing(model, w2.values, t2.values, model.w_cells)
-    scale = _scale(abs(i1) + abs(i2))
-    return GapReport(gap=float(gap), i1=float(i1), i2=float(i2),
+    i2 = -phi_prime(v1, v2, 1.0, model, "W_A")
+    i1 = -phi_prime(v1, v2, 0.0, model, "W_A")
+    return GapReport(gap=float(i1 - i2), i1=float(i1), i2=float(i2),
                      equality_class=_classify_equality(w1, w2),
                      ratio_sup=ratios.sup12, inv_ratio_sup=ratios.sup21,
-                     scale=scale)
-
-
-def _transport(wa: NodeField, wb: NodeField, r: float, sign: int) -> NodeField:
-    """Nodewise wa - wb^r / wa^(r-1) (sign=+1) or wb^r / wa^(r-1) - wa."""
-    a, b = wa.values, wb.values
-    out = np.zeros_like(a)
-    pos = a > 0
-    out[pos] = a[pos] - b[pos] ** r / a[pos] ** (r - 1.0)
-    return NodeField(wa.mesh, out if sign > 0 else -out)
+                     scale=_scale(abs(i1) + abs(i2)))
 
 
 def _fraction_p_above_r(model: EnergyModel) -> float:

@@ -167,6 +167,52 @@ class TestSolveCommand:
                             "--quiet"]) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,override", [
+        # q = 2.5 > r = 2 fails the hypotheses: only a JSON true may
+        # override them
+        ("solve", {"override": "false", "problem": {"q": "2.5"}}),
+        ("sweep", {"override": 0, "problem": {"q": "2.5"},
+                   "sweep": {"parameter": "problem.h_scale",
+                             "values": [1.0]}}),
+        ("check-convexity", {"exponent": {"r": True}}),
+        ("solve", {"exponent": {"r": True}}),
+        ("solve", {"exponent": {"p": True}}),
+        ("solve", {"domain": {"a": True}}),
+        ("solve", {"domain": {"b": True}}),
+        ("solve", {"domain": {"n": True}}),
+        ("solve", {"problem": {"h": True}}),
+        ("solve", {"problem": {"h_scale": True}}),
+        ("solve", {"problem": {"kind": "kirchhoff", "m0": True,
+                               "m_inf": 2.0}}),
+        ("solve", {"problem": {"kind": "kirchhoff", "m0": 1.0,
+                               "m_inf": True}}),
+    ], ids=["solve-override-string", "sweep-override-int", "convexity-r",
+            "r", "p", "a", "b", "n", "h", "h_scale", "m0", "m_inf"])
+    def test_boolean_number_confusion_rejected(self, tmp_path, capsys,
+                                               command, override):
+        cfg = write_config(tmp_path / "run.json", **override)
+        argv = [command, "--config", str(cfg), "--seed", "7", "--quiet"]
+        if command.startswith("check-"):
+            argv += ["--samples", "2"]
+        assert run_command(argv) == EXIT_USAGE
+        assert "config error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,code", [(True, EXIT_OK),
+                                           (False, EXIT_USAGE)])
+    def test_boolean_override(self, tmp_path, capsys, flag, code):
+        cfg = write_config(tmp_path / "run.json", override=flag,
+                           problem={"q": "2.5"})
+        assert run_command(["solve", "--config", str(cfg), "--seed", "7",
+                            "--quiet"]) == code
+        if not flag:
+            assert "hypotheses fail" in capsys.readouterr().err
+
+    def test_y_on_interval_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json", exponent={"p": "2+y"})
+        assert run_command(["solve", "--config", str(cfg), "--seed", "7",
+                            "--quiet"]) == EXIT_USAGE
+        assert "config error: " in capsys.readouterr().err
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", solver={"max_iters": 1})
         assert run_command(["solve", "--config", str(cfg), "--seed", "1",

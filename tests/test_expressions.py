@@ -36,7 +36,11 @@ class TestParsing:
     def test_two_variables(self):
         e = parse_expr("x*y+1")
         assert e.evaluate(2.0, 3.0) == 7.0
-        assert e.variables() == {"x", "y"}
+        xs, ys = np.array([1.0, 2.0, 0.5]), np.array([4.0, -1.0, 2.0])
+        assert np.array_equal(parse_expr("x-2*y").evaluate(xs, ys),
+                              xs - 2 * ys)
+        with pytest.raises(ValueError, match="'y' not available"):
+            e.evaluate(2.0)
 
 
 class TestErrors:

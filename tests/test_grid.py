@@ -5,7 +5,7 @@ import pytest
 
 from pxlaplace.grid import (NodeField, build_interval, build_rectangle,
                             cell_average, cell_gradient, constant_field,
-                            gradient, integrate, interpolate, scatter_add)
+                            integrate, interpolate, scatter_add)
 
 
 class TestBuildInterval:
@@ -74,22 +74,24 @@ class TestGradient:
     def test_affine_exactness(self):
         mesh = build_interval(0, 1, 7)
         u = interpolate(mesh, lambda x: 3 * x)
-        assert np.allclose(gradient(u).vectors, 3.0, atol=1e-14)
+        assert np.allclose(cell_gradient(mesh, u.values), 3.0, atol=1e-14)
 
     def test_constant_field(self):
         mesh = build_interval(0, 1, 5)
-        assert np.allclose(gradient(constant_field(mesh, 5.0)).vectors, 0.0)
+        u = constant_field(mesh, 5.0)
+        assert np.allclose(cell_gradient(mesh, u.values), 0.0)
 
     def test_quadratic_first_cell(self):
         # difference quotient of x^2 on [0, 0.25] is (0.0625 - 0)/0.25
         mesh = build_interval(0, 1, 4)
         u = interpolate(mesh, lambda x: x ** 2)
-        assert gradient(u).vectors[0, 0] == pytest.approx(0.25, rel=1e-14)
+        assert cell_gradient(mesh, u.values)[0, 0] == \
+            pytest.approx(0.25, rel=1e-14)
 
     def test_affine_exactness_2d(self):
         mesh = build_rectangle(0, 1, 0, 1, 3, 3)
         u = interpolate(mesh, lambda x, y: 2 * x - 5 * y + 1)
-        assert np.allclose(gradient(u).vectors, [2.0, -5.0], atol=1e-13)
+        assert np.allclose(cell_gradient(mesh, u.values), [2.0, -5.0], atol=1e-13)
 
     def test_linearity(self):
         mesh = build_interval(0, 1, 16)
@@ -97,8 +99,9 @@ class TestGradient:
         u = NodeField(mesh, rng.normal(size=mesh.n_nodes))
         v = NodeField(mesh, rng.normal(size=mesh.n_nodes))
         a, b = 2.5, -1.25
-        combo = gradient(NodeField(mesh, a * u.values + b * v.values)).vectors
-        split = a * gradient(u).vectors + b * gradient(v).vectors
+        combo = cell_gradient(mesh, a * u.values + b * v.values)
+        split = a * cell_gradient(mesh, u.values) \
+            + b * cell_gradient(mesh, v.values)
         assert np.array_equal(combo, split) or np.allclose(combo, split, atol=1e-15)
 
 
@@ -225,7 +228,7 @@ class TestIntegrate:
         for _ in range(20):
             mesh = build_interval(0, 1, 32)
             u = NodeField(mesh, rng.normal(size=mesh.n_nodes))
-            g = gradient(u).vectors
+            g = cell_gradient(mesh, u.values)
             assert integrate(np.einsum("cd,cd->c", g, g), mesh) >= 0.0
 
 
@@ -245,9 +248,20 @@ class TestInterpolate:
         assert u.values[1] == pytest.approx(1.0, abs=1e-8)
 
     def test_y_on_1d_mesh_rejected(self):
+        # evaluation has no short-circuit, so a y under any operator or
+        # call is reached
         mesh = build_interval(0, 1, 4)
-        with pytest.raises(ValueError, match="'y'"):
-            interpolate(mesh, "x+y")
+        for source in ("x+y", "2+y", "min(x, 0*y)", "sin(-y)^2",
+                       "max(1, exp(x*y))"):
+            with pytest.raises(ValueError, match="'y'"):
+                interpolate(mesh, source)
+
+    def test_bool_rejected(self):
+        mesh = build_interval(0, 1, 4)
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="number"):
+                interpolate(mesh, flag)
+        assert np.array_equal(interpolate(mesh, 1).values, np.ones(5))
 
 
 class TestNodeField:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pxlaplace.energy import EnergyModel, phi_prime
+from pxlaplace.energy import EnergyModel, flux_pairing, phi_prime
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import NodeField, build_interval, constant_field, \
     interpolate
@@ -86,13 +86,26 @@ class TestDiazSaaGap:
         assert rep.equality_class == "distinct"
 
     def test_gap_equals_integral_difference(self):
+        # i1 and i2 from the transport formula of the Diaz-Saa integrals:
+        #   i1 = integral a(grad w1) . grad(w1 - w2^r / w1^(r-1))
+        #   i2 = integral a(grad w2) . grad(w1^r / w2^(r-1) - w2)
         rng = np.random.default_rng(71)
         model = cone_model(p="2+x", r=1.5)
         mesh = model.mesh
+        r = model.exponent.r
+        inner = mesh.interior
         for _ in range(20):
             w1 = zero_trace(mesh, rng.uniform(0.1, 10, mesh.n_nodes))
             w2 = zero_trace(mesh, rng.uniform(0.1, 10, mesh.n_nodes))
+            a, b = w1.values, w2.values
+            t1, t2 = np.zeros_like(a), np.zeros_like(a)
+            t1[inner] = a[inner] - b[inner] ** r / a[inner] ** (r - 1)
+            t2[inner] = a[inner] ** r / b[inner] ** (r - 1) - b[inner]
+            i1 = flux_pairing(model, a, t1, model.w_cells)
+            i2 = flux_pairing(model, b, t2, model.w_cells)
             rep = diaz_saa_gap(w1, w2, model)
+            assert rep.i1 == pytest.approx(i1, rel=1e-12)
+            assert rep.i2 == pytest.approx(i2, rel=1e-12)
             scale = abs(rep.i1) + abs(rep.i2) + 1
             assert rep.gap == pytest.approx(rep.i1 - rep.i2, abs=1e-10 * scale)
 
