@@ -51,9 +51,12 @@ class AnisotropyModel:
         return self.exponent.mesh
 
     def weights_at_cells(self) -> np.ndarray | None:
+        """Cell averages of the weights, one column each, read-only."""
         if self.weights is None:
             return None
-        return np.column_stack([cell_average(w) for w in self.weights])
+        w = np.column_stack([cell_average(w) for w in self.weights])
+        w.flags.writeable = False
+        return w
 
     def weights_at(self, points) -> np.ndarray | None:
         if self.weights is None:

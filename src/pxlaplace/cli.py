@@ -71,11 +71,12 @@ def _need(cfg: dict, key: str, where: str = "config"):
 def _scalar(block: dict, key: str, where: str, default=None,
             flag: bool = False):
     """``block[key]``, else ``default`` (the key is required when there is
-    none).  A flag must be a JSON boolean and a number must not be one:
-    float() would read true as 1, and bool() any nonempty string as true."""
+    none).  A flag must be a JSON boolean and a number a JSON number, an
+    int or a float: float() would read true as 1 and "2" as 2, and bool()
+    any nonempty string as true."""
     value = _need(block, key, where) if default is None \
         else block.get(key, default)
-    if isinstance(value, bool) != flag:
+    if type(value) not in ((bool,) if flag else (int, float)):
         kind = "true or false" if flag else "a number"
         raise ConfigError(f"{where}.{key} must be {kind}, "
                           f"got {json.dumps(value)}")
@@ -123,7 +124,7 @@ def _build_exponent(cfg: dict, mesh):
     exp_cfg = _known(_need(cfg, "exponent"), {"p", "r"}, "exponent key(s)")
     try:
         return exponent_field(mesh, _need(exp_cfg, "p", "exponent"),
-                              float(_scalar(exp_cfg, "r", "exponent")))
+                              _scalar(exp_cfg, "r", "exponent"))
     except ValueError as e:
         raise ConfigError(f"bad exponent block: {e}") from None
 
@@ -155,7 +156,7 @@ def _build_problem(cfg: dict, mesh) -> problems.ProblemSpec:
                   {"kind", "h", "q", "ell", "Q", "m0", "m_inf", "h_scale"},
                   "problem key(s)")
     kind = _need(prob, "kind", "problem")
-    scale = float(_scalar(prob, "h_scale", "problem", 1.0))
+    scale = _scalar(prob, "h_scale", "problem", 1.0)
     h = _field(mesh, prob.get("h", "1"), "h")
     if scale != 1.0:
         h = grid.NodeField(mesh, scale * h.values)
@@ -172,8 +173,8 @@ def _build_problem(cfg: dict, mesh) -> problems.ProblemSpec:
         kirchhoff = None
         if kind == "kirchhoff":
             kirchhoff = energy.saturating_kirchhoff(
-                float(_scalar(prob, "m0", "problem")),
-                float(_scalar(prob, "m_inf", "problem")))
+                _scalar(prob, "m0", "problem"),
+                _scalar(prob, "m_inf", "problem"))
         return problems.ProblemSpec(kind, mesh, exponent, reaction,
                                     absorption, kirchhoff)
     except ValueError as e:
@@ -467,7 +468,7 @@ def run_command(argv) -> int:
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_USAGE
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         sys.stderr.write(f"invalid input: {e}\n")
         return EXIT_USAGE
     except RuntimeError as e:

@@ -158,9 +158,6 @@ class EnergyModel:
         if self.absorption is not None:
             g = self.absorption
             potentials.append((1.0, cell_average(g.ell), cell_average(g.Q)))
-        for a in (p, w, *(c for _, h, q in potentials for c in (h, q))):
-            if a is not None:
-                a.flags.writeable = False
         object.__setattr__(self, "p_cells", p)
         object.__setattr__(self, "w_cells", w)
         object.__setattr__(self, "potentials", tuple(potentials))
@@ -231,12 +228,12 @@ def kirchhoff_M(term: KirchhoffTerm, s: float) -> float:
 
 # -- cone energies ----------------------------------------------------------
 
-def _require_cone(v: NodeField):
+def _require_cone(v: NodeField, message="field is outside the positive cone"):
     """Positive at interior nodes; zero trace allowed at the boundary."""
     mesh = v.mesh
     vals = v.values
     if np.any(vals[mesh.interior] <= 0) or np.any(vals[mesh.boundary_mask] < 0):
-        raise ValueError("field is outside the positive cone")
+        raise ValueError(message)
 
 
 def _root_field(v: NodeField, r: float) -> np.ndarray:
@@ -244,7 +241,7 @@ def _root_field(v: NodeField, r: float) -> np.ndarray:
 
 
 def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
-    _require_cone(v)
+    """The cone energy of a field its caller has checked is in the cone."""
     mesh = model.mesh
     r = model.exponent.r
     gw = cell_gradient(mesh, _root_field(v, r))
@@ -255,6 +252,7 @@ def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
 
 def W_functional(v: NodeField, model: EnergyModel) -> float:
     """Cone energy: integral of (r/p) |grad(v^(1/r))|^p, isotropic."""
+    _require_cone(v)
     return _cone_energy(v, model, None)
 
 
@@ -264,6 +262,7 @@ def W_A_functional(v: NodeField, model: EnergyModel) -> float:
     Coincides with ``W_functional`` (same arithmetic) for the isotropic
     family.
     """
+    _require_cone(v)
     return _cone_energy(v, model, model.w_cells)
 
 
@@ -359,14 +358,19 @@ def cone_delta(v1: NodeField, v2: NodeField) -> float:
 def _combination(v1: NodeField, v2: NodeField, theta: float) -> NodeField:
     if v1.mesh is not v2.mesh:
         raise ValueError("fields live on different meshes")
-    v = (1.0 - theta) * v1.values + theta * v2.values
-    out = NodeField(v1.mesh, v)
-    try:
-        _require_cone(out)
-    except ValueError:
-        raise ValueError(
-            f"combination leaves the cone at theta={theta}") from None
+    out = NodeField(v1.mesh, (1.0 - theta) * v1.values + theta * v2.values)
+    _require_cone(out, f"combination leaves the cone at theta={theta}")
     return out
+
+
+def _line_weights(model: EnergyModel, kind: str):
+    """Flux weights of the line functional ``kind``: None for "W", the
+    model's cell weights for "W_A" and "J_hat"."""
+    if kind == "W":
+        return None
+    if kind in ("W_A", "J_hat"):
+        return model.w_cells
+    raise ValueError(f"unknown line functional {kind!r}")
 
 
 def phi_line(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
@@ -376,15 +380,12 @@ def phi_line(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
     kind "W" / "W_A": the cone energies; kind "J_hat": the nonlocal energy
     evaluated at the r-th root of the combination.
     """
+    weights = _line_weights(model, kind)
     v = _combination(v1, v2, theta)
-    if kind == "W":
-        return W_functional(v, model)
-    if kind == "W_A":
-        return W_A_functional(v, model)
     if kind == "J_hat":
         u = NodeField(model.mesh, _root_field(v, model.exponent.r))
         return energy_J(u, model)
-    raise ValueError(f"unknown line functional {kind!r}")
+    return _cone_energy(v, model, weights)
 
 
 def _quotient(v1: NodeField, v2: NodeField, v: NodeField, r: float) -> np.ndarray:
@@ -412,17 +413,15 @@ def phi_prime(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
     scaled by M(dirichlet part)/r and the reaction contributes
     -(1/r) sum f(x, w) s.
     """
+    weights = _line_weights(model, kind)
     v = _combination(v1, v2, theta)
     mesh = model.mesh
     r = model.exponent.r
     w_nodal = _root_field(v, r)
     s = _quotient(v1, v2, v, r)
-    weights = None if kind == "W" else model.w_cells
     base = flux_pairing(model, w_nodal, s, weights)
-    if kind in ("W", "W_A"):
-        return base
     if kind != "J_hat":
-        raise ValueError(f"unknown line functional {kind!r}")
+        return base
     if model.kirchhoff is None or model.reaction is None:
         raise ValueError("J_hat needs reaction and Kirchhoff terms")
     w = NodeField(mesh, w_nodal)

@@ -58,9 +58,10 @@ class Mesh:
     """Immutable simplicial mesh of an interval or rectangle.
 
     The mesh holds private read-only copies of its six array fields, so
-    later writes to the caller's arrays do not reach it.  Its interior
-    assembly plan is built on first use by ``interior_plan`` and kept with
-    the mesh.
+    later writes to the caller's arrays do not reach it.  The vertex-major
+    copies and the interior index are built once, with the mesh.  Its
+    interior assembly plan is built on first use by ``interior_plan`` and
+    kept with the mesh.
 
     Attributes:
         dimension: 1 or 2.
@@ -77,6 +78,8 @@ class Mesh:
             per cell vertex.
         vertex_grads: (dimension+1, dimension, n_cells) copy of
             ``shape_grads``, one row per vertex and gradient component.
+        interior: indices of the interior (non-boundary) nodes, in
+            increasing order.
     """
 
     dimension: int
@@ -90,6 +93,7 @@ class Mesh:
     shape_grads: np.ndarray
     vertex_cells: np.ndarray = field(init=False, repr=False, compare=False)
     vertex_grads: np.ndarray = field(init=False, repr=False, compare=False)
+    interior: np.ndarray = field(init=False, repr=False, compare=False)
     _plan: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -100,6 +104,8 @@ class Mesh:
         object.__setattr__(self, "vertex_cells", _readonly(self.cells.T))
         object.__setattr__(self, "vertex_grads",
                            _readonly(self.shape_grads.transpose(1, 2, 0)))
+        object.__setattr__(self, "interior",
+                           _readonly(np.flatnonzero(~self.boundary_mask)))
 
     @property
     def n_nodes(self) -> int:
@@ -108,11 +114,6 @@ class Mesh:
     @property
     def n_cells(self) -> int:
         return self.cells.shape[0]
-
-    @property
-    def interior(self) -> np.ndarray:
-        """Indices of interior (non-boundary) nodes."""
-        return np.flatnonzero(~self.boundary_mask)
 
     @property
     def total_measure(self) -> float:

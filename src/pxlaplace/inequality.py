@@ -164,15 +164,14 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
         i2 = -Phi'(1) = integral a(x, grad w2) . grad(w1^r / w2^(r-1) - w2)
 
     and the gap Phi'(1) - Phi'(0) = i1 - i2 is nonnegative by discrete
-    convexity.  Raises for pairs whose interior ratio exceeds the
-    admissibility cap.
+    convexity.  Raises for pairs that do not vanish on the boundary, and,
+    through ``ratio_bound``, for pairs that are not positive at interior
+    nodes or whose interior ratio exceeds the admissibility cap.
     """
     mesh = model.mesh
     for w in (w1, w2):
         if np.any(w.values[mesh.boundary_mask] != 0):
             raise ValueError("gap inputs must vanish on the boundary")
-        if np.any(w.values[mesh.interior] <= 0):
-            raise ValueError("gap inputs must be positive at interior nodes")
     ratios = ratio_bound(w1, w2, cap)
     if not ratios.admissible:
         raise ValueError(

@@ -383,8 +383,11 @@ def first_eigenpair(mesh: Mesh, r: float):
     is (2/den)(Ku - lam Bu) and the metric is K, factored once.  Both run
     the same loop and line search.  The descent stops when the quotient's
     gradient is below ``EIGEN_TOL`` (relative to max(1, lam)), no step
-    decreases the quotient, or after ``EIGEN_MAX_ITERS`` iterations; at
-    r = 2 every mesh measured ends at that cap.  Returns (lam, phi) with phi
+    decreases the quotient, or after ``EIGEN_MAX_ITERS`` iterations.  At
+    r = 2 every mesh measured ends at that cap; for r != 2 every mesh
+    measured (1D r = 1.5 and 3, 2D r = 3) stops because no step decreases
+    the quotient, with the gradient still above 1e-7, far from
+    ``EIGEN_TOL``.  Returns (lam, phi) with phi
     nonnegative and its r-modular normalized to one; lam is the Rayleigh
     value of phi itself, evaluated on the energy layer for every r.
     """

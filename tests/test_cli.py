@@ -13,13 +13,17 @@ from pxlaplace.cli import (EXIT_CHECK_FAILED, EXIT_NONCONVERGED, EXIT_OK,
 from pxlaplace.solver import SolveReport
 
 
+BASE = {
+    "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 48},
+    "exponent": {"p": "2", "r": 2.0},
+    "problem": {"kind": "problem1", "h": "1", "q": "1.5"},
+    "solver": {"grad_tol": 1e-9},
+}
+
+
 def write_config(path, **overrides):
-    cfg = {
-        "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 48},
-        "exponent": {"p": "2", "r": 2.0},
-        "problem": {"kind": "problem1", "h": "1", "q": "1.5"},
-        "solver": {"grad_tol": 1e-9},
-    }
+    """The base config with each override block merged into its block."""
+    cfg = json.loads(json.dumps(BASE))  # deep copy
     for key, val in overrides.items():
         if isinstance(val, dict) and isinstance(cfg.get(key), dict):
             cfg[key].update(val)
@@ -152,20 +156,34 @@ class TestSolveCommand:
                             "--quiet"]) == EXIT_USAGE
         assert f"config error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", [
-        {"domain": {"a": [0]}},
-        {"domain": {"n": 16.9}},
-        {"exponent": {"r": [1.5]}},
-        {"output": {"dir": 5}},
-        {"domain": 5},
+    @pytest.mark.parametrize("override,message", [
+        ({"domain": {"a": [0]}}, "domain.a must be a number, got [0]"),
+        ({"domain": {"n": 16.9}}, None),
+        ({"exponent": {"r": [1.5]}}, "exponent.r must be a number, got [1.5]"),
+        ({"output": {"dir": 5}}, None),
+        ({"domain": 5}, None),
+        # a number given as a JSON string is not a number
+        ({"domain": {"a": "0"}}, 'domain.a must be a number, got "0"'),
+        ({"domain": {"n": "48"}}, 'domain.n must be a number, got "48"'),
+        ({"exponent": {"r": "1.5"}},
+         'exponent.r must be a number, got "1.5"'),
+        ({"problem": {"h_scale": "2"}},
+         'problem.h_scale must be a number, got "2"'),
+        ({"problem": {"kind": "kirchhoff", "m0": "1", "m_inf": 2.0}},
+         'problem.m0 must be a number, got "1"'),
     ], ids=["domain-a-list", "domain-n-fraction", "exponent-r-list",
-            "output-dir-int", "domain-int"])
+            "output-dir-int", "domain-int", "domain-a-string",
+            "domain-n-string", "exponent-r-string", "h_scale-string",
+            "m0-string"])
     def test_wrong_typed_config_value_exits_2(self, tmp_path, capsys,
-                                              override):
+                                              override, message):
         cfg = write_config(tmp_path / "run.json", **override)
         assert run_command(["solve", "--config", str(cfg), "--seed", "7",
                             "--quiet"]) == EXIT_USAGE
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if message is not None:
+            assert err.startswith("config error: ") and message in err
 
     @pytest.mark.parametrize("command,override", [
         # q = 2.5 > r = 2 fails the hypotheses: only a JSON true may
@@ -478,6 +496,62 @@ def test_count_below_one_rejected(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert "must be at least 1" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+_RECTANGLE = {"kind": "rectangle", "nx": 4, "ny": 4}
+# problem1 with a source reaction: no q, so f(x, s) = h
+_SOURCE = {**BASE, "problem": {"kind": "problem1", "h": "1"}}
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["solve", "--seed", "1"], None, "cannot read config"),
+    (["solve", "--seed", "1"], [BASE], "config root must be an object"),
+    (["solve", "--seed", "1"], {**BASE, "domain": {"kind": "disk"}},
+     "unknown domain kind 'disk'"),
+    (["check-convexity", "--seed", "1", "--samples", "2"],
+     {"domain": _RECTANGLE, "exponent": BASE["exponent"],
+      "anisotropy": {"kind": "weighted-quadratic", "weights": ["1"]}},
+     "bad anisotropy block: need one weight field per space dimension"),
+    (["eig"], {"domain": _RECTANGLE}, "eig refinement ladder is 1D only"),
+    (["sweep", "--seed", "1"],
+     {**BASE, "sweep": {"parameter": "problem.kind.q", "values": [1.2]}},
+     "sweep parameter path 'problem.kind.q' not in config"),
+    (["sweep", "--seed", "1"],
+     {**BASE, "sweep": {"parameter": "problem.h_scale", "values": []}},
+     "sweep.values must be a nonempty list"),
+    (["solve", "--seed", "1", "--n", "abc"], BASE,
+     "invalid int value: 'abc'"),
+    # a JSON integer no float can hold
+    (["solve", "--seed", "1"],
+     {**BASE, "domain": {"kind": "interval", "b": 10 ** 400}},
+     "invalid input: int too large to convert to float"),
+], ids=["missing-file", "root-list", "domain-kind", "one-weight-on-rectangle",
+        "eig-rectangle", "sweep-parent-not-block", "sweep-no-values",
+        "n-not-int", "b-beyond-float"])
+def test_input_error_exits_2(tmp_path, capsys, argv, config, message):
+    # config None: no file at the --config path
+    path = tmp_path / "run.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    assert run_command(argv + ["--config", str(path), "--quiet"]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,config,expected", [
+    (["solve", "--seed", "1"], _SOURCE, '"regime": null'),
+    (["validate"], _SOURCE, '"witness": "f/s^(r-1) = h s^(1-r)"'),
+    # without --quiet the sweep prints its table
+    (["sweep", "--seed", "1"],
+     {**BASE, "sweep": {"parameter": "problem.h_scale", "values": [1.0]}},
+     "value,energy,sup_u,residual_max,converged\n1.0,"),
+], ids=["solve-source", "validate-source", "sweep-stdout"])
+def test_command_exits_0(tmp_path, capsys, argv, config, expected):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert run_command(argv + ["--config", str(path)]) == EXIT_OK
+    assert expected in capsys.readouterr().out
 
 
 def test_python_dash_m_entry_point():

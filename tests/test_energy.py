@@ -249,6 +249,16 @@ class TestPhiLine:
         with pytest.raises(ValueError, match="cone"):
             phi_line(v1, v2, -0.8, model)  # 1.0 - 0.8*2 < 0
 
+    @pytest.mark.parametrize("line", [phi_line, phi_prime])
+    def test_unknown_kind_rejected_before_any_work(self, line):
+        # the kind is checked before the fields: these two live on
+        # different meshes
+        model = make_model(n=8)
+        v1 = constant_field(model.mesh, 1.0)
+        v2 = constant_field(build_interval(0, 1, 8), 2.0)
+        with pytest.raises(ValueError, match="unknown line functional"):
+            line(v1, v2, 0.5, model, kind="Z")
+
     def test_delta_interval_evaluates(self):
         from pxlaplace.energy import cone_delta
         model = make_model(p="2+x", r=1.5)

@@ -160,6 +160,17 @@ def test_vertex_major_copies_are_read_only():
                 a[0, 0] = 1
 
 
+def test_interior_index_is_kept_with_the_mesh():
+    for mesh in (build_interval(0, 1, 8), build_rectangle(0, 1, 0, 1, 3, 4)):
+        interior = mesh.interior
+        assert mesh.interior is interior
+        assert np.array_equal(interior, np.flatnonzero(~mesh.boundary_mask))
+        assert not interior.flags.writeable
+        with pytest.raises(ValueError):
+            interior[0] = 0
+        assert "interior" not in repr(mesh)
+
+
 def test_mesh_keeps_private_copies_of_its_arrays():
     # a mesh built from the caller's arrays must not see later writes to
     # them: its cells and the kept vertex-major copy stay in agreement

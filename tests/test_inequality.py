@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pxlaplace import energy
 from pxlaplace.energy import EnergyModel, flux_pairing, phi_prime
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import NodeField, build_interval, constant_field, \
@@ -50,6 +51,20 @@ class TestCheckRayConvexity:
         rep = check_ray_convexity(v, v, model, self.thetas)
         assert rep.equality_on_grid
         assert np.all(np.abs(rep.slacks) <= 1e-15 * rep.scale)
+
+    @pytest.mark.parametrize("kind", ["W", "W_A"])
+    def test_one_cone_check_per_line_value(self, monkeypatch, kind):
+        # Phi(0), Phi(1) and one value per theta, each checked once
+        calls = []
+        check = energy._require_cone
+        monkeypatch.setattr(energy, "_require_cone",
+                            lambda *a: calls.append(1) or check(*a))
+        model = cone_model(p="2+x", r=1.5)
+        rng = np.random.default_rng(5)
+        v1, v2 = (NodeField(model.mesh, rng.uniform(0.1, 10, model.mesh.n_nodes))
+                  for _ in range(2))
+        check_ray_convexity(v1, v2, model, self.thetas, kind=kind)
+        assert len(calls) == self.thetas.size + 2
 
     def test_empty_grid_rejected(self):
         model = cone_model()
@@ -138,6 +153,14 @@ class TestDiazSaaGap:
         w = constant_field(model.mesh, 1.0)
         with pytest.raises(ValueError, match="boundary"):
             diaz_saa_gap(w, w, model)
+
+    def test_zero_interior_value_rejected(self):
+        model = cone_model(n=16)
+        w = interpolate(model.mesh, "x*(1-x)").values.copy()
+        w[3] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            diaz_saa_gap(zero_trace(model.mesh, w),
+                         interpolate(model.mesh, "x*(1-x)"), model)
 
     def test_unbounded_ratio_rejected(self):
         model = cone_model(n=64)
