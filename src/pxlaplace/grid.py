@@ -20,6 +20,8 @@ same.
 The interior-node matrices (the Newton metric, the r = 2 stiffness and
 mass) share one assembly plan per mesh, built on first use and kept with
 the mesh: ``assemble`` sums local cell matrices into its fixed CSR pattern.
+It imports ``scipy.sparse`` on its first call, so a mesh, a field or an
+energy costs numpy alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -321,6 +322,7 @@ def interior_plan(mesh: Mesh) -> tuple:
 def assemble(mesh: Mesh, loc: np.ndarray) -> sp.csr_array:
     """Interior-node matrix summed from the local matrices ``loc``
     (n_cells, d+1, d+1) into the mesh's fixed pattern, in cell order."""
+    import scipy.sparse as sp
     _, indices, indptr, slots = interior_plan(mesh)
     data = np.bincount(slots, loc.ravel(), indptr[-1] + 1)[:-1]
     n = indptr.size - 1

@@ -31,15 +31,21 @@ stiffness from the Newton metric at p = 2, assembles the one-point mass
 and works with matrix-vector products alone; other r go through the
 energy layer.  At r = 2 it stops at ``EIGEN_MAX_ITERS`` on every mesh
 measured.
+
+The module does not import scipy: ``sp`` (``scipy.sparse``) and ``spla``
+(``scipy.sparse.linalg``) are module attributes resolved on first lookup
+by ``__getattr__``, and every sparse solve looks ``spla`` up there, so
+``scipy.sparse.linalg`` loads at the first sparse solve, as
+``scipy.sparse`` does at the first ``grid.assemble``.  ``import
+pxlaplace`` pays for numpy alone.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .anisotropy import _quad_form
 from .energy import (EnergyModel, M_hat, ReactionTerm, _F_cells,
@@ -85,6 +91,19 @@ SHRINK = 0.5
 EIGEN_TOL = 1e-12
 EIGEN_MAX_ITERS = 400
 EIGEN_EPS = 1e-15
+_SCIPY = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
+
+
+def __getattr__(name: str):
+    """``sp`` and ``spla``, imported on first lookup (PEP 562).
+
+    Each sparse solve looks ``spla`` up through this function, so the
+    module loads scipy at its first sparse solve, not at import, and a
+    stand-in set on the module as ``spla`` is the one that runs.
+    """
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, importlib.import_module(_SCIPY[name]))
 
 
 def _is_int(x) -> bool:
@@ -265,8 +284,8 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
             K = _interior_matrix(model, u.values, eps, pref)
             d = np.zeros_like(g)
             # K is SPD: a symmetric fill-reducing ordering fits
-            d[interior] = spla.spsolve(K, -g[interior],
-                                       permc_spec="MMD_AT_PLUS_A")
+            d[interior] = __getattr__("spla").spsolve(
+                K, -g[interior], permc_spec="MMD_AT_PLUS_A")
             gd = float(g @ d)
             if not np.isfinite(gd) or gd >= 0.0:
                 # spsolve gives NaN on an exactly singular K (p = 20 gets
@@ -414,7 +433,7 @@ def first_eigenpair(mesh: Mesh, r: float):
         B = assemble(mesh, np.broadcast_to(
             mesh.cell_measures[:, None, None] / nloc ** 2,
             (mesh.n_cells, nloc, nloc)))
-        lu = spla.splu(K.T)
+        lu = __getattr__("spla").splu(K.T)
 
         def quotient(v: np.ndarray) -> tuple:
             w = NodeField(mesh, v).values[interior]
@@ -443,7 +462,8 @@ def first_eigenpair(mesh: Mesh, r: float):
             break
 
         if r != 2:
-            lu = spla.splu(_interior_matrix(model, u, EIGEN_EPS, 1.0).T)
+            lu = __getattr__("spla").splu(
+                _interior_matrix(model, u, EIGEN_EPS, 1.0).T)
         d = np.zeros_like(u)
         d[interior] = lu.solve(-g)
 

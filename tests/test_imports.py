@@ -1,0 +1,137 @@
+"""scipy loads at the first sparse assembly or solve, not at import.
+
+``import pxlaplace``, ``validate`` and the ``check-*`` commands build no
+sparse matrix, so they run on numpy alone.  Each import case runs in a
+fresh interpreter, since the suite's own process has scipy loaded.  The
+in-process tests hold the ``solver.sp``/``solver.spla`` seam: both resolve
+to scipy on lookup, and a stand-in set as ``solver.spla`` sees every
+sparse solve.
+"""
+
+import collections
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import types
+
+import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+
+from pxlaplace import solver
+from pxlaplace.energy import power_reaction
+from pxlaplace.exponents import exponent_field
+from pxlaplace.grid import build_interval, interpolate
+from pxlaplace.problems import ProblemSpec
+from pxlaplace.solver import SolverOptions, first_eigenpair, solve_problem1
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# the config of the README's command-line section
+README_CONFIG = {
+    "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 256},
+    "exponent": {"p": "2+x", "r": 1.5},
+    "problem": {"kind": "problem1", "h": "1", "q": "1.2"},
+    "solver": {"grad_tol": 1e-9},
+}
+
+# imports pxlaplace, runs the command in argv (if any) through
+# pxlaplace.cli.main, then prints the exit code and whether scipy is loaded
+PROBE = """\
+import sys
+import pxlaplace
+code = 0
+if len(sys.argv) > 1:
+    from pxlaplace.cli import main
+    sys.argv[0] = "pxlaplace"
+    try:
+        main()
+    except SystemExit as e:
+        code = e.code
+print(code, "scipy" in sys.modules)
+"""
+
+
+def _probe(tmp_path, *argv):
+    """Exit code and whether scipy was loaded, in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         check=True, timeout=120).stdout.split()
+    return int(out[0]), out[1] == "True"
+
+
+def _command(tmp_path, *argv):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    return (*argv, "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--quiet")
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    assert _probe(tmp_path) == (0, False)
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("check-convexity", "--samples", "200", "--seed", "1"),
+    ("check-diaz-saa", "--samples", "200", "--seed", "1"),
+])
+def test_checks_run_without_scipy(tmp_path, argv):
+    assert _probe(tmp_path, *_command(tmp_path, *argv)) == (0, False)
+    assert any((tmp_path / "out").iterdir())
+
+
+def test_solve_loads_scipy(tmp_path):
+    assert _probe(tmp_path, *_command(tmp_path, "solve", "--seed", "7")) \
+        == (0, True)
+
+
+def test_solver_resolves_sp_and_spla_to_scipy():
+    assert solver.spla is scipy.sparse.linalg
+    assert solver.sp is scipy.sparse
+    assert not hasattr(solver, "no_such_name")
+
+
+class _Counting:
+    """Forwards each attribute lookup to ``target`` and counts the calls
+    made through it, by name."""
+
+    def __init__(self, target):
+        self.target, self.calls = target, collections.Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(self.target, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+def test_a_stand_in_for_spla_sees_every_sparse_solve(monkeypatch):
+    # every spsolve and splu that reaches scipy must have gone through the
+    # stand-in set as solver.spla (the seam a tracer wraps)
+    real = scipy.sparse.linalg
+    reached = _Counting(types.SimpleNamespace(spsolve=real.spsolve,
+                                              splu=real.splu))
+    for name in ("spsolve", "splu"):
+        monkeypatch.setattr(real, name, getattr(reached, name))
+    stub = _Counting(real)
+    monkeypatch.setattr(solver, "spla", stub)
+
+    mesh = build_interval(0.0, 1.0, 32)
+    spec = ProblemSpec("problem1", mesh, exponent_field(mesh, "2+x", r=1.5),
+                       power_reaction(interpolate(mesh, "1"),
+                                      interpolate(mesh, "1.2")))
+    rep = solve_problem1(spec, SolverOptions())
+    assert rep.converged
+    first_eigenpair(mesh, 3.0)
+    assert stub.calls == reached.calls
+    assert stub.calls["spsolve"] == sum(rep.iterations) > 0
+    assert stub.calls["splu"] > 0
