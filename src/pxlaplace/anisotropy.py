@@ -51,18 +51,19 @@ class AnisotropyModel:
         return self.exponent.mesh
 
     def weights_at_cells(self) -> np.ndarray | None:
-        """Cell averages of the weights, one column each, read-only."""
+        """Cell averages of the weights, one row each, shape
+        (dimension, n_cells), read-only."""
         if self.weights is None:
             return None
-        w = np.column_stack([cell_average(w) for w in self.weights])
+        w = np.array([cell_average(w) for w in self.weights])
         w.flags.writeable = False
         return w
 
     def weights_at(self, points) -> np.ndarray | None:
+        """The weights at the points, one row each."""
         if self.weights is None:
             return None
-        return np.column_stack(
-            [np.atleast_1d(w.at(points)) for w in self.weights])
+        return np.array([np.atleast_1d(w.at(points)) for w in self.weights])
 
 
 def isotropic(exponent: ExponentField) -> AnisotropyModel:
@@ -82,58 +83,58 @@ def weighted_quadratic(exponent: ExponentField, weights) -> AnisotropyModel:
     return AnisotropyModel("weighted-quadratic", exponent, weights)
 
 
-# -- vectorized kernels over rows of xi ------------------------------------
+# -- vectorized kernels over component-major (dimension, k) arrays ----------
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a_i b_i per column, added in component order."""
+    out = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        out += x * y
+    return out
+
 
 def _quad_form(w: np.ndarray | None, xi: np.ndarray) -> np.ndarray:
-    """sum_i w_i xi_i^2 per row (w = None means unit weights)."""
-    if w is None:
-        return np.einsum("cd,cd->c", xi, xi)
-    return np.einsum("cd,cd->c", w * xi, xi)
-
-
-def _N_rows(r: float, w, xi: np.ndarray) -> np.ndarray:
-    return _quad_form(w, xi) ** (r / 2.0)
+    """sum_i w_i xi_i^2 per column (w = None means unit weights)."""
+    return _dot(xi if w is None else w * xi, xi)
 
 
 def _flux_rows(p: np.ndarray, w, xi: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """a(x, xi) rows: s^((p-2)/2) W xi with s = eps^2 + |xi|_W^2, so eps > 0
-    regularizes the |xi|^(p-2) factor."""
-    s = eps * eps + _quad_form(w, xi)
+    """a(x, xi) columns: s^((p-2)/2) W xi with s = eps^2 + |xi|_W^2, so
+    eps > 0 regularizes the |xi|^(p-2) factor."""
     wxi = xi if w is None else w * xi
-    # every row at once, with 1 standing in for s where s = 0 so that no
-    # power of zero is taken; those rows (xi = 0 at eps = 0) then get the
-    # continuous extension at xi = 0, the zero flux
+    s = eps * eps + _dot(wxi, xi)
+    # every column at once, with 1 standing in for s where s = 0 so that no
+    # power of zero is taken; those columns (xi = 0 at eps = 0) then get
+    # the continuous extension at xi = 0, the zero flux
     nz = s > 0.0
-    out = np.where(nz, s, 1.0)[:, None] ** ((p - 2.0) / 2.0)[:, None] * wxi
-    out[~nz] = 0.0
+    out = np.where(nz, s, 1.0) ** ((p - 2.0) / 2.0) * wxi
+    out[:, ~nz] = 0.0
     return out
 
 
 def _point_data(model: AnisotropyModel, x):
-    p = np.atleast_1d(model.exponent.values.at(x))
-    w = model.weights_at(x)
-    return p, w
+    return np.atleast_1d(model.exponent.values.at(x)), model.weights_at(x)
 
 
 def eval_A(model: AnisotropyModel, x, xi) -> float:
     """A(x, xi) at a single point; nonnegative, p(x)-homogeneous in xi."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    xi = np.atleast_2d(np.asarray(xi, dtype=float)).T
     p, w = _point_data(model, x)
     return float((_quad_form(w, xi) ** (p / 2.0))[0])
 
 
 def eval_N(model: AnisotropyModel, x, xi) -> float:
     """N(x, xi) = A(x, xi)^(r/p(x)); r-homogeneous in xi."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    _, w = _point_data(model, x)
-    return float(_N_rows(model.exponent.r, w, xi)[0])
+    xi = np.atleast_2d(np.asarray(xi, dtype=float)).T
+    n = _quad_form(model.weights_at(x), xi) ** (model.exponent.r / 2.0)
+    return float(n[0])
 
 
 def flux_a(model: AnisotropyModel, x, xi) -> np.ndarray:
     """Flux a(x, xi) = grad_xi A / p(x); a(x, 0) = 0."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    xi = np.atleast_2d(np.asarray(xi, dtype=float)).T
     p, w = _point_data(model, x)
-    return _flux_rows(p, w, xi)[0]
+    return _flux_rows(p, w, xi)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,8 @@ def check_hypothesis_A(model: AnisotropyModel, sample_count: int,
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = step
-            hi = _flux_rows(p, w, (xi + e)[None, :])[0]
-            lo = _flux_rows(p, w, (xi - e)[None, :])[0]
+            hi = _flux_rows(p, w, (xi + e)[:, None])[:, 0]
+            lo = _flux_rows(p, w, (xi - e)[:, None])[:, 0]
             jac[:, j] = (hi - lo) / (2.0 * step)
         if not np.all(np.isfinite(jac)):
             raise ValueError("flux Jacobian has non-finite entries: model defect")
@@ -241,14 +242,14 @@ def check_N_strict_convexity(model: AnisotropyModel, sample_count: int,
     strict_ok = True
     ray_equality = False
     for k in range(sample_count):
-        _, w = _point_data(model, pts[k])
+        w = model.weights_at(pts[k])
         xi1 = rng.standard_normal(dim)
         if k % 4 == 3:
             xi2 = 2.0 * xi1  # common-ray probe
         else:
             xi2 = rng.standard_normal(dim)
-        stack = np.vstack([xi1, xi2, 0.5 * (xi1 + xi2)])
-        n1, n2, nmid = _N_rows(r, w, stack)
+        stack = np.column_stack([xi1, xi2, 0.5 * (xi1 + xi2)])
+        n1, n2, nmid = _quad_form(w, stack) ** (r / 2.0)
         margin = 0.5 * (n1 + n2) - nmid
         scale = max(1.0, n1 + n2)
         min_margin = min(min_margin, margin / scale)

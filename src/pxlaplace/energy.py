@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anisotropy import AnisotropyModel, _flux_rows, _quad_form
+from .anisotropy import AnisotropyModel, _dot, _flux_rows, _quad_form
 from .exponents import ExponentField
-from .grid import (Mesh, NodeField, cell_average, cell_gradient, flux_loads,
+from .grid import (Mesh, NodeField, _gradient, cell_average, flux_loads,
                    integrate, scatter_add)
 
 __all__ = [
@@ -124,8 +124,10 @@ class EnergyModel:
 
     The quadrature-point data are averaged once, at construction, into
     read-only arrays: ``p_cells``, ``w_cells`` (None for the isotropic
-    flux) and ``potentials``, the (sign, h, q) cell data of the reaction
-    (sign -1) and the absorption (sign +1), in that order.
+    flux; otherwise one row per weight, shape (dimension, n_cells), the
+    layout of the cell gradients it multiplies) and ``potentials``, the
+    (sign, h, q) cell data of the reaction (sign -1) and the absorption
+    (sign +1), in that order.
     """
 
     mesh: Mesh
@@ -244,7 +246,7 @@ def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
     """The cone energy of a field its caller has checked is in the cone."""
     mesh = model.mesh
     r = model.exponent.r
-    gw = cell_gradient(mesh, _root_field(v, r))
+    gw = _gradient(mesh, _root_field(v, r))
     p = model.p_cells
     dens = (r / p) * _quad_form(weights, gw) ** (p / 2.0)
     return integrate(dens, mesh)
@@ -276,7 +278,7 @@ def dirichlet_part(u: NodeField, model: EnergyModel,
     """
     mesh = model.mesh
     p = model.p_cells
-    s = eps * eps + _quad_form(model.w_cells, cell_gradient(mesh, u.values))
+    s = eps * eps + _quad_form(model.w_cells, _gradient(mesh, u.values))
     return integrate((s ** (p / 2.0) - eps ** p) / p, mesh)
 
 
@@ -288,9 +290,8 @@ def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,
     the isotropic one.
     """
     mesh = model.mesh
-    flux = _flux_rows(model.p_cells, weights, cell_gradient(mesh, w))
-    gs = cell_gradient(mesh, s)
-    return integrate(np.einsum("cd,cd->c", flux, gs), mesh)
+    flux = _flux_rows(model.p_cells, weights, _gradient(mesh, w))
+    return integrate(_dot(flux, _gradient(mesh, s)), mesh)
 
 
 def _plus_F(base: float, u: NodeField, potentials) -> float:
@@ -445,18 +446,16 @@ def gateaux_gradient(model: EnergyModel, u: NodeField,
     Kirchhoff term scales the flux part by M(dirichlet part).
     """
     mesh = model.mesh
-    gu = cell_gradient(mesh, u.values)
+    gu = _gradient(mesh, u.values)
     flux = _flux_rows(model.p_cells, model.w_cells, gu, eps)
     if model.kirchhoff is not None:
         flux = flux * kirchhoff_M(model.kirchhoff, dirichlet_part(u, model, eps))
 
-    m = mesh.cell_measures
     contrib = flux_loads(mesh, flux)
-
-    n_loc = mesh.dimension + 1
     uc = cell_average(u)
     for sign, h, q in model.potentials:
-        contrib += (sign * _f_cells(uc, h, q) * m / n_loc)[:, None]
+        contrib += (sign * _f_cells(uc, h, q) * mesh.cell_measures
+                    / (mesh.dimension + 1))[:, None]
 
     g = scatter_add(mesh, contrib)
     g[mesh.boundary_mask] = 0.0

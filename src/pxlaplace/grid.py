@@ -15,7 +15,10 @@ contiguous array per gradient component.  A cell gradient is then the sum
 over vertices of basis gradient times vertex value, and a cell average the
 sum of the vertex values divided once by their count; both add in the same
 order as the dense per-cell formulas, so their results are bitwise the
-same.
+same.  Cell vectors stay component-major, shape (dimension, n_cells), from
+the gradient kernel ``_gradient`` through every flux, weight and reduction
+that reads them; only the public ``cell_gradient`` hands out the
+transposed (n_cells, dimension) view.
 
 The interior-node matrices (the Newton metric, the r = 2 stiffness and
 mass) share one assembly plan per mesh, built on first use and kept with
@@ -258,28 +261,40 @@ def _check_measures(mesh: Mesh, volume: float):
         raise ValueError("cell measures do not sum to the domain measure")
 
 
-def cell_gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
-    """(n_cells, dimension) gradients of the P1 interpolant of nodal values.
+def _gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
+    """(dimension, n_cells) gradients of the P1 interpolant of nodal values.
 
     The one gradient kernel: every energy, flux, metric and checker in the
-    package differentiates through it.  In 1D it is the difference
-    quotient per segment; it is exact for globally affine fields and
-    linear in the values.  Summed vertex by vertex in ``vertex_grads``
-    layout, so the result is the transpose of a (dimension, n_cells)
-    array.
+    package differentiates through it, and reads its result in this
+    component-major layout.  In 1D it is the difference quotient per
+    segment; it is exact for globally affine fields and linear in the
+    values.  Summed vertex by vertex in ``vertex_grads`` layout.
     """
     G, C = mesh.vertex_grads, mesh.vertex_cells
     out = G[0] * nodal[C[0]]
     for g, c in zip(G[1:], C[1:]):
         out += g * nodal[c]
-    return out.T
+    return out
+
+
+def cell_gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
+    """(n_cells, dimension) gradients of the P1 interpolant of nodal values:
+    the transposed view of ``_gradient``'s result, one row per cell."""
+    return _gradient(mesh, nodal).T
+
+
+def _basis_pairing(mesh: Mesh, vec: np.ndarray) -> np.ndarray:
+    """(n_cells, dimension+1) dot products of a component-major cell vector
+    (dimension, n_cells) with the gradient of each cell vertex's basis
+    function, summed over the components in order."""
+    return np.einsum("dc,vdc->cv", vec, mesh.vertex_grads)
 
 
 def flux_loads(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
-    """(n_cells, dimension+1) integrals of a cellwise constant flux against
-    the gradient of each cell vertex's basis function."""
-    return np.einsum("cd,cvd->cv", flux * mesh.cell_measures[:, None],
-                     mesh.shape_grads)
+    """(n_cells, dimension+1) integrals of a cellwise constant flux, given
+    component-major as (dimension, n_cells), against the gradient of each
+    cell vertex's basis function."""
+    return _basis_pairing(mesh, flux * mesh.cell_measures)
 
 
 def scatter_add(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
@@ -319,9 +334,10 @@ def interior_plan(mesh: Mesh) -> tuple:
     return mesh._plan
 
 
-def assemble(mesh: Mesh, loc: np.ndarray) -> sp.csr_array:
-    """Interior-node matrix summed from the local matrices ``loc``
-    (n_cells, d+1, d+1) into the mesh's fixed pattern, in cell order."""
+def assemble(mesh: Mesh, loc: np.ndarray):
+    """Interior-node ``scipy.sparse.csr_array`` summed from the local
+    matrices ``loc`` (n_cells, d+1, d+1) into the mesh's fixed pattern, in
+    cell order."""
     import scipy.sparse as sp
     _, indices, indptr, slots = interior_plan(mesh)
     data = np.bincount(slots, loc.ravel(), indptr[-1] + 1)[:-1]

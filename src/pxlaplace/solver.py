@@ -52,8 +52,8 @@ from .energy import (EnergyModel, M_hat, ReactionTerm, _F_cells,
                      dirichlet_part, energy_value, gateaux_gradient,
                      kirchhoff_M)
 from .exponents import exponent_field
-from .grid import (Mesh, NodeField, assemble, cell_average, cell_gradient,
-                   constant_field, integrate, interior_plan)
+from .grid import (Mesh, NodeField, _basis_pairing, _gradient, assemble,
+                   cell_average, constant_field, integrate, interior_plan)
 from .inequality import diaz_saa_gap
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
     validate_f, validate_g, validate_M
@@ -192,7 +192,7 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
     ts = np.geomspace(1e-4, 10.0, 60)
     t = ts[:, None]
     p, m = model.p_cells, mesh.cell_measures
-    sq = _quad_form(model.w_cells, cell_gradient(mesh, prof))
+    sq = _quad_form(model.w_cells, _gradient(mesh, prof))
     energies = ((t * t * sq) ** (p / 2.0) / p) @ m
     if model.kirchhoff is not None:
         energies = M_hat(model.kirchhoff, energies)
@@ -204,8 +204,8 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
 
 
 def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
-                     pref: float) -> sp.csr_array:
-    """Newton metric on interior nodes.
+                     pref: float):
+    """Newton metric on interior nodes, a ``scipy.sparse.csr_array``.
 
     The Hessian of ``pref`` times the eps-regularized Dirichlet part: with
     q = |xi|_W^2 and omega = pref (eps^2 + q)^((p-2)/2) |cell|, the local
@@ -221,17 +221,17 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
     mesh = model.mesh
     w = model.w_cells
     p = model.p_cells
-    xi = cell_gradient(mesh, u)
+    xi = _gradient(mesh, u)
     s = eps * eps + _quad_form(w, xi)
     omega = pref * s ** ((p - 2.0) / 2.0) * mesh.cell_measures
     G = mesh.shape_grads
     if w is None:
         loc = omega[:, None, None] * interior_plan(mesh)[0]
     else:
-        loc = np.einsum("c,cd,cid,cjd->cij", omega, w, G, G)
+        loc = np.einsum("c,dc,cid,cjd->cij", omega, w, G, G)
         xi = w * xi
     # the rank-one term along a_i = G_i . W xi; it vanishes at p = 2
-    a = np.einsum("cid,cd->ci", G, xi)
+    a = _basis_pairing(mesh, xi)
     loc += ((omega * (p - 2.0) / s)[:, None, None]
             * (a[:, :, None] * a[:, None]))
     return assemble(mesh, loc)

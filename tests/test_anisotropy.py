@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pxlaplace.anisotropy import (AnisotropyModel, _flux_rows,
+from pxlaplace.anisotropy import (AnisotropyModel, _flux_rows, _quad_form,
                                   check_hypothesis_A,
                                   check_N_strict_convexity, eval_A, eval_N,
                                   flux_a, isotropic, weighted_quadratic)
@@ -121,7 +121,8 @@ class TestFlux:
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_flux_rows_match_masked_formula_bitwise(dim, weighted):
-    # the masked form the all-rows power replaced: zero rows stay zero
+    # the row formulas the component-major kernels replaced: the einsum
+    # quadratic form and the masked flux, where zero rows stay zero
     rng = np.random.default_rng(23)
     n = 400
     p = rng.uniform(1.2, 4.0, n)
@@ -133,7 +134,16 @@ def test_flux_rows_match_masked_formula_bitwise(dim, weighted):
     expected = np.zeros_like(xi)
     nz = q > 0.0
     expected[nz] = q[nz, None] ** ((p[nz] - 2.0) / 2.0)[:, None] * wxi[nz]
-    assert _flux_rows(p, w, xi).tobytes() == expected.tobytes()
+    # the kernels take (dim, n) arrays: contiguous, as the gradient kernel
+    # and the model's weights give them, or the transposed views of rows
+    # that the point evaluators pass
+    for layout in (np.ascontiguousarray, np.asarray):
+        cols = layout(xi.T)
+        w_cols = None if w is None else layout(w.T)
+        assert _quad_form(w_cols, cols).tobytes() == q.tobytes()
+        flux = _flux_rows(p, w_cols, cols)
+        assert flux.shape == (dim, n)
+        assert np.ascontiguousarray(flux.T).tobytes() == expected.tobytes()
 
 
 class TestHypothesisA:

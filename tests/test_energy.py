@@ -441,6 +441,9 @@ class TestModelCells:
                                     constant_field(mesh, 1.2)),
             absorption=power_absorption(constant_field(mesh, 1.0),
                                         constant_field(mesh, 2.0)))
+        # one row of weights per dimension, the layout of cell gradients
+        assert model.w_cells.shape == (2, mesh.n_cells)
+        assert model.w_cells.flags.c_contiguous
         arrays = [model.p_cells, model.w_cells]
         arrays += [a for _, h, q in model.potentials for a in (h, q)]
         for a in arrays:

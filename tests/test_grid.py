@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pxlaplace.grid import (NodeField, build_interval, build_rectangle,
-                            cell_average, cell_gradient, constant_field,
+from pxlaplace.grid import (NodeField, _basis_pairing, _gradient,
+                            build_interval, build_rectangle, cell_average,
+                            cell_gradient, constant_field, flux_loads,
                             integrate, interpolate, scatter_add)
 
 
@@ -127,22 +128,34 @@ KERNEL_MESHES = [(1, 7), (1, 256), (1, 1024), (2, (3, 4)), (2, (16, 17)),
 @pytest.mark.parametrize("dim,size", KERNEL_MESHES,
                          ids=[f"{d}d-{s}" for d, s in KERNEL_MESHES])
 def test_vertex_kernels_match_dense_formulas_bitwise(dim, size):
-    # the dense per-cell formulas the vertex-major kernels replaced
+    # the dense per-cell formulas the vertex-major kernels replaced, with
+    # cell vectors given and returned component-major, (dim, n_cells)
     mesh = build_interval(0, 1, size) if dim == 1 else \
         build_rectangle(0, 1.5, 0, 1, *size)
+    G, m = mesh.shape_grads, mesh.cell_measures
     rng = np.random.default_rng(17)
     for scale in (1.0, 1e3, 1e6, 1e9):
         vals = rng.standard_normal(mesh.n_nodes) * scale
         vals[rng.random(mesh.n_nodes) < 0.25] = 0.0
         vals[:3] = 0.0  # a cell, or in 2D part of one, with zero vertices
-        dense_grad = np.einsum("cvd,cv->cd", mesh.shape_grads,
-                               vals[mesh.cells])
+        dense_grad = np.einsum("cvd,cv->cd", G, vals[mesh.cells])
         dense_avg = vals[mesh.cells].mean(axis=1)
         grad = cell_gradient(mesh, vals)
         avg = cell_average(NodeField(mesh, vals))
         assert grad.shape == dense_grad.shape
         assert np.ascontiguousarray(grad).tobytes() == dense_grad.tobytes()
         assert avg.tobytes() == dense_avg.tobytes()
+        cols = _gradient(mesh, vals)
+        assert cols.flags.c_contiguous
+        assert cols.tobytes() == np.ascontiguousarray(dense_grad.T).tobytes()
+        # flux_loads, and the rank-one vector a_i = G_i . W xi of the
+        # solver's metric, from the same pairing kernel
+        flux = rng.standard_normal((mesh.dimension, mesh.n_cells)) * scale
+        flux[:, ::5] = 0.0
+        loads = np.einsum("cd,cvd->cv", flux.T * m[:, None], G)
+        assert flux_loads(mesh, flux).tobytes() == loads.tobytes()
+        a = np.einsum("cid,cd->ci", G, cols.T)
+        assert _basis_pairing(mesh, cols).tobytes() == a.tobytes()
 
 
 def test_vertex_major_copies_are_read_only():

@@ -1,8 +1,10 @@
 """scipy loads at the first sparse assembly or solve, not at import.
 
 ``import pxlaplace``, ``validate`` and the ``check-*`` commands build no
-sparse matrix, so they run on numpy alone.  Each import case runs in a
-fresh interpreter, since the suite's own process has scipy loaded.  The
+sparse matrix, so they run on numpy alone, and no annotation names
+scipy, so resolving the package's type hints needs no scipy either.  Each
+import case runs in a fresh interpreter, since the suite's own process
+has scipy loaded.  The
 in-process tests hold the ``solver.sp``/``solver.spla`` seam: both resolve
 to scipy on lookup, and a stand-in set as ``solver.spla`` sees every
 sparse solve.
@@ -54,14 +56,43 @@ print(code, "scipy" in sys.modules)
 """
 
 
-def _probe(tmp_path, *argv):
-    """Exit code and whether scipy was loaded, in a fresh interpreter."""
+# resolves the type hints of every function, class and method defined in
+# the package, then prints how many it resolved, whether scipy is loaded
+# and each failure
+HINTS = """\
+import importlib, inspect, pkgutil, sys, typing
+import pxlaplace
+checked, failed = 0, []
+for info in pkgutil.iter_modules(pxlaplace.__path__):
+    module = importlib.import_module("pxlaplace." + info.name)
+    for obj in list(vars(module).values()):
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)) \\
+                or obj.__module__ != module.__name__:
+            continue
+        members = vars(obj).values() if inspect.isclass(obj) else ()
+        for f in [obj, *filter(inspect.isfunction, members)]:
+            checked += 1
+            try:
+                typing.get_type_hints(f)
+            except Exception as e:
+                failed.append(f"{module.__name__}.{f.__qualname__}: {e!r}")
+print(checked, "scipy" in sys.modules, *failed, sep="\\n")
+"""
+
+
+def _run(tmp_path, script, *argv):
+    """stdout of ``script`` run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
-                         cwd=tmp_path, capture_output=True, text=True,
-                         check=True, timeout=120).stdout.split()
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          check=True, timeout=120).stdout
+
+
+def _probe(tmp_path, *argv):
+    """Exit code and whether scipy was loaded, in a fresh interpreter."""
+    out = _run(tmp_path, PROBE, *argv).split()
     return int(out[0]), out[1] == "True"
 
 
@@ -84,6 +115,14 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 def test_checks_run_without_scipy(tmp_path, argv):
     assert _probe(tmp_path, *_command(tmp_path, *argv)) == (0, False)
     assert any((tmp_path / "out").iterdir())
+
+
+def test_type_hints_resolve_without_scipy(tmp_path):
+    # no annotation may name scipy, which is not bound at import
+    checked, scipy_loaded, *failed = _run(tmp_path, HINTS).splitlines()
+    assert failed == []
+    assert scipy_loaded == "False"
+    assert int(checked) > 200
 
 
 def test_solve_loads_scipy(tmp_path):

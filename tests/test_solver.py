@@ -379,7 +379,7 @@ def test_planned_metric_matches_coo_assembly(dim, flux):
     for c, cell in enumerate(mesh.cells):
         G = mesh.shape_grads[c]
         W = np.eye(mesh.dimension) if model.w_cells is None else \
-            np.diag(model.w_cells[c])
+            np.diag(model.w_cells[:, c])
         p = model.p_cells[c]
         xi = G.T @ u[cell]
         s = eps ** 2 + xi @ W @ xi

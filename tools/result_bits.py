@@ -1,0 +1,45 @@
+"""Print the exact result of every benchmark case, one line per case.
+
+Builds the cases of each benchmark workload with ``bench/workloads.build``,
+runs each case once and prints ``<workload> <case> <signature>``, where
+the signature is ``workloads.signature`` of the result (every float as a
+hex literal).  Diffing the output of two checkouts shows whether their
+results are bitwise equal.  The package is imported from the ``src/``
+next to this script; nothing under ``bench/`` is changed.
+
+Usage: python tools/result_bits.py [--seed S] [WORKLOAD ...]
+       (default: seed 1, every workload)
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the check pairs (default 1)")
+    parser.add_argument("workload", nargs="*",
+                        help="workloads to run (default: all of "
+                        + ", ".join(workloads.WORKLOADS) + ")")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.workload) - set(workloads.WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload(s): {', '.join(unknown)}")
+    for name in args.workload or workloads.WORKLOADS:
+        for case in workloads.build(name, args.seed):
+            print(name, case.name, workloads.signature(case.run()),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
