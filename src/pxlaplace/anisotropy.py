@@ -152,12 +152,10 @@ def _unit_sphere(rng, count: int, dim: int) -> np.ndarray:
 
 
 def _sample_points(mesh, rng, count: int) -> np.ndarray:
-    if mesh.dimension == 1:
-        a, b = mesh.bounds
-        return rng.uniform(a, b, (count, 1))
-    ax, bx, ay, by = mesh.bounds
-    return np.column_stack(
-        [rng.uniform(ax, bx, count), rng.uniform(ay, by, count)])
+    """``count`` uniform points of the domain box, (count, dimension):
+    all the draws of the first axis, then those of the second."""
+    return np.column_stack([rng.uniform(lo, hi, count) for lo, hi in
+                            zip(mesh.bounds[::2], mesh.bounds[1::2])])
 
 
 def check_hypothesis_A(model: AnisotropyModel, sample_count: int,

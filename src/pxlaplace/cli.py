@@ -90,27 +90,25 @@ def _size(args, dom: dict, key: str, default: int) -> int:
     return _scalar(dom, key, "domain", default) if flag is None else flag
 
 
-# domain kind: the keys of its block
-_DOMAIN_KEYS = {"interval": {"kind", "a", "b", "n"},
-                "rectangle": {"kind", "ax", "bx", "ay", "by", "nx", "ny"}}
+# domain kind: (builder, bounds, sizes), the bounds and sizes with their
+# defaults, in the builder's argument order
+_DOMAINS = {
+    "interval": (grid.build_interval, {"a": 0.0, "b": 1.0}, {"n": 64}),
+    "rectangle": (grid.build_rectangle,
+                  {"ax": 0.0, "bx": 1.0, "ay": 0.0, "by": 1.0},
+                  {"nx": 16, "ny": 16}),
+}
 
 
 def _build_mesh(cfg: dict, args) -> grid.Mesh:
     dom = _need(cfg, "domain")
     kind = _need(dom, "kind", "domain")
-    if kind not in _DOMAIN_KEYS:
+    if kind not in _DOMAINS:
         raise ConfigError(f"unknown domain kind {kind!r}")
-    _known(dom, _DOMAIN_KEYS[kind], "domain key(s)")
-    if kind == "interval":
-        return grid.build_interval(_scalar(dom, "a", "domain", 0.0),
-                                   _scalar(dom, "b", "domain", 1.0),
-                                   _size(args, dom, "n", 64))
-    return grid.build_rectangle(_scalar(dom, "ax", "domain", 0.0),
-                                _scalar(dom, "bx", "domain", 1.0),
-                                _scalar(dom, "ay", "domain", 0.0),
-                                _scalar(dom, "by", "domain", 1.0),
-                                _size(args, dom, "nx", 16),
-                                _size(args, dom, "ny", 16))
+    build, bounds, sizes = _DOMAINS[kind]
+    _known(dom, {"kind", *bounds, *sizes}, "domain key(s)")
+    return build(*[_scalar(dom, k, "domain", d) for k, d in bounds.items()],
+                 *[_size(args, dom, k, d) for k, d in sizes.items()])
 
 
 def _field(mesh, source, what: str) -> grid.NodeField:
@@ -224,12 +222,19 @@ def _write_atomic(path: str, data: str):
         raise
 
 
-def _dump_report(report: dict, path: str | None, quiet: bool):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if path is not None:
-        _write_atomic(path, text)
-    if not quiet:
+def _emit(args, cfg: dict, name: str, text: str, echo: bool = True):
+    """The one output rule: write ``text`` as the file ``name`` into --out,
+    else into ``output.dir``, else nowhere, and echo it to stdout unless
+    ``echo`` is false or --quiet is given."""
+    out = args.out or cfg.get("output", {}).get("dir")
+    if out is not None:
+        _write_atomic(os.path.join(out, name), text)
+    if echo and not args.quiet:
         sys.stdout.write(text)
+
+
+def _dump_report(args, cfg: dict, name: str, report: dict):
+    _emit(args, cfg, name, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _solution_table(u: grid.NodeField) -> str:
@@ -238,13 +243,6 @@ def _solution_table(u: grid.NodeField) -> str:
     for coords, val in zip(mesh.nodes, u.values):
         lines.append(",".join(_fmt(c) for c in coords) + "," + _fmt(val))
     return "\n".join(lines) + "\n"
-
-
-def _out_path(args, cfg: dict, name: str) -> str | None:
-    out = args.out or cfg.get("output", {}).get("dir")
-    if out is None:
-        return None
-    return os.path.join(out, name)
 
 
 # -- sampled instances for the check suites ----------------------------------
@@ -308,17 +306,14 @@ def _cmd_check(cfg, args) -> int:
     report = {"check": check, "samples": args.samples, "seed": args.seed,
               key: worst, "failures": failures, "passed": failures == 0}
     name = "check_" + check.replace("-", "_") + ".json"
-    _dump_report(report, _out_path(args, cfg, name), args.quiet)
+    _dump_report(args, cfg, name, report)
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
 def _cmd_solve(cfg, args) -> int:
     rep = _solve(cfg, args)
-    table = _solution_table(rep.solution)
-    path = _out_path(args, cfg, "solution.csv")
-    if path is not None:
-        _write_atomic(path, table)
-    _dump_report(rep.as_dict(), _out_path(args, cfg, "report.json"), args.quiet)
+    _emit(args, cfg, "solution.csv", _solution_table(rep.solution), echo=False)
+    _dump_report(args, cfg, "report.json", rep.as_dict())
     return EXIT_OK if rep.converged else EXIT_NONCONVERGED
 
 
@@ -337,7 +332,7 @@ def _cmd_eig(cfg, args) -> int:
         seq = [(4.0 * seq[i + 1] - seq[i]) / 3.0 for i in range(len(seq) - 1)]
     report = {"command": "eig", "r": args.r, "sizes": sizes,
               "lambdas": lambdas, "extrapolated": seq[0]}
-    _dump_report(report, _out_path(args, cfg, "eig_report.json"), args.quiet)
+    _dump_report(args, cfg, "eig_report.json", report)
     return EXIT_OK
 
 
@@ -358,7 +353,7 @@ def _cmd_validate(cfg, args) -> int:
                          "frac_p_above_r": tag.frac_p_above_r,
                          "frac_q_below_r": tag.frac_q_below_r}
     out["passed"] = ok
-    _dump_report(out, _out_path(args, cfg, "validation.json"), args.quiet)
+    _dump_report(args, cfg, "validation.json", out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -378,27 +373,19 @@ def _cmd_sweep(cfg, args) -> int:
     values = _need(sweep, "values", "sweep")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a nonempty list")
-    rows = []
+    lines = ["value,energy,sup_u,residual_max,converged"]
     any_nonconv = False
     for val in values:
         run_cfg = json.loads(json.dumps(cfg))  # deep copy
         _set_by_path(run_cfg, param, val)
         rep = _solve(run_cfg, args)
         any_nonconv = any_nonconv or not rep.converged
-        rows.append((val, rep))
-    lines = ["value,energy,sup_u,residual_max,converged"]
-    for val, rep in rows:
         lines.append(",".join([
             _fmt(val), _fmt(rep.energy),
             _fmt(np.abs(rep.solution.values).max()),
             _fmt(rep.residual_max), str(int(rep.converged)),
         ]))
-    table = "\n".join(lines) + "\n"
-    path = _out_path(args, cfg, "sweep.csv")
-    if path is not None:
-        _write_atomic(path, table)
-    if not args.quiet:
-        sys.stdout.write(table)
+    _emit(args, cfg, "sweep.csv", "\n".join(lines) + "\n")
     return EXIT_NONCONVERGED if any_nonconv else EXIT_OK
 
 

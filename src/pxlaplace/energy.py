@@ -123,8 +123,9 @@ class EnergyModel:
     and a Kirchhoff term the nonlocal energy J.
 
     The quadrature-point data are averaged once, at construction, into
-    read-only arrays: ``p_cells``, ``w_cells`` (None for the isotropic
-    flux; otherwise one row per weight, shape (dimension, n_cells), the
+    read-only arrays: ``p_cells``, ``w_cells`` (the anisotropy's
+    ``weights_at_cells()``: None for the isotropic flux, which has no
+    weights; otherwise one row per weight, shape (dimension, n_cells), the
     layout of the cell gradients it multiplies) and ``potentials``, the
     (sign, h, q) cell data of the reaction (sign -1) and the absorption
     (sign +1), in that order.
@@ -149,9 +150,8 @@ class EnergyModel:
         if self.kirchhoff is not None and self.absorption is not None:
             raise ValueError("the nonlocal energy J has no absorption term")
         p = self.exponent.cellwise()
-        w = None
-        if self.anisotropy is not None and self.anisotropy.kind != "isotropic":
-            w = self.anisotropy.weights_at_cells()
+        w = (None if self.anisotropy is None
+             else self.anisotropy.weights_at_cells())
         potentials = []
         if self.reaction is not None:
             f = self.reaction

@@ -154,15 +154,11 @@ class SolveReport:
 
 
 def _bump_profile(mesh: Mesh) -> np.ndarray:
-    """Nonnegative profile vanishing on the boundary, scaled to max 1."""
-    if mesh.dimension == 1:
-        a, b = mesh.bounds
-        x = mesh.nodes[:, 0]
-        prof = (x - a) * (b - x)
-    else:
-        ax, bx, ay, by = mesh.bounds
-        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        prof = (x - ax) * (bx - x) * (y - ay) * (by - y)
+    """Nonnegative profile vanishing on the boundary, scaled to max 1: the
+    product over the axes of (x - lo)(hi - x), taken left to right."""
+    prof = 1.0
+    for x, lo, hi in zip(mesh.nodes.T, mesh.bounds[::2], mesh.bounds[1::2]):
+        prof = prof * (x - lo) * (hi - x)
     return prof / prof.max()
 
 
@@ -224,10 +220,10 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
     xi = _gradient(mesh, u)
     s = eps * eps + _quad_form(w, xi)
     omega = pref * s ** ((p - 2.0) / 2.0) * mesh.cell_measures
-    G = mesh.shape_grads
     if w is None:
         loc = omega[:, None, None] * interior_plan(mesh)[0]
     else:
+        G = mesh.shape_grads
         loc = np.einsum("c,dc,cid,cjd->cij", omega, w, G, G)
         xi = w * xi
     # the rank-one term along a_i = G_i . W xi; it vanishes at p = 2
@@ -530,12 +526,8 @@ def uniqueness_experiment(spec: ProblemSpec, opts: SolverOptions,
             gaps.append(diaz_saa_gap(usable[i], usable[j], model).gap)
 
     expected_multiplicity = regime == "degenerate-eigen"
-    if not all_converged or len(usable) < 2:
-        passed = None
-    elif expected_multiplicity:
-        passed = None
-    else:
-        passed = dist <= tol
+    inconclusive = not all_converged or len(usable) < 2 or expected_multiplicity
+    passed = None if inconclusive else dist <= tol
     return UniquenessReport(
         max_pairwise_distance=dist,
         solution_scale=scale,

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from pxlaplace.anisotropy import weighted_quadratic
+from pxlaplace.anisotropy import _flux_rows, weighted_quadratic
 from pxlaplace.energy import (EnergyModel, M_hat, W_A_functional, W_functional,
                               dirichlet_part, energy_E, energy_E_hat, energy_J,
-                              gateaux_gradient, phi_line, phi_prime,
-                              potential_F, potential_G, power_absorption,
-                              power_reaction, saturating_kirchhoff,
-                              source_reaction)
+                              flux_pairing, gateaux_gradient, phi_line,
+                              phi_prime, potential_F, potential_G,
+                              power_absorption, power_reaction,
+                              saturating_kirchhoff, source_reaction)
 from pxlaplace.exponents import exponent_field
-from pxlaplace.grid import (NodeField, build_interval, build_rectangle,
-                            constant_field, interpolate)
+from pxlaplace.grid import (NodeField, _gradient, build_interval,
+                            build_rectangle, constant_field, interpolate)
 
 
 def make_model(n=64, p="2", r=1.0, h=None, q=None, ell=None, Q=None,
@@ -271,6 +271,32 @@ class TestPhiLine:
 
 
 class TestPhiPrime:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_flux_pairing_matches_explicit_formula_bitwise(self, dim):
+        # the pairing behind phi_prime and the Diaz-Saa integrals: the flux
+        # of _flux_rows, paired with grad s component by component in
+        # order, then one sum of the pairings times the cell measures
+        if dim == 1:
+            model = make_model(n=97, p="2+x", r=1.5)
+        else:
+            mesh = build_rectangle(0, 1.5, 0, 1, 9, 7)
+            exponent = exponent_field(mesh, "2+x*y", r=1.5)
+            model = EnergyModel(mesh, exponent, anisotropy=weighted_quadratic(
+                exponent, [interpolate(mesh, "1+x"), interpolate(mesh, "2-y")]))
+        mesh = model.mesh
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            w = rng.uniform(0.1, 10.0, mesh.n_nodes)
+            s = rng.standard_normal(mesh.n_nodes)
+            flux = _flux_rows(model.p_cells, model.w_cells, _gradient(mesh, w))
+            gs = _gradient(mesh, s)
+            pairing = flux[0] * gs[0]
+            for k in range(1, dim):
+                pairing = pairing + flux[k] * gs[k]
+            expected = float(np.sum(pairing * mesh.cell_measures))
+            got = flux_pairing(model, w, s, model.w_cells)
+            assert got.hex() == expected.hex()
+
     def test_proportional_pair_derivative(self):
         # Phi(t) = (1+t)^2 W(v1) so Phi'(0) = 2 W(v1) -> 1/3
         model = make_model(n=256)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pxlaplace.grid import (NodeField, _basis_pairing, _gradient,
+from pxlaplace.grid import (Mesh, NodeField, _basis_pairing, _gradient,
                             build_interval, build_rectangle, cell_average,
                             cell_gradient, constant_field, flux_loads,
                             integrate, interpolate, scatter_add)
@@ -121,8 +121,30 @@ def test_scatter_add_matches_add_at_bitwise(dim, width):
     assert scatter_add(mesh, contrib).tobytes() == expected.tobytes()
 
 
+def _sheared_mesh() -> Mesh:
+    """The 7 x 5 unit-square grid with its nodes mapped by the matrix
+    [[1, 0.11], [0.37, 0.83]], and the basis gradients, measures and
+    centroids recomputed for the mapped nodes (the bounds, which the
+    kernels do not read, stay the square's).
+
+    On the structured grids every cell has, per gradient component, a
+    vertex whose basis gradient component is zero, so the order in which
+    a kernel adds the vertices cannot show in its bits; here none is zero.
+    """
+    base = build_rectangle(0, 1, 0, 1, 7, 5)
+    nodes = base.nodes @ np.array([[1.0, 0.11], [0.37, 0.83]]).T
+    p0, p1, p2 = (nodes[base.cells[:, k]] for k in range(3))
+    e1, e2 = p1 - p0, p2 - p0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    g1 = np.column_stack([e2[:, 1], -e2[:, 0]]) / det[:, None]
+    g2 = np.column_stack([-e1[:, 1], e1[:, 0]]) / det[:, None]
+    return Mesh(2, base.bounds, base.resolution, nodes, base.cells,
+                base.boundary_mask, 0.5 * np.abs(det), (p0 + p1 + p2) / 3.0,
+                np.stack([-(g1 + g2), g1, g2], axis=1))
+
+
 KERNEL_MESHES = [(1, 7), (1, 256), (1, 1024), (2, (3, 4)), (2, (16, 17)),
-                 (2, (64, 64))]
+                 (2, (64, 64)), (2, "sheared")]
 
 
 @pytest.mark.parametrize("dim,size", KERNEL_MESHES,
@@ -130,8 +152,12 @@ KERNEL_MESHES = [(1, 7), (1, 256), (1, 1024), (2, (3, 4)), (2, (16, 17)),
 def test_vertex_kernels_match_dense_formulas_bitwise(dim, size):
     # the dense per-cell formulas the vertex-major kernels replaced, with
     # cell vectors given and returned component-major, (dim, n_cells)
-    mesh = build_interval(0, 1, size) if dim == 1 else \
-        build_rectangle(0, 1.5, 0, 1, *size)
+    if size == "sheared":
+        mesh = _sheared_mesh()
+        assert np.all(mesh.shape_grads != 0.0)
+    else:
+        mesh = build_interval(0, 1, size) if dim == 1 else \
+            build_rectangle(0, 1.5, 0, 1, *size)
     G, m = mesh.shape_grads, mesh.cell_measures
     rng = np.random.default_rng(17)
     for scale in (1.0, 1e3, 1e6, 1e9):
@@ -148,6 +174,11 @@ def test_vertex_kernels_match_dense_formulas_bitwise(dim, size):
         cols = _gradient(mesh, vals)
         assert cols.flags.c_contiguous
         assert cols.tobytes() == np.ascontiguousarray(dense_grad.T).tobytes()
+        # the gradient adds the cell's vertices left to right
+        ltr = G[:, 0] * vals[mesh.cells[:, 0], None]
+        for v in range(1, dim + 1):
+            ltr = ltr + G[:, v] * vals[mesh.cells[:, v], None]
+        assert cols.tobytes() == np.ascontiguousarray(ltr.T).tobytes()
         # flux_loads, and the rank-one vector a_i = G_i . W xi of the
         # solver's metric, from the same pairing kernel
         flux = rng.standard_normal((mesh.dimension, mesh.n_cells)) * scale

@@ -1,4 +1,6 @@
+from contextlib import nullcontext
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,6 +281,44 @@ def test_singular_metric_falls_back_to_steepest_descent():
     assert rep.iterations == (1, 21, 6, 12, 4, 5, 12)
     assert rep.stage_exits == ("floor",) * 7
     assert rep.positivity_ok
+
+
+# random start of _steep_spec: (iterations, steps that fell back to -g,
+# the warnings the solve raises)
+RESCUED = {14: ((37, 3, 2, 1, 0, 0, 0), 5,
+                {RuntimeWarning, spla.MatrixRankWarning}),
+           15: ((35, 3, 2, 1, 0, 0, 0), 1, set())}
+
+
+@pytest.mark.parametrize("seed", sorted(RESCUED))
+def test_steepest_descent_fallback_rescues_random_starts(seed, monkeypatch):
+    # from these starts some Newton directions are NaN or point uphill;
+    # the steps along -g take both solves to convergence, and both reach
+    # the same energy.  With a floor exit in place of the fallback neither
+    # converges: the stages run (2, 26, 2, 1, 0, 0, 0) and
+    # (0, 1, 36, 1, 0, 0, 0)
+    iterations, fallbacks, warned = RESCUED[seed]
+    real, fell_back = spla.spsolve, []
+
+    def spsolve(K, b, **kwargs):
+        # the solver's direction d has d[interior] = x and b = -g[interior],
+        # so g.d = -b.x: it falls back unless that is finite and negative
+        x = real(K, b, **kwargs)
+        gd = -float(b @ x)
+        fell_back.append(not np.isfinite(gd) or gd >= 0.0)
+        return x
+
+    monkeypatch.setattr(solver, "spla", SimpleNamespace(spsolve=spsolve))
+    opts = SolverOptions(init="random", seed=seed)
+    with pytest.warns(tuple(warned)) if warned else nullcontext() as caught:
+        rep = solver.solve(_steep_spec(), opts)
+    if warned:
+        assert {w.category for w in caught} == warned
+    assert rep.converged
+    assert rep.stage_exits == ("tol",) * 7
+    assert rep.iterations == iterations
+    assert sum(fell_back) == fallbacks
+    assert rep.energy == pytest.approx(-0.14131811913206757, rel=1e-12)
 
 
 @pytest.mark.parametrize("init", ["bump", "random"])
