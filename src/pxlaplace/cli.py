@@ -14,7 +14,9 @@ Exit codes: 0 success/pass, 1 check failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -373,19 +375,22 @@ def _cmd_sweep(cfg, args) -> int:
     values = _need(sweep, "values", "sweep")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a nonempty list")
-    lines = ["value,energy,sup_u,residual_max,converged"]
+    rows = [["value", "energy", "sup_u", "residual_max", "converged"]]
     any_nonconv = False
     for val in values:
         run_cfg = json.loads(json.dumps(cfg))  # deep copy
         _set_by_path(run_cfg, param, val)
         rep = _solve(run_cfg, args)
         any_nonconv = any_nonconv or not rep.converged
-        lines.append(",".join([
-            _fmt(val), _fmt(rep.energy),
+        # an expression such as "max(x,0.5)+2" is written as given
+        rows.append([
+            val if isinstance(val, str) else _fmt(val), _fmt(rep.energy),
             _fmt(np.abs(rep.solution.values).max()),
             _fmt(rep.residual_max), str(int(rep.converged)),
-        ]))
-    _emit(args, cfg, "sweep.csv", "\n".join(lines) + "\n")
+        ])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    _emit(args, cfg, "sweep.csv", out.getvalue())
     return EXIT_NONCONVERGED if any_nonconv else EXIT_OK
 
 

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -453,6 +455,25 @@ class TestSweepCommand:
             ["0.5", "1.0", "2.0"]
         energies = [float(line.split(",")[1]) for line in lines[1:]]
         assert energies[0] > energies[1] > energies[2]
+
+    def test_expression_values_written_verbatim(self, tmp_path):
+        # a swept expression goes into the value column as given, quoted
+        # where it holds a comma, and reads back with the csv module
+        values = ["2+x", "max(x,0.5)+2"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 32},
+            "exponent": {"p": "2+x", "r": 1.5},
+            "problem": {"kind": "problem1", "h": "1", "q": "1.2"},
+            "solver": {"grad_tol": 1e-9},
+            "sweep": {"parameter": "exponent.p", "values": values},
+        }))
+        text = self._sweep_csv(tmp_path, cfg, 1).decode()
+        assert '"max(x,0.5)+2"' in text
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0][0] == "value" and len(rows) == 3
+        assert [row[0] for row in rows[1:]] == values
+        assert [row[4] for row in rows[1:]] == ["1", "1"]
 
 
 @pytest.mark.parametrize("argv", [

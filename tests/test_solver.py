@@ -660,6 +660,49 @@ class TestFirstEigenpair:
         with pytest.raises(ValueError):
             first_eigenpair(build_interval(0, 1, 16), 1.0)
 
+    @staticmethod
+    def _lu_stand_in(monkeypatch, solve):
+        """Set a stand-in for ``solver.spla`` whose ``splu`` factors with
+        scipy and whose factors solve through ``solve(lu, b)``; returns the
+        counts of both calls."""
+        calls = {"splu": 0, "solve": 0}
+
+        def splu(A):
+            calls["splu"] += 1
+            lu = spla.splu(A)
+
+            def counted(b):
+                calls["solve"] += 1
+                return solve(lu, b)
+
+            return SimpleNamespace(solve=counted)
+
+        monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
+        return calls
+
+    @pytest.mark.parametrize("mesh,r,factorizations", [
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0, 1),
+        (build_interval(0, 1, 16), 3.0, 7),
+    ], ids=["2d-6x5-r2", "1d-n16-r3"])
+    def test_factorizations_and_solves_per_step(self, monkeypatch, mesh, r,
+                                                 factorizations):
+        # r = 2 factors K once per call; other r factor the metric at
+        # every step; either way each step makes one LU solve
+        monkeypatch.setattr(solver, "EIGEN_MAX_ITERS", 7)
+        calls = self._lu_stand_in(monkeypatch, lambda lu, b: lu.solve(b))
+        first_eigenpair(mesh, r)
+        assert calls == {"splu": factorizations, "solve": 7}
+
+    @pytest.mark.parametrize("mesh,r", [
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0),
+        (build_interval(0, 1, 16), 3.0),
+    ], ids=["2d-6x5-r2", "1d-n16-r3"])
+    def test_non_finite_step_raises(self, monkeypatch, mesh, r):
+        # a NaN direction makes every trial NaN, which the quotient refuses
+        self._lu_stand_in(monkeypatch, lambda lu, b: np.full_like(b, np.nan))
+        with pytest.raises(ValueError, match="field values must be finite"):
+            first_eigenpair(mesh, r)
+
     def test_unit_square_matches_dense_eigensolver(self):
         mesh = build_rectangle(0, 1, 0, 1, 16, 16)
         K, M = _dense_stiffness_and_mass(mesh)
