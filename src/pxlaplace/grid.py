@@ -22,9 +22,11 @@ transposed (n_cells, dimension) view.
 
 The interior-node matrices (the Newton metric, the r = 2 stiffness and
 mass) share one assembly plan per mesh, built on first use and kept with
-the mesh: ``assemble`` sums local cell matrices into its fixed CSR pattern.
-It imports ``scipy.sparse`` on its first call, so a mesh, a field or an
-energy costs numpy alone.
+the mesh: ``assemble`` sums local cell matrices into its fixed CSR pattern,
+and ``_lower_band`` copies a matrix's CSR data into LAPACK's lower band
+storage through the plan's band slots.  ``assemble`` imports
+``scipy.sparse`` on its first call, so a mesh, a field or an energy costs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -314,8 +316,14 @@ def interior_plan(mesh: Mesh) -> tuple:
     Built on the first call for a mesh, kept with it and returned as
     read-only arrays: the per-cell products G_i . G_j, the CSR ``indices``
     and ``indptr`` (the pattern is symmetric, so they are also the CSC
-    ones) and the slot in ``data`` of every cell entry; entries on a
-    boundary row or column get the slot one past the end.
+    ones), the slot in ``data`` of every cell entry (entries on a
+    boundary row or column get the slot one past the end), the bandwidth
+    bw (a 0-d array, the largest row - col of the pattern) and the band
+    layout: for every CSR entry its flat slot in LAPACK's lower band
+    storage, a Fortran-ordered (bw + 1, n) array holding entry (i, j) at
+    (i - j, j), with every entry above the diagonal sent to one spare slot
+    past the end.  The lexicographic numbering of the structured grid
+    keeps bw at 1 in 1D and ny in 2D.
     """
     if mesh._plan is None:
         nloc = mesh.dimension + 1
@@ -329,7 +337,11 @@ def interior_plan(mesh: Mesh) -> tuple:
         keys = keys[keys < n * n]
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)
         GG = np.einsum("cid,cjd->cij", mesh.shape_grads, mesh.shape_grads)
-        plan = (GG, (keys % n).astype(np.intc), indptr, slots)
+        rows, cols = np.divmod(keys, n)
+        bw = (rows - cols).max()
+        band = np.where(rows >= cols, cols * (bw + 1) + rows - cols,
+                        (bw + 1) * n)
+        plan = (GG, cols.astype(np.intc), indptr, slots, bw, band)
         object.__setattr__(mesh, "_plan", tuple(map(_readonly, plan)))
     return mesh._plan
 
@@ -339,10 +351,21 @@ def assemble(mesh: Mesh, loc: np.ndarray):
     matrices ``loc`` (n_cells, d+1, d+1) into the mesh's fixed pattern, in
     cell order."""
     import scipy.sparse as sp
-    _, indices, indptr, slots = interior_plan(mesh)
+    indices, indptr, slots = interior_plan(mesh)[1:4]
     data = np.bincount(slots, loc.ravel(), indptr[-1] + 1)[:-1]
     n = indptr.size - 1
     return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+
+def _lower_band(mesh: Mesh, data: np.ndarray) -> np.ndarray:
+    """LAPACK's lower band storage, a Fortran-ordered (bw + 1, n) array, of
+    the interior-node matrix whose CSR ``data`` fill the mesh's pattern:
+    one assignment through the plan's band slots, zero elsewhere."""
+    bw, band = interior_plan(mesh)[4:]
+    n = mesh.interior.size
+    ab = np.zeros((bw + 1) * n + 1)
+    ab[band] = data
+    return ab[:-1].reshape(n, bw + 1).T
 
 
 def cell_average(u: NodeField) -> np.ndarray:

@@ -26,21 +26,26 @@ left the iterate bitwise unchanged) or ``max_iters``.  Reported residuals
 use the unregularized flux.
 
 ``first_eigenpair`` runs a normalized preconditioned descent on the
-Rayleigh quotient on the same plan.  At r = 2 it takes the interior
+Rayleigh quotient on the same plan.  Its metric is factored by LAPACK's
+band Cholesky (``dpbtrf`` in lower band storage, solved by ``dpbtrs``):
+the grid's lexicographic numbering makes every interior metric a band of
+width 1 in 1D and ny in 2D, and the plan's band slots fill the band from
+the CSR data in one assignment.  At r = 2 it takes the interior
 stiffness K from the Newton metric at p = 2, assembles the one-point mass
 B and stacks them into one operator [K; B], and descends on the interior
 values: each quotient is one matrix-vector product, and the accepted
 trial's product, scaled with the iterate, feeds the next gradient, so a
-step costs one product per trial and one solve with K's LU factors.
-Other r go through the energy layer.  At r = 2 it stops at
-``EIGEN_MAX_ITERS`` on every mesh measured.
+step costs one product per trial and one band solve with K's factor,
+built once per call.  Other r go through the energy layer and factor
+the metric at every step.  At r = 2 it stops at ``EIGEN_MAX_ITERS`` on
+every mesh measured.
 
-The module does not import scipy: ``sp`` (``scipy.sparse``) and ``spla``
-(``scipy.sparse.linalg``) are module attributes resolved on first lookup
-by ``__getattr__``, and every sparse solve looks ``spla`` up there, so
-``scipy.sparse.linalg`` loads at the first sparse solve, as
-``scipy.sparse`` does at the first ``grid.assemble``.  ``import
-pxlaplace`` pays for numpy alone.
+The module does not import scipy: ``sp`` (``scipy.sparse``), ``spla``
+(``scipy.sparse.linalg``) and ``lapack`` (``scipy.linalg.lapack``) are
+module attributes resolved on first lookup by ``__getattr__``, and every
+sparse or band solve looks ``spla`` or ``lapack`` up there, so each
+loads at its first solve, as ``scipy.sparse`` does at the first
+``grid.assemble``.  ``import pxlaplace`` pays for numpy alone.
 """
 
 from __future__ import annotations
@@ -55,8 +60,9 @@ from .energy import (EnergyModel, M_hat, ReactionTerm, _F_cells,
                      dirichlet_part, energy_value, gateaux_gradient,
                      kirchhoff_M)
 from .exponents import exponent_field
-from .grid import (Mesh, NodeField, _basis_pairing, _gradient, assemble,
-                   cell_average, constant_field, integrate, interior_plan)
+from .grid import (Mesh, NodeField, _basis_pairing, _gradient, _lower_band,
+                   assemble, cell_average, constant_field, integrate,
+                   interior_plan)
 from .inequality import diaz_saa_gap
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
     validate_f, validate_g, validate_M
@@ -94,15 +100,17 @@ SHRINK = 0.5
 EIGEN_TOL = 1e-12
 EIGEN_MAX_ITERS = 400
 EIGEN_EPS = 1e-15
-_SCIPY = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
+_SCIPY = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg",
+          "lapack": "scipy.linalg.lapack"}
 
 
 def __getattr__(name: str):
-    """``sp`` and ``spla``, imported on first lookup (PEP 562).
+    """``sp``, ``spla`` and ``lapack``, imported on first lookup (PEP 562).
 
-    Each sparse solve looks ``spla`` up through this function, so the
-    module loads scipy at its first sparse solve, not at import, and a
-    stand-in set on the module as ``spla`` is the one that runs.
+    Each sparse or band solve looks ``spla`` or ``lapack`` up through this
+    function, so the module loads scipy at its first solve, not at import,
+    and a stand-in set on the module under either name is the one that
+    runs.
     """
     if name not in _SCIPY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -234,6 +242,19 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
     loc += ((omega * (p - 2.0) / s)[:, None, None]
             * (a[:, :, None] * a[:, None]))
     return assemble(mesh, loc)
+
+
+def _band_cholesky(mesh: Mesh, K):
+    """Cholesky factor of the interior metric ``K`` in LAPACK's lower band
+    storage (``dpbtrf``), filled from ``K.data`` through the band slots of
+    the mesh's plan; ``ValueError`` if K is not positive definite.
+    ``dpbtrs`` with ``lower=1`` solves with it."""
+    c, info = __getattr__("lapack").dpbtrf(_lower_band(mesh, K.data),
+                                           lower=1, overwrite_ab=1)
+    if info > 0:
+        raise ValueError("the eigen metric is not positive definite "
+                         f"(leading minor {info})")
+    return c
 
 
 def _polish(u: np.ndarray, model: EnergyModel) -> np.ndarray:
@@ -394,19 +415,21 @@ def first_eigenpair(mesh: Mesh, r: float):
     numerator is r times its Dirichlet part, the quotient's gradient is
     r/den times the problem-1 gradient with p = q = r and h = lam, and the
     metric is the Newton metric of the Dirichlet part (without the
-    -lam |u|^(r-2) term of the denominator), rebuilt each iteration.  At
-    r = 2 the quotient is u.Ku / u.Bu for the interior stiffness K (the
-    Newton metric at p = 2) and one-point mass B, stacked once per call
-    into one operator [K; B], and the descent runs on the interior values
-    alone (every iterate |u + t d| stays zero on the boundary): each
-    quotient is one sparse matrix-vector product y = [Ku; Bu], the
-    gradient (2/den)(Ku - lam Bu) reads the accepted trial's product,
-    divided by the factor that normalizes the trial, and the metric is K,
-    factored once.  So a step costs one product per trial and one
-    triangular solve; the carried product differs from a fresh one in the
-    last bits, which moved the returned lam by at most 2 ulps on the
-    meshes measured (1D n = 64 to 256, 2D 6x5 to 32x32).  Both run the
-    same loop and line search.  The
+    -lam |u|^(r-2) term of the denominator), rebuilt and factored each
+    iteration.  At r = 2 the quotient is u.Ku / u.Bu for the interior
+    stiffness K (the Newton metric at p = 2) and one-point mass B, stacked
+    once per call into one operator [K; B], and the descent runs on the
+    interior values alone (every iterate |u + t d| stays zero on the
+    boundary): each quotient is one sparse matrix-vector product
+    y = [Ku; Bu], the gradient (2/den)(Ku - lam Bu) reads the accepted
+    trial's product, divided by the factor that normalizes the trial, and
+    the metric is K, factored once.  So a step costs one product per
+    trial and one pair of triangular band solves; the carried product
+    differs from a fresh one in the last bits.  Every metric is factored
+    by LAPACK's band Cholesky in lower storage, filled through the plan's
+    band slots; a metric that is not positive definite in floating point
+    (r = 1.01 on 2D 8x8 meets one) raises ``ValueError``.  Both paths run
+    the same loop and line search.  The
     descent stops when the quotient's gradient is below ``EIGEN_TOL``
     (relative to max(1, lam)), no step decreases the quotient, or after
     ``EIGEN_MAX_ITERS`` iterations.  At r = 2 every mesh measured ends at
@@ -438,14 +461,13 @@ def first_eigenpair(mesh: Mesh, r: float):
     if r == 2:
         # the quotient of two fixed quadratic forms: K is the metric at
         # p = 2, which does not depend on u, and B the one-point mass
-        # sum_c m_c/(d+1)^2 11^T, stacked below K.  K is symmetric, so its
-        # transpose is the CSC view splu takes; it is factored once
+        # sum_c m_c/(d+1)^2 11^T, stacked below K.  K is factored once
         nloc = mesh.dimension + 1
         K = _interior_matrix(model, bump, EIGEN_EPS, 1.0)
         KB = __getattr__("sp").vstack([K, assemble(mesh, np.broadcast_to(
             mesh.cell_measures[:, None, None] / nloc ** 2,
             (mesh.n_cells, nloc, nloc)))], format="csr")
-        lu = __getattr__("spla").splu(K.T)
+        chol = _band_cholesky(mesh, K)
 
         def quotient(w: np.ndarray) -> tuple:
             if not np.isfinite(w).all():
@@ -475,12 +497,12 @@ def first_eigenpair(mesh: Mesh, r: float):
         if np.abs(g).max() <= EIGEN_TOL * max(1.0, lam):
             break
 
-        if r == 2:
-            d = lu.solve(-g)
-        else:  # the metric at u, and the direction on every node
-            lu = __getattr__("spla").splu(
-                _interior_matrix(model, u, EIGEN_EPS, 1.0).T)
-            d = np.bincount(interior, lu.solve(-g), mesh.n_nodes)
+        if r != 2:  # the metric at u
+            chol = _band_cholesky(
+                mesh, _interior_matrix(model, u, EIGEN_EPS, 1.0))
+        d = __getattr__("lapack").dpbtrs(chol, -g, lower=1)[0]
+        if r != 2:  # the direction on every node
+            d = np.bincount(interior, d, mesh.n_nodes)
 
         t = 1.0
         while t > 1e-16:

@@ -5,9 +5,10 @@ sparse matrix, so they run on numpy alone, and no annotation names
 scipy, so resolving the package's type hints needs no scipy either.  Each
 import case runs in a fresh interpreter, since the suite's own process
 has scipy loaded.  The
-in-process tests hold the ``solver.sp``/``solver.spla`` seam: both resolve
-to scipy on lookup, and a stand-in set as ``solver.spla`` sees every
-sparse solve.
+in-process tests hold the ``solver.sp``/``solver.spla``/``solver.lapack``
+seam: each resolves to scipy on lookup, a stand-in set as ``solver.spla``
+sees every sparse solve and one set as ``solver.lapack`` every band
+factorization and solve.
 """
 
 import collections
@@ -19,6 +20,7 @@ import sys
 import types
 
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -133,6 +135,7 @@ def test_solve_loads_scipy(tmp_path):
 def test_solver_resolves_sp_and_spla_to_scipy():
     assert solver.spla is scipy.sparse.linalg
     assert solver.sp is scipy.sparse
+    assert solver.lapack is scipy.linalg.lapack
     assert not hasattr(solver, "no_such_name")
 
 
@@ -153,24 +156,46 @@ class _Counting:
         return counted
 
 
-def test_a_stand_in_for_spla_sees_every_sparse_solve(monkeypatch):
-    # every spsolve and splu that reaches scipy must have gone through the
-    # stand-in set as solver.spla (the seam a tracer wraps)
-    real = scipy.sparse.linalg
-    reached = _Counting(types.SimpleNamespace(spsolve=real.spsolve,
-                                              splu=real.splu))
-    for name in ("spsolve", "splu"):
-        monkeypatch.setattr(real, name, getattr(reached, name))
-    stub = _Counting(real)
-    monkeypatch.setattr(solver, "spla", stub)
+def _stand_ins(monkeypatch, module, seam, names):
+    """Sets a counting stand-in for ``module`` as ``solver.<seam>`` and
+    counts, on ``module`` itself, the calls of ``names`` that reach it;
+    returns both counters."""
+    reached = _Counting(types.SimpleNamespace(
+        **{name: getattr(module, name) for name in names}))
+    for name in names:
+        monkeypatch.setattr(module, name, getattr(reached, name))
+    stub = _Counting(module)
+    monkeypatch.setattr(solver, seam, stub)
+    return stub, reached
 
-    mesh = build_interval(0.0, 1.0, 32)
+
+def _problem1_and_eigen(mesh):
+    """Iterations of a problem1 solve on ``mesh``, then one r = 3
+    eigenpair on it."""
     spec = ProblemSpec("problem1", mesh, exponent_field(mesh, "2+x", r=1.5),
                        power_reaction(interpolate(mesh, "1"),
                                       interpolate(mesh, "1.2")))
     rep = solve_problem1(spec, SolverOptions())
     assert rep.converged
     first_eigenpair(mesh, 3.0)
+    return rep.iterations
+
+
+def test_a_stand_in_for_spla_sees_every_sparse_solve(monkeypatch):
+    # every spsolve that reaches scipy must have gone through the stand-in
+    # set as solver.spla (the seam a tracer wraps)
+    stub, reached = _stand_ins(monkeypatch, scipy.sparse.linalg, "spla",
+                               ("spsolve",))
+    iterations = _problem1_and_eigen(build_interval(0.0, 1.0, 32))
     assert stub.calls == reached.calls
-    assert stub.calls["spsolve"] == sum(rep.iterations) > 0
-    assert stub.calls["splu"] > 0
+    assert stub.calls["spsolve"] == sum(iterations) > 0
+
+
+def test_a_stand_in_for_lapack_sees_every_band_solve(monkeypatch):
+    # every band factorization and solve of the eigen descent that reaches
+    # scipy must have gone through the stand-in set as solver.lapack
+    stub, reached = _stand_ins(monkeypatch, scipy.linalg.lapack, "lapack",
+                               ("dpbtrf", "dpbtrs"))
+    _problem1_and_eigen(build_interval(0.0, 1.0, 32))
+    assert stub.calls == reached.calls
+    assert stub.calls["dpbtrf"] == stub.calls["dpbtrs"] > 0

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh
+from scipy.linalg import eigh, lapack
 from scipy.optimize import brentq
 
 from pxlaplace import grid, solver
@@ -437,7 +437,7 @@ def test_planned_metric_matches_coo_assembly(dim, flux):
     assert K.format == "csr" and K.has_sorted_indices
     assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
     if flux == "isotropic":
-        # first_eigenpair factors the transpose, the CSC view of K
+        # first_eigenpair's band Cholesky reads the lower triangle alone
         assert (K.T.toarray() == K.toarray()).all()
 
 
@@ -661,23 +661,24 @@ class TestFirstEigenpair:
             first_eigenpair(build_interval(0, 1, 16), 1.0)
 
     @staticmethod
-    def _lu_stand_in(monkeypatch, solve):
-        """Set a stand-in for ``solver.spla`` whose ``splu`` factors with
-        scipy and whose factors solve through ``solve(lu, b)``; returns the
-        counts of both calls."""
-        calls = {"splu": 0, "solve": 0}
+    def _lapack_stand_in(monkeypatch, solve=lapack.dpbtrs,
+                         factor=lapack.dpbtrf):
+        """Set a stand-in for ``solver.lapack`` whose ``dpbtrf`` factors
+        through ``factor(ab, **kw)`` and whose ``dpbtrs`` solves through
+        ``solve(c, b, **kw)`` (scipy's by default); returns the counts of
+        both calls."""
+        calls = {"dpbtrf": 0, "dpbtrs": 0}
 
-        def splu(A):
-            calls["splu"] += 1
-            lu = spla.splu(A)
+        def dpbtrf(ab, **kw):
+            calls["dpbtrf"] += 1
+            return factor(ab, **kw)
 
-            def counted(b):
-                calls["solve"] += 1
-                return solve(lu, b)
+        def dpbtrs(c, b, **kw):
+            calls["dpbtrs"] += 1
+            return solve(c, b, **kw)
 
-            return SimpleNamespace(solve=counted)
-
-        monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
+        monkeypatch.setattr(solver, "lapack", SimpleNamespace(
+            dpbtrf=dpbtrf, dpbtrs=dpbtrs))
         return calls
 
     @pytest.mark.parametrize("mesh,r,factorizations", [
@@ -687,11 +688,11 @@ class TestFirstEigenpair:
     def test_factorizations_and_solves_per_step(self, monkeypatch, mesh, r,
                                                  factorizations):
         # r = 2 factors K once per call; other r factor the metric at
-        # every step; either way each step makes one LU solve
+        # every step; either way each step makes one band solve
         monkeypatch.setattr(solver, "EIGEN_MAX_ITERS", 7)
-        calls = self._lu_stand_in(monkeypatch, lambda lu, b: lu.solve(b))
+        calls = self._lapack_stand_in(monkeypatch)
         first_eigenpair(mesh, r)
-        assert calls == {"splu": factorizations, "solve": 7}
+        assert calls == {"dpbtrf": factorizations, "dpbtrs": 7}
 
     @pytest.mark.parametrize("mesh,r", [
         (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0),
@@ -699,9 +700,30 @@ class TestFirstEigenpair:
     ], ids=["2d-6x5-r2", "1d-n16-r3"])
     def test_non_finite_step_raises(self, monkeypatch, mesh, r):
         # a NaN direction makes every trial NaN, which the quotient refuses
-        self._lu_stand_in(monkeypatch, lambda lu, b: np.full_like(b, np.nan))
+        self._lapack_stand_in(
+            monkeypatch, lambda c, b, **kw: (np.full_like(b, np.nan), 0))
         with pytest.raises(ValueError, match="field values must be finite"):
             first_eigenpair(mesh, r)
+
+    def test_singular_metric_raises(self):
+        # at r = 1.01 the metric weight (eps^2 + |grad u|^2)^(-0.495)
+        # grows where the iterate flattens (toward 1e15 at EIGEN_EPS);
+        # after some 60 steps the metric is indefinite in floating point
+        # and dpbtrf meets a nonpositive pivot
+        with pytest.raises(ValueError, match="not positive definite"):
+            first_eigenpair(build_rectangle(0, 1, 0, 1, 8, 8), 1.01)
+
+    @pytest.mark.parametrize("mesh,r", [
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0),
+        (build_interval(0, 1, 16), 3.0),
+    ], ids=["2d-6x5-r2", "1d-n16-r3"])
+    def test_failed_factorization_raises(self, monkeypatch, mesh, r):
+        # dpbtrf's info > 0 is a failed factorization, never a NaN result
+        calls = self._lapack_stand_in(monkeypatch, factor=lambda ab, **kw: (
+            lapack.dpbtrf(ab, **kw)[0], 3))
+        with pytest.raises(ValueError, match="not positive definite"):
+            first_eigenpair(mesh, r)
+        assert calls == {"dpbtrf": 1, "dpbtrs": 0}
 
     def test_unit_square_matches_dense_eigensolver(self):
         mesh = build_rectangle(0, 1, 0, 1, 16, 16)
@@ -731,6 +753,32 @@ class TestFirstEigenpair:
             1e-14 * np.abs(K).max()
         assert np.abs(Bp.toarray() - M[inner]).max() <= \
             1e-14 * np.abs(M).max()
+
+    @pytest.mark.parametrize("mesh,bandwidth", [
+        (build_interval(0, 2, 13), 1),
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 5),
+        (build_rectangle(0, 1, 0, 2, 3, 7), 7),
+    ], ids=["1d", "2d", "2d-tall"])
+    def test_band_layout_matches_dense(self, mesh, bandwidth):
+        # the plan's band is the dense lower band of the metric, entry
+        # (i, j) at (i - j, j) and zero past the last row; its Cholesky
+        # factor solves like a dense solve
+        model = EnergyModel(mesh, exponent_field(mesh, 3.0, 3.0))
+        rng = np.random.default_rng(3)
+        K = solver._interior_matrix(
+            model, rng.uniform(0.0, 1.0, mesh.n_nodes), solver.EIGEN_EPS, 1.0)
+        dense = K.toarray()
+        n = dense.shape[0]
+        assert int(grid.interior_plan(mesh)[4]) == bandwidth
+        ref = np.zeros((bandwidth + 1, n))
+        for k in range(bandwidth + 1):
+            ref[k, :n - k] = np.diagonal(dense, -k)
+        ab = grid._lower_band(mesh, K.data)
+        assert ab.flags.f_contiguous and (ab == ref).all()
+        b = rng.uniform(-1.0, 1.0, n)
+        x = lapack.dpbtrs(solver._band_cholesky(mesh, K), b, lower=1)[0]
+        expected = np.linalg.solve(dense, b)
+        assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("mesh,r", [
         (build_rectangle(0, 1, 0, 1, 8, 8), 2.0),
