@@ -7,7 +7,11 @@ difference quotient; with that ordering every 1D cell term
 cone energies are convex exactly, not just in the mesh limit.  Line
 restrictions along segments in the cone and their derivatives are computed
 in closed form, and the derivative formulas are the exact derivatives of
-the discrete line values (the consistency tests rely on this).
+the discrete line values (the consistency tests rely on this).  A line
+call takes one theta or a 1-D array of them: the combinations are formed,
+checked finite and rooted as one stack, each tested for the cone once,
+and each keeps its own gradient, density and sum, so a value is bitwise
+the same whichever thetas share its call.
 
 Reaction, absorption and saturating Kirchhoff terms extend the gradient
 energies to the three Dirichlet problems; the Gateaux gradient assembles
@@ -230,32 +234,40 @@ def kirchhoff_M(term: KirchhoffTerm, s: float) -> float:
 
 # -- cone energies ----------------------------------------------------------
 
-def _require_cone(v: NodeField, message="field is outside the positive cone"):
-    """Positive at interior nodes; zero trace allowed at the boundary."""
-    mesh = v.mesh
-    vals = v.values
-    if np.any(vals[mesh.interior] <= 0) or np.any(vals[mesh.boundary_mask] < 0):
-        raise ValueError(message)
+def _require_cone(mesh: Mesh, values: np.ndarray, theta=None):
+    """Positive at interior nodes; zero trace allowed at the boundary.
+
+    The error names ``theta`` when the values are the combination at it.
+    """
+    if values.min() <= 0 and ((values < 0).any()
+                              or ((values == 0) & ~mesh.boundary_mask).any()):
+        raise ValueError("field is outside the positive cone" if theta is None
+                         else f"combination leaves the cone at theta={theta}")
 
 
-def _root_field(v: NodeField, r: float) -> np.ndarray:
-    return v.values if r == 1.0 else v.values ** (1.0 / r)
+def _roots(v: np.ndarray, r: float) -> np.ndarray:
+    return v if r == 1.0 else v ** (1.0 / r)
 
 
-def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
-    """The cone energy of a field its caller has checked is in the cone."""
+def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
+    """The cone energy of each row of v, (k, n_nodes), whose caller has
+    checked every row is in the cone.
+
+    The rows are rooted as one stack and r/p and p/2 are formed once; each
+    row keeps its own gradient, density and sum, so every value is the
+    one a single row gives.
+    """
     mesh = model.mesh
-    r = model.exponent.r
-    gw = _gradient(mesh, _root_field(v, r))
     p = model.p_cells
-    dens = (r / p) * _quad_form(weights, gw) ** (p / 2.0)
-    return integrate(dens, mesh)
+    r_p, half_p = model.exponent.r / p, p / 2.0
+    return [integrate(r_p * _quad_form(weights, _gradient(mesh, w)) ** half_p,
+                      mesh) for w in _roots(v, model.exponent.r)]
 
 
 def W_functional(v: NodeField, model: EnergyModel) -> float:
     """Cone energy: integral of (r/p) |grad(v^(1/r))|^p, isotropic."""
-    _require_cone(v)
-    return _cone_energy(v, model, None)
+    _require_cone(v.mesh, v.values)
+    return _cone_energies(model, v.values[None], None)[0]
 
 
 def W_A_functional(v: NodeField, model: EnergyModel) -> float:
@@ -264,8 +276,8 @@ def W_A_functional(v: NodeField, model: EnergyModel) -> float:
     Coincides with ``W_functional`` (same arithmetic) for the isotropic
     family.
     """
-    _require_cone(v)
-    return _cone_energy(v, model, model.w_cells)
+    _require_cone(v.mesh, v.values)
+    return _cone_energies(model, v.values[None], model.w_cells)[0]
 
 
 def dirichlet_part(u: NodeField, model: EnergyModel,
@@ -356,12 +368,27 @@ def cone_delta(v1: NodeField, v2: NodeField) -> float:
     return float(min(0.25, 0.5 * np.min(lo[mask] / diff[mask])))
 
 
-def _combination(v1: NodeField, v2: NodeField, theta: float) -> NodeField:
+def _combinations(v1: NodeField, v2: NodeField, theta) -> np.ndarray:
+    """Rows (1-theta) v1 + theta v2, one per theta, formed as one stack,
+    checked finite at once and tested for the cone row by row."""
     if v1.mesh is not v2.mesh:
         raise ValueError("fields live on different meshes")
-    out = NodeField(v1.mesh, (1.0 - theta) * v1.values + theta * v2.values)
-    _require_cone(out, f"combination leaves the cone at theta={theta}")
-    return out
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    if thetas.ndim != 1:
+        raise ValueError("theta must be a number or a 1-D array")
+    t = thetas[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        v = (1.0 - t) * v1.values + t * v2.values
+    if not np.isfinite(v).all():
+        raise ValueError("field values must be finite")
+    for ti, row in zip(thetas, v):
+        _require_cone(v1.mesh, row, ti)
+    return v
+
+
+def _per_theta(theta, values: list):
+    """A float for a scalar theta, else an array of one value per theta."""
+    return float(values[0]) if np.ndim(theta) == 0 else np.array(values)
 
 
 def _line_weights(model: EnergyModel, kind: str):
@@ -374,64 +401,66 @@ def _line_weights(model: EnergyModel, kind: str):
     raise ValueError(f"unknown line functional {kind!r}")
 
 
-def phi_line(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
-             kind: str = "W") -> float:
+def phi_line(v1: NodeField, v2: NodeField, theta, model: EnergyModel,
+             kind: str = "W"):
     """Selected functional at (1-theta) v1 + theta v2.
 
     kind "W" / "W_A": the cone energies; kind "J_hat": the nonlocal energy
-    evaluated at the r-th root of the combination.
+    evaluated at the r-th root of the combination.  ``theta`` is a number,
+    giving a float, or a 1-D array, giving an array with the value at each
+    theta; each value is bitwise the one its theta gives alone, and each
+    combination is tested for the cone once.
     """
     weights = _line_weights(model, kind)
-    v = _combination(v1, v2, theta)
+    v = _combinations(v1, v2, theta)
     if kind == "J_hat":
-        u = NodeField(model.mesh, _root_field(v, model.exponent.r))
-        return energy_J(u, model)
-    return _cone_energy(v, model, weights)
+        return _per_theta(theta, [energy_J(NodeField(model.mesh, w), model)
+                                  for w in _roots(v, model.exponent.r)])
+    return _per_theta(theta, _cone_energies(model, v, weights))
 
 
-def _quotient(v1: NodeField, v2: NodeField, v: NodeField, r: float) -> np.ndarray:
-    """Nodewise (v2 - v1) / v^(1 - 1/r), zero where v = v1 = v2 = 0."""
-    diff = v2.values - v1.values
+def _quotient(diff: np.ndarray, v: np.ndarray, r: float) -> np.ndarray:
+    """Rowwise diff / v^(1 - 1/r) for diff = v2 - v1 and the combination
+    rows v; zero where v = v1 = v2 = 0."""
     if r == 1.0:
-        return diff.copy()
-    vv = v.values
-    out = np.zeros_like(diff)
-    pos = vv > 0
-    out[pos] = diff[pos] / vv[pos] ** (1.0 - 1.0 / r)
-    bad = ~pos & (diff != 0)
-    if bad.any():
+        return np.broadcast_to(diff, v.shape)
+    pos = v > 0
+    if np.any(~pos & (diff != 0)):
         raise ValueError("quotient undefined: v vanishes where v1 != v2")
-    return out
+    return np.divide(diff, v ** (1.0 - 1.0 / r), out=np.zeros_like(v),
+                     where=pos)
 
 
-def phi_prime(v1: NodeField, v2: NodeField, theta: float, model: EnergyModel,
-              kind: str = "W") -> float:
+def phi_prime(v1: NodeField, v2: NodeField, theta, model: EnergyModel,
+              kind: str = "W"):
     """Exact derivative in theta of ``phi_line`` at the same arguments.
 
     Flux form: sum over cells of a(x, grad w) . grad s times measure,
     where w is the root field of the combination and s the nodewise
     quotient (v2 - v1)/v^(1-1/r).  For kind "J_hat" the flux part is
     scaled by M(dirichlet part)/r and the reaction contributes
-    -(1/r) sum f(x, w) s.
+    -(1/r) sum f(x, w) s.  ``theta`` is a number or a 1-D array, as for
+    ``phi_line``.
     """
     weights = _line_weights(model, kind)
-    v = _combination(v1, v2, theta)
+    v = _combinations(v1, v2, theta)
     mesh = model.mesh
     r = model.exponent.r
-    w_nodal = _root_field(v, r)
-    s = _quotient(v1, v2, v, r)
-    base = flux_pairing(model, w_nodal, s, weights)
-    if kind != "J_hat":
-        return base
-    if model.kirchhoff is None or model.reaction is None:
+    s_rows = _quotient(v2.values - v1.values, v, r)
+    if kind == "J_hat" and (model.kirchhoff is None or model.reaction is None):
         raise ValueError("J_hat needs reaction and Kirchhoff terms")
-    w = NodeField(mesh, w_nodal)
-    out = kirchhoff_M(model.kirchhoff, dirichlet_part(w, model)) * base / r
-    wc = cell_average(w)
-    sc = cell_average(NodeField(mesh, s))
-    for sign, h, q in model.potentials:
-        out += sign * integrate(_f_cells(wc, h, q) * sc, mesh) / r
-    return out
+    out = []
+    for w_nodal, s in zip(_roots(v, r), s_rows):
+        d = flux_pairing(model, w_nodal, s, weights)
+        if kind == "J_hat":
+            w = NodeField(mesh, w_nodal)
+            d = kirchhoff_M(model.kirchhoff, dirichlet_part(w, model)) * d / r
+            wc = cell_average(w)
+            sc = cell_average(NodeField(mesh, s))
+            for sign, h, q in model.potentials:
+                d += sign * integrate(_f_cells(wc, h, q) * sc, mesh) / r
+        out.append(d)
+    return _per_theta(theta, out)
 
 
 # -- Gateaux gradient for the solver ----------------------------------------

@@ -7,6 +7,10 @@ the cone energy makes it nonnegative, with equality only for proportional
 pairs (and, when p is not identically r, only for identical pairs).  The
 gap is computed through the line derivative, which is well defined on the
 mesh; the divergence form it represents in the continuum is not.
+
+Each check makes one line call: ``check_ray_convexity`` evaluates Phi at
+0, 1 and its whole theta grid in one ``phi_line`` call, and
+``diaz_saa_gap`` both end derivatives in one ``phi_prime`` call.
 """
 
 from __future__ import annotations
@@ -94,12 +98,9 @@ def check_ray_convexity(v1: NodeField, v2: NodeField, model: EnergyModel,
     thetas = np.asarray(list(theta_grid), dtype=float)
     if thetas.size == 0:
         raise ValueError("theta_grid must be nonempty")
-    phi0 = phi_line(v1, v2, 0.0, model, kind)
-    phi1 = phi_line(v1, v2, 1.0, model, kind)
-    slacks = np.array([
-        (1.0 - t) * phi0 + t * phi1 - phi_line(v1, v2, t, model, kind)
-        for t in thetas
-    ])
+    phis = phi_line(v1, v2, np.concatenate(([0.0, 1.0], thetas)), model, kind)
+    phi0, phi1 = float(phis[0]), float(phis[1])
+    slacks = (1.0 - thetas) * phi0 + thetas * phi1 - phis[2:]
     scale = _scale(phi0, phi1)
     min_slack = float(slacks.min())
 
@@ -180,8 +181,7 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
     r = model.exponent.r
     v1 = NodeField(mesh, w1.values ** r)
     v2 = NodeField(mesh, w2.values ** r)
-    i2 = -phi_prime(v1, v2, 1.0, model, "W_A")
-    i1 = -phi_prime(v1, v2, 0.0, model, "W_A")
+    i2, i1 = -phi_prime(v1, v2, np.array([1.0, 0.0]), model, "W_A")
     return GapReport(gap=float(i1 - i2), i1=float(i1), i2=float(i2),
                      equality_class=_classify_equality(w1, w2),
                      ratio_sup=ratios.sup12, inv_ratio_sup=ratios.sup21,

@@ -110,11 +110,15 @@ def __getattr__(name: str):
     Each sparse or band solve looks ``spla`` or ``lapack`` up through this
     function, so the module loads scipy at its first solve, not at import,
     and a stand-in set on the module under either name is the one that
-    runs.
+    runs.  The module is kept as a global, and later lookups return that
+    global without calling ``import_module``.
     """
     if name not in _SCIPY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, importlib.import_module(_SCIPY[name]))
+    kept = globals().get(name)
+    if kept is None:  # import only on the first lookup
+        kept = globals()[name] = importlib.import_module(_SCIPY[name])
+    return kept
 
 
 def _is_int(x) -> bool:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pxlaplace.anisotropy import _flux_rows, weighted_quadratic
+from pxlaplace.energy import _quotient
 from pxlaplace.energy import (EnergyModel, M_hat, W_A_functional, W_functional,
                               dirichlet_part, energy_E, energy_E_hat, energy_J,
                               flux_pairing, gateaux_gradient, phi_line,
@@ -368,6 +371,134 @@ class TestPhiPrime:
         fd = (phi_line(v1, v2, theta + step, model, "W_A")
               - phi_line(v1, v2, theta - step, model, "W_A")) / (2 * step)
         assert exact == pytest.approx(fd, rel=1e-6)
+
+
+def line_model(dim):
+    """p = 2+x, r = 1.5, weighted-quadratic flux (weights 1+x and 2-y),
+    reaction 1 * u^0.5 and a Kirchhoff term: every line kind applies."""
+    mesh = (build_interval(0, 1, 48) if dim == 1
+            else build_rectangle(0, 1.5, 0, 1, 9, 7))
+    exponent = exponent_field(mesh, "2+x", r=1.5)
+    weights = [interpolate(mesh, w) for w in ("1+x", "2-y")[:dim]]
+    return EnergyModel(
+        mesh, exponent, anisotropy=weighted_quadratic(exponent, weights),
+        reaction=power_reaction(interpolate(mesh, "1"),
+                                interpolate(mesh, "1.5")),
+        kirchhoff=saturating_kirchhoff(1.0, 2.0))
+
+
+def zero_trace_pair(mesh, seed):
+    rng = np.random.default_rng(seed)
+    pair = []
+    for _ in range(2):
+        v = rng.uniform(0.1, 10, mesh.n_nodes)
+        v[mesh.boundary_mask] = 0.0
+        pair.append(NodeField(mesh, v))
+    return pair
+
+
+class TestThetaArrays:
+    thetas = np.array([0.0, 1.0, 0.05, 0.37, 0.95])
+
+    @pytest.mark.parametrize("line", [phi_line, phi_prime])
+    @pytest.mark.parametrize("kind", ["W", "W_A", "J_hat"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_array_matches_scalar_calls_bitwise(self, line, kind, dim):
+        model = line_model(dim)
+        v1, v2 = zero_trace_pair(model.mesh, 89)
+        values = line(v1, v2, self.thetas, model, kind)
+        assert isinstance(values, np.ndarray)
+        assert values.shape == self.thetas.shape
+        for t, value in zip(self.thetas, values):
+            alone = line(v1, v2, float(t), model, kind)
+            assert type(alone) is float
+            assert float(value).hex() == alone.hex()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_line_values_are_the_cone_energies_bitwise(self, dim):
+        model = line_model(dim)
+        v1, v2 = zero_trace_pair(model.mesh, 97)
+        for kind, functional in (("W", W_functional), ("W_A", W_A_functional)):
+            values = phi_line(v1, v2, self.thetas, model, kind)
+            for t, value in zip(self.thetas, values):
+                v = NodeField(model.mesh, (1.0 - t) * v1.values + t * v2.values)
+                assert value.hex() == functional(v, model).hex()
+
+    def test_one_value_per_theta(self):
+        model = line_model(1)
+        v1, v2 = zero_trace_pair(model.mesh, 101)
+        assert phi_line(v1, v2, [0.5], model).shape == (1,)
+        assert phi_prime(v1, v2, np.array([]), model).shape == (0,)
+        with pytest.raises(ValueError, match="1-D array"):
+            phi_line(v1, v2, np.zeros((2, 2)), model)
+
+
+class TestConeAndQuotient:
+    """The cone test and the quotient accept and reject the same fields
+    for one theta as for a stack of them, and warn about nothing."""
+
+    def test_zero_boundary_passes(self):
+        model = make_model(n=16, p="2+x", r=1.5)
+        v1, v2 = zero_trace_pair(model.mesh, 103)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert W_functional(v1, model) > 0
+            phi_line(v1, v2, np.array([0.0, 0.5, 1.0]), model)
+            phi_prime(v1, v2, np.array([0.0, 0.5, 1.0]), model)
+
+    @pytest.mark.parametrize("line", [phi_line, phi_prime])
+    @pytest.mark.parametrize("node,value", [(5, 0.0), (5, -1.0), (0, -1.0)],
+                             ids=["interior-zero", "interior-negative",
+                                  "boundary-negative"])
+    def test_outside_the_cone_raises_with_theta(self, line, node, value):
+        model = make_model(n=16, p="2+x", r=1.5)
+        ones = np.ones(model.mesh.n_nodes)
+        bad = ones.copy()
+        bad[node] = value
+        v1, v2 = NodeField(model.mesh, bad), NodeField(model.mesh, ones)
+        message = r"^combination leaves the cone at theta=0\.0$"
+        for theta in (0.0, np.array([1.0, 0.0, 0.5])):
+            with pytest.raises(ValueError, match=message):
+                line(v1, v2, theta, model)
+        with pytest.raises(ValueError,
+                           match="^field is outside the positive cone$"):
+            W_functional(v1, model)
+        line(v1, v2, np.array([1.0, 0.75]), model)  # both in the cone
+
+    def test_overflowing_combination_raises(self):
+        model = make_model(n=16)
+        big = constant_field(model.mesh, 1e308)
+        for theta in (-1.0, np.array([0.5, -1.0])):
+            with pytest.raises(ValueError, match="values must be finite"):
+                phi_line(big, big, theta, model)
+
+    def test_quotient_zero_where_all_vanish(self):
+        r = 1.5
+        diff = np.array([0.0, 1.0, -2.0, 0.0])
+        v = np.array([[0.0, 2.0, 3.0, 0.5], [0.0, 0.25, 1e-300, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = _quotient(diff, v, r)
+        power = 1.0 - 1.0 / r
+        for row, s_row in zip(v, s):
+            assert s_row[0] == 0.0
+            for j in range(1, 4):
+                assert s_row[j].hex() == (diff[j] / row[j] ** power).hex()
+
+    def test_quotient_raises_where_only_v_vanishes(self):
+        # v1 = 0 where v2 = 1 on the boundary: the combination at theta = 0
+        # vanishes there but v2 - v1 does not
+        model = make_model(n=16, p="2+x", r=1.5)
+        ones = np.ones(model.mesh.n_nodes)
+        zero_trace = ones.copy()
+        zero_trace[model.mesh.boundary_mask] = 0.0
+        v1, v2 = NodeField(model.mesh, zero_trace), NodeField(model.mesh, ones)
+        for theta in (0.0, np.array([0.5, 0.0])):
+            with pytest.raises(ValueError, match="quotient undefined"):
+                phi_prime(v1, v2, theta, model)
+        phi_prime(v1, v2, np.array([0.5, 1.0]), model)
+        # at r = 1 the quotient is v2 - v1 itself
+        phi_prime(v1, v2, 0.0, make_model(n=16, p="2+x", r=1.0))
 
 
 class TestHiddenConvexity:

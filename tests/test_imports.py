@@ -8,10 +8,12 @@ has scipy loaded.  The
 in-process tests hold the ``solver.sp``/``solver.spla``/``solver.lapack``
 seam: each resolves to scipy on lookup, a stand-in set as ``solver.spla``
 sees every sparse solve and one set as ``solver.lapack`` every band
-factorization and solve.
+factorization and solve, and a module is imported at its first lookup
+only.
 """
 
 import collections
+import importlib
 import json
 import os
 import pathlib
@@ -27,7 +29,7 @@ import scipy.sparse.linalg
 from pxlaplace import solver
 from pxlaplace.energy import power_reaction
 from pxlaplace.exponents import exponent_field
-from pxlaplace.grid import build_interval, interpolate
+from pxlaplace.grid import build_interval, build_rectangle, interpolate
 from pxlaplace.problems import ProblemSpec
 from pxlaplace.solver import SolverOptions, first_eigenpair, solve_problem1
 
@@ -137,6 +139,33 @@ def test_solver_resolves_sp_and_spla_to_scipy():
     assert solver.sp is scipy.sparse
     assert solver.lapack is scipy.linalg.lapack
     assert not hasattr(solver, "no_such_name")
+
+
+def test_seam_imports_each_module_once(monkeypatch):
+    # the first lookup of each name imports its module and keeps it; every
+    # later lookup returns the kept module without calling import_module
+    imported = collections.Counter()
+    import_module = importlib.import_module
+
+    def counting(name, *args, **kwargs):
+        if name in solver._SCIPY.values():
+            imported[name] += 1
+        return import_module(name, *args, **kwargs)
+
+    monkeypatch.setattr(importlib, "import_module", counting)
+    for name in solver._SCIPY:
+        monkeypatch.delattr(solver, name, raising=False)
+
+    def eigenpairs():
+        first_eigenpair(build_rectangle(0.0, 1.5, 0.0, 1.0, 6, 5), 2.0)
+        first_eigenpair(build_interval(0.0, 1.0, 16), 3.0)
+
+    eigenpairs()
+    assert imported == {"scipy.sparse": 1, "scipy.linalg.lapack": 1}
+    assert solver.lapack is scipy.linalg.lapack
+    imported.clear()
+    eigenpairs()
+    assert imported == {}
 
 
 class _Counting:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from pxlaplace import energy
-from pxlaplace.energy import EnergyModel, flux_pairing, phi_prime
+from pxlaplace.anisotropy import weighted_quadratic
+from pxlaplace.energy import EnergyModel, flux_pairing, phi_line, phi_prime
 from pxlaplace.exponents import exponent_field
-from pxlaplace.grid import NodeField, build_interval, constant_field, \
-    interpolate
+from pxlaplace.grid import NodeField, build_interval, build_rectangle, \
+    constant_field, interpolate
 from pxlaplace.inequality import (check_ray_convexity, comparison_check,
                                   diaz_saa_gap, ratio_bound,
                                   weak_comparison_experiment)
@@ -15,6 +16,17 @@ from pxlaplace.solver import SolverOptions
 def cone_model(n=64, p="2", r=2.0):
     mesh = build_interval(0, 1, n)
     return EnergyModel(mesh, exponent_field(mesh, p, r=r))
+
+
+def weighted_model(dim):
+    """p = 2+x, r = 1.5 with the weighted-quadratic flux (weights 1+x and
+    2-y), on an interval or a rectangle."""
+    mesh = (build_interval(0, 1, 64) if dim == 1
+            else build_rectangle(0, 1.5, 0, 1, 9, 7))
+    exponent = exponent_field(mesh, "2+x", r=1.5)
+    weights = [interpolate(mesh, w) for w in ("1+x", "2-y")[:dim]]
+    return EnergyModel(mesh, exponent,
+                       anisotropy=weighted_quadratic(exponent, weights))
 
 
 def zero_trace(mesh, values):
@@ -65,6 +77,22 @@ class TestCheckRayConvexity:
                   for _ in range(2))
         check_ray_convexity(v1, v2, model, self.thetas, kind=kind)
         assert len(calls) == self.thetas.size + 2
+
+    @pytest.mark.parametrize("kind", ["W", "W_A"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_slacks_are_the_line_value_slacks_bitwise(self, kind, dim):
+        model = weighted_model(dim)
+        rng = np.random.default_rng(107)
+        v1, v2 = (NodeField(model.mesh, rng.uniform(0.1, 10, model.mesh.n_nodes))
+                  for _ in range(2))
+        rep = check_ray_convexity(v1, v2, model, self.thetas, kind=kind)
+        phi0 = phi_line(v1, v2, 0.0, model, kind)
+        phi1 = phi_line(v1, v2, 1.0, model, kind)
+        expected = [(1.0 - t) * phi0 + t * phi1 - phi_line(v1, v2, t, model, kind)
+                    for t in self.thetas]
+        assert [s.hex() for s in rep.slacks] == [e.hex() for e in expected]
+        assert rep.min_slack == min(expected)
+        assert rep.scale == max(1.0, abs(phi0), abs(phi1))
 
     def test_empty_grid_rejected(self):
         model = cone_model()
@@ -137,6 +165,22 @@ class TestDiazSaaGap:
         direct = phi_prime(v1, v2, 1.0, model, "W_A") \
             - phi_prime(v1, v2, 0.0, model, "W_A")
         assert rep.gap == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_i1_i2_are_the_end_derivatives_bitwise(self, dim):
+        model = weighted_model(dim)
+        mesh = model.mesh
+        rng = np.random.default_rng(109)
+        w1, w2 = (zero_trace(mesh, rng.uniform(0.1, 10, mesh.n_nodes))
+                  for _ in range(2))
+        rep = diaz_saa_gap(w1, w2, model)
+        r = model.exponent.r
+        v1 = NodeField(mesh, w1.values ** r)
+        v2 = NodeField(mesh, w2.values ** r)
+        i1 = -phi_prime(v1, v2, 0.0, model, "W_A")
+        i2 = -phi_prime(v1, v2, 1.0, model, "W_A")
+        assert (rep.i1.hex(), rep.i2.hex()) == (i1.hex(), i2.hex())
+        assert rep.gap.hex() == (i1 - i2).hex()
 
     def test_seeded_pairs_nonnegative(self):
         rng = np.random.default_rng(79)

@@ -3,8 +3,11 @@
 Builds the cases of each benchmark workload with ``bench/workloads.build``,
 runs each case once and prints ``<workload> <case> <signature>``, where
 the signature is ``workloads.signature`` of the result (every float as a
-hex literal).  Diffing the output of two checkouts shows whether their
-results are bitwise equal.  The package is imported from the ``src/``
+hex literal).  Each ``checks`` case adds a second line with the report
+values the signature leaves out: ``slacks`` and the hex of every slack
+for a convexity case, ``i1``/``i2`` and their hex for a gap case.
+Diffing the output of two checkouts shows whether their results are
+bitwise equal.  The package is imported from the ``src/``
 next to this script; nothing under ``bench/`` is changed.
 
 Usage: python tools/result_bits.py [--seed S] [WORKLOAD ...]
@@ -23,6 +26,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 
 
+def report_bits(case: workloads.Case) -> str:
+    """Hex of every slack of a convexity case, or of i1 and i2 of a gap
+    case, from the same inequality call the case makes."""
+    if case.kind == "convexity":
+        v1, v2, model = case.args
+        rep = workloads.inequality.check_ray_convexity(
+            v1, v2, model, workloads.THETAS, kind="W_A")
+        return "slacks " + " ".join(float(s).hex() for s in rep.slacks)
+    rep = workloads.inequality.diaz_saa_gap(*case.args)
+    return f"i1 {rep.i1.hex()} i2 {rep.i2.hex()}"
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
@@ -38,6 +53,8 @@ def main(argv) -> int:
         for case in workloads.build(name, args.seed):
             print(name, case.name, workloads.signature(case.run()),
                   flush=True)
+            if name == "checks":
+                print(name, case.name, report_bits(case), flush=True)
     return 0
 
 
