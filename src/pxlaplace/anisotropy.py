@@ -103,10 +103,12 @@ def _flux_rows(p: np.ndarray, w, xi: np.ndarray, eps: float = 0.0) -> np.ndarray
     eps > 0 regularizes the |xi|^(p-2) factor."""
     wxi = xi if w is None else w * xi
     s = eps * eps + _dot(wxi, xi)
+    nz = s > 0.0
+    if nz.all():  # always at eps > 0
+        return s ** ((p - 2.0) / 2.0) * wxi
     # every column at once, with 1 standing in for s where s = 0 so that no
     # power of zero is taken; those columns (xi = 0 at eps = 0) then get
     # the continuous extension at xi = 0, the zero flux
-    nz = s > 0.0
     out = np.where(nz, s, 1.0) ** ((p - 2.0) / 2.0) * wxi
     out[:, ~nz] = 0.0
     return out

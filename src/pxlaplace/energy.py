@@ -16,6 +16,9 @@ the same whichever thetas share its call.
 Reaction, absorption and saturating Kirchhoff terms extend the gradient
 energies to the three Dirichlet problems; the Gateaux gradient assembles
 the nodal derivative of each discrete energy for the descent solver.
+``dirichlet_part`` and ``gateaux_gradient`` read the cell gradient the
+field keeps (``grid._field_gradient``), so a field is differentiated once
+however many energies, gradients and metrics are taken at it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import numpy as np
 
 from .anisotropy import AnisotropyModel, _dot, _flux_rows, _quad_form
 from .exponents import ExponentField
-from .grid import (Mesh, NodeField, _gradient, cell_average, flux_loads,
-                   integrate, scatter_add)
+from .grid import (Mesh, NodeField, _field_gradient, _gradient, cell_average,
+                   flux_loads, integrate, scatter_add)
 
 __all__ = [
     "ReactionTerm",
@@ -191,12 +194,15 @@ def _F_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
 
 
 def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
-    """Derivative of ``_F_cells`` in u."""
+    """Derivative of ``_F_cells`` in u, for positive h.
+
+    h u^(q-1) is formed where u > 0 by one masked power; elsewhere it
+    stays zero, and zero times the positive h stays zero.
+    """
     if q is None:
         return np.where(u >= 0, h, 0.0)
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = h[pos] * u[pos] ** (q[pos] - 1.0)
+    out = np.power(u, q - 1.0, out=np.zeros_like(u), where=u > 0)
+    out *= h
     # s = 0 with q = 1 gives h * 0^0 = h, matching the power rule literally
     zero = u == 0
     if zero.any():
@@ -288,10 +294,9 @@ def dirichlet_part(u: NodeField, model: EnergyModel,
     xi-gradient is the regularized flux; the subtraction keeps the zero
     field at zero energy.  At eps = 0 it is A(x, grad u)/p.
     """
-    mesh = model.mesh
     p = model.p_cells
-    s = eps * eps + _quad_form(model.w_cells, _gradient(mesh, u.values))
-    return integrate((s ** (p / 2.0) - eps ** p) / p, mesh)
+    s = eps * eps + _quad_form(model.w_cells, _field_gradient(u))
+    return integrate((s ** (p / 2.0) - eps ** p) / p, model.mesh)
 
 
 def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,
@@ -475,8 +480,7 @@ def gateaux_gradient(model: EnergyModel, u: NodeField,
     Kirchhoff term scales the flux part by M(dirichlet part).
     """
     mesh = model.mesh
-    gu = _gradient(mesh, u.values)
-    flux = _flux_rows(model.p_cells, model.w_cells, gu, eps)
+    flux = _flux_rows(model.p_cells, model.w_cells, _field_gradient(u), eps)
     if model.kirchhoff is not None:
         flux = flux * kirchhoff_M(model.kirchhoff, dirichlet_part(u, model, eps))
 

@@ -18,7 +18,10 @@ order as the dense per-cell formulas, so their results are bitwise the
 same.  Cell vectors stay component-major, shape (dimension, n_cells), from
 the gradient kernel ``_gradient`` through every flux, weight and reduction
 that reads them; only the public ``cell_gradient`` hands out the
-transposed (n_cells, dimension) view.
+transposed (n_cells, dimension) view.  A field keeps its cell gradient
+and its cell average, each computed on first use by ``_field_gradient``
+and ``cell_average``, so every energy, gradient and metric at one field
+reads the same arrays.
 
 The interior-node matrices (the Newton metric, the r = 2 stiffness and
 mass) share one assembly plan per mesh, built on first use and kept with
@@ -133,15 +136,18 @@ class NodeField:
     The field holds a private read-only copy of the values it is given:
     the caller's array stays writable, and later writes to it do not
     reach the field.
-    Its cell averages are computed on first use by ``cell_average`` and
-    kept with the field.  Two fields are equal when they share the mesh
-    object and have equal values.
+    Its cell averages and its (dimension, n_cells) P1 cell gradient are
+    computed on first use by ``cell_average`` and ``_field_gradient`` and
+    kept read-only with the field.  Two fields are equal when they share
+    the mesh object and have equal values.
     """
 
     mesh: Mesh
     values: np.ndarray
     _cell_values: np.ndarray | None = field(default=None, init=False,
                                             repr=False, compare=False)
+    _cell_grad: np.ndarray | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -279,6 +285,19 @@ def _gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
     return out
 
 
+def _field_gradient(u: NodeField) -> np.ndarray:
+    """The (dimension, n_cells) ``_gradient`` of a field's values.
+
+    Computed on the first call for a field, kept with it and returned
+    read-only.
+    """
+    if u._cell_grad is None:
+        out = _gradient(u.mesh, u.values)
+        out.flags.writeable = False
+        object.__setattr__(u, "_cell_grad", out)
+    return u._cell_grad
+
+
 def cell_gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
     """(n_cells, dimension) gradients of the P1 interpolant of nodal values:
     the transposed view of ``_gradient``'s result, one row per cell."""
@@ -306,8 +325,9 @@ def scatter_add(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
     value shared by a cell's vertices; cells are added in their fixed order,
     each node's sum starting from zero.
     """
-    weights = np.broadcast_to(contrib, mesh.cells.shape).ravel()
-    return np.bincount(mesh.cells.ravel(), weights, mesh.n_nodes)
+    if contrib.shape != mesh.cells.shape:
+        contrib = np.broadcast_to(contrib, mesh.cells.shape)
+    return np.bincount(mesh.cells.ravel(), contrib.ravel(), mesh.n_nodes)
 
 
 def interior_plan(mesh: Mesh) -> tuple:

@@ -131,23 +131,30 @@ def ratio_bound(u1: NodeField, u2: NodeField, cap: float = RATIO_CAP) -> RatioBo
     which the interior nodes approximate.
     """
     interior = u1.mesh.interior
-    a = u1.values[interior]
-    b = u2.values[interior]
+    return _ratio_bounds(u1.values[interior], u2.values[interior], cap)[0]
+
+
+def _ratio_bounds(a: np.ndarray, b: np.ndarray, cap: float) -> tuple:
+    """``ratio_bound`` of the interior values a of u1 and b of u2, and the
+    ratio array b / a its ``sup21`` is taken from."""
     if np.any(b <= 0) or np.any(a <= 0):
         raise ValueError("ratio_bound needs positive interior values")
+    ratios = b / a
     sup12 = float(np.max(a / b))
-    sup21 = float(np.max(b / a))
-    return RatioBounds(sup12, sup21, bool(sup12 <= cap and sup21 <= cap))
+    sup21 = float(np.max(ratios))
+    return RatioBounds(sup12, sup21, bool(sup12 <= cap and sup21 <= cap)), \
+        ratios
 
 
-def _classify_equality(w1: NodeField, w2: NodeField) -> str:
+def _classify_equality(w1: NodeField, w2: NodeField,
+                       ratios: np.ndarray) -> str:
+    """The equality class of a pair whose positive interior ratio array
+    w2/w1 is ``ratios``."""
     a, b = w1.values, w2.values
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
     if np.max(np.abs(a - b)) <= 1e-10 * scale:
         return "identical"
-    interior = w1.mesh.interior
-    ratios = b[interior] / a[interior]
-    if np.ptp(ratios) <= 1e-8 * max(1.0, np.abs(ratios).max()):
+    if np.ptp(ratios) <= 1e-8 * max(1.0, ratios.max()):
         return "proportional"
     return "distinct"
 
@@ -166,25 +173,26 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
 
     and the gap Phi'(1) - Phi'(0) = i1 - i2 is nonnegative by discrete
     convexity.  Raises for pairs that do not vanish on the boundary, and,
-    through ``ratio_bound``, for pairs that are not positive at interior
-    nodes or whose interior ratio exceeds the admissibility cap.
+    through ``ratio_bound``'s check, for pairs that are not positive at
+    interior nodes or whose interior ratio exceeds the admissibility cap.
+    Each field's boundary is tested and its interior gathered once, and
+    one ratio array serves the bounds and the equality class.
     """
     mesh = model.mesh
-    for w in (w1, w2):
-        if np.any(w.values[mesh.boundary_mask] != 0):
-            raise ValueError("gap inputs must vanish on the boundary")
-    ratios = ratio_bound(w1, w2, cap)
-    if not ratios.admissible:
+    a, b = w1.values, w2.values
+    if a[mesh.boundary_mask].any() or b[mesh.boundary_mask].any():
+        raise ValueError("gap inputs must vanish on the boundary")
+    bounds, ratios = _ratio_bounds(a[mesh.interior], b[mesh.interior], cap)
+    if not bounds.admissible:
         raise ValueError(
             f"inadmissible pair: interior ratio exceeds cap {cap:g}")
 
     r = model.exponent.r
-    v1 = NodeField(mesh, w1.values ** r)
-    v2 = NodeField(mesh, w2.values ** r)
+    v1, v2 = NodeField(mesh, a ** r), NodeField(mesh, b ** r)
     i2, i1 = -phi_prime(v1, v2, np.array([1.0, 0.0]), model, "W_A")
     return GapReport(gap=float(i1 - i2), i1=float(i1), i2=float(i2),
-                     equality_class=_classify_equality(w1, w2),
-                     ratio_sup=ratios.sup12, inv_ratio_sup=ratios.sup21,
+                     equality_class=_classify_equality(w1, w2, ratios),
+                     ratio_sup=bounds.sup12, inv_ratio_sup=bounds.sup21,
                      scale=_scale(abs(i1) + abs(i2)))
 
 

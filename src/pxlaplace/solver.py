@@ -19,8 +19,10 @@ Each line-search trial is polished to its absolute value (positive part
 when an absorption term is present), which never increases the discrete
 energy, and the backtracking Armijo test runs on the polished trial: one
 energy evaluation per trial, and the accepted trial's energy carries into
-the next iteration.  Each eps-stage ends for one reason, recorded in the
-report's ``stage_exits``: ``tol`` (the gradient met ``grad_tol``),
+the next iteration, as do the cell gradient and cell average its field
+keeps, so a step differentiates each trial once.  Each eps-stage ends
+for one reason, recorded in the report's ``stage_exits``: ``tol`` (the
+gradient met ``grad_tol``),
 ``floor`` (no Armijo step down to t = 1e-18), ``frozen`` (an accepted step
 left the iterate bitwise unchanged) or ``max_iters``.  Reported residuals
 use the unregularized flux.
@@ -51,6 +53,7 @@ loads at its first solve, as ``scipy.sparse`` does at the first
 from __future__ import annotations
 
 import importlib
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -60,9 +63,9 @@ from .energy import (EnergyModel, M_hat, ReactionTerm, _F_cells,
                      dirichlet_part, energy_value, gateaux_gradient,
                      kirchhoff_M)
 from .exponents import exponent_field
-from .grid import (Mesh, NodeField, _basis_pairing, _gradient, _lower_band,
-                   assemble, cell_average, constant_field, integrate,
-                   interior_plan)
+from .grid import (Mesh, NodeField, _basis_pairing, _field_gradient,
+                   _gradient, _lower_band, assemble, cell_average,
+                   constant_field, integrate, interior_plan)
 from .inequality import diaz_saa_gap
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
     validate_f, validate_g, validate_M
@@ -134,7 +137,9 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.grad_tol, bool) or not 0 < self.grad_tol < np.inf:
+        tol = self.grad_tol  # a real number, but not a bool
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0 < tol < np.inf):
             raise ValueError("grad_tol must be positive and finite")
         if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
@@ -214,9 +219,10 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
     return u0, bool(energy_value(u0, model) < 0.0)
 
 
-def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
+def _interior_matrix(model: EnergyModel, u: NodeField, eps: float,
                      pref: float):
-    """Newton metric on interior nodes, a ``scipy.sparse.csr_array``.
+    """Newton metric on interior nodes at the field u, a
+    ``scipy.sparse.csr_array``; it reads the cell gradient u keeps.
 
     The Hessian of ``pref`` times the eps-regularized Dirichlet part: with
     q = |xi|_W^2 and omega = pref (eps^2 + q)^((p-2)/2) |cell|, the local
@@ -232,7 +238,7 @@ def _interior_matrix(model: EnergyModel, u: np.ndarray, eps: float,
     mesh = model.mesh
     w = model.w_cells
     p = model.p_cells
-    xi = _gradient(mesh, u)
+    xi = _field_gradient(u)
     s = eps * eps + _quad_form(w, xi)
     omega = pref * s ** ((p - 2.0) / 2.0) * mesh.cell_measures
     if w is None:
@@ -287,8 +293,8 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
     u0, init_flag = initial_guess(model, opts)
     v = u0.values.copy()
     v[mesh.boundary_mask] = 0.0
-    # the iterate stays a NodeField, so the accepted trial's cell average
-    # carries into the next gradient
+    # the iterate stays a NodeField, so the cell gradient and cell average
+    # its trial's energy computed carry into the next gradient and metric
     u = NodeField(mesh, v)
 
     iterations, exits = [], []
@@ -305,7 +311,7 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
             if model.kirchhoff is not None:
                 pref = kirchhoff_M(model.kirchhoff,
                                    dirichlet_part(u, model, eps))
-            K = _interior_matrix(model, u.values, eps, pref)
+            K = _interior_matrix(model, u, eps, pref)
             d = np.zeros_like(g)
             # K is SPD: a symmetric fill-reducing ordering fits
             d[interior] = __getattr__("spla").spsolve(
@@ -467,7 +473,7 @@ def first_eigenpair(mesh: Mesh, r: float):
         # p = 2, which does not depend on u, and B the one-point mass
         # sum_c m_c/(d+1)^2 11^T, stacked below K.  K is factored once
         nloc = mesh.dimension + 1
-        K = _interior_matrix(model, bump, EIGEN_EPS, 1.0)
+        K = _interior_matrix(model, NodeField(mesh, bump), EIGEN_EPS, 1.0)
         KB = __getattr__("sp").vstack([K, assemble(mesh, np.broadcast_to(
             mesh.cell_measures[:, None, None] / nloc ** 2,
             (mesh.n_cells, nloc, nloc)))], format="csr")
@@ -502,8 +508,8 @@ def first_eigenpair(mesh: Mesh, r: float):
             break
 
         if r != 2:  # the metric at u
-            chol = _band_cholesky(
-                mesh, _interior_matrix(model, u, EIGEN_EPS, 1.0))
+            chol = _band_cholesky(mesh, _interior_matrix(
+                model, NodeField(mesh, u), EIGEN_EPS, 1.0))
         d = __getattr__("lapack").dpbtrs(chol, -g, lower=1)[0]
         if r != 2:  # the direction on every node
             d = np.bincount(interior, d, mesh.n_nodes)

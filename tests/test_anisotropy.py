@@ -146,6 +146,33 @@ def test_flux_rows_match_masked_formula_bitwise(dim, weighted):
         assert np.ascontiguousarray(flux.T).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_flux_rows_fast_path_matches_masked_path(dim, weighted):
+    # at eps > 0 no column has s = 0 and the flux skips the mask, bitwise
+    # as the masked formula gives it; at eps = 0 the zero columns still
+    # get the zero flux
+    rng = np.random.default_rng(29)
+    n = 300
+    p = rng.uniform(1.2, 4.0, n)
+    xi = rng.standard_normal((dim, n)) * 10.0 ** rng.uniform(-6, 6, n)
+    xi[:, ::7] = 0.0
+    w = rng.uniform(0.5, 2.0, (dim, n)) if weighted else None
+    wxi = xi if w is None else w * xi
+    for eps in (1e-2, 1e-8):
+        s = eps * eps + _quad_form(w, xi)
+        nz = s > 0.0
+        assert nz.all()
+        masked = np.where(nz, s, 1.0) ** ((p - 2.0) / 2.0) * wxi
+        masked[:, ~nz] = 0.0
+        assert _flux_rows(p, w, xi, eps).tobytes() == masked.tobytes()
+    flux = _flux_rows(p, w, xi)
+    assert not flux[:, ::7].any()
+    s = _quad_form(w, xi)[1::7]
+    assert flux[:, 1::7].tobytes() == \
+        (s ** ((p[1::7] - 2.0) / 2.0) * wxi[:, 1::7]).tobytes()
+
+
 class TestHypothesisA:
     def test_isotropic_p2_identity_jacobian(self):
         rep = check_hypothesis_A(iso_1d(2.0, 1.0), 30, seed=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pxlaplace.anisotropy import _flux_rows, weighted_quadratic
-from pxlaplace.energy import _quotient
+from pxlaplace.energy import _f_cells, _quotient
 from pxlaplace.energy import (EnergyModel, M_hat, W_A_functional, W_functional,
                               dirichlet_part, energy_E, energy_E_hat, energy_J,
                               flux_pairing, gateaux_gradient, phi_line,
@@ -55,6 +55,26 @@ class TestPotentials:
     def test_G_cubic(self):
         model = make_model(h="1", q="1.5", r=2.0, ell="3", Q="3")
         assert potential_G(model.absorption, [0.5], 1.0) == pytest.approx(1.0)
+
+    def test_f_cells_matches_gather_formula_bitwise(self):
+        # the one masked power against the gathers it replaced, at u < 0,
+        # u = 0 with q = 1 and q != 1, and u > 0
+        rng = np.random.default_rng(8)
+        n = 400
+        u = rng.uniform(-2.0, 3.0, n) * 10.0 ** rng.uniform(-8, 3, n)
+        u[::5] = 0.0
+        q = rng.uniform(1.0, 4.0, n)
+        q[::10] = 1.0
+        h = rng.uniform(0.1, 5.0, n)
+        expected = np.zeros_like(u)
+        pos = u > 0
+        expected[pos] = h[pos] * u[pos] ** (q[pos] - 1.0)
+        zero = u == 0
+        expected[zero] = np.where(q[zero] == 1.0, h[zero], 0.0)
+        assert {(u < 0).any(), (zero & (q == 1.0)).any(),
+                (zero & (q != 1.0)).any(), pos.any()} == {True}
+        got = _f_cells(u, h, q)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
 
     def test_M_hat_identity_scale(self):
         term = saturating_kirchhoff(1.0, 1.0)

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pxlaplace.grid import (Mesh, NodeField, _basis_pairing, _gradient,
-                            build_interval, build_rectangle, cell_average,
-                            cell_gradient, constant_field, flux_loads,
-                            integrate, interpolate, scatter_add)
+from pxlaplace.grid import (Mesh, NodeField, _basis_pairing, _field_gradient,
+                            _gradient, build_interval, build_rectangle,
+                            cell_average, cell_gradient, constant_field,
+                            flux_loads, integrate, interpolate, scatter_add)
 
 
 class TestBuildInterval:
@@ -244,6 +244,26 @@ def test_cell_average_is_kept_with_the_field():
     # the kept average takes no part in comparison or repr
     assert NodeField(mesh, u.values) == u
     assert "_cell_values" not in repr(u)
+
+
+def test_cell_gradient_is_kept_with_the_field():
+    # the kept gradient is the kernel's result bitwise, computed once,
+    # read-only and out of reach of the caller's array
+    for mesh in (build_interval(0, 1, 8), build_rectangle(0, 1, 0, 1, 3, 4)):
+        vals = np.random.default_rng(4).standard_normal(mesh.n_nodes)
+        expected = _gradient(mesh, vals)
+        u = NodeField(mesh, vals)
+        grad = _field_gradient(u)
+        assert grad.shape == (mesh.dimension, mesh.n_cells)
+        assert grad.tobytes() == expected.tobytes()
+        assert _field_gradient(u) is grad
+        with pytest.raises(ValueError):
+            grad[0, 0] = 1.0
+        vals[:] = 5.0
+        assert _field_gradient(u).tobytes() == expected.tobytes()
+        # the kept gradient takes no part in comparison or repr
+        assert NodeField(mesh, u.values) == u
+        assert "_cell_grad" not in repr(u)
 
 
 class TestIntegrate:

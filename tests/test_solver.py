@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, lapack
 from scipy.optimize import brentq
 
-from pxlaplace import grid, solver
+from pxlaplace import energy, grid, solver
 from pxlaplace.anisotropy import weighted_quadratic
 from pxlaplace.energy import (EnergyModel, KirchhoffTerm, dirichlet_part,
                               energy_value, gateaux_gradient, kirchhoff_M,
@@ -103,6 +103,14 @@ class TestInitialGuess:
         assert u0 is given and found is None
 
 
+@pytest.mark.parametrize("grad_tol", ["1e-9", None, 1e-9 + 0j],
+                         ids=["str", "none", "complex"])
+def test_non_real_grad_tol_is_refused(grad_tol):
+    with pytest.raises(ValueError,
+                       match="grad_tol must be positive and finite"):
+        SolverOptions(grad_tol=grad_tol)
+
+
 class TestSubhomogeneousInstance:
     def test_against_shooting_oracle(self):
         spec = problem1_spec(n=256)
@@ -179,6 +187,41 @@ class TestSubhomogeneousInstance:
         rep = solve_problem1(spec, SolverOptions())
         descent = len(calls) - 1 - 1
         assert descent <= 1.1 * (sum(rep.iterations) + len(rep.iterations))
+
+    @pytest.mark.parametrize("kind", ["problem1", "kirchhoff"])
+    def test_each_field_is_differentiated_once(self, monkeypatch, kind):
+        # README instance, and its Kirchhoff variant.  Through a stand-in
+        # for the one gradient kernel: the amplitude scan differentiates
+        # its profile, and every field the solve takes an energy, a
+        # Dirichlet part, a gradient or a metric at is differentiated
+        # exactly once, however many of them it meets
+        spec = problem1_spec(n=256, p="2+x", r=1.5, q="1.2")
+        if kind == "kirchhoff":
+            spec = replace(spec, kind=kind,
+                           kirchhoff=saturating_kirchhoff(1.0, 2.0))
+        real = grid._gradient
+        differentiated, fields = [], {}
+
+        def counting(mesh, nodal):
+            differentiated.append(nodal)
+            return real(mesh, nodal)
+
+        def recording(fn, pos):
+            def record(*args, **kwargs):
+                fields[id(args[pos])] = args[pos]
+                return fn(*args, **kwargs)
+            return record
+
+        for module in (grid, energy, solver):
+            monkeypatch.setattr(module, "_gradient", counting)
+        for name, pos in (("energy_value", 0), ("dirichlet_part", 0),
+                          ("gateaux_gradient", 1), ("_interior_matrix", 1)):
+            monkeypatch.setattr(solver, name,
+                                recording(getattr(solver, name), pos))
+        rep = solver.solve(spec, SolverOptions())
+        assert rep.converged
+        assert len({id(a) for a in differentiated}) == len(differentiated)
+        assert len(differentiated) == len(fields) + 1
 
     def test_converged_needs_every_stage(self):
         # README instance: the first two stages stop at the cap and report
@@ -386,7 +429,7 @@ def test_metric_is_exact_hessian(dim, p, flux):
     u = np.random.default_rng(3).uniform(0.0, 1.0, mesh.n_nodes)
     u[mesh.boundary_mask] = 0.0
     eps = 1e-2
-    K = solver._interior_matrix(model, u, eps, 1.0).toarray()
+    K = solver._interior_matrix(model, NodeField(mesh, u), eps, 1.0).toarray()
     J = _difference_jacobian(model, u, eps)
     assert np.abs(K - J).max() <= 1e-7 * np.abs(J).max()
     # the sparse assembly sums duplicate entries in either order
@@ -433,7 +476,7 @@ def test_planned_metric_matches_coo_assembly(dim, flux):
                 vals.append(loc[i, j])
     n = mesh.interior.size
     ref = sp.coo_array((vals, (rows, cols)), shape=(n, n)).toarray()
-    K = solver._interior_matrix(model, u, eps, pref)
+    K = solver._interior_matrix(model, NodeField(mesh, u), eps, pref)
     assert K.format == "csr" and K.has_sorted_indices
     assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
     if flux == "isotropic":
@@ -744,7 +787,8 @@ class TestFirstEigenpair:
         inner = np.ix_(mesh.interior, mesh.interior)
         model = EnergyModel(mesh, exponent_field(mesh, 2.0, 2.0))
         u = np.random.default_rng(2).uniform(0.0, 1.0, mesh.n_nodes)
-        Kp = solver._interior_matrix(model, u, solver.EIGEN_EPS, 1.0)
+        Kp = solver._interior_matrix(model, NodeField(mesh, u),
+                                     solver.EIGEN_EPS, 1.0)
         nloc = mesh.dimension + 1
         Bp = grid.assemble(mesh, np.broadcast_to(
             mesh.cell_measures[:, None, None] / nloc ** 2,
@@ -766,7 +810,8 @@ class TestFirstEigenpair:
         model = EnergyModel(mesh, exponent_field(mesh, 3.0, 3.0))
         rng = np.random.default_rng(3)
         K = solver._interior_matrix(
-            model, rng.uniform(0.0, 1.0, mesh.n_nodes), solver.EIGEN_EPS, 1.0)
+            model, NodeField(mesh, rng.uniform(0.0, 1.0, mesh.n_nodes)),
+            solver.EIGEN_EPS, 1.0)
         dense = K.toarray()
         n = dense.shape[0]
         assert int(grid.interior_plan(mesh)[4]) == bandwidth

@@ -3,10 +3,13 @@
 Builds the cases of each benchmark workload with ``bench/workloads.build``,
 runs each case once and prints ``<workload> <case> <signature>``, where
 the signature is ``workloads.signature`` of the result (every float as a
-hex literal).  Each ``checks`` case adds a second line with the report
-values the signature leaves out: ``slacks`` and the hex of every slack
-for a convexity case, ``i1``/``i2`` and their hex for a gap case.
-Diffing the output of two checkouts shows whether their results are
+hex literal).  Each case adds a second line with what the signature
+leaves out, from a second run of the same library call: ``slacks`` and
+the hex of every slack for a convexity case, ``i1``/``i2`` and their hex
+for a gap case, the sha256 of the solution's values, the stage exits
+and the hex of ``hopf_margin`` for a solve case, and the sha256 of the
+eigenfunction's values for an eigen case.  Diffing the output of two
+checkouts shows whether their results, whole fields included, are
 bitwise equal.  The package is imported from the ``src/``
 next to this script; nothing under ``bench/`` is changed.
 
@@ -17,6 +20,7 @@ Usage: python tools/result_bits.py [--seed S] [WORKLOAD ...]
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -26,9 +30,21 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 
 
+def _sha256(values) -> str:
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
 def report_bits(case: workloads.Case) -> str:
-    """Hex of every slack of a convexity case, or of i1 and i2 of a gap
-    case, from the same inequality call the case makes."""
+    """What the case's signature leaves out, from the same library call
+    the case makes (see the module docstring)."""
+    if case.kind == "solve":
+        spec, opts = case.args
+        rep = getattr(workloads.solver, "solve_" + spec.kind)(spec, opts)
+        return (f"solution {_sha256(rep.solution.values)} stage_exits "
+                f"{','.join(rep.stage_exits)} hopf {rep.hopf_margin.hex()}")
+    if case.kind == "eigen":
+        _, phi = workloads.solver.first_eigenpair(*case.args)
+        return f"phi {_sha256(phi.values)}"
     if case.kind == "convexity":
         v1, v2, model = case.args
         rep = workloads.inequality.check_ray_convexity(
@@ -53,8 +69,7 @@ def main(argv) -> int:
         for case in workloads.build(name, args.seed):
             print(name, case.name, workloads.signature(case.run()),
                   flush=True)
-            if name == "checks":
-                print(name, case.name, report_bits(case), flush=True)
+            print(name, case.name, report_bits(case), flush=True)
     return 0
 
 
