@@ -27,20 +27,19 @@ gradient met ``grad_tol``),
 left the iterate bitwise unchanged) or ``max_iters``.  Reported residuals
 use the unregularized flux.
 
-``first_eigenpair`` runs a normalized preconditioned descent on the
-Rayleigh quotient on the same plan.  Its metric is factored by LAPACK's
-band Cholesky (``dpbtrf`` in lower band storage, solved by ``dpbtrs``):
-the grid's lexicographic numbering makes every interior metric a band of
-width 1 in 1D and ny in 2D, and the plan's band slots fill the band from
-the CSR data in one assignment.  At r = 2 it takes the interior
-stiffness K from the Newton metric at p = 2, assembles the one-point mass
-B and stacks them into one operator [K; B], and descends on the interior
-values: each quotient is one matrix-vector product, and the accepted
-trial's product, scaled with the iterate, feeds the next gradient, so a
-step costs one product per trial and one band solve with K's factor,
-built once per call.  Other r go through the energy layer and factor
-the metric at every step.  At r = 2 it stops at ``EIGEN_MAX_ITERS`` on
-every mesh measured.
+``first_eigenpair`` runs one normalized preconditioned descent on the
+Rayleigh quotient for every r, on the interior values and the same plan.
+Its metric is factored by LAPACK's band Cholesky (``dpbtrf`` in lower
+band storage, solved by ``dpbtrs``): the grid's lexicographic numbering
+makes every interior metric a band of width 1 in 1D and ny in 2D, and
+the plan's band slots fill the band from the CSR data in one assignment.
+Only its setup depends on r.  At r = 2 the quotient reads one stacked
+operator [K; B] of the interior stiffness (the Newton metric at p = 2)
+and the one-point mass, so a step costs one matrix-vector product per
+trial and one band solve with K's factor, built once per call.  Other r
+go through the energy layer: one field of each iterate serves the
+gradient and the metric, which is factored at every step.  At r = 2 it
+stops at ``EIGEN_MAX_ITERS`` on every mesh measured.
 
 The module does not import scipy: ``sp`` (``scipy.sparse``), ``spla``
 (``scipy.sparse.linalg``) and ``lapack`` (``scipy.linalg.lapack``) are
@@ -189,9 +188,12 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
     scanned over a logarithmic amplitude grid; the amplitude minimizing
     the model energy is kept.  Returns (field, found_negative) where the
     flag records whether the kept amplitude has negative energy; a
-    user-provided field passes through unchanged with flag None.
+    user-provided field passes through unchanged with flag None; it must
+    live on the model's mesh (``ValueError`` otherwise).
     """
     if isinstance(opts.init, NodeField):
+        if opts.init.mesh is not model.mesh:
+            raise ValueError("init field sampled on a different mesh")
         return opts.init, None
     mesh = model.mesh
     if opts.init == "bump":
@@ -420,60 +422,49 @@ def first_eigenpair(mesh: Mesh, r: float):
     """Smallest Rayleigh quotient of the r-homogeneous gradient energy.
 
     Minimizes (integral |grad u|^r) / (integral |u|^r) over zero-trace
-    fields by normalized preconditioned descent from the bump profile.  For
-    r != 2 it runs on the energy layer of the r-constant model: the
-    numerator is r times its Dirichlet part, the quotient's gradient is
-    r/den times the problem-1 gradient with p = q = r and h = lam, and the
-    metric is the Newton metric of the Dirichlet part (without the
-    -lam |u|^(r-2) term of the denominator), rebuilt and factored each
-    iteration.  At r = 2 the quotient is u.Ku / u.Bu for the interior
-    stiffness K (the Newton metric at p = 2) and one-point mass B, stacked
-    once per call into one operator [K; B], and the descent runs on the
-    interior values alone (every iterate |u + t d| stays zero on the
-    boundary): each quotient is one sparse matrix-vector product
-    y = [Ku; Bu], the gradient (2/den)(Ku - lam Bu) reads the accepted
-    trial's product, divided by the factor that normalizes the trial, and
-    the metric is K, factored once.  So a step costs one product per
-    trial and one pair of triangular band solves; the carried product
-    differs from a fresh one in the last bits.  Every metric is factored
-    by LAPACK's band Cholesky in lower storage, filled through the plan's
-    band slots; a metric that is not positive definite in floating point
-    (r = 1.01 on 2D 8x8 meets one) raises ``ValueError``.  Both paths run
-    the same loop and line search.  The
-    descent stops when the quotient's gradient is below ``EIGEN_TOL``
-    (relative to max(1, lam)), no step decreases the quotient, or after
-    ``EIGEN_MAX_ITERS`` iterations.  At r = 2 every mesh measured ends at
-    that cap; for r != 2 every mesh measured (1D r = 1.5 and 3, 2D r = 3)
-    stops because no step decreases the quotient, with the gradient still
-    above 1e-7, far from ``EIGEN_TOL``.  A non-finite trial raises
+    fields by normalized preconditioned descent on the interior values,
+    from the bump profile.  The descent stops when the quotient's gradient
+    is below ``EIGEN_TOL`` (relative to max(1, lam)), when no step down to
+    t = 1e-16 decreases the quotient, or after ``EIGEN_MAX_ITERS``
+    iterations.  A non-finite trial, or a metric that is not positive
+    definite in floating point (r = 1.01 on 2D 8x8 meets one), raises
     ``ValueError``.  Returns (lam, phi) with phi nonnegative and its
     r-modular normalized to one; lam is the Rayleigh value of phi itself,
     evaluated on the energy layer for every r.
+
+    One loop serves every r; only its setup depends on r, and supplies
+    ``quotient(w) -> (num, den, carry)`` and ``step(carry, lam, den) ->
+    (gradient, factor)``, where ``factor()`` returns the metric's band
+    Cholesky factor and is called only when a step is taken.  At r = 2 the
+    carry is the product [Kw; Bw] with the interior stiffness K (the
+    Newton metric at p = 2) and the one-point mass B, and the metric is K,
+    factored once.  For r != 2 the carry is the nodal values, and one
+    field of them serves the gradient (r/den times the problem-1 gradient
+    with p = q = r and h = lam) and the metric (the Newton metric of the
+    Dirichlet part, without the -lam |u|^(r-2) term of the denominator).
     """
     if not r > 1:
         raise ValueError("need r > 1")
     interior = mesh.interior
     exponent = exponent_field(mesh, r, r)
     model = EnergyModel(mesh, exponent)
-    bump = _bump_profile(mesh)
 
     def rayleigh(v: np.ndarray) -> tuple:
-        """Numerator and denominator of the Rayleigh quotient of v >= 0,
-        and v itself."""
+        """Numerator and denominator of the Rayleigh quotient of the nodal
+        values v >= 0, and v itself."""
         field = NodeField(mesh, v)
         den = integrate(cell_average(field) ** r, mesh)
         return r * dirichlet_part(field, model), den, v
 
-    # The iterate u is the interior values at r = 2 and the nodal field
-    # otherwise.  quotient(u) returns the numerator, the denominator and
-    # what the gradient reads: the product [Ku; Bu] at r = 2, else u
-    # itself.  Both are linear in u, so they scale with the iterate
+    # the carry is linear in w, so the accepted trial's carry, divided by
+    # the factor that normalizes the trial, is the next iterate's
     if r == 2:
         # the quotient of two fixed quadratic forms: K is the metric at
         # p = 2, which does not depend on u, and B the one-point mass
         # sum_c m_c/(d+1)^2 11^T, stacked below K.  K is factored once
         nloc = mesh.dimension + 1
-        K = _interior_matrix(model, NodeField(mesh, bump), EIGEN_EPS, 1.0)
+        K = _interior_matrix(model, constant_field(mesh, 0.0), EIGEN_EPS,
+                             1.0)
         KB = __getattr__("sp").vstack([K, assemble(mesh, np.broadcast_to(
             mesh.cell_measures[:, None, None] / nloc ** 2,
             (mesh.n_cells, nloc, nloc)))], format="csr")
@@ -482,37 +473,35 @@ def first_eigenpair(mesh: Mesh, r: float):
         def quotient(w: np.ndarray) -> tuple:
             if not np.isfinite(w).all():
                 raise ValueError("field values must be finite")
-            y = (KB @ w).reshape(2, -1)
+            y = (KB @ w).reshape(2, -1)  # the carry [Kw; Bw]
             return float(w @ y[0]), float(w @ y[1]), y
 
-        def gradient(y: np.ndarray, lam: float, den: float) -> np.ndarray:
-            return (y[0] - lam * y[1]) * (2.0 / den)
+        def step(y: np.ndarray, lam: float, den: float) -> tuple:
+            return (y[0] - lam * y[1]) * (2.0 / den), lambda: chol
     else:
-        quotient = rayleigh
+        def quotient(w: np.ndarray) -> tuple:
+            return rayleigh(np.bincount(interior, w, mesh.n_nodes))
 
-        def gradient(v: np.ndarray, lam: float, den: float) -> np.ndarray:
-            # lam > 0 and q = r > 1, so the term skips power_reaction's
-            # checks
+        def step(v: np.ndarray, lam: float, den: float) -> tuple:
+            # one field serves the gradient and the metric, so both read
+            # the cell gradient it keeps.  lam > 0 and q = r > 1, so the
+            # term skips power_reaction's checks
+            field = NodeField(mesh, v)
             eigen = replace(model, reaction=ReactionTerm(
                 "power", constant_field(mesh, lam), exponent.values))
-            g = gateaux_gradient(eigen, NodeField(mesh, v)).values
-            return g[interior] * (r / den)
+            g = gateaux_gradient(eigen, field).values[interior] * (r / den)
+            return g, lambda: _band_cholesky(mesh, _interior_matrix(
+                model, field, EIGEN_EPS, 1.0))
 
-    u = bump[interior] if r == 2 else bump
+    u = _bump_profile(mesh)[interior]
     u = u / quotient(u)[1] ** (1.0 / r)
     num, den, y = quotient(u)
     for _ in range(EIGEN_MAX_ITERS):
         lam = num / den
-        g = gradient(y, lam, den)
+        g, factor = step(y, lam, den)
         if np.abs(g).max() <= EIGEN_TOL * max(1.0, lam):
             break
-
-        if r != 2:  # the metric at u
-            chol = _band_cholesky(mesh, _interior_matrix(
-                model, NodeField(mesh, u), EIGEN_EPS, 1.0))
-        d = __getattr__("lapack").dpbtrs(chol, -g, lower=1)[0]
-        if r != 2:  # the direction on every node
-            d = np.bincount(interior, d, mesh.n_nodes)
+        d = __getattr__("lapack").dpbtrs(factor(), -g, lower=1)[0]
 
         t = 1.0
         while t > 1e-16:
@@ -528,8 +517,7 @@ def first_eigenpair(mesh: Mesh, r: float):
         u, y = trial / scale, y2 / scale
         num, den = n2 / d2, 1.0
 
-    if r == 2:  # the interior values on every node, zero on the boundary
-        u = np.bincount(interior, u, mesh.n_nodes)
+    u = np.bincount(interior, u, mesh.n_nodes)  # zero on the boundary
     den = rayleigh(u)[1]
     phi = NodeField(mesh, np.abs(u) / den ** (1.0 / r))
     num, den, _ = rayleigh(phi.values)

@@ -102,6 +102,16 @@ class TestInitialGuess:
         u0, found = initial_guess(model, SolverOptions(init=given))
         assert u0 is given and found is None
 
+    @pytest.mark.parametrize("mesh", [
+        build_interval(0, 1, 64), build_interval(0, 2, 32),
+    ], ids=["more-cells", "other-domain"])
+    def test_field_on_another_mesh_is_refused(self, mesh):
+        # a 32-cell problem on (0, 1); meshes are compared by identity
+        model = build_energy_model(problem1_spec(n=32))
+        init = NodeField(mesh, np.zeros(mesh.n_nodes))
+        with pytest.raises(ValueError, match="different mesh"):
+            initial_guess(model, SolverOptions(init=init))
+
 
 @pytest.mark.parametrize("grad_tol", ["1e-9", None, 1e-9 + 0j],
                          ids=["str", "none", "complex"])
@@ -692,7 +702,10 @@ class TestFirstEigenpair:
         (build_rectangle(0, 1, 0, 1, 32, 32), 2.0, 19.808032024201342),
         (build_interval(0, 1, 256), 2.0, 9.869879979542391),
         (build_interval(0, 1, 256), 3.0, 28.289995939202697),
-    ], ids=["2d-16x16-r2", "2d-32x32-r2", "1d-n256-r2", "1d-n256-r3"])
+        (build_interval(0, 1, 64), 1.5, 5.320532049369774),
+        (build_rectangle(0, 1, 0, 1, 8, 8), 3.0, 69.49509498595175),
+    ], ids=["2d-16x16-r2", "2d-32x32-r2", "1d-n256-r2", "1d-n256-r3",
+            "1d-n64-r1.5", "2d-8x8-r3"])
     def test_trajectory_pinned(self, mesh, r, pin):
         # the r = 2 descent stops at EIGEN_MAX_ITERS, so its value depends
         # on every iterate; pinned as tightly as the benchmark's reference
@@ -724,18 +737,53 @@ class TestFirstEigenpair:
             dpbtrf=dpbtrf, dpbtrs=dpbtrs))
         return calls
 
-    @pytest.mark.parametrize("mesh,r,factorizations", [
-        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0, 1),
-        (build_interval(0, 1, 16), 3.0, 7),
-    ], ids=["2d-6x5-r2", "1d-n16-r3"])
+    @pytest.mark.parametrize("mesh,r,tol,factorizations,solves", [
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0, solver.EIGEN_TOL, 1, 7),
+        (build_interval(0, 1, 16), 3.0, solver.EIGEN_TOL, 7, 7),
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0, 1e300, 1, 0),
+        (build_interval(0, 1, 16), 3.0, 1e300, 0, 0),
+    ], ids=["2d-6x5-r2", "1d-n16-r3", "2d-6x5-r2-tol", "1d-n16-r3-tol"])
     def test_factorizations_and_solves_per_step(self, monkeypatch, mesh, r,
-                                                 factorizations):
+                                                 tol, factorizations, solves):
         # r = 2 factors K once per call; other r factor the metric at
-        # every step; either way each step makes one band solve
+        # every step; either way each step makes one band solve.  At a
+        # tolerance every gradient meets, the first stationarity test
+        # breaks, and no metric is factored for that step
         monkeypatch.setattr(solver, "EIGEN_MAX_ITERS", 7)
+        monkeypatch.setattr(solver, "EIGEN_TOL", tol)
         calls = self._lapack_stand_in(monkeypatch)
         first_eigenpair(mesh, r)
-        assert calls == {"dpbtrf": factorizations, "dpbtrs": 7}
+        assert calls == {"dpbtrf": factorizations, "dpbtrs": solves}
+
+    @pytest.mark.parametrize("mesh,r", [
+        (build_interval(0, 1, 16), 3.0),
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 1.5),
+    ], ids=["1d-n16-r3", "2d-6x5-r1.5"])
+    def test_each_step_reads_one_field(self, monkeypatch, mesh, r):
+        # for r != 2 a step's gradient and metric read one field, so the
+        # cell gradient it keeps serves both: every step passes the
+        # gradient a field and then passes the metric that same object,
+        # and only a last step that meets the tolerance builds no metric
+        calls = []
+
+        def recording(name):
+            real = getattr(solver, name)
+
+            def record(*args, **kwargs):
+                calls.append((name, args[1]))
+                return real(*args, **kwargs)
+            return record
+
+        for name in ("gateaux_gradient", "_interior_matrix"):
+            monkeypatch.setattr(solver, name, recording(name))
+        first_eigenpair(mesh, r)
+        steps = len(calls) // 2
+        assert steps > 0 and len(calls) - 2 * steps in (0, 1)
+        assert [name for name, _ in calls] == (
+            ["gateaux_gradient", "_interior_matrix"] * steps
+            + ["gateaux_gradient"] * (len(calls) - 2 * steps))
+        for k in range(steps):
+            assert calls[2 * k][1] is calls[2 * k + 1][1]
 
     @pytest.mark.parametrize("mesh,r", [
         (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0),

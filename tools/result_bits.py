@@ -8,7 +8,11 @@ leaves out, from a second run of the same library call: ``slacks`` and
 the hex of every slack for a convexity case, ``i1``/``i2`` and their hex
 for a gap case, the sha256 of the solution's values, the stage exits
 and the hex of ``hopf_margin`` for a solve case, and the sha256 of the
-eigenfunction's values for an eigen case.  Diffing the output of two
+eigenfunction's values for an eigen case.  After the ``eigen`` cases
+come the eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on
+1D and 2D meshes, a non-square 2D r = 2 mesh), each on one line with the
+hex of lambda and the sha256 of phi, or the message of the error the
+call raises.  Diffing the output of two
 checkouts shows whether their results, whole fields included, are
 bitwise equal.  The package is imported from the ``src/``
 next to this script; nothing under ``bench/`` is changed.
@@ -54,6 +58,28 @@ def report_bits(case: workloads.Case) -> str:
     return f"i1 {rep.i1.hex()} i2 {rep.i2.hex()}"
 
 
+_grid = workloads.grid
+# (name, mesh, r); r = 1.01 raises ValueError
+EXTRA_EIGEN = (
+    ("eig-1d-r1.5-n64", _grid.build_interval(0, 1, 64), 1.5),
+    ("eig-2d-r3-8x8", _grid.build_rectangle(0, 1, 0, 1, 8, 8), 3.0),
+    ("eig-2d-r3-16x16", _grid.build_rectangle(0, 1, 0, 1, 16, 16), 3.0),
+    ("eig-2d-r1.5-12x7", _grid.build_rectangle(0, 2, 0, 1, 12, 7), 1.5),
+    ("eig-2d-r2-33x17", _grid.build_rectangle(0, 1, 0, 1, 33, 17), 2.0),
+    ("eig-2d-r1.01-8x8", _grid.build_rectangle(0, 1, 0, 1, 8, 8), 1.01),
+)
+
+
+def extra_eigen_bits(mesh, r: float) -> str:
+    """lambda's hex and phi's sha256 of one ``EXTRA_EIGEN`` case, or the
+    message of the ``ValueError`` it raises."""
+    try:
+        lam, phi = workloads.solver.first_eigenpair(mesh, r)
+    except ValueError as exc:
+        return f"error {exc}"
+    return f"lam {lam.hex()} phi {_sha256(phi.values)}"
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
@@ -70,6 +96,9 @@ def main(argv) -> int:
             print(name, case.name, workloads.signature(case.run()),
                   flush=True)
             print(name, case.name, report_bits(case), flush=True)
+        if name == "eigen":
+            for case_name, mesh, r in EXTRA_EIGEN:
+                print(name, case_name, extra_eigen_bits(mesh, r), flush=True)
     return 0
 
 
