@@ -292,8 +292,12 @@ def dirichlet_part(u: NodeField, model: EnergyModel,
 
     The density is (s^(p/2) - eps^p)/p with s = eps^2 + |grad u|_A^2, whose
     xi-gradient is the regularized flux; the subtraction keeps the zero
-    field at zero energy.  At eps = 0 it is A(x, grad u)/p.
+    field at zero energy.  At eps = 0 it is A(x, grad u)/p.  ``energy_value``
+    and the energies built on it take their field through here, so this
+    is where a field off the model's mesh is refused (``ValueError``).
     """
+    if u.mesh is not model.mesh:
+        raise ValueError("field sampled on a different mesh")
     p = model.p_cells
     s = eps * eps + _quad_form(model.w_cells, _field_gradient(u))
     return integrate((s ** (p / 2.0) - eps ** p) / p, model.mesh)
@@ -373,11 +377,13 @@ def cone_delta(v1: NodeField, v2: NodeField) -> float:
     return float(min(0.25, 0.5 * np.min(lo[mask] / diff[mask])))
 
 
-def _combinations(v1: NodeField, v2: NodeField, theta) -> np.ndarray:
+def _combinations(v1: NodeField, v2: NodeField, theta,
+                  mesh: Mesh) -> np.ndarray:
     """Rows (1-theta) v1 + theta v2, one per theta, formed as one stack,
-    checked finite at once and tested for the cone row by row."""
-    if v1.mesh is not v2.mesh:
-        raise ValueError("fields live on different meshes")
+    checked finite at once and tested for the cone row by row.  Both
+    fields must live on ``mesh``, the model's."""
+    if v1.mesh is not mesh or v2.mesh is not mesh:
+        raise ValueError("field sampled on a different mesh")
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
         raise ValueError("theta must be a number or a 1-D array")
@@ -387,7 +393,7 @@ def _combinations(v1: NodeField, v2: NodeField, theta) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("field values must be finite")
     for ti, row in zip(thetas, v):
-        _require_cone(v1.mesh, row, ti)
+        _require_cone(mesh, row, ti)
     return v
 
 
@@ -417,7 +423,7 @@ def phi_line(v1: NodeField, v2: NodeField, theta, model: EnergyModel,
     combination is tested for the cone once.
     """
     weights = _line_weights(model, kind)
-    v = _combinations(v1, v2, theta)
+    v = _combinations(v1, v2, theta, model.mesh)
     if kind == "J_hat":
         return _per_theta(theta, [energy_J(NodeField(model.mesh, w), model)
                                   for w in _roots(v, model.exponent.r)])
@@ -448,8 +454,8 @@ def phi_prime(v1: NodeField, v2: NodeField, theta, model: EnergyModel,
     ``phi_line``.
     """
     weights = _line_weights(model, kind)
-    v = _combinations(v1, v2, theta)
     mesh = model.mesh
+    v = _combinations(v1, v2, theta, mesh)
     r = model.exponent.r
     s_rows = _quotient(v2.values - v1.values, v, r)
     if kind == "J_hat" and (model.kirchhoff is None or model.reaction is None):
@@ -477,9 +483,12 @@ def gateaux_gradient(model: EnergyModel, u: NodeField,
     The pairing of the returned field with any nodal test field equals the
     directional derivative of the discrete energy at u.  Assembled from
     per-cell flux contributions plus reaction/absorption terms; a present
-    Kirchhoff term scales the flux part by M(dirichlet part).
+    Kirchhoff term scales the flux part by M(dirichlet part).  The field
+    must live on the model's mesh (``ValueError`` otherwise).
     """
     mesh = model.mesh
+    if u.mesh is not mesh:
+        raise ValueError("field sampled on a different mesh")
     flux = _flux_rows(model.p_cells, model.w_cells, _field_gradient(u), eps)
     if model.kirchhoff is not None:
         flux = flux * kirchhoff_M(model.kirchhoff, dirichlet_part(u, model, eps))

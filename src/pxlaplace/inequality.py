@@ -172,13 +172,16 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
         i2 = -Phi'(1) = integral a(x, grad w2) . grad(w1^r / w2^(r-1) - w2)
 
     and the gap Phi'(1) - Phi'(0) = i1 - i2 is nonnegative by discrete
-    convexity.  Raises for pairs that do not vanish on the boundary, and,
-    through ``ratio_bound``'s check, for pairs that are not positive at
-    interior nodes or whose interior ratio exceeds the admissibility cap.
+    convexity.  Raises for fields off the model's mesh, for pairs that do
+    not vanish on the boundary, and, through ``ratio_bound``'s check, for
+    pairs that are not positive at interior nodes or whose interior ratio
+    exceeds the admissibility cap.
     Each field's boundary is tested and its interior gathered once, and
     one ratio array serves the bounds and the equality class.
     """
     mesh = model.mesh
+    if w1.mesh is not mesh or w2.mesh is not mesh:
+        raise ValueError("field sampled on a different mesh")
     a, b = w1.values, w2.values
     if a[mesh.boundary_mask].any() or b[mesh.boundary_mask].any():
         raise ValueError("gap inputs must vanish on the boundary")

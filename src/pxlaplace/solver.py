@@ -20,12 +20,17 @@ when an absorption term is present), which never increases the discrete
 energy, and the backtracking Armijo test runs on the polished trial: one
 energy evaluation per trial, and the accepted trial's energy carries into
 the next iteration, as do the cell gradient and cell average its field
-keeps, so a step differentiates each trial once.  Each eps-stage ends
-for one reason, recorded in the report's ``stage_exits``: ``tol`` (the
-gradient met ``grad_tol``),
-``floor`` (no Armijo step down to t = 1e-18), ``frozen`` (an accepted step
-left the iterate bitwise unchanged) or ``max_iters``.  Reported residuals
-use the unregularized flux.
+keeps, so a step differentiates each trial once.  ``_descend`` is the one
+eps-stage loop, and the Newton step its one direction.  Each eps-stage
+ends for one reason, recorded in the report's ``stage_exits``: ``tol``
+(the gradient met ``grad_tol``), ``floor`` (no Armijo step down to
+t = 1e-18, or a Newton direction that is NaN or not downhill),
+``frozen`` (an accepted step left the iterate bitwise unchanged) or
+``max_iters``.  A solve that has not converged and has a ``floor`` exit
+is rerun once from its start on ``COARSE_LADDER``, which puts the rungs
+1 and 0.1 ahead of ``EPS_LADDER`` (problem1 with p = 20 on 32 cells
+floors every stage from the bump, and converges on the rerun).
+Reported residuals use the unregularized flux.
 
 ``first_eigenpair`` runs one normalized preconditioned descent on the
 Rayleigh quotient for every r, on the interior values and the same plan.
@@ -93,6 +98,10 @@ __all__ = [
 # iterates, and so the pinned results, depend on these exact values.
 EPS_LADDER = (0.01, 0.001, 0.0001, 1e-05, 1.0000000000000002e-06,
               1.0000000000000002e-07, 1e-08)
+# the ladder a floored solve is rerun on: two coarser rungs, where the
+# flux weight (eps^2 + |grad u|^2)^((p-2)/2) varies less from cell to
+# cell, ahead of EPS_LADDER
+COARSE_LADDER = (1.0, 0.1) + EPS_LADDER
 # backtracking line search: Armijo constant and step shrink factor
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -277,32 +286,21 @@ def _polish(u: np.ndarray, model: EnergyModel) -> np.ndarray:
     return np.abs(u)
 
 
-def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
-    """Minimize the model energy over fields vanishing on the boundary.
+def _descend(model: EnergyModel, u: NodeField, ladder: tuple,
+             opts: SolverOptions) -> tuple:
+    """The eps-stage loop: damped Newton descent from the zero-trace field
+    u, one stage per rung of ``ladder``.
 
-    Runs the eps-continuation described in the module docstring.  The
-    report's ``iterations`` and ``stage_exits`` hold, per stage, the
+    Returns (u, iterations, exits): the last iterate and, per stage, the
     number of steps taken (``max_iters - 1`` for a capped stage) and the
-    exit reason.  ``converged`` is true when every stage exited on
-    ``tol`` (the max-norm of its regularized nodal gradient at most
-    ``grad_tol``) and the unregularized residual ``residual_max`` is at
-    most ``grad_tol`` too (for p < 2 the two gradients differ).  The
-    report also carries positivity and boundary-slope diagnostics and the
-    negative-energy certificate of nontriviality.
+    exit reason.  A Newton direction that is NaN (SuperLU gives NaN on an
+    exactly singular metric) or not a descent direction takes no trial,
+    so its stage ends on ``floor``.
     """
     mesh = model.mesh
     interior = mesh.interior
-    u0, init_flag = initial_guess(model, opts)
-    v = u0.values.copy()
-    v[mesh.boundary_mask] = 0.0
-    # the iterate stays a NodeField, so the cell gradient and cell average
-    # its trial's energy computed carry into the next gradient and metric
-    u = NodeField(mesh, v)
-
     iterations, exits = [], []
-    for eps in EPS_LADDER:
-        pref = 1.0
-        n_it = 0
+    for eps in ladder:
         reason = "max_iters"
         e0 = energy_value(u, model, eps)
         for n_it in range(opts.max_iters):
@@ -310,31 +308,26 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
             if np.abs(g[interior]).max() <= opts.grad_tol:
                 reason = "tol"
                 break
-            if model.kirchhoff is not None:
-                pref = kirchhoff_M(model.kirchhoff,
-                                   dirichlet_part(u, model, eps))
+            pref = 1.0 if model.kirchhoff is None else kirchhoff_M(
+                model.kirchhoff, dirichlet_part(u, model, eps))
             K = _interior_matrix(model, u, eps, pref)
             d = np.zeros_like(g)
             # K is SPD: a symmetric fill-reducing ordering fits
             d[interior] = __getattr__("spla").spsolve(
                 K, -g[interior], permc_spec="MMD_AT_PLUS_A")
             gd = float(g @ d)
-            if not np.isfinite(gd) or gd >= 0.0:
-                # spsolve gives NaN on an exactly singular K (p = 20 gets
-                # there); along -g, gd = -g.g < 0 as g is above grad_tol
-                d = -g
-                gd = float(g @ d)
             if not np.isfinite(e0):
                 raise ValueError("non-finite energy: bad model inputs")
             t = 1.0
-            while t > 1e-18:
+            while gd < 0.0 and t > 1e-18:
                 trial = NodeField(mesh, _polish(u.values + t * d, model))
                 e1 = energy_value(trial, model, eps)
                 if e1 <= e0 + ARMIJO * t * gd:
                     break
                 t *= SHRINK
             else:
-                reason = "floor"  # no Armijo step down to t = 1e-18
+                # no Armijo step down to t = 1e-18, or no descent direction
+                reason = "floor"
                 break
             if trial.values.tobytes() == u.values.tobytes():
                 # a frozen iterate: each iteration is a function of (u, eps)
@@ -344,9 +337,38 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
             u, e0 = trial, e1
         iterations.append(n_it)
         exits.append(reason)
+    return u, tuple(iterations), tuple(exits)
 
-    residual = float(np.abs(
-        gateaux_gradient(model, u).values[interior]).max())
+
+def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
+    """Minimize the model energy over fields vanishing on the boundary.
+
+    Runs ``_descend`` on ``EPS_LADDER`` from the initial guess, zeroed on
+    the boundary.  ``converged`` is true when no stage stopped at the cap
+    and the unregularized residual ``residual_max`` is at most
+    ``grad_tol`` (for p < 2 the regularized gradient a stage tests can be
+    smaller).  A run that has not converged and has a ``floor`` exit is
+    rerun once, from the same start, on ``COARSE_LADDER``, and the report
+    is the last run's: nine stages in ``iterations`` and ``stage_exits``
+    mean a rerun happened.  The report also carries positivity and
+    boundary-slope diagnostics and the negative-energy certificate of
+    nontriviality.
+    """
+    mesh = model.mesh
+    interior = mesh.interior
+    u0, init_flag = initial_guess(model, opts)
+    v = u0.values.copy()
+    v[mesh.boundary_mask] = 0.0
+    # the iterate stays a NodeField, so the cell gradient and cell average
+    # its trial's energy computed carry into the next gradient and metric
+    start = NodeField(mesh, v)
+    for ladder in (EPS_LADDER, COARSE_LADDER):
+        u, iterations, exits = _descend(model, start, ladder, opts)
+        residual = float(np.abs(
+            gateaux_gradient(model, u).values[interior]).max())
+        converged = "max_iters" not in exits and residual <= opts.grad_tol
+        if converged or "floor" not in exits:
+            break
     e_final = energy_value(u, model)
     m0 = None
     if model.kirchhoff is not None:
@@ -355,9 +377,9 @@ def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
         solution=u,
         energy=float(e_final),
         residual_max=residual,
-        iterations=tuple(iterations),
-        stage_exits=tuple(exits),
-        converged=all(r == "tol" for r in exits) and residual <= opts.grad_tol,
+        iterations=iterations,
+        stage_exits=exits,
+        converged=converged,
         positivity_ok=bool(np.all(u.values[interior] > 0.0)),
         hopf_margin=hopf_diagnostic(u),
         negative_energy=bool(e_final < 0.0),

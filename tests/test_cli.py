@@ -238,6 +238,20 @@ class TestSolveCommand:
         assert run_command(["solve", "--config", str(cfg), "--seed", "1",
                             "--quiet"]) == EXIT_NONCONVERGED
 
+    def test_floored_solve_is_rerun_and_converges(self, tmp_path, capsys):
+        # p = 20 on 32 cells: every stage of the first run ends on the
+        # floor, and the rerun on the coarser ladder converges
+        cfg = write_config(tmp_path / "run.json",
+                           domain={"n": 32}, exponent={"p": "20", "r": 1.5},
+                           problem={"q": "1.2"},
+                           output={"dir": str(tmp_path / "out")})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run_command(["solve", "--config", str(cfg), "--seed", "1",
+                                "--quiet"]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["stage_exits"] == ["tol"] * 9
+        assert report["converged"] is True
+
     def test_unknown_subcommand(self, capsys):
         assert run_command(["frobnicate"]) == EXIT_USAGE
 

@@ -518,7 +518,8 @@ class TestConeAndQuotient:
                 phi_prime(v1, v2, theta, model)
         phi_prime(v1, v2, np.array([0.5, 1.0]), model)
         # at r = 1 the quotient is v2 - v1 itself
-        phi_prime(v1, v2, 0.0, make_model(n=16, p="2+x", r=1.0))
+        phi_prime(v1, v2, 0.0, make_model(n=16, p="2+x", r=1.0,
+                                          mesh=model.mesh))
 
 
 class TestHiddenConvexity:

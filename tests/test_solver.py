@@ -1,4 +1,3 @@
-from contextlib import nullcontext
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -19,6 +18,7 @@ from pxlaplace.energy import (EnergyModel, KirchhoffTerm, dirichlet_part,
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import NodeField, build_interval, build_rectangle, \
     cell_average, constant_field, interpolate
+from pxlaplace.inequality import diaz_saa_gap
 from pxlaplace.problems import ProblemSpec, build_energy_model
 from pxlaplace.solver import (SolverOptions, first_eigenpair, hopf_diagnostic,
                               initial_guess, minimize_energy, solve_kirchhoff,
@@ -111,6 +111,27 @@ class TestInitialGuess:
         init = NodeField(mesh, np.zeros(mesh.n_nodes))
         with pytest.raises(ValueError, match="different mesh"):
             initial_guess(model, SolverOptions(init=init))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval(0, 1, 64), build_interval(0, 2, 32),
+], ids=["more-cells", "other-domain"])
+@pytest.mark.parametrize("entry", ["energy_value", "phi_line", "phi_prime",
+                                   "diaz_saa_gap", "weak_residual"])
+def test_entry_points_refuse_a_field_on_another_mesh(entry, mesh):
+    # a 32-cell problem on (0, 1), and positive zero-trace fields on
+    # another mesh; meshes are compared by identity
+    spec = problem1_spec(n=32, p="2+x", r=1.5, q="1.2")
+    model = build_energy_model(spec)
+    u = NodeField(mesh, solver._bump_profile(mesh))
+    v = u.with_values(2.0 * u.values)
+    calls = {"energy_value": lambda: energy_value(u, model),
+             "phi_line": lambda: energy.phi_line(u, v, 0.5, model),
+             "phi_prime": lambda: energy.phi_prime(u, v, 0.5, model),
+             "diaz_saa_gap": lambda: diaz_saa_gap(u, v, model),
+             "weak_residual": lambda: weak_residual(u, spec)}
+    with pytest.raises(ValueError, match="field sampled on a different mesh"):
+        calls[entry]()
 
 
 @pytest.mark.parametrize("grad_tol", ["1e-9", None, 1e-9 + 0j],
@@ -311,67 +332,113 @@ def _steep_spec():
     return problem1_spec(n=32, p="20", r=1.5, q="1.2")
 
 
+def _start(model, opts):
+    # the start minimize_energy descends from: the initial guess, zeroed
+    # on the boundary
+    v = initial_guess(model, opts)[0].values.copy()
+    v[model.mesh.boundary_mask] = 0.0
+    return NodeField(model.mesh, v)
+
+
+STEEP_ENERGY = -0.14131811913206757
+
+
 def test_overflowing_trials_end_every_stage_on_the_floor():
     # from the bump the Newton direction is about 1e22 long, so every
     # trial down to t = 1e-18 has a huge or overflowing energy and no
-    # stage takes a step
+    # stage of the first run takes a step.  The floored solve is rerun on
+    # COARSE_LADDER, whose coarse rungs reach the solution
+    opts = SolverOptions()
+    model = build_energy_model(_steep_spec())
     with pytest.warns(RuntimeWarning, match="overflow"):
-        rep = solver.solve(_steep_spec(), SolverOptions())
+        first = solver._descend(model, _start(model, opts),
+                                solver.EPS_LADDER, opts)
+    assert first[1:] == ((0,) * 7, ("floor",) * 7)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rep = solver.solve(_steep_spec(), opts)
     assert rep.regime == "unique-full"
-    assert rep.iterations == (0,) * 7
-    assert rep.stage_exits == ("floor",) * 7
-    assert not rep.converged
+    assert rep.iterations == (16, 16, 4, 3, 2, 1, 0, 0, 0)
+    assert rep.stage_exits == ("tol",) * 9
+    assert rep.converged
+    assert rep.energy == pytest.approx(STEEP_ENERGY, rel=1e-12)
 
 
-def test_singular_metric_falls_back_to_steepest_descent():
+def test_floored_solve_reports_the_coarse_rerun():
+    # the report of a floored solve is the rerun's, bit for bit: from the
+    # same start, on COARSE_LADDER
+    opts = SolverOptions()
+    model = build_energy_model(_steep_spec())
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rep = minimize_energy(model, opts)
+        u, iterations, exits = solver._descend(
+            model, _start(model, opts), solver.COARSE_LADDER, opts)
+    assert solver.COARSE_LADDER == (1.0, 0.1) + solver.EPS_LADDER
+    assert rep.solution.values.tobytes() == u.values.tobytes()
+    assert (rep.iterations, rep.stage_exits) == (iterations, exits)
+
+
+def test_singular_metric_floors_and_the_rerun_converges():
     # from this start SuperLU finds the metric exactly singular and the
-    # Newton direction is NaN; the steps along -g keep the solve going
+    # Newton direction is NaN, which ends its stage on the floor; the
+    # rerun on COARSE_LADDER converges
     opts = SolverOptions(init="random", seed=3)
     with pytest.warns((RuntimeWarning, spla.MatrixRankWarning)) as caught:
         rep = solver.solve(_steep_spec(), opts)
     assert {w.category for w in caught} == {RuntimeWarning,
                                              spla.MatrixRankWarning}
-    assert rep.iterations == (1, 21, 6, 12, 4, 5, 12)
-    assert rep.stage_exits == ("floor",) * 7
-    assert rep.positivity_ok
+    assert rep.iterations == (15, 16, 4, 3, 2, 1, 0, 0, 0)
+    assert rep.stage_exits == ("tol",) * 9
+    assert rep.converged and rep.positivity_ok
+    assert rep.energy == pytest.approx(STEEP_ENERGY, rel=1e-12)
 
 
-# random start of _steep_spec: (iterations, steps that fell back to -g,
-# the warnings the solve raises)
-RESCUED = {14: ((37, 3, 2, 1, 0, 0, 0), 5,
-                {RuntimeWarning, spla.MatrixRankWarning}),
-           15: ((35, 3, 2, 1, 0, 0, 0), 1, set())}
+# random start of _steep_spec: (iterations, stage exits, energy)
+EARLY_FLOOR = {14: ((2, 26, 2, 1, 0, 0, 0), ("floor",) + ("tol",) * 6,
+                    -0.1413181191320676),
+               15: ((0, 1, 36, 1, 0, 0, 0), ("floor",) * 2 + ("tol",) * 5,
+                    STEEP_ENERGY)}
 
 
-@pytest.mark.parametrize("seed", sorted(RESCUED))
-def test_steepest_descent_fallback_rescues_random_starts(seed, monkeypatch):
-    # from these starts some Newton directions are NaN or point uphill;
-    # the steps along -g take both solves to convergence, and both reach
-    # the same energy.  With a floor exit in place of the fallback neither
-    # converges: the stages run (2, 26, 2, 1, 0, 0, 0) and
-    # (0, 1, 36, 1, 0, 0, 0)
-    iterations, fallbacks, warned = RESCUED[seed]
-    real, fell_back = spla.spsolve, []
+@pytest.mark.parametrize("seed", sorted(EARLY_FLOOR))
+def test_early_floor_exits_still_converge(seed):
+    # from these starts the first stages end on the floor and the later
+    # ones meet grad_tol, so the first run converges and is not rerun
+    iterations, exits, expected = EARLY_FLOOR[seed]
+    opts = SolverOptions(init="random", seed=seed)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rep = solver.solve(_steep_spec(), opts)
+    assert rep.converged
+    assert rep.iterations == iterations
+    assert rep.stage_exits == exits
+    assert rep.energy == pytest.approx(expected, rel=1e-12)
 
+
+def test_nan_direction_ends_every_stage_on_the_floor(monkeypatch):
+    # README instance, through a stand-in spsolve that returns NaN: no
+    # stage tries a step, so both runs stop at once and the iterate never
+    # moves from the start
     def spsolve(K, b, **kwargs):
-        # the solver's direction d has d[interior] = x and b = -g[interior],
-        # so g.d = -b.x: it falls back unless that is finite and negative
-        x = real(K, b, **kwargs)
-        gd = -float(b @ x)
-        fell_back.append(not np.isfinite(gd) or gd >= 0.0)
-        return x
+        return np.full_like(b, np.nan)
 
     monkeypatch.setattr(solver, "spla", SimpleNamespace(spsolve=spsolve))
-    opts = SolverOptions(init="random", seed=seed)
-    with pytest.warns(tuple(warned)) if warned else nullcontext() as caught:
-        rep = solver.solve(_steep_spec(), opts)
-    if warned:
-        assert {w.category for w in caught} == warned
+    opts = SolverOptions()
+    model = build_energy_model(problem1_spec(n=64, p="2+x", r=1.5, q="1.2"))
+    rep = minimize_energy(model, opts)
+    assert rep.iterations == (0,) * 9
+    assert rep.stage_exits == ("floor",) * 9
+    assert not rep.converged
+    assert rep.solution.values.tobytes() == \
+        _start(model, opts).values.tobytes()
+
+
+def test_frozen_stage_counts_when_the_residual_meets_grad_tol():
+    # p = 10: the first stage ends on a frozen iterate, every later one on
+    # tol, and the final residual is below grad_tol, so the solve converged
+    opts = SolverOptions(init="random", seed=12)
+    rep = solver.solve(problem1_spec(n=128, p="10", r=1.5, q="1.2"), opts)
+    assert rep.stage_exits == ("frozen",) + ("tol",) * 6
+    assert rep.residual_max <= opts.grad_tol
     assert rep.converged
-    assert rep.stage_exits == ("tol",) * 7
-    assert rep.iterations == iterations
-    assert sum(fell_back) == fallbacks
-    assert rep.energy == pytest.approx(-0.14131811913206757, rel=1e-12)
 
 
 @pytest.mark.parametrize("init", ["bump", "random"])

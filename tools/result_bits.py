@@ -8,11 +8,16 @@ leaves out, from a second run of the same library call: ``slacks`` and
 the hex of every slack for a convexity case, ``i1``/``i2`` and their hex
 for a gap case, the sha256 of the solution's values, the stage exits
 and the hex of ``hopf_margin`` for a solve case, and the sha256 of the
-eigenfunction's values for an eigen case.  After the ``eigen`` cases
-come the eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on
-1D and 2D meshes, a non-square 2D r = 2 mesh), each on one line with the
-hex of lambda and the sha256 of phi, or the message of the error the
-call raises.  Diffing the output of two
+eigenfunction's values for an eigen case.  After the ``solve-1d`` cases
+come the solves the benchmark lacks (``EXTRA_SOLVES``: problem1 with a
+constant p of 20 or 10, from starts where a stage of the first run ends
+on the floor or on a frozen iterate), each on one line with
+``converged``, the iterations, the stage exits, the hex of the energy
+and the sha256 of the solution.  After the ``eigen`` cases come the
+eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on 1D and 2D
+meshes, a non-square 2D r = 2 mesh), each on one line with the hex of
+lambda and the sha256 of phi, or the message of the error the call
+raises.  Diffing the output of two
 checkouts shows whether their results, whole fields included, are
 bitwise equal.  The package is imported from the ``src/``
 next to this script; nothing under ``bench/`` is changed.
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +65,15 @@ def report_bits(case: workloads.Case) -> str:
 
 
 _grid = workloads.grid
+# (name, p, cells of the 1D mesh, init, seed): problem1 with r = 1.5,
+# h = 1, q = 1.2 and a constant p, at the default options otherwise
+EXTRA_SOLVES = (
+    ("p20-n32-bump", "20", 32, "bump", 0),
+    ("p20-n32-seed3", "20", 32, "random", 3),
+    ("p20-n32-seed14", "20", 32, "random", 14),
+    ("p20-n32-seed15", "20", 32, "random", 15),
+    ("p10-n128-seed12", "10", 128, "random", 12),
+)
 # (name, mesh, r); r = 1.01 raises ValueError
 EXTRA_EIGEN = (
     ("eig-1d-r1.5-n64", _grid.build_interval(0, 1, 64), 1.5),
@@ -68,6 +83,24 @@ EXTRA_EIGEN = (
     ("eig-2d-r2-33x17", _grid.build_rectangle(0, 1, 0, 1, 33, 17), 2.0),
     ("eig-2d-r1.01-8x8", _grid.build_rectangle(0, 1, 0, 1, 8, 8), 1.01),
 )
+
+
+def extra_solve_bits(p: str, n: int, init: str, seed: int) -> str:
+    """The report of one ``EXTRA_SOLVES`` case; the overflow and
+    singular-matrix warnings its trials raise are silenced."""
+    mesh = _grid.build_interval(0, 1, n)
+    spec = workloads.problems.ProblemSpec(
+        "problem1", mesh, workloads.exponent_field(mesh, p, workloads.R),
+        workloads.energy.power_reaction(_grid.interpolate(mesh, workloads.H),
+                                        _grid.interpolate(mesh, workloads.Q)))
+    opts = workloads.solver.SolverOptions(init=init, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = workloads.solver.solve(spec, opts)
+    return (f"converged {rep.converged} iterations "
+            f"{','.join(map(str, rep.iterations))} stage_exits "
+            f"{','.join(rep.stage_exits)} energy {rep.energy.hex()} "
+            f"solution {_sha256(rep.solution.values)}")
 
 
 def extra_eigen_bits(mesh, r: float) -> str:
@@ -96,6 +129,9 @@ def main(argv) -> int:
             print(name, case.name, workloads.signature(case.run()),
                   flush=True)
             print(name, case.name, report_bits(case), flush=True)
+        if name == "solve-1d":
+            for case_name, *case in EXTRA_SOLVES:
+                print(name, case_name, extra_solve_bits(*case), flush=True)
         if name == "eigen":
             for case_name, mesh, r in EXTRA_EIGEN:
                 print(name, case_name, extra_eigen_bits(mesh, r), flush=True)
