@@ -71,13 +71,16 @@ def isotropic(exponent: ExponentField) -> AnisotropyModel:
 
 
 def weighted_quadratic(exponent: ExponentField, weights) -> AnisotropyModel:
-    """Weighted-quadratic model; per-node weights must be positive."""
+    """Weighted-quadratic model; per-node weights must be positive and
+    live on the exponent's mesh."""
     weights = tuple(weights)
     if len(weights) != exponent.mesh.dimension:
         raise ValueError("need one weight field per space dimension")
     for w in weights:
         if not isinstance(w, NodeField):
             raise ValueError("weights must be NodeFields")
+        if w.mesh is not exponent.mesh:
+            raise ValueError("weight sampled on a different mesh")
         if w.values.min() <= 0:
             raise ValueError("weighted-quadratic weights must be positive")
     return AnisotropyModel("weighted-quadratic", exponent, weights)

@@ -135,7 +135,8 @@ class EnergyModel:
     weights; otherwise one row per weight, shape (dimension, n_cells), the
     layout of the cell gradients it multiplies) and ``potentials``, the
     (sign, h, q) cell data of the reaction (sign -1) and the absorption
-    (sign +1), in that order.
+    (sign +1), in that order.  The exponent and every field of the terms
+    must live on ``mesh`` (``ValueError`` otherwise).
     """
 
     mesh: Mesh
@@ -159,17 +160,20 @@ class EnergyModel:
         p = self.exponent.cellwise()
         w = (None if self.anisotropy is None
              else self.anisotropy.weights_at_cells())
-        potentials = []
+        terms = []  # (sign, h, q) fields, q None for a source
         if self.reaction is not None:
             f = self.reaction
-            q = cell_average(f.q) if f.kind == "power" else None
-            potentials.append((-1.0, cell_average(f.h), q))
+            terms.append((-1.0, f.h, f.q if f.kind == "power" else None))
         if self.absorption is not None:
-            g = self.absorption
-            potentials.append((1.0, cell_average(g.ell), cell_average(g.Q)))
+            terms.append((1.0, self.absorption.ell, self.absorption.Q))
+        if any(x is not None and x.mesh is not self.mesh
+               for _, h, q in terms for x in (h, q)):
+            raise ValueError("term field sampled on a different mesh")
         object.__setattr__(self, "p_cells", p)
         object.__setattr__(self, "w_cells", w)
-        object.__setattr__(self, "potentials", tuple(potentials))
+        object.__setattr__(self, "potentials", tuple(
+            (sign, cell_average(h), q if q is None else cell_average(q))
+            for sign, h, q in terms))
 
 
 # -- potentials -------------------------------------------------------------
@@ -271,7 +275,11 @@ def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
 
 
 def W_functional(v: NodeField, model: EnergyModel) -> float:
-    """Cone energy: integral of (r/p) |grad(v^(1/r))|^p, isotropic."""
+    """Cone energy: integral of (r/p) |grad(v^(1/r))|^p, isotropic.
+
+    v must live on the model's mesh (``ValueError`` otherwise)."""
+    if v.mesh is not model.mesh:
+        raise ValueError("field sampled on a different mesh")
     _require_cone(v.mesh, v.values)
     return _cone_energies(model, v.values[None], None)[0]
 
@@ -280,8 +288,10 @@ def W_A_functional(v: NodeField, model: EnergyModel) -> float:
     """Anisotropic cone energy: integral of (r/p) A(x, grad(v^(1/r))).
 
     Coincides with ``W_functional`` (same arithmetic) for the isotropic
-    family.
+    family.  v must live on the model's mesh (``ValueError`` otherwise).
     """
+    if v.mesh is not model.mesh:
+        raise ValueError("field sampled on a different mesh")
     _require_cone(v.mesh, v.values)
     return _cone_energies(model, v.values[None], model.w_cells)[0]
 

@@ -24,12 +24,12 @@ and ``cell_average``, so every energy, gradient and metric at one field
 reads the same arrays.
 
 The interior-node matrices (the Newton metric, the r = 2 stiffness and
-mass) share one assembly plan per mesh, built on first use and kept with
-the mesh: ``assemble`` sums local cell matrices into its fixed CSR pattern,
-and ``_lower_band`` copies a matrix's CSR data into LAPACK's lower band
-storage through the plan's band slots.  ``assemble`` imports
-``scipy.sparse`` on its first call, so a mesh, a field or an energy costs
-numpy alone.
+mass) are given as local cell matrices and share one assembly plan per
+mesh, built on first use and kept with the mesh: ``assemble`` sums them
+into its fixed CSR pattern, and ``_band`` sums them into LAPACK's lower
+band storage through the plan's band map, one slot per cell-matrix
+entry.  ``assemble`` imports ``scipy.sparse`` on its first call, so a
+mesh, a field, an energy or a band costs numpy alone.
 """
 
 from __future__ import annotations
@@ -339,11 +339,11 @@ def interior_plan(mesh: Mesh) -> tuple:
     ones), the slot in ``data`` of every cell entry (entries on a
     boundary row or column get the slot one past the end), the bandwidth
     bw (a 0-d array, the largest row - col of the pattern) and the band
-    layout: for every CSR entry its flat slot in LAPACK's lower band
+    map: for every cell entry its flat slot in LAPACK's lower band
     storage, a Fortran-ordered (bw + 1, n) array holding entry (i, j) at
-    (i - j, j), with every entry above the diagonal sent to one spare slot
-    past the end.  The lexicographic numbering of the structured grid
-    keeps bw at 1 in 1D and ny in 2D.
+    (i - j, j), with every entry above the diagonal or on a boundary row
+    or column sent to one spare slot past the end.  The lexicographic
+    numbering of the structured grid keeps bw at 1 in 1D and ny in 2D.
     """
     if mesh._plan is None:
         nloc = mesh.dimension + 1
@@ -359,9 +359,10 @@ def interior_plan(mesh: Mesh) -> tuple:
         GG = np.einsum("cid,cjd->cij", mesh.shape_grads, mesh.shape_grads)
         rows, cols = np.divmod(keys, n)
         bw = (rows - cols).max()
-        band = np.where(rows >= cols, cols * (bw + 1) + rows - cols,
-                        (bw + 1) * n)
-        plan = (GG, cols.astype(np.intc), indptr, slots, bw, band)
+        spare = (bw + 1) * n
+        band = np.where(rows >= cols, cols * (bw + 1) + rows - cols, spare)
+        plan = (GG, cols.astype(np.intc), indptr, slots, bw,
+                np.append(band, spare)[slots])
         object.__setattr__(mesh, "_plan", tuple(map(_readonly, plan)))
     return mesh._plan
 
@@ -377,14 +378,14 @@ def assemble(mesh: Mesh, loc: np.ndarray):
     return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
-def _lower_band(mesh: Mesh, data: np.ndarray) -> np.ndarray:
+def _band(mesh: Mesh, loc: np.ndarray) -> np.ndarray:
     """LAPACK's lower band storage, a Fortran-ordered (bw + 1, n) array, of
-    the interior-node matrix whose CSR ``data`` fill the mesh's pattern:
-    one assignment through the plan's band slots, zero elsewhere."""
+    the interior-node matrix summed from the local matrices ``loc``
+    (n_cells, d+1, d+1): one ``np.bincount`` through the plan's band map,
+    in cell order, so each entry is the sum ``assemble`` forms."""
     bw, band = interior_plan(mesh)[4:]
     n = mesh.interior.size
-    ab = np.zeros((bw + 1) * n + 1)
-    ab[band] = data
+    ab = np.bincount(band, loc.ravel(), (bw + 1) * n + 1)
     return ab[:-1].reshape(n, bw + 1).T
 
 

@@ -8,13 +8,14 @@ degenerate/singular |grad u|^(p-2) factor is replaced by
 Dirichlet part (scaled by M(D) under a Kirchhoff term), which is SPD for
 p > 1.  It leaves out the -F'' reaction part, which can make the Hessian
 indefinite, and the dense rank-one Kirchhoff term M'(D) grad D grad D^T.
-The metric is summed into the mesh's one interior assembly plan
+The metric is one set of local cell matrices, formed by
+``_interior_matrix`` from the mesh's one interior assembly plan
 (``grid.interior_plan``, built on first use and kept with the mesh): a
-Newton step only scales the plan's cell products G_i . G_j, adds the
-rank-one term and sums the entries into the plan's fixed pattern.
-SuperLU solves the step under a symmetric minimum-degree ordering
-(``MMD_AT_PLUS_A``).  The initial amplitude scan evaluates all of its
-amplitudes as one array.
+Newton step only scales the plan's cell products G_i . G_j and adds the
+rank-one term.  ``grid.assemble`` sums the local matrices into the
+plan's fixed CSR pattern, and SuperLU solves the step under a symmetric
+minimum-degree ordering (``MMD_AT_PLUS_A``).  The initial amplitude
+scan evaluates all of its amplitudes as one array.
 Each line-search trial is polished to its absolute value (positive part
 when an absorption term is present), which never increases the discrete
 energy, and the backtracking Armijo test runs on the polished trial: one
@@ -37,21 +38,23 @@ Rayleigh quotient for every r, on the interior values and the same plan.
 Its metric is factored by LAPACK's band Cholesky (``dpbtrf`` in lower
 band storage, solved by ``dpbtrs``): the grid's lexicographic numbering
 makes every interior metric a band of width 1 in 1D and ny in 2D, and
-the plan's band slots fill the band from the CSR data in one assignment.
-Only its setup depends on r.  At r = 2 the quotient reads one stacked
-operator [K; B] of the interior stiffness (the Newton metric at p = 2)
-and the one-point mass, so a step costs one matrix-vector product per
-trial and one band solve with K's factor, built once per call.  Other r
-go through the energy layer: one field of each iterate serves the
-gradient and the metric, which is factored at every step.  At r = 2 it
-stops at ``EIGEN_MAX_ITERS`` on every mesh measured.
+``grid._band`` sums the band from the local matrices through the plan's
+band map, with no CSR matrix between.  Only its setup depends on r.  At
+r = 2 the quotient reads one stacked operator [K; B] of the interior
+stiffness (the Newton metric at p = 2) and the one-point mass, so a
+step costs one matrix-vector product per trial and one band solve with
+K's factor, built once per call.  Other r go through the energy layer:
+one field of each iterate serves the gradient and the metric, which is
+factored at every step and never assembled as a CSR matrix.  At r = 2
+it stops at ``EIGEN_MAX_ITERS`` on every mesh measured.
 
 The module does not import scipy: ``sp`` (``scipy.sparse``), ``spla``
 (``scipy.sparse.linalg``) and ``lapack`` (``scipy.linalg.lapack``) are
 module attributes resolved on first lookup by ``__getattr__``, and every
 sparse or band solve looks ``spla`` or ``lapack`` up there, so each
 loads at its first solve, as ``scipy.sparse`` does at the first
-``grid.assemble``.  ``import pxlaplace`` pays for numpy alone.
+``grid.assemble`` (a Newton step or the r = 2 eigen setup).
+``import pxlaplace`` pays for numpy alone.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .energy import (EnergyModel, M_hat, ReactionTerm, _F_cells,
                      kirchhoff_M)
 from .exponents import exponent_field
 from .grid import (Mesh, NodeField, _basis_pairing, _field_gradient,
-                   _gradient, _lower_band, assemble, cell_average,
+                   _band, _gradient, assemble, cell_average,
                    constant_field, integrate, interior_plan)
 from .inequality import diaz_saa_gap
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
@@ -230,27 +233,30 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
     return u0, bool(energy_value(u0, model) < 0.0)
 
 
-def _interior_matrix(model: EnergyModel, u: NodeField, eps: float,
-                     pref: float):
-    """Newton metric on interior nodes at the field u, a
-    ``scipy.sparse.csr_array``; it reads the cell gradient u keeps.
+def _interior_matrix(model: EnergyModel, u: NodeField, eps: float):
+    """Local matrices (n_cells, d+1, d+1) of the Newton metric at the
+    field u; they read the cell gradient u keeps.
 
-    The Hessian of ``pref`` times the eps-regularized Dirichlet part: with
-    q = |xi|_W^2 and omega = pref (eps^2 + q)^((p-2)/2) |cell|, the local
+    The Hessian of the eps-regularized Dirichlet part, scaled by M(D) under
+    a Kirchhoff term as ``gateaux_gradient`` scales the flux: with
+    q = |xi|_W^2 and omega = M(D) (eps^2 + q)^((p-2)/2) |cell|, the local
     matrix is G_i^T (omega W) G_j + omega (p-2)/(eps^2+q) a_i a_j with
     a_i = G_i . W xi (W = I for the isotropic flux).  Relative to omega W
     its eigenvalues lie between min(1, p-1) and max(1, p-1), so it is SPD
     for p > 1.  The reaction, absorption and M'(D) parts are left out.
-    The entries are summed into the mesh's interior pattern, in cell
-    order; for the isotropic flux the matrix is bitwise symmetric.  At
-    p = 2 it does not depend on u: with pref = 1 it is the interior P1
-    stiffness.
+    ``grid.assemble`` sums them into the mesh's interior CSR pattern and
+    ``grid._band`` into its lower band, both in cell order; for the
+    isotropic flux the summed matrix is bitwise symmetric.  At p = 2
+    without a Kirchhoff term they do not depend on u: they sum to the
+    interior P1 stiffness.
     """
     mesh = model.mesh
     w = model.w_cells
     p = model.p_cells
     xi = _field_gradient(u)
     s = eps * eps + _quad_form(w, xi)
+    pref = 1.0 if model.kirchhoff is None else kirchhoff_M(
+        model.kirchhoff, dirichlet_part(u, model, eps))
     omega = pref * s ** ((p - 2.0) / 2.0) * mesh.cell_measures
     if w is None:
         loc = omega[:, None, None] * interior_plan(mesh)[0]
@@ -262,18 +268,18 @@ def _interior_matrix(model: EnergyModel, u: NodeField, eps: float,
     a = _basis_pairing(mesh, xi)
     loc += ((omega * (p - 2.0) / s)[:, None, None]
             * (a[:, :, None] * a[:, None]))
-    return assemble(mesh, loc)
+    return loc
 
 
-def _band_cholesky(mesh: Mesh, K):
-    """Cholesky factor of the interior metric ``K`` in LAPACK's lower band
-    storage (``dpbtrf``), filled from ``K.data`` through the band slots of
-    the mesh's plan; ``ValueError`` if K is not positive definite.
-    ``dpbtrs`` with ``lower=1`` solves with it."""
-    c, info = __getattr__("lapack").dpbtrf(_lower_band(mesh, K.data),
-                                           lower=1, overwrite_ab=1)
+def _band_cholesky(mesh: Mesh, loc: np.ndarray):
+    """Cholesky factor, in LAPACK's lower band storage (``dpbtrf``), of
+    the interior metric summed from the local matrices ``loc`` by
+    ``grid._band``; ``ValueError`` if the metric is not positive
+    definite.  ``dpbtrs`` with ``lower=1`` solves with it."""
+    c, info = __getattr__("lapack").dpbtrf(_band(mesh, loc), lower=1,
+                                           overwrite_ab=1)
     if info > 0:
-        raise ValueError("the eigen metric is not positive definite "
+        raise ValueError("the metric is not positive definite "
                          f"(leading minor {info})")
     return c
 
@@ -308,9 +314,7 @@ def _descend(model: EnergyModel, u: NodeField, ladder: tuple,
             if np.abs(g[interior]).max() <= opts.grad_tol:
                 reason = "tol"
                 break
-            pref = 1.0 if model.kirchhoff is None else kirchhoff_M(
-                model.kirchhoff, dirichlet_part(u, model, eps))
-            K = _interior_matrix(model, u, eps, pref)
+            K = assemble(mesh, _interior_matrix(model, u, eps))
             d = np.zeros_like(g)
             # K is SPD: a symmetric fill-reducing ordering fits
             d[interior] = __getattr__("spla").spsolve(
@@ -481,15 +485,16 @@ def first_eigenpair(mesh: Mesh, r: float):
     # the carry is linear in w, so the accepted trial's carry, divided by
     # the factor that normalizes the trial, is the next iterate's
     if r == 2:
-        # the quotient of two fixed quadratic forms: K is the metric at
-        # p = 2, which does not depend on u, and B the one-point mass
-        # sum_c m_c/(d+1)^2 11^T, stacked below K.  K is factored once
+        # the quotient of two fixed quadratic forms, given as local
+        # matrices: K is the metric at p = 2, which does not depend on u,
+        # and B the one-point mass sum_c m_c/(d+1)^2 11^T.  Both are
+        # assembled and stacked, B below K, and K's band is factored once
         nloc = mesh.dimension + 1
-        K = _interior_matrix(model, constant_field(mesh, 0.0), EIGEN_EPS,
-                             1.0)
-        KB = __getattr__("sp").vstack([K, assemble(mesh, np.broadcast_to(
-            mesh.cell_measures[:, None, None] / nloc ** 2,
-            (mesh.n_cells, nloc, nloc)))], format="csr")
+        K = _interior_matrix(model, constant_field(mesh, 0.0), EIGEN_EPS)
+        B = np.broadcast_to(mesh.cell_measures[:, None, None] / nloc ** 2,
+                            (mesh.n_cells, nloc, nloc))
+        KB = __getattr__("sp").vstack([assemble(mesh, K), assemble(mesh, B)],
+                                      format="csr")
         chol = _band_cholesky(mesh, K)
 
         def quotient(w: np.ndarray) -> tuple:
@@ -513,7 +518,7 @@ def first_eigenpair(mesh: Mesh, r: float):
                 "power", constant_field(mesh, lam), exponent.values))
             g = gateaux_gradient(eigen, field).values[interior] * (r / den)
             return g, lambda: _band_cholesky(mesh, _interior_matrix(
-                model, field, EIGEN_EPS, 1.0))
+                model, field, EIGEN_EPS))
 
     u = _bump_profile(mesh)[interior]
     u = u / quotient(u)[1] ** (1.0 / r)

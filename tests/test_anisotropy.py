@@ -6,7 +6,8 @@ from pxlaplace.anisotropy import (AnisotropyModel, _flux_rows, _quad_form,
                                   check_N_strict_convexity, eval_A, eval_N,
                                   flux_a, isotropic, weighted_quadratic)
 from pxlaplace.exponents import exponent_field
-from pxlaplace.grid import build_interval, build_rectangle, constant_field
+from pxlaplace.grid import (build_interval, build_rectangle, constant_field,
+                            interpolate)
 
 
 def iso_1d(p, r):
@@ -209,6 +210,18 @@ class TestHypothesisA:
         with pytest.raises(ValueError, match="positive"):
             weighted_quadratic(exp, (constant_field(mesh, 1.0),
                                      constant_field(mesh, 0.0)))
+
+    @pytest.mark.parametrize("other", [
+        build_rectangle(0, 2, 0, 3, 8, 8), build_rectangle(0, 1, 0, 1, 8, 8),
+    ], ids=["other-domain", "equal-copy"])
+    def test_factory_rejects_weights_on_another_mesh(self, other):
+        # the exponent lives on an 8x8 grid of the unit square; meshes are
+        # compared by identity, so an equal grid built apart is another
+        mesh = build_rectangle(0, 1, 0, 1, 8, 8)
+        exp = exponent_field(mesh, 2.0, r=2.0)
+        with pytest.raises(ValueError, match="weight sampled on a different"):
+            weighted_quadratic(exp, (constant_field(mesh, 1.0),
+                                     interpolate(other, "1+y")))
 
 
 class TestNStrictConvexity:

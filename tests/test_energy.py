@@ -135,6 +135,15 @@ class TestWFunctional:
         with pytest.raises(ValueError, match="cone"):
             W_functional(bad, model)
 
+    def test_field_on_another_mesh_is_refused(self):
+        # a positive bump on 32 cells of (0, 2) against a model on 32
+        # cells of (0, 1); meshes are compared by identity
+        model = make_model(n=32, p="2+x", r=1.5)
+        v = interpolate(build_interval(0, 2, 32), "x*(2-x)")
+        with pytest.raises(ValueError,
+                           match="field sampled on a different mesh"):
+            W_functional(v, model)
+
 
 class TestWAFunctional:
     def test_isotropic_bitwise_equal(self):
@@ -152,6 +161,13 @@ class TestWAFunctional:
         v = NodeField(mesh, interpolate(mesh, "(x*(1-x))^2").values + 1e-9)
         assert W_A_functional(v, model) == pytest.approx(
             4.0 * W_functional(v, model), rel=1e-13)
+
+    def test_field_on_another_mesh_is_refused(self):
+        model = make_model(n=32, p="2+x", r=1.5)
+        v = interpolate(build_interval(0, 2, 32), "x*(2-x)")
+        with pytest.raises(ValueError,
+                           match="field sampled on a different mesh"):
+            W_A_functional(v, model)
 
     def test_constant_zero(self):
         mesh = build_rectangle(0, 1, 0, 1, 3, 3)
@@ -175,6 +191,34 @@ class TestWAFunctional:
             wa = W_A_functional(v, model)
             w = W_functional(v, model)
             assert c1 * w - 1e-12 <= wa <= c2 * w + 1e-12
+
+
+class TestModelMeshes:
+    @pytest.mark.parametrize("term,other", [
+        ("h", build_interval(0, 2, 32)), ("h", build_interval(0, 1, 16)),
+        ("q", build_interval(0, 2, 32)), ("ell", build_interval(0, 2, 32)),
+        ("Q", build_interval(0, 1, 64)),
+    ], ids=["h-other-domain", "h-fewer-cells", "q", "ell", "Q-more-cells"])
+    def test_term_field_on_another_mesh_is_refused(self, term, other):
+        # every term field is sampled on a 32-cell mesh of (0, 1) but one,
+        # sampled on ``other``; meshes are compared by identity
+        mesh = build_interval(0, 1, 32)
+        values = {"h": "1+x", "q": "1.2", "ell": "1", "Q": "2"}
+        f = {k: interpolate(other if k == term else mesh, e)
+             for k, e in values.items()}
+        with pytest.raises(ValueError,
+                           match="term field sampled on a different mesh"):
+            EnergyModel(mesh, exponent_field(mesh, "2+x", r=1.5),
+                        reaction=power_reaction(f["h"], f["q"]),
+                        absorption=power_absorption(f["ell"], f["Q"]))
+
+    def test_source_on_another_mesh_is_refused(self):
+        mesh = build_interval(0, 1, 32)
+        h = interpolate(build_interval(0, 2, 32), "1+x")
+        with pytest.raises(ValueError,
+                           match="term field sampled on a different mesh"):
+            EnergyModel(mesh, exponent_field(mesh, 2.0, r=1.0),
+                        reaction=source_reaction(h))
 
 
 class TestProblemEnergies:

@@ -506,7 +506,8 @@ def test_metric_is_exact_hessian(dim, p, flux):
     u = np.random.default_rng(3).uniform(0.0, 1.0, mesh.n_nodes)
     u[mesh.boundary_mask] = 0.0
     eps = 1e-2
-    K = solver._interior_matrix(model, NodeField(mesh, u), eps, 1.0).toarray()
+    K = grid.assemble(mesh, solver._interior_matrix(
+        model, NodeField(mesh, u), eps)).toarray()
     J = _difference_jacobian(model, u, eps)
     assert np.abs(K - J).max() <= 1e-7 * np.abs(J).max()
     # the sparse assembly sums duplicate entries in either order
@@ -514,11 +515,12 @@ def test_metric_is_exact_hessian(dim, p, flux):
     assert np.linalg.eigvalsh(K).min() > 0
 
 
-@pytest.mark.parametrize("flux", ["isotropic", "weighted"])
+@pytest.mark.parametrize("flux", ["isotropic", "weighted", "kirchhoff"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_planned_metric_matches_coo_assembly(dim, flux):
     # the metric summed into the mesh's fixed interior pattern equals a
-    # COO assembly of local matrices formed cell by cell
+    # COO assembly of local matrices formed cell by cell; under a
+    # Kirchhoff term (isotropic flux) every entry is scaled by M(D)
     if dim == 1:
         mesh = build_interval(0, 2, 13)
         weights = [interpolate(mesh, "1+x")]
@@ -529,10 +531,18 @@ def test_planned_metric_matches_coo_assembly(dim, flux):
     anisotropy = None
     if flux == "weighted":
         anisotropy = weighted_quadratic(exponent, weights)
-    model = EnergyModel(mesh, exponent, anisotropy=anisotropy)
+    kirchhoff = None
+    if flux == "kirchhoff":
+        kirchhoff = saturating_kirchhoff(1.0, 3.0)
+    model = EnergyModel(mesh, exponent, anisotropy=anisotropy,
+                        kirchhoff=kirchhoff)
     u = np.random.default_rng(5).uniform(0.0, 1.0, mesh.n_nodes)
     u[mesh.boundary_mask] = 0.0
-    eps, pref = 1e-2, 1.7
+    eps, pref = 1e-2, 1.0
+    if flux == "kirchhoff":
+        pref = kirchhoff_M(kirchhoff, dirichlet_part(NodeField(mesh, u),
+                                                      model, eps))
+        assert pref > 1.0
     idx = np.full(mesh.n_nodes, -1)
     idx[mesh.interior] = np.arange(mesh.interior.size)
     rows, cols, vals = [], [], []
@@ -553,10 +563,11 @@ def test_planned_metric_matches_coo_assembly(dim, flux):
                 vals.append(loc[i, j])
     n = mesh.interior.size
     ref = sp.coo_array((vals, (rows, cols)), shape=(n, n)).toarray()
-    K = solver._interior_matrix(model, NodeField(mesh, u), eps, pref)
+    K = grid.assemble(mesh, solver._interior_matrix(
+        model, NodeField(mesh, u), eps))
     assert K.format == "csr" and K.has_sorted_indices
     assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
-    if flux == "isotropic":
+    if flux != "weighted":
         # first_eigenpair's band Cholesky reads the lower triangle alone
         assert (K.T.toarray() == K.toarray()).all()
 
@@ -902,8 +913,8 @@ class TestFirstEigenpair:
         inner = np.ix_(mesh.interior, mesh.interior)
         model = EnergyModel(mesh, exponent_field(mesh, 2.0, 2.0))
         u = np.random.default_rng(2).uniform(0.0, 1.0, mesh.n_nodes)
-        Kp = solver._interior_matrix(model, NodeField(mesh, u),
-                                     solver.EIGEN_EPS, 1.0)
+        Kp = grid.assemble(mesh, solver._interior_matrix(
+            model, NodeField(mesh, u), solver.EIGEN_EPS))
         nloc = mesh.dimension + 1
         Bp = grid.assemble(mesh, np.broadcast_to(
             mesh.cell_measures[:, None, None] / nloc ** 2,
@@ -913,30 +924,53 @@ class TestFirstEigenpair:
         assert np.abs(Bp.toarray() - M[inner]).max() <= \
             1e-14 * np.abs(M).max()
 
+    @pytest.mark.parametrize("mesh,r,per_call", [
+        (build_interval(0, 1, 32), 3.0, 0),
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 3.0, 0),
+        (build_interval(0, 1, 32), 2.0, 2),
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0, 2),
+    ], ids=["1d-n32-r3", "2d-6x5-r3", "1d-n32-r2", "2d-6x5-r2"])
+    def test_csr_assemblies_per_call(self, monkeypatch, mesh, r, per_call):
+        # every band is summed straight from the local matrices, so only
+        # the r = 2 setup assembles CSR matrices: K and B, once per call,
+        # for the stacked operator [K; B]
+        calls = []
+        real = solver.assemble
+
+        def counting(mesh, loc):
+            calls.append(loc.shape)
+            return real(mesh, loc)
+
+        monkeypatch.setattr(solver, "assemble", counting)
+        for k in (1, 2):
+            first_eigenpair(mesh, r)
+            assert len(calls) == k * per_call
+
     @pytest.mark.parametrize("mesh,bandwidth", [
         (build_interval(0, 2, 13), 1),
         (build_rectangle(0, 1.5, 0, 1, 6, 5), 5),
         (build_rectangle(0, 1, 0, 2, 3, 7), 7),
     ], ids=["1d", "2d", "2d-tall"])
     def test_band_layout_matches_dense(self, mesh, bandwidth):
-        # the plan's band is the dense lower band of the metric, entry
-        # (i, j) at (i - j, j) and zero past the last row; its Cholesky
-        # factor solves like a dense solve
+        # the band summed from the local matrices is exactly the dense
+        # lower band of their assembled matrix, entry (i, j) at (i - j, j)
+        # and zero past the last row; its Cholesky factor solves like a
+        # dense solve
         model = EnergyModel(mesh, exponent_field(mesh, 3.0, 3.0))
         rng = np.random.default_rng(3)
-        K = solver._interior_matrix(
+        loc = solver._interior_matrix(
             model, NodeField(mesh, rng.uniform(0.0, 1.0, mesh.n_nodes)),
-            solver.EIGEN_EPS, 1.0)
-        dense = K.toarray()
+            solver.EIGEN_EPS)
+        dense = grid.assemble(mesh, loc).toarray()
         n = dense.shape[0]
         assert int(grid.interior_plan(mesh)[4]) == bandwidth
         ref = np.zeros((bandwidth + 1, n))
         for k in range(bandwidth + 1):
             ref[k, :n - k] = np.diagonal(dense, -k)
-        ab = grid._lower_band(mesh, K.data)
+        ab = grid._band(mesh, loc)
         assert ab.flags.f_contiguous and (ab == ref).all()
         b = rng.uniform(-1.0, 1.0, n)
-        x = lapack.dpbtrs(solver._band_cholesky(mesh, K), b, lower=1)[0]
+        x = lapack.dpbtrs(solver._band_cholesky(mesh, loc), b, lower=1)[0]
         expected = np.linalg.solve(dense, b)
         assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 

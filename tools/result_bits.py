@@ -13,11 +13,14 @@ come the solves the benchmark lacks (``EXTRA_SOLVES``: problem1 with a
 constant p of 20 or 10, from starts where a stage of the first run ends
 on the floor or on a frozen iterate), each on one line with
 ``converged``, the iterations, the stage exits, the hex of the energy
-and the sha256 of the solution.  After the ``eigen`` cases come the
-eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on 1D and 2D
-meshes, a non-square 2D r = 2 mesh), each on one line with the hex of
-lambda and the sha256 of phi, or the message of the error the call
-raises.  Diffing the output of two
+and the sha256 of the solution.  After the ``solve-2d`` cases come, in
+the same format, the weighted-flux solves the benchmark lacks
+(``WEIGHTED_SOLVES``: problem1 under the weighted-quadratic flux of
+weights 1+x and 2-y on the unit square).  After the ``eigen`` cases
+come the eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on 1D
+and 2D meshes, a non-square 2D r = 2 mesh), each on one line with the
+hex of lambda and the sha256 of phi, or the message of the error the
+call raises.  Diffing the output of two
 checkouts shows whether their results, whole fields included, are
 bitwise equal.  The package is imported from the ``src/``
 next to this script; nothing under ``bench/`` is changed.
@@ -85,6 +88,36 @@ EXTRA_EIGEN = (
 )
 
 
+# (name, cells per side of the unit square): the bench's problem1 terms
+# with the weighted-quadratic flux, solved by minimize_energy at the
+# default options
+WEIGHTED_SOLVES = (("weighted-8x8", 8), ("weighted-16x16", 16))
+
+
+def _solve_line(rep) -> str:
+    """``converged``, iterations, stage exits, energy hex and solution
+    sha256 of one solve report."""
+    return (f"converged {rep.converged} iterations "
+            f"{','.join(map(str, rep.iterations))} stage_exits "
+            f"{','.join(rep.stage_exits)} energy {rep.energy.hex()} "
+            f"solution {_sha256(rep.solution.values)}")
+
+
+def weighted_solve_bits(n: int) -> str:
+    """The report of one ``WEIGHTED_SOLVES`` case."""
+    mesh = _grid.build_rectangle(0, 1, 0, 1, n, n)
+    exponent = workloads.exponent_field(mesh, workloads.P, workloads.R)
+    weights = [_grid.interpolate(mesh, "1+x"), _grid.interpolate(mesh, "2-y")]
+    model = workloads.energy.EnergyModel(
+        mesh, exponent,
+        anisotropy=workloads.anisotropy.weighted_quadratic(exponent, weights),
+        reaction=workloads.energy.power_reaction(
+            _grid.interpolate(mesh, workloads.H),
+            _grid.interpolate(mesh, workloads.Q)))
+    return _solve_line(workloads.solver.minimize_energy(
+        model, workloads.solver.SolverOptions()))
+
+
 def extra_solve_bits(p: str, n: int, init: str, seed: int) -> str:
     """The report of one ``EXTRA_SOLVES`` case; the overflow and
     singular-matrix warnings its trials raise are silenced."""
@@ -97,10 +130,7 @@ def extra_solve_bits(p: str, n: int, init: str, seed: int) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = workloads.solver.solve(spec, opts)
-    return (f"converged {rep.converged} iterations "
-            f"{','.join(map(str, rep.iterations))} stage_exits "
-            f"{','.join(rep.stage_exits)} energy {rep.energy.hex()} "
-            f"solution {_sha256(rep.solution.values)}")
+    return _solve_line(rep)
 
 
 def extra_eigen_bits(mesh, r: float) -> str:
@@ -132,6 +162,9 @@ def main(argv) -> int:
         if name == "solve-1d":
             for case_name, *case in EXTRA_SOLVES:
                 print(name, case_name, extra_solve_bits(*case), flush=True)
+        if name == "solve-2d":
+            for case_name, n in WEIGHTED_SOLVES:
+                print(name, case_name, weighted_solve_bits(n), flush=True)
         if name == "eigen":
             for case_name, mesh, r in EXTRA_EIGEN:
                 print(name, case_name, extra_eigen_bits(mesh, r), flush=True)
