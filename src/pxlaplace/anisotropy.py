@@ -40,11 +40,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnisotropyModel:
-    """Integrand family member: kind, exponent data and optional weights."""
+    """Integrand family member: kind, exponent data and optional weights.
+
+    Weights, when given, are one positive ``NodeField`` per space
+    dimension on the exponent's mesh (``ValueError`` otherwise).
+    """
 
     kind: str  # "isotropic" | "weighted-quadratic"
     exponent: ExponentField
     weights: tuple | None = None
+
+    def __post_init__(self):
+        if self.weights is None:
+            return
+        if len(self.weights) != self.mesh.dimension:
+            raise ValueError("need one weight field per space dimension")
+        for w in self.weights:
+            if not isinstance(w, NodeField):
+                raise ValueError("weights must be NodeFields")
+            if w.mesh is not self.mesh:
+                raise ValueError("weight sampled on a different mesh")
+            if w.values.min() <= 0:
+                raise ValueError("weighted-quadratic weights must be positive")
 
     @property
     def mesh(self):
@@ -71,19 +88,8 @@ def isotropic(exponent: ExponentField) -> AnisotropyModel:
 
 
 def weighted_quadratic(exponent: ExponentField, weights) -> AnisotropyModel:
-    """Weighted-quadratic model; per-node weights must be positive and
-    live on the exponent's mesh."""
-    weights = tuple(weights)
-    if len(weights) != exponent.mesh.dimension:
-        raise ValueError("need one weight field per space dimension")
-    for w in weights:
-        if not isinstance(w, NodeField):
-            raise ValueError("weights must be NodeFields")
-        if w.mesh is not exponent.mesh:
-            raise ValueError("weight sampled on a different mesh")
-        if w.values.min() <= 0:
-            raise ValueError("weighted-quadratic weights must be positive")
-    return AnisotropyModel("weighted-quadratic", exponent, weights)
+    """Weighted-quadratic model; the constructor checks the weights."""
+    return AnisotropyModel("weighted-quadratic", exponent, tuple(weights))
 
 
 # -- vectorized kernels over component-major (dimension, k) arrays ----------

@@ -22,15 +22,18 @@ energy, and the backtracking Armijo test runs on the polished trial: one
 energy evaluation per trial, and the accepted trial's energy carries into
 the next iteration, as do the cell gradient and cell average its field
 keeps, so a step differentiates each trial once.  ``_descend`` is the one
-eps-stage loop, and the Newton step its one direction.  Each eps-stage
-ends for one reason, recorded in the report's ``stage_exits``: ``tol``
-(the gradient met ``grad_tol``), ``floor`` (no Armijo step down to
-t = 1e-18, or a Newton direction that is NaN or not downhill),
-``frozen`` (an accepted step left the iterate bitwise unchanged) or
-``max_iters``.  A solve that has not converged and has a ``floor`` exit
-is rerun once from its start on ``COARSE_LADDER``, which puts the rungs
-1 and 0.1 ahead of ``EPS_LADDER`` (problem1 with p = 20 on 32 cells
-floors every stage from the bump, and converges on the rerun).
+eps-stage loop, and the Newton step its one direction.  When a direction
+has no Armijo step down to t = 1e-18 (a NaN or uphill one included), the
+step is solved again with the same gradient and metric K shifted to
+K + mu max(diag K) I, mu the next value of ``SHIFTS``
+(Levenberg-Marquardt; Nocedal & Wright, Numerical Optimization, 3.4).
+Each stage starts unshifted, and mu only grows within it.  Each
+eps-stage ends for one reason, recorded in the report's
+``stage_exits``: ``tol`` (the gradient met ``grad_tol``), ``floor``
+(no Armijo step even at the largest shift), ``frozen`` (an accepted
+step left the iterate bitwise unchanged) or ``max_iters``.  problem1
+with p = 40 on 32 cells converges from every start measured, where the
+unshifted step's trials overflow.
 Reported residuals use the unregularized flux.
 
 ``first_eigenpair`` runs one normalized preconditioned descent on the
@@ -101,10 +104,9 @@ __all__ = [
 # iterates, and so the pinned results, depend on these exact values.
 EPS_LADDER = (0.01, 0.001, 0.0001, 1e-05, 1.0000000000000002e-06,
               1.0000000000000002e-07, 1e-08)
-# the ladder a floored solve is rerun on: two coarser rungs, where the
-# flux weight (eps^2 + |grad u|^2)^((p-2)/2) varies less from cell to
-# cell, ahead of EPS_LADDER
-COARSE_LADDER = (1.0, 0.1) + EPS_LADDER
+# Levenberg-Marquardt shifts of the Newton metric, in units of its largest
+# diagonal entry: 0, then 1e-10 up to 1e8 by factors of a hundred
+SHIFTS = (0.0,) + tuple(10.0 ** e for e in range(-10, 9, 2))
 # backtracking line search: Armijo constant and step shrink factor
 ARMIJO = 1e-4
 SHRINK = 0.5
@@ -299,9 +301,13 @@ def _descend(model: EnergyModel, u: NodeField, ladder: tuple,
 
     Returns (u, iterations, exits): the last iterate and, per stage, the
     number of steps taken (``max_iters - 1`` for a capped stage) and the
-    exit reason.  A Newton direction that is NaN (SuperLU gives NaN on an
-    exactly singular metric) or not a descent direction takes no trial,
-    so its stage ends on ``floor``.
+    exit reason.  Each stage starts on the unshifted metric K.  A Newton
+    direction with no Armijo step down to t = 1e-18, one that is NaN
+    (SuperLU gives NaN on an exactly singular metric) or not a descent
+    direction included, is solved again with the same gradient on
+    K + mu max(diag K) I, mu the next value of ``SHIFTS``; a retry is not
+    an iteration, and mu keeps its value for the rest of the stage.  The
+    stage ends on ``floor`` only when the largest shift fails too.
     """
     mesh = model.mesh
     interior = mesh.interior
@@ -309,33 +315,41 @@ def _descend(model: EnergyModel, u: NodeField, ladder: tuple,
     for eps in ladder:
         reason = "max_iters"
         e0 = energy_value(u, model, eps)
+        k = 0  # index of the current shift in SHIFTS
         for n_it in range(opts.max_iters):
             g = gateaux_gradient(model, u, eps).values
             if np.abs(g[interior]).max() <= opts.grad_tol:
                 reason = "tol"
                 break
-            K = assemble(mesh, _interior_matrix(model, u, eps))
-            d = np.zeros_like(g)
-            # K is SPD: a symmetric fill-reducing ordering fits
-            d[interior] = __getattr__("spla").spsolve(
-                K, -g[interior], permc_spec="MMD_AT_PLUS_A")
-            gd = float(g @ d)
             if not np.isfinite(e0):
                 raise ValueError("non-finite energy: bad model inputs")
-            t = 1.0
-            while gd < 0.0 and t > 1e-18:
-                trial = NodeField(mesh, _polish(u.values + t * d, model))
-                e1 = energy_value(trial, model, eps)
-                if e1 <= e0 + ARMIJO * t * gd:
-                    break
-                t *= SHRINK
+            K = assemble(mesh, _interior_matrix(model, u, eps))
+            for k in range(k, len(SHIFTS)):
+                A = K if k == 0 else (K + SHIFTS[k] * K.diagonal().max()
+                                      * __getattr__("sp").identity(
+                                          K.shape[0])).tocsr()
+                d = np.zeros_like(g)
+                # K is SPD: a symmetric fill-reducing ordering fits
+                d[interior] = __getattr__("spla").spsolve(
+                    A, -g[interior], permc_spec="MMD_AT_PLUS_A")
+                gd = float(g @ d)
+                t = 1.0
+                while gd < 0.0 and t > 1e-18:
+                    trial = NodeField(mesh, _polish(u.values + t * d, model))
+                    e1 = energy_value(trial, model, eps)
+                    if e1 <= e0 + ARMIJO * t * gd:
+                        break
+                    t *= SHRINK
+                else:
+                    continue  # no Armijo step: retry on the next shift
+                break
             else:
-                # no Armijo step down to t = 1e-18, or no descent direction
                 reason = "floor"
                 break
             if trial.values.tobytes() == u.values.tobytes():
-                # a frozen iterate: each iteration is a function of (u, eps)
-                # alone, so the rest of this stage would repeat this one
+                # a frozen iterate: each iteration is a function of
+                # (u, eps, mu) alone, so the rest of this stage would
+                # repeat this one
                 reason = "frozen"
                 break
             u, e0 = trial, e1
@@ -347,32 +361,23 @@ def _descend(model: EnergyModel, u: NodeField, ladder: tuple,
 def minimize_energy(model: EnergyModel, opts: SolverOptions) -> SolveReport:
     """Minimize the model energy over fields vanishing on the boundary.
 
-    Runs ``_descend`` on ``EPS_LADDER`` from the initial guess, zeroed on
-    the boundary.  ``converged`` is true when no stage stopped at the cap
-    and the unregularized residual ``residual_max`` is at most
+    Runs ``_descend`` once, on ``EPS_LADDER``, from the initial guess
+    zeroed on the boundary.  ``converged`` is true when no stage stopped
+    at the cap and the unregularized residual ``residual_max`` is at most
     ``grad_tol`` (for p < 2 the regularized gradient a stage tests can be
-    smaller).  A run that has not converged and has a ``floor`` exit is
-    rerun once, from the same start, on ``COARSE_LADDER``, and the report
-    is the last run's: nine stages in ``iterations`` and ``stage_exits``
-    mean a rerun happened.  The report also carries positivity and
-    boundary-slope diagnostics and the negative-energy certificate of
-    nontriviality.
+    smaller).  The report also carries positivity and boundary-slope
+    diagnostics and the negative-energy certificate of nontriviality.
     """
     mesh = model.mesh
     interior = mesh.interior
     u0, init_flag = initial_guess(model, opts)
-    v = u0.values.copy()
-    v[mesh.boundary_mask] = 0.0
+    v = np.where(mesh.boundary_mask, 0.0, u0.values)
     # the iterate stays a NodeField, so the cell gradient and cell average
     # its trial's energy computed carry into the next gradient and metric
-    start = NodeField(mesh, v)
-    for ladder in (EPS_LADDER, COARSE_LADDER):
-        u, iterations, exits = _descend(model, start, ladder, opts)
-        residual = float(np.abs(
-            gateaux_gradient(model, u).values[interior]).max())
-        converged = "max_iters" not in exits and residual <= opts.grad_tol
-        if converged or "floor" not in exits:
-            break
+    u, iterations, exits = _descend(model, NodeField(mesh, v), EPS_LADDER,
+                                    opts)
+    residual = float(np.abs(gateaux_gradient(model, u).values[interior]).max())
+    converged = "max_iters" not in exits and residual <= opts.grad_tol
     e_final = energy_value(u, model)
     m0 = None
     if model.kirchhoff is not None:

@@ -196,13 +196,13 @@ class TestHypothesisA:
         assert rep.gamma_hat == pytest.approx(1.0, rel=1e-2)
 
     def test_degenerate_weight_fails(self):
+        # a zero weight makes the flux degenerate along its axis; the
+        # constructor itself refuses it, so no such model reaches a check
         mesh = build_rectangle(0, 1, 0, 1, 2, 2)
         exp = exponent_field(mesh, 2.0, r=2.0)
-        model = AnisotropyModel("weighted-quadratic", exp, (
-            constant_field(mesh, 4.0), constant_field(mesh, 0.0)))
-        rep = check_hypothesis_A(model, 100, seed=4)
-        assert rep.gamma_hat <= 1e-8
-        assert not rep.passed
+        with pytest.raises(ValueError, match="positive"):
+            AnisotropyModel("weighted-quadratic", exp, (
+                constant_field(mesh, 4.0), constant_field(mesh, 0.0)))
 
     def test_factory_rejects_nonpositive_weight(self):
         mesh = build_rectangle(0, 1, 0, 1, 2, 2)
@@ -222,6 +222,25 @@ class TestHypothesisA:
         with pytest.raises(ValueError, match="weight sampled on a different"):
             weighted_quadratic(exp, (constant_field(mesh, 1.0),
                                      interpolate(other, "1+y")))
+
+    def test_constructor_rejects_weights_on_another_mesh(self):
+        # built directly, not through weighted_quadratic: weights on an 8x8
+        # grid of (0,2)x(0,3) would be read cell by cell as weights on the
+        # exponent's 8x8 grid of the unit square
+        mesh = build_rectangle(0, 1, 0, 1, 8, 8)
+        other = build_rectangle(0, 2, 0, 3, 8, 8)
+        exp = exponent_field(mesh, "2+x", r=1.5)
+        with pytest.raises(ValueError, match="weight sampled on a different"):
+            AnisotropyModel("weighted-quadratic", exp, (
+                interpolate(other, "1+x"), interpolate(other, "2-y")))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_constructor_needs_one_weight_per_dimension(self, count):
+        mesh = build_rectangle(0, 1, 0, 1, 2, 2)
+        exp = exponent_field(mesh, 2.0, r=2.0)
+        with pytest.raises(ValueError, match="one weight field per"):
+            AnisotropyModel("weighted-quadratic", exp,
+                            (constant_field(mesh, 1.0),) * count)
 
 
 class TestNStrictConvexity:

@@ -343,92 +343,155 @@ def _start(model, opts):
 STEEP_ENERGY = -0.14131811913206757
 
 
-def test_overflowing_trials_end_every_stage_on_the_floor():
-    # from the bump the Newton direction is about 1e22 long, so every
-    # trial down to t = 1e-18 has a huge or overflowing energy and no
-    # stage of the first run takes a step.  The floored solve is rerun on
-    # COARSE_LADDER, whose coarse rungs reach the solution
+def test_overflowing_trials_end_every_stage_on_the_floor(monkeypatch):
+    # from the bump the unshifted Newton direction is about 1e22 long, so
+    # every trial down to t = 1e-18 has a huge or overflowing energy: on
+    # the unshifted metric alone no stage takes a step.  The retries on
+    # the shifted metric reach the solution in the first stage
     opts = SolverOptions()
     model = build_energy_model(_steep_spec())
+    start = _start(model, opts)
     with pytest.warns(RuntimeWarning, match="overflow"):
-        first = solver._descend(model, _start(model, opts),
-                                solver.EPS_LADDER, opts)
-    assert first[1:] == ((0,) * 7, ("floor",) * 7)
+        u, iterations, exits = solver._descend(model, start,
+                                               solver.EPS_LADDER, opts)
+    assert iterations == (15, 3, 2, 1, 0, 0, 0)
+    assert exits == ("tol",) * 7
     with pytest.warns(RuntimeWarning, match="overflow"):
         rep = solver.solve(_steep_spec(), opts)
     assert rep.regime == "unique-full"
-    assert rep.iterations == (16, 16, 4, 3, 2, 1, 0, 0, 0)
-    assert rep.stage_exits == ("tol",) * 9
+    assert (rep.iterations, rep.stage_exits) == (iterations, exits)
+    assert rep.solution.values.tobytes() == u.values.tobytes()
     assert rep.converged
     assert rep.energy == pytest.approx(STEEP_ENERGY, rel=1e-12)
-
-
-def test_floored_solve_reports_the_coarse_rerun():
-    # the report of a floored solve is the rerun's, bit for bit: from the
-    # same start, on COARSE_LADDER
-    opts = SolverOptions()
-    model = build_energy_model(_steep_spec())
+    monkeypatch.setattr(solver, "SHIFTS", (0.0,))
     with pytest.warns(RuntimeWarning, match="overflow"):
-        rep = minimize_energy(model, opts)
-        u, iterations, exits = solver._descend(
-            model, _start(model, opts), solver.COARSE_LADDER, opts)
-    assert solver.COARSE_LADDER == (1.0, 0.1) + solver.EPS_LADDER
-    assert rep.solution.values.tobytes() == u.values.tobytes()
-    assert (rep.iterations, rep.stage_exits) == (iterations, exits)
+        unshifted = solver._descend(model, start, solver.EPS_LADDER, opts)
+    assert unshifted[1:] == ((0,) * 7, ("floor",) * 7)
 
 
 def test_singular_metric_floors_and_the_rerun_converges():
-    # from this start SuperLU finds the metric exactly singular and the
-    # Newton direction is NaN, which ends its stage on the floor; the
-    # rerun on COARSE_LADDER converges
+    # from this start SuperLU finds the unshifted metric exactly singular
+    # and the Newton direction is NaN; the retries on the shifted metric
+    # converge, and no trial overflows
     opts = SolverOptions(init="random", seed=3)
-    with pytest.warns((RuntimeWarning, spla.MatrixRankWarning)) as caught:
+    with pytest.warns(spla.MatrixRankWarning) as caught:
         rep = solver.solve(_steep_spec(), opts)
-    assert {w.category for w in caught} == {RuntimeWarning,
-                                             spla.MatrixRankWarning}
-    assert rep.iterations == (15, 16, 4, 3, 2, 1, 0, 0, 0)
-    assert rep.stage_exits == ("tol",) * 9
+    assert {w.category for w in caught} == {spla.MatrixRankWarning}
+    assert rep.iterations == (28, 3, 2, 1, 0, 0, 0)
+    assert rep.stage_exits == ("tol",) * 7
     assert rep.converged and rep.positivity_ok
     assert rep.energy == pytest.approx(STEEP_ENERGY, rel=1e-12)
 
 
-# random start of _steep_spec: (iterations, stage exits, energy)
+# random starts of _steep_spec where, on the unshifted metric alone, the
+# first stages end on the floor and the later ones meet grad_tol:
+# (iterations and stage exits unshifted, iterations with the shifts)
 EARLY_FLOOR = {14: ((2, 26, 2, 1, 0, 0, 0), ("floor",) + ("tol",) * 6,
-                    -0.1413181191320676),
+                    (34, 3, 2, 1, 0, 0, 0)),
                15: ((0, 1, 36, 1, 0, 0, 0), ("floor",) * 2 + ("tol",) * 5,
-                    STEEP_ENERGY)}
+                    (30, 3, 2, 1, 0, 0, 0))}
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("seed", sorted(EARLY_FLOOR))
-def test_early_floor_exits_still_converge(seed):
-    # from these starts the first stages end on the floor and the later
-    # ones meet grad_tol, so the first run converges and is not rerun
-    iterations, exits, expected = EARLY_FLOOR[seed]
+def test_early_floor_exits_still_converge(seed, monkeypatch):
+    # the shifted retries take the place of those floors: every stage
+    # meets grad_tol, on the solution the bump reaches, bit for bit
+    unshifted_iterations, unshifted_exits, iterations = EARLY_FLOOR[seed]
     opts = SolverOptions(init="random", seed=seed)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        rep = solver.solve(_steep_spec(), opts)
+    rep = solver.solve(_steep_spec(), opts)
+    bump = solver.solve(_steep_spec(), SolverOptions())
     assert rep.converged
     assert rep.iterations == iterations
-    assert rep.stage_exits == exits
-    assert rep.energy == pytest.approx(expected, rel=1e-12)
+    assert rep.stage_exits == ("tol",) * 7
+    assert rep.solution.values.tobytes() == bump.solution.values.tobytes()
+    monkeypatch.setattr(solver, "SHIFTS", (0.0,))
+    rep = solver.solve(_steep_spec(), opts)
+    assert rep.converged
+    assert rep.iterations == unshifted_iterations
+    assert rep.stage_exits == unshifted_exits
+    assert rep.energy == pytest.approx(STEEP_ENERGY, rel=1e-12)
 
 
 def test_nan_direction_ends_every_stage_on_the_floor(monkeypatch):
-    # README instance, through a stand-in spsolve that returns NaN: no
-    # stage tries a step, so both runs stop at once and the iterate never
-    # moves from the start
+    # README instance, through a stand-in spsolve that returns NaN: each
+    # stage solves once on the unshifted metric and once on every shift,
+    # then ends on the floor, and the iterate never moves from the start
+    solved = []
+
     def spsolve(K, b, **kwargs):
+        solved.append(K)
         return np.full_like(b, np.nan)
 
     monkeypatch.setattr(solver, "spla", SimpleNamespace(spsolve=spsolve))
     opts = SolverOptions()
     model = build_energy_model(problem1_spec(n=64, p="2+x", r=1.5, q="1.2"))
     rep = minimize_energy(model, opts)
-    assert rep.iterations == (0,) * 9
-    assert rep.stage_exits == ("floor",) * 9
+    assert rep.iterations == (0,) * 7
+    assert rep.stage_exits == ("floor",) * 7
     assert not rep.converged
     assert rep.solution.values.tobytes() == \
         _start(model, opts).values.tobytes()
+    shifts = solver.SHIFTS
+    assert len(solved) == 7 * len(shifts)
+    for stage in range(7):
+        K, *shifted = solved[stage * len(shifts):(stage + 1) * len(shifts)]
+        for mu, A in zip(shifts[1:], shifted):
+            assert np.array_equal(A.toarray(), K.toarray() + mu * np.eye(
+                K.shape[0]) * K.diagonal().max())
+
+
+def test_shifts_run_from_zero_to_1e8():
+    # 0, then 1e-10 up to 1e8 by factors of a hundred
+    assert solver.SHIFTS == (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2,
+                             1e4, 1e6, 1e8)
+
+
+def test_unshifted_step_solves_the_assembled_matrix(monkeypatch):
+    # README instance: no step needs a shift, so each Newton step solves
+    # with the very matrix object grid.assemble returned
+    assembled, solved = [], []
+    real_assemble, real_spsolve = solver.assemble, spla.spsolve
+
+    def assemble(mesh, loc):
+        assembled.append(real_assemble(mesh, loc))
+        return assembled[-1]
+
+    def spsolve(K, b, **kwargs):
+        solved.append(K)
+        return real_spsolve(K, b, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble", assemble)
+    monkeypatch.setattr(solver, "spla", SimpleNamespace(spsolve=spsolve))
+    rep = solve_problem1(problem1_spec(n=256, p="2+x", r=1.5, q="1.2"),
+                         SolverOptions())
+    assert rep.converged
+    assert len(solved) == len(assembled) == sum(rep.iterations)
+    assert all(K is A for K, A in zip(solved, assembled))
+
+
+# problem1 with p = 40, r = 1.5, q = 1.2: the energy every start reaches
+STEEP_P40_ENERGY = {1: -0.15289846689004, 2: -0.08913471970409}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2])
+def test_p40_converges_from_every_start(dim):
+    # the unshifted metric's weight (eps^2 + |grad u|^2)^19 spans dozens
+    # of decades and its step overflows; with the shifts the bump and
+    # four random starts all converge, to one energy, as the uniqueness
+    # of the sublinear problem's minimizer says they must
+    mesh = build_interval(0, 1, 32) if dim == 1 else \
+        build_rectangle(0, 1, 0, 1, 8, 8)
+    model = build_energy_model(
+        problem1_spec(mesh=mesh, p="40", r=1.5, q="1.2"))
+    starts = [SolverOptions()] + [SolverOptions(init="random", seed=s)
+                                  for s in range(4)]
+    for opts in starts:
+        rep = minimize_energy(model, opts)
+        assert rep.converged
+        assert rep.stage_exits == ("tol",) * 7
+        assert rep.energy == pytest.approx(STEEP_P40_ENERGY[dim], rel=1e-12)
 
 
 def test_frozen_stage_counts_when_the_residual_meets_grad_tol():

@@ -10,8 +10,8 @@ for a gap case, the sha256 of the solution's values, the stage exits
 and the hex of ``hopf_margin`` for a solve case, and the sha256 of the
 eigenfunction's values for an eigen case.  After the ``solve-1d`` cases
 come the solves the benchmark lacks (``EXTRA_SOLVES``: problem1 with a
-constant p of 20 or 10, from starts where a stage of the first run ends
-on the floor or on a frozen iterate), each on one line with
+constant p of 20, 10 or 40, from starts where the unshifted Newton step
+finds no Armijo step or a stage ends on a frozen iterate), each on one line with
 ``converged``, the iterations, the stage exits, the hex of the energy
 and the sha256 of the solution.  After the ``solve-2d`` cases come, in
 the same format, the weighted-flux solves the benchmark lacks
@@ -76,6 +76,8 @@ EXTRA_SOLVES = (
     ("p20-n32-seed14", "20", 32, "random", 14),
     ("p20-n32-seed15", "20", 32, "random", 15),
     ("p10-n128-seed12", "10", 128, "random", 12),
+    ("p40-n32-bump", "40", 32, "bump", 0),
+    ("p40-n128-bump", "40", 128, "bump", 0),
 )
 # (name, mesh, r); r = 1.01 raises ValueError
 EXTRA_EIGEN = (
