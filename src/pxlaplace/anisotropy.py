@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import NodeField, cell_average
+from .grid import NodeField, _on_mesh, cell_average
 
 __all__ = [
     "AnisotropyModel",
@@ -58,8 +58,7 @@ class AnisotropyModel:
         for w in self.weights:
             if not isinstance(w, NodeField):
                 raise ValueError("weights must be NodeFields")
-            if w.mesh is not self.mesh:
-                raise ValueError("weight sampled on a different mesh")
+            _on_mesh(self.mesh, w, what="weight")
             if w.values.min() <= 0:
                 raise ValueError("weighted-quadratic weights must be positive")
 
@@ -162,11 +161,16 @@ def _unit_sphere(rng, count: int, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _sample_points(mesh, rng, count: int) -> np.ndarray:
-    """``count`` uniform points of the domain box, (count, dimension):
-    all the draws of the first axis, then those of the second."""
-    return np.column_stack([rng.uniform(lo, hi, count) for lo, hi in
-                            zip(mesh.bounds[::2], mesh.bounds[1::2])])
+def _sample_points(model: AnisotropyModel, count: int, seed: int) -> tuple:
+    """The generator of ``seed`` and ``count`` uniform points of the
+    model's domain box, (count, dimension), drawn from it first: all the
+    draws of the first axis, then those of the second."""
+    if count < 1:
+        raise ValueError("sample_count must be >= 1")
+    rng = np.random.default_rng(seed)
+    bounds = model.mesh.bounds
+    return rng, np.column_stack([rng.uniform(lo, hi, count) for lo, hi in
+                                 zip(bounds[::2], bounds[1::2])])
 
 
 def check_hypothesis_A(model: AnisotropyModel, sample_count: int,
@@ -182,12 +186,8 @@ def check_hypothesis_A(model: AnisotropyModel, sample_count: int,
     Passes iff gamma_hat > 0 and Gamma_hat is finite.  By homogeneity,
     sampling xi on the unit sphere suffices.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    mesh = model.mesh
-    dim = mesh.dimension
-    pts = _sample_points(mesh, rng, sample_count)
+    rng, pts = _sample_points(model, sample_count, seed)
+    dim = model.mesh.dimension
     xis = _unit_sphere(rng, sample_count, dim)
     etas = _unit_sphere(rng, sample_count, dim)
     # probe the coordinate axes first so degenerate directions cannot be
@@ -239,13 +239,9 @@ def check_N_strict_convexity(model: AnisotropyModel, sample_count: int,
     affine and the margin degenerates to zero.  Such ray equality fails
     the strictness requirement and is flagged.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    mesh = model.mesh
-    dim = mesh.dimension
+    rng, pts = _sample_points(model, sample_count, seed)
+    dim = model.mesh.dimension
     r = model.exponent.r
-    pts = _sample_points(mesh, rng, sample_count)
 
     min_margin = np.inf
     strict_ok = True

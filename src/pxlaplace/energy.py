@@ -29,8 +29,8 @@ import numpy as np
 
 from .anisotropy import AnisotropyModel, _dot, _flux_rows, _quad_form
 from .exponents import ExponentField
-from .grid import (Mesh, NodeField, _field_gradient, _gradient, cell_average,
-                   flux_loads, integrate, scatter_add)
+from .grid import (Mesh, NodeField, _field_gradient, _gradient, _on_mesh,
+                   cell_average, flux_loads, integrate, scatter_add)
 
 __all__ = [
     "ReactionTerm",
@@ -150,8 +150,7 @@ class EnergyModel:
     potentials: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.exponent.mesh is not self.mesh:
-            raise ValueError("exponent sampled on a different mesh")
+        _on_mesh(self.mesh, self.exponent, what="exponent")
         if (self.anisotropy is not None
                 and self.anisotropy.exponent is not self.exponent):
             raise ValueError("anisotropy built on a different exponent")
@@ -166,9 +165,8 @@ class EnergyModel:
             terms.append((-1.0, f.h, f.q if f.kind == "power" else None))
         if self.absorption is not None:
             terms.append((1.0, self.absorption.ell, self.absorption.Q))
-        if any(x is not None and x.mesh is not self.mesh
-               for _, h, q in terms for x in (h, q)):
-            raise ValueError("term field sampled on a different mesh")
+        _on_mesh(self.mesh, *[x for _, h, q in terms for x in (h, q)
+                              if x is not None], what="term field")
         object.__setattr__(self, "p_cells", p)
         object.__setattr__(self, "w_cells", w)
         object.__setattr__(self, "potentials", tuple(
@@ -214,18 +212,21 @@ def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
     return out
 
 
+def _potential(h: NodeField, q: NodeField | None, x, u: float) -> float:
+    """``_F_cells`` of the one value u with h and q taken at the point x."""
+    h = np.atleast_1d(h.at(x))
+    q = None if q is None else np.atleast_1d(q.at(x))
+    return float(_F_cells(np.atleast_1d(float(u)), h, q)[0])
+
+
 def potential_F(term: ReactionTerm, x, u: float) -> float:
     """F(x, u) = integral of f(x, s) over s in [0, u]; zero for u < 0."""
-    h = np.atleast_1d(term.h.at(x))
-    q = np.atleast_1d(term.q.at(x)) if term.kind == "power" else None
-    return float(_F_cells(np.atleast_1d(float(u)), h, q)[0])
+    return _potential(term.h, term.q if term.kind == "power" else None, x, u)
 
 
 def potential_G(term: AbsorptionTerm, x, u: float) -> float:
     """G(x, u) = integral of g(x, s) over s in [0, u]; zero for u < 0."""
-    ell = np.atleast_1d(term.ell.at(x))
-    Q = np.atleast_1d(term.Q.at(x))
-    return float(_F_cells(np.atleast_1d(float(u)), ell, Q)[0])
+    return _potential(term.ell, term.Q, x, u)
 
 
 def M_hat(term: KirchhoffTerm, t: float) -> float:
@@ -274,14 +275,19 @@ def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
                       mesh) for w in _roots(v, model.exponent.r)]
 
 
+def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
+    """The cone energy of the one field v, refused off the model's mesh
+    or outside the cone."""
+    _on_mesh(model.mesh, v)
+    _require_cone(v.mesh, v.values)
+    return _cone_energies(model, v.values[None], weights)[0]
+
+
 def W_functional(v: NodeField, model: EnergyModel) -> float:
     """Cone energy: integral of (r/p) |grad(v^(1/r))|^p, isotropic.
 
     v must live on the model's mesh (``ValueError`` otherwise)."""
-    if v.mesh is not model.mesh:
-        raise ValueError("field sampled on a different mesh")
-    _require_cone(v.mesh, v.values)
-    return _cone_energies(model, v.values[None], None)[0]
+    return _cone_energy(v, model, None)
 
 
 def W_A_functional(v: NodeField, model: EnergyModel) -> float:
@@ -290,10 +296,7 @@ def W_A_functional(v: NodeField, model: EnergyModel) -> float:
     Coincides with ``W_functional`` (same arithmetic) for the isotropic
     family.  v must live on the model's mesh (``ValueError`` otherwise).
     """
-    if v.mesh is not model.mesh:
-        raise ValueError("field sampled on a different mesh")
-    _require_cone(v.mesh, v.values)
-    return _cone_energies(model, v.values[None], model.w_cells)[0]
+    return _cone_energy(v, model, model.w_cells)
 
 
 def dirichlet_part(u: NodeField, model: EnergyModel,
@@ -306,8 +309,7 @@ def dirichlet_part(u: NodeField, model: EnergyModel,
     and the energies built on it take their field through here, so this
     is where a field off the model's mesh is refused (``ValueError``).
     """
-    if u.mesh is not model.mesh:
-        raise ValueError("field sampled on a different mesh")
+    _on_mesh(model.mesh, u)
     p = model.p_cells
     s = eps * eps + _quad_form(model.w_cells, _field_gradient(u))
     return integrate((s ** (p / 2.0) - eps ** p) / p, model.mesh)
@@ -376,8 +378,10 @@ def cone_delta(v1: NodeField, v2: NodeField) -> float:
 
     Computed from nodal values as half the smallest ratio
     min(v1, v2)/|v2 - v1|, capped at 0.25; the convex combination stays in
-    the cone for all theta in (-delta, 1 + delta).
+    the cone for all theta in (-delta, 1 + delta).  Both fields must live
+    on one mesh (``ValueError`` otherwise).
     """
+    _on_mesh(v1.mesh, v2)
     a, b = v1.values, v2.values
     diff = np.abs(b - a)
     lo = np.minimum(a, b)
@@ -392,8 +396,7 @@ def _combinations(v1: NodeField, v2: NodeField, theta,
     """Rows (1-theta) v1 + theta v2, one per theta, formed as one stack,
     checked finite at once and tested for the cone row by row.  Both
     fields must live on ``mesh``, the model's."""
-    if v1.mesh is not mesh or v2.mesh is not mesh:
-        raise ValueError("field sampled on a different mesh")
+    _on_mesh(mesh, v1, v2)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
         raise ValueError("theta must be a number or a 1-D array")
@@ -497,8 +500,7 @@ def gateaux_gradient(model: EnergyModel, u: NodeField,
     must live on the model's mesh (``ValueError`` otherwise).
     """
     mesh = model.mesh
-    if u.mesh is not mesh:
-        raise ValueError("field sampled on a different mesh")
+    _on_mesh(mesh, u)
     flux = _flux_rows(model.p_cells, model.w_cells, _field_gradient(u), eps)
     if model.kirchhoff is not None:
         flux = flux * kirchhoff_M(model.kirchhoff, dirichlet_part(u, model, eps))

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Mesh, NodeField, cell_average, integrate, interpolate
+from .grid import (Mesh, NodeField, _on_mesh, cell_average, integrate,
+                   interpolate)
 from .reporting import FAIL, INDETERMINATE, PASS, ValidationReport
 
 __all__ = [
@@ -103,9 +104,10 @@ def validate_exponent_hypothesis(p: ExponentField, alpha1: float = 0.5) -> Valid
 
 
 def modular(u: NodeField, p: ExponentField) -> float:
-    """Integral of |u(x)|^p(x) with the mesh's one-point quadrature."""
-    if u.mesh is not p.mesh:
-        raise ValueError("field and exponent live on different meshes")
+    """Integral of |u(x)|^p(x) with the mesh's one-point quadrature.
+
+    u must live on the exponent's mesh (``ValueError`` otherwise)."""
+    _on_mesh(p.mesh, u)
     uc = np.abs(cell_average(u))
     pc = p.cellwise()
     return integrate(uc ** pc, u.mesh)

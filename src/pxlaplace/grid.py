@@ -173,6 +173,18 @@ class NodeField:
         return _interp_p1(self, points)
 
 
+def _on_mesh(mesh: Mesh, *fields, what: str = "field"):
+    """Refuse any of ``fields`` not sampled on ``mesh`` itself.
+
+    Meshes are compared by identity; the ``ValueError`` reads "<what>
+    sampled on a different mesh".  This is the package's one mesh check:
+    every entry point that takes a field calls it before reading values.
+    """
+    for f in fields:
+        if f.mesh is not mesh:
+            raise ValueError(f"{what} sampled on a different mesh")
+
+
 def _cell_count(n, name: str) -> int:
     """A cell count given as an integral number (16 or 16.0, not 16.9)."""
     if not float(n).is_integer():

@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy import (EnergyModel, gateaux_gradient, phi_line, phi_prime,
                      power_reaction, source_reaction)
-from .grid import NodeField, constant_field
+from .grid import NodeField, _on_mesh, constant_field
 
 __all__ = [
     "RayConvexityReport",
@@ -128,8 +128,10 @@ def ratio_bound(u1: NodeField, u2: NodeField, cap: float = RATIO_CAP) -> RatioBo
 
     Boundary nodes are excluded: for zero-trace fields the ratio there is
     0/0 and its continuum value is the quotient of normal derivatives,
-    which the interior nodes approximate.
+    which the interior nodes approximate.  Both fields must live on one
+    mesh (``ValueError`` otherwise).
     """
+    _on_mesh(u1.mesh, u2)
     interior = u1.mesh.interior
     return _ratio_bounds(u1.values[interior], u2.values[interior], cap)[0]
 
@@ -180,8 +182,7 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
     one ratio array serves the bounds and the equality class.
     """
     mesh = model.mesh
-    if w1.mesh is not mesh or w2.mesh is not mesh:
-        raise ValueError("field sampled on a different mesh")
+    _on_mesh(mesh, w1, w2)
     a, b = w1.values, w2.values
     if a[mesh.boundary_mask].any() or b[mesh.boundary_mask].any():
         raise ValueError("gap inputs must vanish on the boundary")
@@ -214,8 +215,10 @@ def comparison_check(u1: NodeField, u2: NodeField, f1: NodeField,
     u1 must be a subsolution pairing (<= ``SUBSUPER_RESIDUAL_TOL``
     against every nonnegative nodal test function) and u2 a
     supersolution pairing.
-    Hypothesis violations are reported in the verdict, not raised.
+    Hypothesis violations are reported in the verdict, not raised; the
+    four fields must live on the model's mesh (``ValueError`` otherwise).
     """
+    _on_mesh(model.mesh, u1, u2, f1, f2)
     notes = []
     hypothesis_ok = True
     if np.any(f1.values < 0):

@@ -17,7 +17,7 @@ import numpy as np
 from .energy import (AbsorptionTerm, EnergyModel, KirchhoffTerm, M_hat,
                      ReactionTerm)
 from .exponents import ExponentField, sobolev_conjugate, UNBOUNDED
-from .grid import Mesh, NodeField, cell_average
+from .grid import Mesh, NodeField, _on_mesh, cell_average
 from .reporting import FAIL, INDETERMINATE, PASS, ValidationReport
 
 __all__ = [
@@ -50,8 +50,7 @@ class ProblemSpec:
             raise ValueError("problem2 needs an absorption term")
         if self.kind == "kirchhoff" and self.kirchhoff is None:
             raise ValueError("kirchhoff needs a Kirchhoff term")
-        if self.exponent.mesh is not self.mesh:
-            raise ValueError("exponent sampled on a different mesh")
+        _on_mesh(self.mesh, self.exponent, what="exponent")
 
 
 def build_energy_model(spec: ProblemSpec) -> EnergyModel:

@@ -74,7 +74,7 @@ from .energy import (EnergyModel, M_hat, ReactionTerm, _F_cells,
                      kirchhoff_M)
 from .exponents import exponent_field
 from .grid import (Mesh, NodeField, _basis_pairing, _field_gradient,
-                   _band, _gradient, assemble, cell_average,
+                   _band, _gradient, _on_mesh, assemble, cell_average,
                    constant_field, integrate, interior_plan)
 from .inequality import diaz_saa_gap
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
@@ -206,8 +206,7 @@ def initial_guess(model: EnergyModel, opts: SolverOptions):
     live on the model's mesh (``ValueError`` otherwise).
     """
     if isinstance(opts.init, NodeField):
-        if opts.init.mesh is not model.mesh:
-            raise ValueError("init field sampled on a different mesh")
+        _on_mesh(model.mesh, opts.init, what="init field")
         return opts.init, None
     mesh = model.mesh
     if opts.init == "bump":

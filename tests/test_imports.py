@@ -9,9 +9,11 @@ in-process tests hold the ``solver.sp``/``solver.spla``/``solver.lapack``
 seam: each resolves to scipy on lookup, a stand-in set as ``solver.spla``
 sees every sparse solve and one set as ``solver.lapack`` every band
 factorization and solve, and a module is imported at its first lookup
-only.
+only.  One test reads the package's source instead of running it: the
+mesh check is written once, in ``grid._on_mesh``.
 """
 
+import ast
 import collections
 import importlib
 import json
@@ -228,3 +230,23 @@ def test_a_stand_in_for_lapack_sees_every_band_solve(monkeypatch):
     _problem1_and_eigen(build_interval(0.0, 1.0, 32))
     assert stub.calls == reached.calls
     assert stub.calls["dpbtrf"] == stub.calls["dpbtrs"] > 0
+
+
+def test_the_mesh_check_is_written_only_in_grid_on_mesh():
+    # an ``is not`` comparison on a ``.mesh`` attribute anywhere else is a
+    # mesh check written out by hand; every entry point calls the helper
+    inside, sites = set(), set()
+    for path in sorted((SRC / "pxlaplace").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (path.name == "grid.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "_on_mesh"):
+                inside.update(map(id, ast.walk(node)))
+        sites |= {f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(op, ast.IsNot) for op in node.ops)
+                  and any(isinstance(x, ast.Attribute) and x.attr == "mesh"
+                          for x in (node.left, *node.comparators))
+                  and id(node) not in inside}
+    assert sorted(sites) == []
+    assert inside, "grid._on_mesh is missing"

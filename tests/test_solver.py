@@ -10,15 +10,15 @@ from scipy.linalg import eigh, lapack
 from scipy.optimize import brentq
 
 from pxlaplace import energy, grid, solver
-from pxlaplace.anisotropy import weighted_quadratic
+from pxlaplace.anisotropy import AnisotropyModel, weighted_quadratic
 from pxlaplace.energy import (EnergyModel, KirchhoffTerm, dirichlet_part,
                               energy_value, gateaux_gradient, kirchhoff_M,
                               power_absorption, power_reaction,
                               saturating_kirchhoff, source_reaction)
-from pxlaplace.exponents import exponent_field
+from pxlaplace.exponents import exponent_field, modular
 from pxlaplace.grid import NodeField, build_interval, build_rectangle, \
     cell_average, constant_field, interpolate
-from pxlaplace.inequality import diaz_saa_gap
+from pxlaplace.inequality import comparison_check, diaz_saa_gap, ratio_bound
 from pxlaplace.problems import ProblemSpec, build_energy_model
 from pxlaplace.solver import (SolverOptions, first_eigenpair, hopf_diagnostic,
                               initial_guess, minimize_energy, solve_kirchhoff,
@@ -132,6 +132,46 @@ def test_entry_points_refuse_a_field_on_another_mesh(entry, mesh):
              "weak_residual": lambda: weak_residual(u, spec)}
     with pytest.raises(ValueError, match="field sampled on a different mesh"):
         calls[entry]()
+
+
+# every public entry point that takes a field or an exponent, each given
+# one sampled on ``other``: 16 cells of (0, 2), with as many nodes as the
+# model's 16 cells of (0, 1), so no shape error can stand in for the check
+MESH_RULE_ENTRIES = {
+    "W_functional": lambda m, u, o: energy.W_functional(o, m),
+    "W_A_functional": lambda m, u, o: energy.W_A_functional(o, m),
+    "dirichlet_part": lambda m, u, o: dirichlet_part(o, m),
+    "energy_value": lambda m, u, o: energy_value(o, m),
+    "gateaux_gradient": lambda m, u, o: gateaux_gradient(m, o),
+    "phi_line": lambda m, u, o: energy.phi_line(u, o, 0.5, m),
+    "phi_prime": lambda m, u, o: energy.phi_prime(u, o, 0.5, m),
+    "cone_delta": lambda m, u, o: energy.cone_delta(u, o),
+    "diaz_saa_gap": lambda m, u, o: diaz_saa_gap(u, o, m),
+    "ratio_bound": lambda m, u, o: ratio_bound(u, o),
+    "comparison_check": lambda m, u, o: comparison_check(
+        u, o, m.reaction.h, m.reaction.h, m, 1e-8),
+    "modular": lambda m, u, o: modular(o, m.exponent),
+    "initial_guess": lambda m, u, o: initial_guess(
+        m, SolverOptions(init=o)),
+    "EnergyModel": lambda m, u, o: EnergyModel(
+        m.mesh, exponent_field(o.mesh, "2+x", r=1.5)),
+    "AnisotropyModel": lambda m, u, o: AnisotropyModel(
+        "weighted-quadratic", m.exponent, (o.with_values(1.0 + o.values),)),
+    "ProblemSpec": lambda m, u, o: ProblemSpec(
+        "problem1", m.mesh, exponent_field(o.mesh, "2+x", r=1.5),
+        m.reaction),
+}
+
+
+@pytest.mark.parametrize("entry", MESH_RULE_ENTRIES)
+def test_every_entry_point_refuses_another_mesh_of_equal_size(entry):
+    model = build_energy_model(
+        problem1_spec(n=16, p="2+x", r=1.5, q="1.2"))
+    other = build_interval(0, 2, 16)
+    u = NodeField(model.mesh, solver._bump_profile(model.mesh))
+    o = NodeField(other, solver._bump_profile(other))
+    with pytest.raises(ValueError, match="sampled on a different mesh"):
+        MESH_RULE_ENTRIES[entry](model, u, o)
 
 
 @pytest.mark.parametrize("grad_tol", ["1e-9", None, 1e-9 + 0j],
