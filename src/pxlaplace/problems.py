@@ -34,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A fully specified Dirichlet problem instance."""
+    """A fully specified Dirichlet problem instance.
+
+    The exponent and every field of the reaction and absorption terms must
+    be sampled on ``mesh`` (``ValueError`` otherwise).
+    """
 
     kind: str  # "problem1" | "problem2" | "kirchhoff"
     mesh: Mesh
@@ -51,6 +55,11 @@ class ProblemSpec:
         if self.kind == "kirchhoff" and self.kirchhoff is None:
             raise ValueError("kirchhoff needs a Kirchhoff term")
         _on_mesh(self.mesh, self.exponent, what="exponent")
+        terms = (self.reaction.h, self.reaction.q) + (
+            () if self.absorption is None
+            else (self.absorption.ell, self.absorption.Q))
+        _on_mesh(self.mesh, *[x for x in terms if x is not None],
+                 what="term field")
 
 
 def build_energy_model(spec: ProblemSpec) -> EnergyModel:
@@ -115,7 +124,9 @@ def validate_g(term: AbsorptionTerm, r: float, p: ExponentField,
 
     Witnesses record the small-s domination constant C0 with
     g(x, s) <= C0 s^(r-1) near zero, and the large-s growth constant.
+    ell and Q must be sampled on the mesh of p (``ValueError`` otherwise).
     """
+    _on_mesh(p.mesh, term.ell, term.Q, what="term field")
     report = ValidationReport()
     ell_min = float(term.ell.values.min())
     Q_minus, Q_plus = _extrema(term.Q)

@@ -168,3 +168,29 @@ class TestProblemSpec:
         exponent = exponent_field(mesh, 2.0, r=2.0)
         with pytest.raises(ValueError, match="Kirchhoff"):
             ProblemSpec("kirchhoff", mesh, exponent, power(mesh, "1", "1.5"))
+
+    @pytest.mark.parametrize("part", ["reaction", "absorption"])
+    def test_term_fields_on_another_mesh_are_refused(self, part):
+        # same size, other domain: read node by node, q's values would
+        # pass for the exponent mesh's and move the regime and f2/f3
+        home, other = build_interval(0, 1, 16), build_interval(0, 2, 16)
+        exponent = exponent_field(home, "2+x", r=1.5)
+        reaction = power(other if part == "reaction" else home, "1", "1.2")
+        absorption = power_absorption(
+            *[constant_field(other if part == "absorption" else home, v)
+              for v in (1.0, 2.0)])
+        with pytest.raises(ValueError,
+                           match="term field sampled on a different mesh"):
+            ProblemSpec("problem2", home, exponent, reaction, absorption)
+
+
+@pytest.mark.parametrize("n", [16, 8])
+def test_validate_g_refuses_a_term_on_another_mesh(n):
+    # an equal-sized Q used to pass silently and an 8-cell one raised
+    # numpy's broadcast error
+    home, other = build_interval(0, 1, 16), build_interval(0, 2, n)
+    term = power_absorption(constant_field(other, 1.0),
+                            constant_field(other, 2.0))
+    with pytest.raises(ValueError, match="term field sampled on a different"):
+        validate_g(term, r=1.5, p=exponent_field(home, "2+x", r=1.5),
+                   dimension=1)

@@ -295,13 +295,21 @@ class TestSubhomogeneousInstance:
         assert len(differentiated) == len(fields) + 1
 
     def test_converged_needs_every_stage(self):
-        # README instance: the first two stages stop at the cap and report
-        # max_iters - 1 steps; the third meets grad_tol on its last allowed
-        # step and the rest meet it too, so the solve has not converged
-        spec = problem1_spec(n=256, p="2+x", r=1.5, q="1.2")
-        rep = solve_problem1(spec, SolverOptions(max_iters=3))
-        assert rep.iterations == (2, 2, 2, 1, 0, 0, 0)
-        assert rep.stage_exits == ("max_iters",) * 2 + ("tol",) * 5
+        # p = 1.5+x < 2 near x = 0 runs the seven-rung ladder: the first
+        # three stages stop at the cap and report max_iters - 1 steps, the
+        # rest meet grad_tol, and so does the final residual; the capped
+        # stages alone make the solve unconverged
+        opts = SolverOptions(max_iters=3)
+        rep = solve_problem1(problem1_spec(n=256, p="1.5+x", r=1.5, q="1.2"),
+                             opts)
+        assert rep.iterations == (2, 2, 2, 1, 1, 0, 0)
+        assert rep.stage_exits == ("max_iters",) * 3 + ("tol",) * 4
+        assert rep.residual_max <= opts.grad_tol
+        assert not rep.converged
+        # README instance: its one stage stops at the cap
+        rep = solve_problem1(problem1_spec(n=256, p="2+x", r=1.5, q="1.2"),
+                             opts)
+        assert (rep.iterations, rep.stage_exits) == ((2,), ("max_iters",))
         assert not rep.converged
 
     def test_converged_needs_the_unregularized_residual(self):
@@ -315,9 +323,40 @@ class TestSubhomogeneousInstance:
         assert not rep.converged
 
     def test_eps_ladder_has_seven_stages(self):
-        # 1e-2 down to 1e-8 by factors of 0.1, with no repeat of the last rung
-        rep = solve_problem1(problem1_spec(n=32), SolverOptions())
-        assert len(rep.iterations) == 7
+        # 1e-2 down to 1e-8 by factors of 0.1, with no repeat of the last
+        # rung; a model with p < 2 on some cell runs one stage per rung
+        # (test_p_below_two_keeps_the_seven_rungs)
+        assert len(solver.EPS_LADDER) == 7
+        assert np.allclose(solver.EPS_LADDER, 10.0 ** -np.arange(2, 9),
+                           rtol=1e-15, atol=0)
+
+    def test_p_at_least_two_runs_the_last_rung_alone(self):
+        # README instance, p = 2+x >= 2 on every cell: one stage at
+        # eps = 1e-8, within 1e-12 of the energy the seven rungs reach
+        # (-0x1.69a482c3d8dc4p-6)
+        rep = solve_problem1(problem1_spec(n=256, p="2+x", r=1.5, q="1.2"),
+                             SolverOptions())
+        assert rep.converged
+        assert (rep.iterations, rep.stage_exits) == ((8,), ("tol",))
+        assert rep.energy == pytest.approx(
+            float.fromhex("-0x1.69a482c3d8dc4p-6"), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p, n, opts, iterations, energy", [
+        # from this start one rung caps at 499 steps and ends above the
+        # energy the seven rungs reach
+        ("1.5", 128, SolverOptions(max_iters=500, init="random", seed=0),
+         (14, 13, 10, 6, 4, 3, 1), "-0x1.7b3f638abe884p-13"),
+        ("1.5+x", 128, SolverOptions(),
+         (9, 6, 3, 1, 1, 0, 0), "-0x1.a7512556c4a18p-8")])
+    def test_p_below_two_keeps_the_seven_rungs(self, p, n, opts, iterations,
+                                               energy):
+        # p < 2 on some cell: the flux weight is singular there, and the
+        # solve walks every rung of EPS_LADDER, bit for bit as before the
+        # one-rung rule
+        rep = solve_problem1(problem1_spec(n=n, p=p, r=1.5, q="1.2"), opts)
+        assert rep.iterations == iterations
+        assert rep.stage_exits == ("tol",) * 7
+        assert rep.energy == float.fromhex(energy)
 
     def test_converged_residual_within_grad_tol_margin(self):
         opts = SolverOptions()
@@ -333,7 +372,7 @@ class TestSubhomogeneousInstance:
         spec = problem1_spec(n=256, p="2+x", r=1.5, q="1.2")
         rep = solve_problem1(spec, SolverOptions())
         assert rep.converged
-        assert rep.stage_exits == ("tol",) * 7
+        assert rep.stage_exits == ("tol",)
         assert sum(rep.iterations) <= 40
 
 
@@ -356,11 +395,12 @@ def _bench_spec(kind, n, dim=1):
                                           ("kirchhoff", 48, 1),
                                           ("problem1", 8, 2)])
 def test_unreachable_tolerance_stops_at_the_floor(kind, n, dim):
-    # no stage can meet grad_tol = 1e-300, so each one must end on a stall
-    # exit, far below the cap; here every stage ends on a frozen iterate
+    # no stage can meet grad_tol = 1e-300, so it must end on a stall exit,
+    # far below the cap; here the one stage of p = 2+x >= 2 ends on a
+    # frozen iterate
     opts = SolverOptions(grad_tol=1e-300, max_iters=500)
     rep = solver.solve(_bench_spec(kind, n, dim), opts)
-    assert rep.stage_exits == ("frozen",) * 7
+    assert rep.stage_exits == ("frozen",)
     assert max(rep.iterations) < opts.max_iters // 2
     assert not rep.converged
 
@@ -386,16 +426,17 @@ STEEP_ENERGY = -0.14131811913206757
 def test_overflowing_trials_end_every_stage_on_the_floor(monkeypatch):
     # from the bump the unshifted Newton direction is about 1e22 long, so
     # every trial down to t = 1e-18 has a huge or overflowing energy: on
-    # the unshifted metric alone no stage takes a step.  The retries on
-    # the shifted metric reach the solution in the first stage
+    # the unshifted metric alone the stage takes no step.  The retries on
+    # the shifted metric reach the solution.  p = 20 >= 2, so the solve
+    # runs the last rung alone
     opts = SolverOptions()
     model = build_energy_model(_steep_spec())
     start = _start(model, opts)
     with pytest.warns(RuntimeWarning, match="overflow"):
         u, iterations, exits = solver._descend(model, start,
-                                               solver.EPS_LADDER, opts)
-    assert iterations == (15, 3, 2, 1, 0, 0, 0)
-    assert exits == ("tol",) * 7
+                                               solver.EPS_LADDER[-1:], opts)
+    assert iterations == (15,)
+    assert exits == ("tol",)
     with pytest.warns(RuntimeWarning, match="overflow"):
         rep = solver.solve(_steep_spec(), opts)
     assert rep.regime == "unique-full"
@@ -404,6 +445,11 @@ def test_overflowing_trials_end_every_stage_on_the_floor(monkeypatch):
     assert rep.converged
     assert rep.energy == pytest.approx(STEEP_ENERGY, rel=1e-12)
     monkeypatch.setattr(solver, "SHIFTS", (0.0,))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        unshifted = solver._descend(model, start, solver.EPS_LADDER[-1:],
+                                    opts)
+    assert unshifted[1:] == ((0,), ("floor",))
+    # so does every stage of the seven-rung ladder
     with pytest.warns(RuntimeWarning, match="overflow"):
         unshifted = solver._descend(model, start, solver.EPS_LADDER, opts)
     assert unshifted[1:] == ((0,) * 7, ("floor",) * 7)
@@ -417,46 +463,62 @@ def test_singular_metric_floors_and_the_rerun_converges():
     with pytest.warns(spla.MatrixRankWarning) as caught:
         rep = solver.solve(_steep_spec(), opts)
     assert {w.category for w in caught} == {spla.MatrixRankWarning}
-    assert rep.iterations == (28, 3, 2, 1, 0, 0, 0)
-    assert rep.stage_exits == ("tol",) * 7
+    assert rep.iterations == (26,)
+    assert rep.stage_exits == ("tol",)
     assert rep.converged and rep.positivity_ok
     assert rep.energy == pytest.approx(STEEP_ENERGY, rel=1e-12)
 
 
-# random starts of _steep_spec where, on the unshifted metric alone, the
-# first stages end on the floor and the later ones meet grad_tol:
-# (iterations and stage exits unshifted, iterations with the shifts)
+# random starts of _steep_spec where, on the seven-rung ladder and the
+# unshifted metric alone, the first stages end on the floor and the later
+# ones meet grad_tol: (iterations and stage exits on the seven rungs
+# unshifted, iterations on the seven rungs with the shifts, iterations of
+# the solve, which runs the last rung alone)
 EARLY_FLOOR = {14: ((2, 26, 2, 1, 0, 0, 0), ("floor",) + ("tol",) * 6,
-                    (34, 3, 2, 1, 0, 0, 0)),
+                    (34, 3, 2, 1, 0, 0, 0), (31,)),
                15: ((0, 1, 36, 1, 0, 0, 0), ("floor",) * 2 + ("tol",) * 5,
-                    (30, 3, 2, 1, 0, 0, 0))}
+                    (30, 3, 2, 1, 0, 0, 0), (34,))}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("seed", sorted(EARLY_FLOOR))
 def test_early_floor_exits_still_converge(seed, monkeypatch):
-    # the shifted retries take the place of those floors: every stage
-    # meets grad_tol, on the solution the bump reaches, bit for bit
-    unshifted_iterations, unshifted_exits, iterations = EARLY_FLOOR[seed]
+    # on the seven rungs the shifted retries take the place of those
+    # floors: every stage meets grad_tol, on the solution the bump reaches
+    # on them, bit for bit.  The solve's one rung meets grad_tol with or
+    # without the shifts, at the bump's energy
+    unshifted_iterations, unshifted_exits, ladder_iterations, iterations = \
+        EARLY_FLOOR[seed]
     opts = SolverOptions(init="random", seed=seed)
+    model = build_energy_model(_steep_spec())
+    start = _start(model, opts)
+    u, its, exits = solver._descend(model, start, solver.EPS_LADDER, opts)
+    assert (its, exits) == (ladder_iterations, ("tol",) * 7)
+    bump = solver._descend(model, _start(model, SolverOptions()),
+                           solver.EPS_LADDER, opts)[0]
+    assert u.values.tobytes() == bump.values.tobytes()
     rep = solver.solve(_steep_spec(), opts)
-    bump = solver.solve(_steep_spec(), SolverOptions())
     assert rep.converged
     assert rep.iterations == iterations
-    assert rep.stage_exits == ("tol",) * 7
-    assert rep.solution.values.tobytes() == bump.solution.values.tobytes()
-    monkeypatch.setattr(solver, "SHIFTS", (0.0,))
-    rep = solver.solve(_steep_spec(), opts)
-    assert rep.converged
-    assert rep.iterations == unshifted_iterations
-    assert rep.stage_exits == unshifted_exits
+    assert rep.stage_exits == ("tol",)
     assert rep.energy == pytest.approx(STEEP_ENERGY, rel=1e-12)
+    monkeypatch.setattr(solver, "SHIFTS", (0.0,))
+    u, its, exits = solver._descend(model, start, solver.EPS_LADDER, opts)
+    assert (its, exits) == (unshifted_iterations, unshifted_exits)
+    assert energy_value(u, model) == pytest.approx(STEEP_ENERGY, rel=1e-12)
+    unshifted = solver.solve(_steep_spec(), opts)
+    assert unshifted.converged
+    assert (unshifted.iterations, unshifted.stage_exits) == \
+        (iterations, ("tol",))
+    assert unshifted.solution.values.tobytes() == \
+        rep.solution.values.tobytes()
 
 
 def test_nan_direction_ends_every_stage_on_the_floor(monkeypatch):
-    # README instance, through a stand-in spsolve that returns NaN: each
-    # stage solves once on the unshifted metric and once on every shift,
-    # then ends on the floor, and the iterate never moves from the start
+    # README instance, through a stand-in spsolve that returns NaN: its
+    # one stage solves once on the unshifted metric and once on every
+    # shift, then ends on the floor, and the iterate never moves from the
+    # start
     solved = []
 
     def spsolve(K, b, **kwargs):
@@ -467,18 +529,17 @@ def test_nan_direction_ends_every_stage_on_the_floor(monkeypatch):
     opts = SolverOptions()
     model = build_energy_model(problem1_spec(n=64, p="2+x", r=1.5, q="1.2"))
     rep = minimize_energy(model, opts)
-    assert rep.iterations == (0,) * 7
-    assert rep.stage_exits == ("floor",) * 7
+    assert rep.iterations == (0,)
+    assert rep.stage_exits == ("floor",)
     assert not rep.converged
     assert rep.solution.values.tobytes() == \
         _start(model, opts).values.tobytes()
     shifts = solver.SHIFTS
-    assert len(solved) == 7 * len(shifts)
-    for stage in range(7):
-        K, *shifted = solved[stage * len(shifts):(stage + 1) * len(shifts)]
-        for mu, A in zip(shifts[1:], shifted):
-            assert np.array_equal(A.toarray(), K.toarray() + mu * np.eye(
-                K.shape[0]) * K.diagonal().max())
+    assert len(solved) == len(shifts)
+    K, *shifted = solved
+    for mu, A in zip(shifts[1:], shifted):
+        assert np.array_equal(A.toarray(), K.toarray() + mu * np.eye(
+            K.shape[0]) * K.diagonal().max())
 
 
 def test_shifts_run_from_zero_to_1e8():
@@ -515,12 +576,14 @@ STEEP_P40_ENERGY = {1: -0.15289846689004, 2: -0.08913471970409}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 @pytest.mark.parametrize("dim", [1, 2])
 def test_p40_converges_from_every_start(dim):
     # the unshifted metric's weight (eps^2 + |grad u|^2)^19 spans dozens
-    # of decades and its step overflows; with the shifts the bump and
-    # four random starts all converge, to one energy, as the uniqueness
-    # of the sublinear problem's minimizer says they must
+    # of decades: its step overflows, and from two of the 1D starts the
+    # metric is exactly singular in floating point.  With the shifts the
+    # bump and four random starts all converge, to one energy, as the
+    # uniqueness of the sublinear problem's minimizer says they must
     mesh = build_interval(0, 1, 32) if dim == 1 else \
         build_rectangle(0, 1, 0, 1, 8, 8)
     model = build_energy_model(
@@ -530,16 +593,18 @@ def test_p40_converges_from_every_start(dim):
     for opts in starts:
         rep = minimize_energy(model, opts)
         assert rep.converged
-        assert rep.stage_exits == ("tol",) * 7
+        assert rep.stage_exits == ("tol",)
         assert rep.energy == pytest.approx(STEEP_P40_ENERGY[dim], rel=1e-12)
 
 
 def test_frozen_stage_counts_when_the_residual_meets_grad_tol():
-    # p = 10: the first stage ends on a frozen iterate, every later one on
-    # tol, and the final residual is below grad_tol, so the solve converged
-    opts = SolverOptions(init="random", seed=12)
-    rep = solver.solve(problem1_spec(n=128, p="10", r=1.5, q="1.2"), opts)
-    assert rep.stage_exits == ("frozen",) + ("tol",) * 6
+    # p = 1.7+x < 2 near x = 0 runs the seven-rung ladder: the fifth stage
+    # ends on a frozen iterate, every other one on tol, and the final
+    # residual is below grad_tol, so the solve converged
+    opts = SolverOptions(init="random", seed=4)
+    rep = solver.solve(problem1_spec(n=256, p="1.7+x", r=1.5, q="1.2"), opts)
+    assert rep.iterations == (9, 3, 2, 1, 3, 1, 0)
+    assert rep.stage_exits == ("tol",) * 4 + ("frozen",) + ("tol",) * 2
     assert rep.residual_max <= opts.grad_tol
     assert rep.converged
 
