@@ -349,8 +349,8 @@ def _cmd_validate(cfg, args) -> int:
             spec.exponent)
     out = {key: rep.as_dict() for key, rep in reports.items()}
     ok = all(rep.passed for rep in reports.values())
-    if spec.reaction.kind == "power":
-        tag = problems.sharpness_regime(spec)
+    tag = problems._regime(spec)
+    if tag is not None:
         out["regime"] = {"name": tag.name,
                          "frac_p_above_r": tag.frac_p_above_r,
                          "frac_q_below_r": tag.frac_q_below_r}

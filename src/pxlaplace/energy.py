@@ -30,7 +30,8 @@ import numpy as np
 from .anisotropy import AnisotropyModel, _dot, _flux_rows, _quad_form
 from .exponents import ExponentField
 from .grid import (Mesh, NodeField, _field_gradient, _gradient, _on_mesh,
-                   cell_average, flux_loads, integrate, scatter_add)
+                   cell_average, constant_field, flux_loads, integrate,
+                   scatter_add)
 
 __all__ = [
     "ReactionTerm",
@@ -65,11 +66,19 @@ __all__ = [
 @dataclass(frozen=True)
 class ReactionTerm:
     """f(x, s) = h(x) s^(q(x)-1) for s >= 0 (kind "power"), or the
-    s-independent source f(x, s) = h(x) (kind "source"); zero for s < 0."""
+    s-independent source f(x, s) = h(x) (kind "source"); zero for s < 0.
+
+    A source is the power term with q = 1: given no q, the term takes
+    the field of ones on h's mesh, and only the validators read ``kind``.
+    """
 
     kind: str  # "power" | "source"
     h: NodeField
     q: NodeField | None = None
+
+    def __post_init__(self):
+        if self.q is None:
+            object.__setattr__(self, "q", constant_field(self.h.mesh, 1.0))
 
 
 @dataclass(frozen=True)
@@ -159,18 +168,17 @@ class EnergyModel:
         p = self.exponent.cellwise()
         w = (None if self.anisotropy is None
              else self.anisotropy.weights_at_cells())
-        terms = []  # (sign, h, q) fields, q None for a source
+        terms = []  # (sign, h, q) fields
         if self.reaction is not None:
-            f = self.reaction
-            terms.append((-1.0, f.h, f.q if f.kind == "power" else None))
+            terms.append((-1.0, self.reaction.h, self.reaction.q))
         if self.absorption is not None:
             terms.append((1.0, self.absorption.ell, self.absorption.Q))
-        _on_mesh(self.mesh, *[x for _, h, q in terms for x in (h, q)
-                              if x is not None], what="term field")
+        _on_mesh(self.mesh, *[x for _, h, q in terms for x in (h, q)],
+                 what="term field")
         object.__setattr__(self, "p_cells", p)
         object.__setattr__(self, "w_cells", w)
         object.__setattr__(self, "potentials", tuple(
-            (sign, cell_average(h), q if q is None else cell_average(q))
+            (sign, cell_average(h), cell_average(q))
             for sign, h, q in terms))
 
 
@@ -179,30 +187,26 @@ class EnergyModel:
 # Reaction and absorption share these: the absorption g(x, s) =
 # ell s^(Q-1) is a power term with (h, q) = (ell, Q).
 
-def _F_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
-    """Potential h u^q / q for u > 0 (h u when q is None), zero elsewhere.
+def _F_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Potential h u^q / q for u > 0, zero elsewhere.
 
     The cell arrays h and q broadcast against u, which may stack several
-    fields; each step works in place on one array of u's shape.
+    fields; each step works in place on one array of u's shape.  At q = 1
+    (a source) the power and the division are exact, so this is h u.
     """
     out = np.maximum(u, 0.0)
-    if q is None:
-        out *= h
-        return out
     out **= q
     out *= h
     out /= q
     return out
 
 
-def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
+def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Derivative of ``_F_cells`` in u, for positive h.
 
     h u^(q-1) is formed where u > 0 by one masked power; elsewhere it
     stays zero, and zero times the positive h stays zero.
     """
-    if q is None:
-        return np.where(u >= 0, h, 0.0)
     out = np.power(u, q - 1.0, out=np.zeros_like(u), where=u > 0)
     out *= h
     # s = 0 with q = 1 gives h * 0^0 = h, matching the power rule literally
@@ -212,16 +216,16 @@ def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _potential(h: NodeField, q: NodeField | None, x, u: float) -> float:
+def _potential(h: NodeField, q: NodeField, x, u: float) -> float:
     """``_F_cells`` of the one value u with h and q taken at the point x."""
     h = np.atleast_1d(h.at(x))
-    q = None if q is None else np.atleast_1d(q.at(x))
+    q = np.atleast_1d(q.at(x))
     return float(_F_cells(np.atleast_1d(float(u)), h, q)[0])
 
 
 def potential_F(term: ReactionTerm, x, u: float) -> float:
     """F(x, u) = integral of f(x, s) over s in [0, u]; zero for u < 0."""
-    return _potential(term.h, term.q if term.kind == "power" else None, x, u)
+    return _potential(term.h, term.q, x, u)
 
 
 def potential_G(term: AbsorptionTerm, x, u: float) -> float:
@@ -256,10 +260,6 @@ def _require_cone(mesh: Mesh, values: np.ndarray, theta=None):
                          else f"combination leaves the cone at theta={theta}")
 
 
-def _roots(v: np.ndarray, r: float) -> np.ndarray:
-    return v if r == 1.0 else v ** (1.0 / r)
-
-
 def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
     """The cone energy of each row of v, (k, n_nodes), whose caller has
     checked every row is in the cone.
@@ -272,7 +272,7 @@ def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
     p = model.p_cells
     r_p, half_p = model.exponent.r / p, p / 2.0
     return [integrate(r_p * _quad_form(weights, _gradient(mesh, w)) ** half_p,
-                      mesh) for w in _roots(v, model.exponent.r)]
+                      mesh) for w in v ** (1.0 / model.exponent.r)]
 
 
 def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
@@ -439,7 +439,7 @@ def phi_line(v1: NodeField, v2: NodeField, theta, model: EnergyModel,
     v = _combinations(v1, v2, theta, model.mesh)
     if kind == "J_hat":
         return _per_theta(theta, [energy_J(NodeField(model.mesh, w), model)
-                                  for w in _roots(v, model.exponent.r)])
+                                  for w in v ** (1.0 / model.exponent.r)])
     return _per_theta(theta, _cone_energies(model, v, weights))
 
 
@@ -474,7 +474,7 @@ def phi_prime(v1: NodeField, v2: NodeField, theta, model: EnergyModel,
     if kind == "J_hat" and (model.kirchhoff is None or model.reaction is None):
         raise ValueError("J_hat needs reaction and Kirchhoff terms")
     out = []
-    for w_nodal, s in zip(_roots(v, r), s_rows):
+    for w_nodal, s in zip(v ** (1.0 / r), s_rows):
         d = flux_pairing(model, w_nodal, s, weights)
         if kind == "J_hat":
             w = NodeField(mesh, w_nodal)

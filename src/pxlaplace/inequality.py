@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import (EnergyModel, gateaux_gradient, phi_line, phi_prime,
-                     power_reaction, source_reaction)
+                     power_reaction)
 from .grid import NodeField, _on_mesh, constant_field
 
 __all__ = [
@@ -263,11 +263,9 @@ def comparison_check(u1: NodeField, u2: NodeField, f1: NodeField,
 
 
 def _comparison_model(model: EnergyModel, f: NodeField) -> EnergyModel:
-    """The model's flux with the reaction f(x) u^(r-1) alone: a plain
-    source for r = 1, else a power term."""
-    r = model.exponent.r
-    reaction = source_reaction(f) if r == 1.0 else \
-        power_reaction(f, constant_field(f.mesh, r))
+    """The model's flux with the reaction f(x) u^(r-1) alone, a power
+    term for every r (at r = 1 the source f)."""
+    reaction = power_reaction(f, constant_field(f.mesh, model.exponent.r))
     return replace(model, reaction=reaction, absorption=None, kirchhoff=None)
 
 

@@ -58,8 +58,7 @@ class ProblemSpec:
         terms = (self.reaction.h, self.reaction.q) + (
             () if self.absorption is None
             else (self.absorption.ell, self.absorption.Q))
-        _on_mesh(self.mesh, *[x for x in terms if x is not None],
-                 what="term field")
+        _on_mesh(self.mesh, *terms, what="term field")
 
 
 def build_energy_model(spec: ProblemSpec) -> EnergyModel:
@@ -243,3 +242,9 @@ def sharpness_regime(spec: ProblemSpec) -> RegimeTag:
     else:
         name = "unclassified"
     return RegimeTag(name, frac_p, frac_q)
+
+
+def _regime(spec: ProblemSpec) -> RegimeTag | None:
+    """The regime tag of a power reaction; None for a source, which the
+    classification does not cover."""
+    return sharpness_regime(spec) if spec.reaction.kind == "power" else None

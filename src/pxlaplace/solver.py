@@ -81,8 +81,10 @@ from .grid import (Mesh, NodeField, _basis_pairing, _field_gradient,
                    _band, _gradient, _on_mesh, assemble, cell_average,
                    constant_field, integrate, interior_plan)
 from .inequality import diaz_saa_gap
-from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
-    validate_f, validate_g, validate_M
+# sharpness_regime is called through _regime; it stays a module attribute
+# because bench/tracing.py wraps it as one of the solver's validators
+from .problems import ProblemSpec, _regime, build_energy_model, \
+    sharpness_regime, validate_f, validate_g, validate_M  # noqa: F401
 
 __all__ = [
     "SolverOptions",
@@ -444,10 +446,8 @@ def solve(spec: ProblemSpec, opts: SolverOptions,
         raise ValueError("hypotheses fail: "
                          + "; ".join(f"{e.name}: {e.witness}" for e in bad))
     report = minimize_energy(build_energy_model(spec), opts)
-    regime = None
-    if spec.reaction.kind == "power":
-        regime = sharpness_regime(spec).name
-    return replace(report, regime=regime)
+    tag = _regime(spec)
+    return replace(report, regime=None if tag is None else tag.name)
 
 
 # one entry point serves every kind; the per-kind names stay for callers
@@ -573,7 +573,7 @@ class UniquenessReport:
     n_runs: int
     all_converged: bool
     all_positive: bool
-    regime: str
+    regime: str | None  # None for a source reaction
     expected_multiplicity: bool
     passed: bool | None  # None when inconclusive or multiplicity expected
 
@@ -586,9 +586,11 @@ def uniqueness_experiment(spec: ProblemSpec, opts: SolverOptions,
     reports the largest pairwise max-norm distance among converged
     positive solutions, together with the operator-difference gap of each
     pair (near zero at a common solution).  In the eigenvalue-degenerate
-    regime multiplicity is expected and no verdict is issued.
+    regime multiplicity is expected and no verdict is issued.  A source
+    reaction has no regime tag (``regime`` is None) and gets a verdict.
     """
-    regime = sharpness_regime(spec).name
+    tag = _regime(spec)
+    regime = None if tag is None else tag.name
     model = build_energy_model(spec)
     runs = [minimize_energy(model, replace(opts, init="bump"))]
     for k in range(n_inits):

@@ -352,6 +352,13 @@ class TestValidateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] and report["regime"]["name"] == "unique-partial-d"
 
+    def test_source_has_no_regime(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(_SOURCE))
+        assert run_command(["validate", "--config", str(cfg)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] and "regime" not in report
+
     def test_forced_check_failure(self, tmp_path, capsys):
         # q = r makes the subhomogeneity hypothesis fail
         cfg = write_config(tmp_path / "run.json",

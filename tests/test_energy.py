@@ -7,7 +7,8 @@ from pxlaplace.anisotropy import _flux_rows, weighted_quadratic
 from pxlaplace.energy import _f_cells, _quotient
 from pxlaplace.energy import (EnergyModel, M_hat, W_A_functional, W_functional,
                               dirichlet_part, energy_E, energy_E_hat, energy_J,
-                              flux_pairing, gateaux_gradient, phi_line,
+                              energy_value, flux_pairing, gateaux_gradient,
+                              phi_line,
                               phi_prime, potential_F, potential_G,
                               power_absorption, power_reaction,
                               saturating_kirchhoff, source_reaction)
@@ -105,6 +106,73 @@ class TestPotentials:
         for t in np.linspace(0.0, 100.0, 201):
             val = M_hat(term, float(t))
             assert 0.5 * t - 1e-12 <= val <= 3.0 * t + 1e-12
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m: power_reaction(constant_field(m, 0.0), constant_field(m, 1.5)),
+     "reaction coefficient h must be positive"),
+    (lambda m: power_reaction(constant_field(m, 1.0), constant_field(m, 0.5)),
+     "reaction exponent q must be >= 1"),
+    (lambda m: source_reaction(constant_field(m, -1.0)),
+     "source h must be positive"),
+    (lambda m: power_absorption(constant_field(m, 0.0),
+                                constant_field(m, 2.0)),
+     "absorption coefficient must be positive"),
+    (lambda m: power_absorption(constant_field(m, 1.0),
+                                constant_field(m, 0.9)),
+     "absorption exponent must be >= 1"),
+    (lambda m: saturating_kirchhoff(0.0, 1.0), r"need M\(0\) = m0 > 0"),
+    (lambda m: saturating_kirchhoff(float("nan"), 1.0),
+     r"need M\(0\) = m0 > 0"),
+    (lambda m: saturating_kirchhoff(2.0, 1.0), r"need m_inf >= m0"),
+], ids=["reaction-h", "reaction-q", "source-h", "absorption-ell",
+        "absorption-Q", "kirchhoff-m0", "kirchhoff-m0-nan",
+        "kirchhoff-decreasing"])
+def test_term_constructors_refuse_bad_data(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(build_interval(0, 1, 8))
+
+
+class TestSourceIsThePowerTermWithQOne:
+    def test_a_source_takes_the_field_of_ones(self):
+        mesh = build_interval(0, 1, 8)
+        term = source_reaction(interpolate(mesh, "1+x"))
+        assert term.kind == "source"
+        assert term.q.mesh is mesh
+        assert np.all(term.q.values == 1.0)
+
+    @pytest.mark.parametrize("mesh", [build_interval(0, 1, 24),
+                                      build_rectangle(0, 1, 0, 2, 7, 5)],
+                             ids=["1d", "2d"])
+    def test_every_value_matches_the_power_term_bitwise(self, mesh):
+        # u has negative values, zeros and positives, so every branch of
+        # the potential and its derivative is read
+        h = interpolate(mesh, "1+x")
+        exponent = exponent_field(mesh, "2+x", r=1.5)
+        source, power = (
+            EnergyModel(mesh, exponent, reaction=term,
+                        kirchhoff=saturating_kirchhoff(1.0, 2.0))
+            for term in (source_reaction(h),
+                         power_reaction(h, constant_field(mesh, 1.0))))
+        rng = np.random.default_rng(4)
+        values = rng.uniform(-0.5, 1.5, mesh.n_nodes)
+        values[::3] = 0.0
+        values[mesh.boundary_mask] = 0.0
+        u = NodeField(mesh, values)
+        for eps in (0.0, 1e-3):
+            assert energy_value(u, source, eps).hex() == \
+                energy_value(u, power, eps).hex()
+            assert gateaux_gradient(source, u, eps).values.tobytes() == \
+                gateaux_gradient(power, u, eps).values.tobytes()
+        points = rng.uniform(0.0, 1.0, (6, mesh.dimension))
+        for x, s in zip(points, (0.3, -1.0, 0.0, 2.5, 1e-300, 7.0)):
+            assert potential_F(source.reaction, x, s).hex() == \
+                potential_F(power.reaction, x, s).hex()
+        v1, v2 = zero_trace_pair(mesh, 6)
+        thetas = np.array([0.0, 0.4, 1.0])
+        for line in (phi_line, phi_prime):
+            assert line(v1, v2, thetas, source, "J_hat").tobytes() == \
+                line(v1, v2, thetas, power, "J_hat").tobytes()
 
 
 class TestWFunctional:

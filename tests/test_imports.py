@@ -9,8 +9,9 @@ in-process tests hold the ``solver.sp``/``solver.spla``/``solver.lapack``
 seam: each resolves to scipy on lookup, a stand-in set as ``solver.spla``
 sees every sparse solve and one set as ``solver.lapack`` every band
 factorization and solve, and a module is imported at its first lookup
-only.  One test reads the package's source instead of running it: the
-mesh check is written once, in ``grid._on_mesh``.
+only.  Two tests read the package's source instead of running it: the
+mesh check is written once, in ``grid._on_mesh``, and the reaction kind
+is compared only in ``problems`` and ``cli``.
 """
 
 import ast
@@ -250,3 +251,26 @@ def test_the_mesh_check_is_written_only_in_grid_on_mesh():
                   and id(node) not in inside}
     assert sorted(sites) == []
     assert inside, "grid._on_mesh is missing"
+
+
+def test_the_reaction_kind_is_read_only_by_the_validators():
+    # a source is the power term with q = 1, so below the validators
+    # (problems.py) and the config reader (cli.py) no code compares a
+    # value with "power" or "source"
+    kinds = {"power", "source"}
+
+    def names_a_kind(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List,
+                                              ast.Set)) else (node,)
+        return any(isinstance(e, ast.Constant) and e.value in kinds
+                   for e in elts)
+
+    sites = []
+    for path in sorted((SRC / "pxlaplace").glob("*.py")):
+        if path.name in ("problems.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(map(names_a_kind, (node.left, *node.comparators)))]
+    assert sites == []

@@ -337,6 +337,51 @@ class TestComparisonCheck:
         assert not verdict.hypothesis_ok
 
 
+    def _notes(self, u1, u2, f1, f2, mode="solutions"):
+        mesh = u1.mesh
+        model = EnergyModel(mesh, exponent_field(mesh, 2.0, r=1.0))
+        verdict = comparison_check(u1, u2, f1, f2, model, tol=1e-6,
+                                   mode=mode)
+        assert not verdict.hypothesis_ok
+        return verdict.notes
+
+    def test_negative_f1_is_noted(self):
+        mesh, u1, u2 = self.closed_form_pair()
+        notes = self._notes(u1, u2, constant_field(mesh, -1.0),
+                            constant_field(mesh, 1.0))
+        assert notes == ("f1 has negative values",)
+
+    def test_a_vanishing_interior_value_is_noted(self):
+        mesh, u1, u2 = self.closed_form_pair()
+        values = u1.values.copy()
+        values[len(values) // 2] = 0.0
+        f = constant_field(mesh, 1.0)
+        notes = self._notes(NodeField(mesh, values), u2, f, f)
+        assert notes == ("fields are not positive at interior nodes",)
+
+    def test_a_ratio_above_the_cap_is_noted(self):
+        # u1/u2 = 1e7 at every interior node, above RATIO_CAP = 1e6
+        mesh, u1, _ = self.closed_form_pair()
+        f = constant_field(mesh, 1.0)
+        notes = self._notes(u1, NodeField(mesh, 1e-7 * u1.values), f, f)
+        assert notes == ("interior ratio exceeds the admissibility cap",)
+
+    def test_subsuper_notes_a_u2_below_its_data(self):
+        mesh, u1, u2 = self.closed_form_pair()
+        sub = NodeField(mesh, 0.9 * u1.values)   # -u'' = 0.9 <= f1 = 1
+        low = NodeField(mesh, 0.5 * u2.values)   # -u'' = 1 < f2 = 2
+        notes = self._notes(sub, low, constant_field(mesh, 1.0),
+                            constant_field(mesh, 2.0), mode="subsuper")
+        assert notes == ("u2 is not a discrete supersolution",)
+
+    def test_unknown_mode_is_refused(self):
+        mesh, u1, u2 = self.closed_form_pair()
+        model = EnergyModel(mesh, exponent_field(mesh, 2.0, r=1.0))
+        f = constant_field(mesh, 1.0)
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            comparison_check(u1, u2, f, f, model, tol=1e-6, mode="exact")
+
+
 class TestWeakComparisonExperiment:
     def test_linear_pair_end_to_end(self):
         mesh = build_interval(0, 1, 48)
@@ -355,3 +400,12 @@ class TestWeakComparisonExperiment:
         verdict = weak_comparison_experiment(model, f, f, SolverOptions(),
                                              tol=1e-6)
         assert verdict.max_excess <= 1e-6
+
+    def test_a_solve_that_does_not_converge_raises(self):
+        mesh = build_interval(0, 1, 48)
+        model = EnergyModel(mesh, exponent_field(mesh, "2+x", r=1.5))
+        with pytest.raises(RuntimeError,
+                           match="comparison solve did not converge"):
+            weak_comparison_experiment(
+                model, constant_field(mesh, 1.0), interpolate(mesh, "1+x"),
+                SolverOptions(max_iters=1), tol=1e-6)

@@ -6,7 +6,7 @@ from pxlaplace.energy import (KirchhoffTerm, power_absorption, power_reaction,
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import build_interval, build_rectangle, constant_field, \
     interpolate
-from pxlaplace.problems import (ProblemSpec, sharpness_regime,
+from pxlaplace.problems import (ProblemSpec, _regime, sharpness_regime,
                                 validate_corollary_chain, validate_f,
                                 validate_g, validate_M)
 
@@ -157,8 +157,25 @@ class TestSharpnessRegime:
         tag = sharpness_regime(self.spec_for(mesh, "2", 1.6, "1.2+0.8*x"))
         assert tag.name == "unclassified"
 
+    def test_a_source_is_refused_and_has_no_regime(self, mesh):
+        spec = ProblemSpec("problem1", mesh, exponent_field(mesh, 2.0, r=1.5),
+                           source_reaction(constant_field(mesh, 1.0)))
+        with pytest.raises(ValueError,
+                           match="sharpness classification needs a power"):
+            sharpness_regime(spec)
+        assert _regime(spec) is None
+
+    def test_the_regime_of_a_power_reaction_is_its_tag(self, mesh):
+        spec = self.spec_for(mesh, "2+x", 2.0, "1.5")
+        assert _regime(spec) == sharpness_regime(spec)
+
 
 class TestProblemSpec:
+    def test_unknown_kind_is_refused(self, mesh):
+        exponent = exponent_field(mesh, 2.0, r=1.5)
+        with pytest.raises(ValueError, match="unknown problem kind 'problem3'"):
+            ProblemSpec("problem3", mesh, exponent, power(mesh, "1", "1.2"))
+
     def test_problem2_requires_absorption(self, mesh):
         exponent = exponent_field(mesh, 2.0, r=1.8)
         with pytest.raises(ValueError, match="absorption"):

@@ -1186,6 +1186,27 @@ class TestUniqueness:
         # distinct eigenray multiples: large spread relative to the scale
         assert rep.max_pairwise_distance > 0.1 * rep.solution_scale
 
+    @pytest.mark.parametrize("mesh", [build_interval(0, 1, 32),
+                                      build_rectangle(0, 1, 0, 1, 8, 8)],
+                             ids=["1d", "2d"])
+    def test_source_reaction_gets_a_verdict(self, mesh):
+        # a source has no regime tag; solve runs it, and so does the probe
+        spec = ProblemSpec("problem1", mesh, exponent_field(mesh, "2+x", r=1.5),
+                           source_reaction(constant_field(mesh, 1.0)))
+        rep = uniqueness_experiment(spec, SolverOptions(), n_inits=3, seed=5,
+                                    tol=1e-8)
+        assert rep.regime is None
+        assert not rep.expected_multiplicity
+        assert rep.n_runs == 4 and rep.all_converged
+        assert rep.passed is True
+        assert rep.max_pairwise_distance <= 1e-8
+
+
+def test_weak_residual_needs_a_zero_trace():
+    spec = problem1_spec(n=16)
+    with pytest.raises(ValueError, match="weak_residual needs a zero-trace"):
+        weak_residual(constant_field(spec.mesh, 1.0), spec)
+
 
 class TestHopfDiagnostic:
     def test_parabola_quotient(self):

@@ -16,7 +16,12 @@ finds no Armijo step or a stage ends on a frozen iterate), each on one line with
 and the sha256 of the solution.  After the ``solve-2d`` cases come, in
 the same format, the weighted-flux solves the benchmark lacks
 (``WEIGHTED_SOLVES``: problem1 under the weighted-quadratic flux of
-weights 1+x and 2-y on the unit square).  After the ``eigen`` cases
+weights 1+x and 2-y on the unit square).  Each of the two solve
+workloads then adds, in the same format, its source-reaction solves
+(``SOURCE_SOLVES``: problem1 with the source h = 1+x, which no bench
+case solves), and ``solve-1d`` one more line with the verdict of the
+r = 1 weak-comparison experiment (``COMPARISON``): the hex of
+``max_excess``, the two flags and the notes.  After the ``eigen`` cases
 come the eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on 1D
 and 2D meshes, a non-square 2D r = 2 mesh), each on one line with the
 hex of lambda and the sha256 of phi, or the message of the error the
@@ -96,6 +101,20 @@ EXTRA_EIGEN = (
 WEIGHTED_SOLVES = (("weighted-8x8", 8), ("weighted-16x16", 16))
 
 
+# (workload, name, mesh, r): problem1 with p = 2+x and the source
+# reaction h = 1+x, solved by ``solver.solve`` at the default options;
+# override is set because at r = 1 the source fails (f2)
+SOURCE_SOLVES = (
+    ("solve-1d", "source-r1-n64", _grid.build_interval(0, 1, 64), 1.0),
+    ("solve-1d", "source-r1.5-n64", _grid.build_interval(0, 1, 64), 1.5),
+    ("solve-2d", "source-r1.5-12x12",
+     _grid.build_rectangle(0, 1, 0, 1, 12, 12), 1.5),
+)
+# (name, cells of the 1D mesh): weak comparison at p = 2+x and r = 1 of
+# the data f1 = 1 <= f2 = 1+x, whose model solves the source f u^0
+COMPARISON = ("comparison-r1-n64", 64)
+
+
 def _solve_line(rep) -> str:
     """``converged``, iterations, stage exits, energy hex and solution
     sha256 of one solve report."""
@@ -135,6 +154,28 @@ def extra_solve_bits(p: str, n: int, init: str, seed: int) -> str:
     return _solve_line(rep)
 
 
+def source_solve_bits(mesh, r: float) -> str:
+    """The report of one ``SOURCE_SOLVES`` case."""
+    spec = workloads.problems.ProblemSpec(
+        "problem1", mesh, workloads.exponent_field(mesh, workloads.P, r),
+        workloads.energy.source_reaction(_grid.interpolate(mesh, "1+x")))
+    return _solve_line(workloads.solver.solve(
+        spec, workloads.solver.SolverOptions(), override=True))
+
+
+def comparison_bits(n: int) -> str:
+    """The verdict of the ``COMPARISON`` experiment."""
+    mesh = _grid.build_interval(0, 1, n)
+    model = workloads.energy.EnergyModel(
+        mesh, workloads.exponent_field(mesh, workloads.P, 1.0))
+    v = workloads.inequality.weak_comparison_experiment(
+        model, _grid.interpolate(mesh, "1"), _grid.interpolate(mesh, "1+x"),
+        workloads.solver.SolverOptions(), tol=1e-8)
+    return (f"max_excess {v.max_excess.hex()} hypothesis_ok "
+            f"{v.hypothesis_ok} conclusion_ok {v.conclusion_ok} "
+            f"notes {'|'.join(v.notes)}")
+
+
 def extra_eigen_bits(mesh, r: float) -> str:
     """lambda's hex and phi's sha256 of one ``EXTRA_EIGEN`` case, or the
     message of the ``ValueError`` it raises."""
@@ -167,6 +208,12 @@ def main(argv) -> int:
         if name == "solve-2d":
             for case_name, n in WEIGHTED_SOLVES:
                 print(name, case_name, weighted_solve_bits(n), flush=True)
+        for workload, case_name, mesh, r in SOURCE_SOLVES:
+            if workload == name:
+                print(name, case_name, source_solve_bits(mesh, r), flush=True)
+        if name == "solve-1d":
+            print(name, COMPARISON[0], comparison_bits(COMPARISON[1]),
+                  flush=True)
         if name == "eigen":
             for case_name, mesh, r in EXTRA_EIGEN:
                 print(name, case_name, extra_eigen_bits(mesh, r), flush=True)
