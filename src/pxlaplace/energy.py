@@ -202,7 +202,8 @@ def _F_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Derivative of ``_F_cells`` in u, for positive h.
+    """Derivative of ``_F_cells`` in u, for positive h; h and q broadcast
+    against u as they do there.
 
     h u^(q-1) is formed where u > 0 by one masked power; elsewhere it
     stays zero, and zero times the positive h stays zero.
@@ -212,6 +213,7 @@ def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
     # s = 0 with q = 1 gives h * 0^0 = h, matching the power rule literally
     zero = u == 0
     if zero.any():
+        h, q = np.broadcast_to(h, u.shape), np.broadcast_to(q, u.shape)
         out[zero] = np.where(q[zero] == 1.0, h[zero], 0.0)
     return out
 
@@ -312,7 +314,10 @@ def dirichlet_part(u: NodeField, model: EnergyModel,
     _on_mesh(model.mesh, u)
     p = model.p_cells
     s = eps * eps + _quad_form(model.w_cells, _field_gradient(u))
-    return integrate((s ** (p / 2.0) - eps ** p) / p, model.mesh)
+    s **= p / 2.0
+    if eps:  # at eps = 0 the subtracted eps^p is an exact zero
+        s -= eps ** p
+    return integrate(s / p, model.mesh)
 
 
 def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,

@@ -53,7 +53,20 @@ step costs one matrix-vector product per trial and one band solve with
 K's factor, built once per call.  Other r go through the energy layer:
 one field of each iterate serves the gradient and the metric, which is
 factored at every step and never assembled as a CSR matrix.  At r = 2
-it stops at ``EIGEN_MAX_ITERS`` on every mesh measured.
+a step runs two kernels, the product per trial and one band solve.
+The gradient is the quotient's, r/den times the Dirichlet part's less
+lam times the denominator's, and the metric the Dirichlet part's Newton
+metric, so on the high frequencies the full step is r times the
+quotient's Newton step and overshoots by a factor r - 1.  For r > 2
+the metric carries the factor r/den, and the full step is the
+quotient's Newton step (1D r = 3 n = 256: 10 steps instead of 34; r = 4
+no longer meets the cap).  r < 2 keeps the unscaled metric, whose
+overshoot r - 1 < 1 contracts (scaled, 1D r = 1.5 n = 256 made 141
+band solves instead of 23, while 1D r = 1.8 and 2D r = 1.5 made fewer).
+At r = 2 the overshoot factor r - 1 = 1 never contracts the high
+frequencies, so the descent stops at ``EIGEN_MAX_ITERS`` on every mesh
+measured; the step scaled by den/2 would be plain inverse iteration,
+which moves the pinned r = 2 eigenvalues.
 
 The module does not import scipy: ``sp`` (``scipy.sparse``), ``spla``
 (``scipy.sparse.linalg``) and ``lapack`` (``scipy.linalg.lapack``) are
@@ -472,14 +485,26 @@ def first_eigenpair(mesh: Mesh, r: float):
 
     One loop serves every r; only its setup depends on r, and supplies
     ``quotient(w) -> (num, den, carry)`` and ``step(carry, lam, den) ->
-    (gradient, factor)``, where ``factor()`` returns the metric's band
-    Cholesky factor and is called only when a step is taken.  At r = 2 the
-    carry is the product [Kw; Bw] with the interior stiffness K (the
-    Newton metric at p = 2) and the one-point mass B, and the metric is K,
+    (minus the gradient, factor)``, where ``factor()`` returns the
+    metric's band Cholesky factor and is called only when a step is
+    taken.  A step evaluates the quotient once per trial and makes one
+    ``dpbtrs``, with no other pass over the vectors.  At r = 2 the carry
+    is the product [Kw; Bw] with the interior stiffness K (the Newton
+    metric at p = 2) and the one-point mass B, and the metric is K,
     factored once.  For r != 2 the carry is the nodal values, and one
     field of them serves the gradient (r/den times the problem-1 gradient
     with p = q = r and h = lam) and the metric (the Newton metric of the
     Dirichlet part, without the -lam |u|^(r-2) term of the denominator).
+
+    The scale rule: for r > 2 the metric is multiplied by the gradient's
+    factor r/den, so t = 1 is the quotient's Newton step.  Without it the
+    full step overshoots the high frequencies by a factor r - 1 > 1: at
+    r = 3 every step halves, and at r = 4 they never contract and the
+    descent meets the cap.  r < 2 keeps the unscaled metric (overshoot
+    r - 1 < 1, which contracts).  At r = 2 the overshoot factor is
+    r - 1 = 1, so the high frequencies never contract and the descent
+    stops at ``EIGEN_MAX_ITERS``; the step scaled by den/2 would be
+    inverse iteration, which moves the pinned r = 2 eigenvalues.
     """
     if not r > 1:
         raise ValueError("need r > 1")
@@ -516,7 +541,7 @@ def first_eigenpair(mesh: Mesh, r: float):
             return float(w @ y[0]), float(w @ y[1]), y
 
         def step(y: np.ndarray, lam: float, den: float) -> tuple:
-            return (y[0] - lam * y[1]) * (2.0 / den), lambda: chol
+            return (lam * y[1] - y[0]) * (2.0 / den), lambda: chol
     else:
         def quotient(w: np.ndarray) -> tuple:
             return rayleigh(np.bincount(interior, w, mesh.n_nodes))
@@ -528,24 +553,31 @@ def first_eigenpair(mesh: Mesh, r: float):
             field = NodeField(mesh, v)
             eigen = replace(model, reaction=ReactionTerm(
                 "power", constant_field(mesh, lam), exponent.values))
-            g = gateaux_gradient(eigen, field).values[interior] * (r / den)
-            return g, lambda: _band_cholesky(mesh, _interior_matrix(
-                model, field, EIGEN_EPS))
+            g = gateaux_gradient(eigen, field).values[interior] * (-r / den)
+
+            def factor():
+                loc = _interior_matrix(model, field, EIGEN_EPS)
+                if r > 2:  # the quotient's Newton scale
+                    loc *= r / den
+                return _band_cholesky(mesh, loc)
+            return g, factor
 
     u = _bump_profile(mesh)[interior]
     u = u / quotient(u)[1] ** (1.0 / r)
     num, den, y = quotient(u)
     for _ in range(EIGEN_MAX_ITERS):
         lam = num / den
-        g, factor = step(y, lam, den)
+        g, factor = step(y, lam, den)  # g is minus the gradient
         if np.abs(g).max() <= EIGEN_TOL * max(1.0, lam):
             break
-        d = __getattr__("lapack").dpbtrs(factor(), -g, lower=1)[0]
+        d = __getattr__("lapack").dpbtrs(factor(), g, lower=1,
+                                         overwrite_b=1)[0]
 
         t = 1.0
         while t > 1e-16:
-            trial = np.abs(u + t * d)
-            n2, d2, y2 = quotient(trial)
+            trial = t * d
+            trial += u
+            n2, d2, y2 = quotient(np.abs(trial, out=trial))
             if d2 > 0 and n2 / d2 < lam:
                 break
             t *= SHRINK
@@ -553,7 +585,9 @@ def first_eigenpair(mesh: Mesh, r: float):
             break  # no decrease down to t = 1e-16
         # renormalized, the accepted trial has the quotient (n2 / d2) / 1
         scale = d2 ** (1.0 / r)
-        u, y = trial / scale, y2 / scale
+        trial /= scale
+        y2 /= scale
+        u, y = trial, y2
         num, den = n2 / d2, 1.0
 
     u = np.bincount(interior, u, mesh.n_nodes)  # zero on the boundary

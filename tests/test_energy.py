@@ -77,6 +77,23 @@ class TestPotentials:
         got = _f_cells(u, h, q)
         assert [x.hex() for x in got] == [x.hex() for x in expected]
 
+    def test_f_cells_takes_stacked_fields_with_zeros(self):
+        # like _F_cells, the cell arrays h and q broadcast against a u
+        # that stacks several fields; an exact 0 in either row (q = 1 on
+        # some of its cells, q != 1 on others) gives each row's own bits
+        rng = np.random.default_rng(9)
+        n = 40
+        u = rng.uniform(-1.0, 2.0, (2, n))
+        u[0, ::4] = 0.0
+        u[1, 1::3] = 0.0
+        q = rng.uniform(1.0, 3.0, n)
+        q[::2] = 1.0
+        h = rng.uniform(0.1, 5.0, n)
+        got = _f_cells(u, h, q)
+        assert got.shape == u.shape
+        for k in range(2):
+            assert got[k].tobytes() == _f_cells(u[k], h, q).tobytes()
+
     def test_M_hat_identity_scale(self):
         term = saturating_kirchhoff(1.0, 1.0)
         assert M_hat(term, 5.0) == 5.0

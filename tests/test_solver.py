@@ -1036,11 +1036,40 @@ class TestFirstEigenpair:
         (build_interval(0, 1, 16), 3.0),
     ], ids=["2d-6x5-r2", "1d-n16-r3"])
     def test_non_finite_step_raises(self, monkeypatch, mesh, r):
-        # a NaN direction makes every trial NaN, which the quotient refuses
-        self._lapack_stand_in(
-            monkeypatch, lambda c, b, **kw: (np.full_like(b, np.nan), 0))
-        with pytest.raises(ValueError, match="field values must be finite"):
-            first_eigenpair(mesh, r)
+        # a NaN direction makes every trial NaN, and a +inf direction
+        # every trial +inf; the quotient refuses both
+        for bad in (np.nan, np.inf):
+            self._lapack_stand_in(monkeypatch, lambda c, b, **kw: (
+                np.full_like(b, bad), 0))
+            with pytest.raises(ValueError,
+                               match="field values must be finite"):
+                first_eigenpair(mesh, r)
+
+    @pytest.mark.parametrize("mesh,capped", [
+        (build_interval(0, 1, 16), 74.20817252661486),
+        (build_rectangle(0, 1, 0, 1, 6, 6), 234.49380226000812),
+    ], ids=["1d-n16", "2d-6x6"])
+    def test_r4_steps_at_the_quotients_newton_scale(self, monkeypatch, mesh,
+                                                    capped):
+        # for r > 2 the metric carries the gradient's factor r/den, so the
+        # full step is the quotient's Newton step.  Unscaled, it overshoots
+        # the high frequencies by r - 1 = 3, they never contract, and the
+        # descent stopped at EIGEN_MAX_ITERS (400 band solves) at the
+        # capped values; every Rayleigh value bounds lam_1 from above, so
+        # the converged one is lower
+        calls = self._lapack_stand_in(monkeypatch)
+        lam, _ = first_eigenpair(mesh, 4.0)
+        assert calls["dpbtrs"] < 50
+        assert lam < capped
+
+    @pytest.mark.parametrize("mesh,pin", [
+        (build_interval(0, 1, 64), "0x1.548398db573c0p+2"),
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), "0x1.107dde90b6ceep+3"),
+    ], ids=["1d-n64", "2d-6x5"])
+    def test_r_below_two_keeps_its_step_bitwise(self, mesh, pin):
+        # r < 2 keeps the unscaled metric: its lam is pinned to the bit
+        lam, _ = first_eigenpair(mesh, 1.5)
+        assert lam.hex() == pin
 
     def test_singular_metric_raises(self):
         # at r = 1.01 the metric weight (eps^2 + |grad u|^2)^(-0.495)

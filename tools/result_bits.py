@@ -23,9 +23,9 @@ case solves), and ``solve-1d`` one more line with the verdict of the
 r = 1 weak-comparison experiment (``COMPARISON``): the hex of
 ``max_excess``, the two flags and the notes.  After the ``eigen`` cases
 come the eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on 1D
-and 2D meshes, a non-square 2D r = 2 mesh), each on one line with the
-hex of lambda and the sha256 of phi, or the message of the error the
-call raises.  Diffing the output of two
+and 2D meshes, r = 4 included, a non-square 2D r = 2 mesh), each on one
+line with the hex of lambda and the sha256 of phi, or the message of the
+error the call raises.  Diffing the output of two
 checkouts shows whether their results, whole fields included, are
 bitwise equal.  The package is imported from the ``src/``
 next to this script; nothing under ``bench/`` is changed.
@@ -92,6 +92,8 @@ EXTRA_EIGEN = (
     ("eig-2d-r1.5-12x7", _grid.build_rectangle(0, 2, 0, 1, 12, 7), 1.5),
     ("eig-2d-r2-33x17", _grid.build_rectangle(0, 1, 0, 1, 33, 17), 2.0),
     ("eig-2d-r1.01-8x8", _grid.build_rectangle(0, 1, 0, 1, 8, 8), 1.01),
+    ("eig-1d-r4-n64", _grid.build_interval(0, 1, 64), 4.0),
+    ("eig-2d-r4-8x8", _grid.build_rectangle(0, 1, 0, 1, 8, 8), 4.0),
 )
 
 
