@@ -40,13 +40,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnisotropyModel:
-    """Integrand family member: kind, exponent data and optional weights.
+    """Integrand family member: exponent data and optional weights.
 
     Weights, when given, are one positive ``NodeField`` per space
     dimension on the exponent's mesh (``ValueError`` otherwise).
     """
 
-    kind: str  # "isotropic" | "weighted-quadratic"
     exponent: ExponentField
     weights: tuple | None = None
 
@@ -83,12 +82,12 @@ class AnisotropyModel:
 
 
 def isotropic(exponent: ExponentField) -> AnisotropyModel:
-    return AnisotropyModel("isotropic", exponent)
+    return AnisotropyModel(exponent)
 
 
 def weighted_quadratic(exponent: ExponentField, weights) -> AnisotropyModel:
     """Weighted-quadratic model; the constructor checks the weights."""
-    return AnisotropyModel("weighted-quadratic", exponent, tuple(weights))
+    return AnisotropyModel(exponent, tuple(weights))
 
 
 # -- vectorized kernels over component-major (dimension, k) arrays ----------

@@ -340,20 +340,19 @@ def _cmd_eig(cfg, args) -> int:
 
 def _cmd_validate(cfg, args) -> int:
     """The solver's hypothesis table, plus the corollary chain of a
-    power-reaction problem2 and the regime of a power reaction."""
+    problem2 and the regime of every problem."""
     spec = _build_problem(cfg, _build_mesh(cfg, args))
     reports = solver.hypotheses(spec)
-    if spec.reaction.kind == "power" and spec.kind == "problem2":
+    if spec.kind == "problem2":
         reports["corollary_chain"] = problems.validate_corollary_chain(
             spec.reaction.q, spec.absorption.Q, spec.exponent.r,
             spec.exponent)
     out = {key: rep.as_dict() for key, rep in reports.items()}
     ok = all(rep.passed for rep in reports.values())
-    tag = problems._regime(spec)
-    if tag is not None:
-        out["regime"] = {"name": tag.name,
-                         "frac_p_above_r": tag.frac_p_above_r,
-                         "frac_q_below_r": tag.frac_q_below_r}
+    tag = problems.sharpness_regime(spec)
+    out["regime"] = {"name": tag.name,
+                     "frac_p_above_r": tag.frac_p_above_r,
+                     "frac_q_below_r": tag.frac_q_below_r}
     out["passed"] = ok
     _dump_report(args, cfg, "validation.json", out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED

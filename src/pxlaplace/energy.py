@@ -65,14 +65,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReactionTerm:
-    """f(x, s) = h(x) s^(q(x)-1) for s >= 0 (kind "power"), or the
-    s-independent source f(x, s) = h(x) (kind "source"); zero for s < 0.
+    """f(x, s) = h(x) s^(q(x)-1) for s >= 0, zero for s < 0.
 
-    A source is the power term with q = 1: given no q, the term takes
-    the field of ones on h's mesh, and only the validators read ``kind``.
+    A source f(x, s) = h(x) is the power term with q = 1: given no q, the
+    term takes the field of ones on h's mesh.
     """
 
-    kind: str  # "power" | "source"
     h: NodeField
     q: NodeField | None = None
 
@@ -105,13 +103,13 @@ def power_reaction(h: NodeField, q: NodeField) -> ReactionTerm:
         raise ValueError("reaction coefficient h must be positive")
     if q.values.min() < 1:
         raise ValueError("reaction exponent q must be >= 1")
-    return ReactionTerm("power", h, q)
+    return ReactionTerm(h, q)
 
 
 def source_reaction(h: NodeField) -> ReactionTerm:
     if h.values.min() <= 0:
         raise ValueError("source h must be positive")
-    return ReactionTerm("source", h)
+    return ReactionTerm(h)
 
 
 def power_absorption(ell: NodeField, Q: NodeField) -> AbsorptionTerm:

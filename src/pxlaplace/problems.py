@@ -76,31 +76,23 @@ def _extrema(f: NodeField) -> tuple:
 
 
 def validate_f(term: ReactionTerm, r: float) -> ValidationReport:
-    """Hypotheses on the reaction term, decided in closed form.
+    """Hypotheses on the reaction f = h s^(q-1), decided in closed form.
 
-    (f1) nonnegativity with f(x, 0) = 0;
+    (f1) f nonnegative and positive for s > 0: h > 0 nodewise;
     (f2) s -> f(x, s)/s^(r-1) strictly decreasing at every node;
     (f3) that quotient tends to +infinity at 0 and to 0 at infinity,
          uniformly in x.
 
-    For the power kind these reduce to q > 1 nodewise, q < r nodewise,
-    and q_plus < r; for the plain source kind (f2) needs r > 1 and (f3)
-    holds iff r > 1.
+    (f1) allows f(x, 0) = h >= 0, as a source (q = 1) has: uniqueness
+    needs only that f(x, s)/s^(r-1) decreases (Diaz and Saa, C. R. Acad.
+    Sci. Paris 305, 1987), which a source meets.  (f2) and (f3) reduce to
+    q_plus < r, that is r > 1 for a source.
     """
     report = ValidationReport()
     h_min = float(term.h.values.min())
-    if term.kind == "source":
-        report.add("f1", PASS if h_min > 0 else FAIL, f"h_min = {h_min}")
-        report.add("f2", PASS if r > 1 else FAIL,
-                   "f/s^(r-1) = h s^(1-r)" + ("" if r > 1 else " is constant"))
-        report.add("f3", PASS if r > 1 else FAIL, f"r = {r}")
-        return report
-
     q_minus, q_plus = _extrema(term.q)
-    f1_ok = h_min > 0 and q_minus > 1
-    report.add("f1", PASS if f1_ok else FAIL,
-               f"h_min = {h_min}, q_min = {q_minus}"
-               + ("" if q_minus > 1 else " (f(x,0) = h at q = 1)"))
+    report.add("f1", PASS if h_min > 0 else FAIL,
+               f"h_min = {h_min}, q_min = {q_minus}")
     if q_plus < r:
         report.add("f2", PASS, f"q_plus = {q_plus} < r = {r}")
     else:
@@ -206,7 +198,7 @@ class RegimeTag:
 
 
 def sharpness_regime(spec: ProblemSpec) -> RegimeTag:
-    """Classify a power-reaction instance by its uniqueness mechanism.
+    """Classify an instance by its uniqueness mechanism.
 
     unique-full:       q_plus < r <= p_minus, quotient strictly decreasing
                        everywhere;
@@ -216,10 +208,9 @@ def sharpness_regime(spec: ProblemSpec) -> RegimeTag:
     degenerate-eigen:  q = r = p constant (eigenvalue-type instance);
     unclassified:      anything else.
 
+    A source is the power term with q = 1, so it is classified too.
     Fractions are measured at quadrature points.
     """
-    if spec.reaction.kind != "power":
-        raise ValueError("sharpness classification needs a power reaction")
     exp = spec.exponent
     r = exp.r
     p_cells = exp.cellwise()
@@ -242,9 +233,3 @@ def sharpness_regime(spec: ProblemSpec) -> RegimeTag:
     else:
         name = "unclassified"
     return RegimeTag(name, frac_p, frac_q)
-
-
-def _regime(spec: ProblemSpec) -> RegimeTag | None:
-    """The regime tag of a power reaction; None for a source, which the
-    classification does not cover."""
-    return sharpness_regime(spec) if spec.reaction.kind == "power" else None

@@ -94,10 +94,8 @@ from .grid import (Mesh, NodeField, _basis_pairing, _field_gradient,
                    _band, _gradient, _on_mesh, assemble, cell_average,
                    constant_field, integrate, interior_plan)
 from .inequality import diaz_saa_gap
-# sharpness_regime is called through _regime; it stays a module attribute
-# because bench/tracing.py wraps it as one of the solver's validators
-from .problems import ProblemSpec, _regime, build_energy_model, \
-    sharpness_regime, validate_f, validate_g, validate_M  # noqa: F401
+from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
+    validate_f, validate_g, validate_M
 
 __all__ = [
     "SolverOptions",
@@ -451,16 +449,14 @@ def solve(spec: ProblemSpec, opts: SolverOptions,
     """Solve the problem ``spec`` describes by energy minimization.
 
     A failure of any of its ``hypotheses`` raises ValueError unless
-    ``override`` is set.  The report carries the regime tag of
-    power-reaction instances.
+    ``override`` is set.  The report carries the regime tag.
     """
     bad = [e for rep in hypotheses(spec).values() for e in rep.failures()]
     if bad and not override:
         raise ValueError("hypotheses fail: "
                          + "; ".join(f"{e.name}: {e.witness}" for e in bad))
     report = minimize_energy(build_energy_model(spec), opts)
-    tag = _regime(spec)
-    return replace(report, regime=None if tag is None else tag.name)
+    return replace(report, regime=sharpness_regime(spec).name)
 
 
 # one entry point serves every kind; the per-kind names stay for callers
@@ -552,7 +548,7 @@ def first_eigenpair(mesh: Mesh, r: float):
             # term skips power_reaction's checks
             field = NodeField(mesh, v)
             eigen = replace(model, reaction=ReactionTerm(
-                "power", constant_field(mesh, lam), exponent.values))
+                constant_field(mesh, lam), exponent.values))
             g = gateaux_gradient(eigen, field).values[interior] * (-r / den)
 
             def factor():
@@ -607,7 +603,7 @@ class UniquenessReport:
     n_runs: int
     all_converged: bool
     all_positive: bool
-    regime: str | None  # None for a source reaction
+    regime: str
     expected_multiplicity: bool
     passed: bool | None  # None when inconclusive or multiplicity expected
 
@@ -621,10 +617,9 @@ def uniqueness_experiment(spec: ProblemSpec, opts: SolverOptions,
     positive solutions, together with the operator-difference gap of each
     pair (near zero at a common solution).  In the eigenvalue-degenerate
     regime multiplicity is expected and no verdict is issued.  A source
-    reaction has no regime tag (``regime`` is None) and gets a verdict.
+    is classified as the power term with q = 1.
     """
-    tag = _regime(spec)
-    regime = None if tag is None else tag.name
+    regime = sharpness_regime(spec).name
     model = build_energy_model(spec)
     runs = [minimize_energy(model, replace(opts, init="bump"))]
     for k in range(n_inits):

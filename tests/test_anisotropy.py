@@ -201,7 +201,7 @@ class TestHypothesisA:
         mesh = build_rectangle(0, 1, 0, 1, 2, 2)
         exp = exponent_field(mesh, 2.0, r=2.0)
         with pytest.raises(ValueError, match="positive"):
-            AnisotropyModel("weighted-quadratic", exp, (
+            AnisotropyModel(exp, (
                 constant_field(mesh, 4.0), constant_field(mesh, 0.0)))
 
     def test_factory_rejects_nonpositive_weight(self):
@@ -231,7 +231,7 @@ class TestHypothesisA:
         other = build_rectangle(0, 2, 0, 3, 8, 8)
         exp = exponent_field(mesh, "2+x", r=1.5)
         with pytest.raises(ValueError, match="weight sampled on a different"):
-            AnisotropyModel("weighted-quadratic", exp, (
+            AnisotropyModel(exp, (
                 interpolate(other, "1+x"), interpolate(other, "2-y")))
 
     @pytest.mark.parametrize("count", [1, 3])
@@ -239,8 +239,7 @@ class TestHypothesisA:
         mesh = build_rectangle(0, 1, 0, 1, 2, 2)
         exp = exponent_field(mesh, 2.0, r=2.0)
         with pytest.raises(ValueError, match="one weight field per"):
-            AnisotropyModel("weighted-quadratic", exp,
-                            (constant_field(mesh, 1.0),) * count)
+            AnisotropyModel(exp, (constant_field(mesh, 1.0),) * count)
 
 
 class TestNStrictConvexity:

@@ -352,12 +352,29 @@ class TestValidateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] and report["regime"]["name"] == "unique-partial-d"
 
-    def test_source_has_no_regime(self, tmp_path, capsys):
+    def test_source_gets_a_regime(self, tmp_path, capsys):
+        # a source is the power term with q = 1 < r, and p = r everywhere
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(_SOURCE))
         assert run_command(["validate", "--config", str(cfg)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["passed"] and "regime" not in report
+        assert report["passed"]
+        assert report["regime"] == {"name": "unique-partial-d",
+                                    "frac_p_above_r": 0.0,
+                                    "frac_q_below_r": 1.0}
+
+    def test_source_problem2_gets_the_chain_and_a_regime(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            **BASE, "exponent": {"p": "2+x", "r": 1.5},
+            "problem": {"kind": "problem2", "h": "1", "ell": "1", "Q": "2"}}))
+        assert run_command(["validate", "--config", str(cfg)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] and report["corollary_chain"]["passed"]
+        assert [e["name"] for e in report["corollary_chain"]["entries"]] \
+            == ["1 <= q_minus", "q_plus < r", "r < p_minus", "r <= Q_minus"]
+        assert report["regime"]["name"] == "unique-full"
 
     def test_forced_check_failure(self, tmp_path, capsys):
         # q = r makes the subhomogeneity hypothesis fail
@@ -583,8 +600,8 @@ def test_input_error_exits_2(tmp_path, capsys, argv, config, message):
 
 
 @pytest.mark.parametrize("argv,config,expected", [
-    (["solve", "--seed", "1"], _SOURCE, '"regime": null'),
-    (["validate"], _SOURCE, '"witness": "f/s^(r-1) = h s^(1-r)"'),
+    (["solve", "--seed", "1"], _SOURCE, '"regime": "unique-partial-d"'),
+    (["validate"], _SOURCE, '"witness": "h_min = 1.0, q_min = 1.0"'),
     # without --quiet the sweep prints its table
     (["sweep", "--seed", "1"],
      {**BASE, "sweep": {"parameter": "problem.h_scale", "values": [1.0]}},

@@ -154,7 +154,6 @@ class TestSourceIsThePowerTermWithQOne:
     def test_a_source_takes_the_field_of_ones(self):
         mesh = build_interval(0, 1, 8)
         term = source_reaction(interpolate(mesh, "1+x"))
-        assert term.kind == "source"
         assert term.q.mesh is mesh
         assert np.all(term.q.values == 1.0)
 

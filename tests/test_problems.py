@@ -6,7 +6,7 @@ from pxlaplace.energy import (KirchhoffTerm, power_absorption, power_reaction,
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import build_interval, build_rectangle, constant_field, \
     interpolate
-from pxlaplace.problems import (ProblemSpec, _regime, sharpness_regime,
+from pxlaplace.problems import (ProblemSpec, sharpness_regime,
                                 validate_corollary_chain, validate_f,
                                 validate_g, validate_M)
 
@@ -43,6 +43,22 @@ class TestValidateF:
         rep = validate_f(source_reaction(constant_field(mesh, 1.0)), r=1.5)
         assert rep["f2"].status == "pass"
         assert rep["f3"].status == "pass"
+
+    @pytest.mark.parametrize("r", [1.0, 1.5, 3.0])
+    def test_a_source_and_the_power_term_with_q_one_get_one_verdict(
+            self, mesh, r):
+        h = interpolate(mesh, "1+x")
+        source = validate_f(source_reaction(h), r)
+        power_q1 = validate_f(power_reaction(h, constant_field(mesh, 1.0)), r)
+        assert source.as_dict() == power_q1.as_dict()
+        assert source.passed == (r > 1)
+
+    def test_q_one_at_a_node_passes_f1(self, mesh):
+        # f(x, 0) = h at x = 0 is allowed: f/s^(r-1) still decreases
+        rep = validate_f(power(mesh, "1", "1+x"), r=2.5)
+        assert rep["f1"].status == "pass"
+        assert rep["f1"].witness == "h_min = 1.0, q_min = 1.0"
+        assert rep.passed
 
     def test_outcome_depends_only_on_exponent_extrema(self, mesh):
         rng = np.random.default_rng(83)
@@ -157,17 +173,22 @@ class TestSharpnessRegime:
         tag = sharpness_regime(self.spec_for(mesh, "2", 1.6, "1.2+0.8*x"))
         assert tag.name == "unclassified"
 
-    def test_a_source_is_refused_and_has_no_regime(self, mesh):
-        spec = ProblemSpec("problem1", mesh, exponent_field(mesh, 2.0, r=1.5),
+    @pytest.mark.parametrize("p,r,name", [
+        ("2+x", 1.5, "unique-full"), ("1.5", 1.5, "unique-partial-d"),
+    ], ids=["full", "partial-d"])
+    def test_a_source_is_classified(self, mesh, p, r, name):
+        spec = ProblemSpec("problem1", mesh, exponent_field(mesh, p, r=r),
                            source_reaction(constant_field(mesh, 1.0)))
-        with pytest.raises(ValueError,
-                           match="sharpness classification needs a power"):
-            sharpness_regime(spec)
-        assert _regime(spec) is None
+        assert sharpness_regime(spec).name == name
 
-    def test_the_regime_of_a_power_reaction_is_its_tag(self, mesh):
-        spec = self.spec_for(mesh, "2+x", 2.0, "1.5")
-        assert _regime(spec) == sharpness_regime(spec)
+    def test_a_source_and_the_power_term_with_q_one_get_one_regime(self,
+                                                                   mesh):
+        exponent = exponent_field(mesh, "2+x", r=1.5)
+        h = interpolate(mesh, "1+x")
+        tags = [sharpness_regime(ProblemSpec("problem1", mesh, exponent, term))
+                for term in (source_reaction(h),
+                             power_reaction(h, constant_field(mesh, 1.0)))]
+        assert tags[0] == tags[1]
 
 
 class TestProblemSpec:

@@ -156,7 +156,7 @@ MESH_RULE_ENTRIES = {
     "EnergyModel": lambda m, u, o: EnergyModel(
         m.mesh, exponent_field(o.mesh, "2+x", r=1.5)),
     "AnisotropyModel": lambda m, u, o: AnisotropyModel(
-        "weighted-quadratic", m.exponent, (o.with_values(1.0 + o.values),)),
+        m.exponent, (o.with_values(1.0 + o.values),)),
     "ProblemSpec": lambda m, u, o: ProblemSpec(
         "problem1", m.mesh, exponent_field(o.mesh, "2+x", r=1.5),
         m.reaction),
@@ -1219,12 +1219,12 @@ class TestUniqueness:
                                       build_rectangle(0, 1, 0, 1, 8, 8)],
                              ids=["1d", "2d"])
     def test_source_reaction_gets_a_verdict(self, mesh):
-        # a source has no regime tag; solve runs it, and so does the probe
+        # a source is the power term with q = 1: q_plus = 1 < r <= p_minus
         spec = ProblemSpec("problem1", mesh, exponent_field(mesh, "2+x", r=1.5),
                            source_reaction(constant_field(mesh, 1.0)))
         rep = uniqueness_experiment(spec, SolverOptions(), n_inits=3, seed=5,
                                     tol=1e-8)
-        assert rep.regime is None
+        assert rep.regime == "unique-full"
         assert not rep.expected_multiplicity
         assert rep.n_runs == 4 and rep.all_converged
         assert rep.passed is True

@@ -2,8 +2,9 @@
 
 Runs each subcommand of ``python -m pxlaplace`` once, in a temporary
 directory, on the config of the README's command-line section (with a
-``sweep`` block added), the two checks also on a weighted rectangle, and
-then each demo.  For every run it prints the exit code, the sha256 of
+``sweep`` block added), the two checks also on a weighted rectangle,
+``validate`` also on that config without ``q`` (a source), and then each
+demo.  For every run it prints the exit code, the sha256 of
 stdout and the sha256 of each file the run wrote, one line each, sorted
 by file name.  Output files go to the config's ``output.dir``, or to
 ``--out`` where the run passes it.  The package is imported from the
@@ -34,6 +35,9 @@ README_CONFIG = {
     "sweep": {"parameter": "problem.h_scale", "values": [0.5, 1, 2]},
 }
 
+# the README config without q: the source f = h, the power term with q = 1
+SOURCE_CONFIG = dict(README_CONFIG, problem={"kind": "problem1", "h": "1"})
+
 # a 2D instance for the checks: a rectangle with weighted anisotropy
 RECTANGLE_CONFIG = dict(
     README_CONFIG,
@@ -62,6 +66,7 @@ RUNS = {
                             "--seed", "1"], RECTANGLE_CONFIG),
     "check-diaz-saa 2D": (["check-diaz-saa", "--samples", "20",
                            "--seed", "1"], RECTANGLE_CONFIG),
+    "validate source": (["validate"], SOURCE_CONFIG),
 }
 
 

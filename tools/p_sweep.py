@@ -15,7 +15,7 @@ energies of the converged starts, and the hex of the bump's energy.
 The overflow and singular-matrix warnings of the trials are silenced.
 The package is imported from the ``src/`` next to this script.
 
-Usage: python tools/p_sweep.py   (about 2 minutes)
+Usage: python tools/p_sweep.py   (about 30 seconds)
 """
 
 from __future__ import annotations
