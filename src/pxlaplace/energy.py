@@ -203,16 +203,13 @@ def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Derivative of ``_F_cells`` in u, for positive h; h and q broadcast
     against u as they do there.
 
-    h u^(q-1) is formed where u > 0 by one masked power; elsewhere it
+    h u^(q-1) is formed by one masked power, where u > 0 and, for q = 1,
+    where u = 0 (0^0 = 1, the power rule read literally); elsewhere it
     stays zero, and zero times the positive h stays zero.
     """
-    out = np.power(u, q - 1.0, out=np.zeros_like(u), where=u > 0)
+    out = np.power(u, q - 1.0, out=np.zeros_like(u),
+                   where=(u > 0) | ((u == 0) & (q == 1.0)))
     out *= h
-    # s = 0 with q = 1 gives h * 0^0 = h, matching the power rule literally
-    zero = u == 0
-    if zero.any():
-        h, q = np.broadcast_to(h, u.shape), np.broadcast_to(q, u.shape)
-        out[zero] = np.where(q[zero] == 1.0, h[zero], 0.0)
     return out
 
 

@@ -983,20 +983,15 @@ class TestFirstEigenpair:
             dpbtrf=dpbtrf, dpbtrs=dpbtrs))
         return calls
 
-    @pytest.mark.parametrize("mesh,r,tol,factorizations,solves", [
-        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0, solver.EIGEN_TOL, 1, 7),
-        (build_interval(0, 1, 16), 3.0, solver.EIGEN_TOL, 7, 7),
-        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0, 1e300, 1, 0),
-        (build_interval(0, 1, 16), 3.0, 1e300, 0, 0),
-    ], ids=["2d-6x5-r2", "1d-n16-r3", "2d-6x5-r2-tol", "1d-n16-r3-tol"])
+    @pytest.mark.parametrize("mesh,r,factorizations,solves", [
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), 2.0, 1, 7),
+        (build_interval(0, 1, 16), 3.0, 7, 7),
+    ], ids=["2d-6x5-r2", "1d-n16-r3"])
     def test_factorizations_and_solves_per_step(self, monkeypatch, mesh, r,
-                                                 tol, factorizations, solves):
+                                                 factorizations, solves):
         # r = 2 factors K once per call; other r factor the metric at
-        # every step; either way each step makes one band solve.  At a
-        # tolerance every gradient meets, the first stationarity test
-        # breaks, and no metric is factored for that step
+        # every step; either way each step makes one band solve
         monkeypatch.setattr(solver, "EIGEN_MAX_ITERS", 7)
-        monkeypatch.setattr(solver, "EIGEN_TOL", tol)
         calls = self._lapack_stand_in(monkeypatch)
         first_eigenpair(mesh, r)
         assert calls == {"dpbtrf": factorizations, "dpbtrs": solves}
@@ -1007,9 +1002,9 @@ class TestFirstEigenpair:
     ], ids=["1d-n16-r3", "2d-6x5-r1.5"])
     def test_each_step_reads_one_field(self, monkeypatch, mesh, r):
         # for r != 2 a step's gradient and metric read one field, so the
-        # cell gradient it keeps serves both: every step passes the
-        # gradient a field and then passes the metric that same object,
-        # and only a last step that meets the tolerance builds no metric
+        # cell gradient it keeps serves both: every step, the last one
+        # included, passes the gradient a field and then passes the
+        # metric that same object
         calls = []
 
         def recording(name):
@@ -1024,10 +1019,9 @@ class TestFirstEigenpair:
             monkeypatch.setattr(solver, name, recording(name))
         first_eigenpair(mesh, r)
         steps = len(calls) // 2
-        assert steps > 0 and len(calls) - 2 * steps in (0, 1)
+        assert steps > 0 and len(calls) == 2 * steps
         assert [name for name, _ in calls] == (
-            ["gateaux_gradient", "_interior_matrix"] * steps
-            + ["gateaux_gradient"] * (len(calls) - 2 * steps))
+            ["gateaux_gradient", "_interior_matrix"] * steps)
         for k in range(steps):
             assert calls[2 * k][1] is calls[2 * k + 1][1]
 
@@ -1064,12 +1058,35 @@ class TestFirstEigenpair:
 
     @pytest.mark.parametrize("mesh,pin", [
         (build_interval(0, 1, 64), "0x1.548398db573c0p+2"),
-        (build_rectangle(0, 1.5, 0, 1, 6, 5), "0x1.107dde90b6ceep+3"),
+        (build_rectangle(0, 1.5, 0, 1, 6, 5), "0x1.107dde90b6cf1p+3"),
     ], ids=["1d-n64", "2d-6x5"])
     def test_r_below_two_keeps_its_step_bitwise(self, mesh, pin):
         # r < 2 keeps the unscaled metric: its lam is pinned to the bit
         lam, _ = first_eigenpair(mesh, 1.5)
         assert lam.hex() == pin
+
+    def test_stops_on_its_own_step(self, monkeypatch):
+        # 1D r = 3 n = 256 stops when the predicted decrease g . d falls
+        # to 4 ulps of lam, before trying a step; the halving scan down
+        # to t = 1e-16 it ended on before took 67 quotient evaluations
+        calls = []
+        real = solver.dirichlet_part
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "dirichlet_part", counting)
+        lam, _ = first_eigenpair(build_interval(0, 1, 256), 3.0)
+        assert len(calls) <= 15
+        assert lam.hex() == "0x1.c4a3d2c82d931p+4"
+
+    def test_no_first_step_raises(self):
+        # at r = 12 no step from the bump lowers the quotient; returning
+        # the bump's own quotient (5.2e6 against the closed form 5.17e4)
+        # would pass it off as an eigenvalue
+        with pytest.raises(ValueError, match="no step lowers the quotient"):
+            first_eigenpair(build_interval(0, 1, 256), 12.0)
 
     def test_singular_metric_raises(self):
         # at r = 1.01 the metric weight (eps^2 + |grad u|^2)^(-0.495)

@@ -23,9 +23,9 @@ case solves), and ``solve-1d`` one more line with the verdict of the
 r = 1 weak-comparison experiment (``COMPARISON``): the hex of
 ``max_excess``, the two flags and the notes.  After the ``eigen`` cases
 come the eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on 1D
-and 2D meshes, r = 4 included, a non-square 2D r = 2 mesh), each on one
-line with the hex of lambda and the sha256 of phi, or the message of the
-error the call raises.  Diffing the output of two
+and 2D meshes, r = 4 and 12 included, a non-square 2D r = 2 mesh), each
+on one line with the hex of lambda and the sha256 of phi, or the message
+of the error the call raises.  Diffing the output of two
 checkouts shows whether their results, whole fields included, are
 bitwise equal.  The package is imported from the ``src/``
 next to this script; nothing under ``bench/`` is changed.
@@ -84,7 +84,7 @@ EXTRA_SOLVES = (
     ("p40-n32-bump", "40", 32, "bump", 0),
     ("p40-n128-bump", "40", 128, "bump", 0),
 )
-# (name, mesh, r); r = 1.01 raises ValueError
+# (name, mesh, r); r = 1.01 and r = 12 raise ValueError
 EXTRA_EIGEN = (
     ("eig-1d-r1.5-n64", _grid.build_interval(0, 1, 64), 1.5),
     ("eig-2d-r3-8x8", _grid.build_rectangle(0, 1, 0, 1, 8, 8), 3.0),
@@ -94,6 +94,7 @@ EXTRA_EIGEN = (
     ("eig-2d-r1.01-8x8", _grid.build_rectangle(0, 1, 0, 1, 8, 8), 1.01),
     ("eig-1d-r4-n64", _grid.build_interval(0, 1, 64), 4.0),
     ("eig-2d-r4-8x8", _grid.build_rectangle(0, 1, 0, 1, 8, 8), 4.0),
+    ("eig-1d-r12-n256", _grid.build_interval(0, 1, 256), 12.0),
 )
 
 
