@@ -15,6 +15,7 @@ from pxlaplace import (EnergyModel, NodeField, ProblemSpec, SolverOptions,
                        build_interval, constant_field, energy_E,
                        exponent_field, first_eigenpair, power_reaction,
                        solve_problem1)
+from pxlaplace.cli import _richardson
 
 print("=" * 68)
 print("1. Rayleigh-quotient minimization, r = 2")
@@ -25,10 +26,8 @@ for n in (64, 128, 256):
     lam, phi = first_eigenpair(build_interval(0.0, 1.0, n), 2.0)
     lams.append(lam)
     print(f"  {n:4d}   {lam:.8f}   {abs(lam - np.pi**2):.2e}")
-seq = list(lams)
-while len(seq) > 1:
-    seq = [(4 * seq[i + 1] - seq[i]) / 3 for i in range(len(seq) - 1)]
-print(f"  Richardson-extrapolated: {seq[0]:.8f}  (pi^2 = {np.pi**2:.8f})")
+print(f"  Richardson-extrapolated: {_richardson(lams):.8f}  "
+      f"(pi^2 = {np.pi**2:.8f})")
 
 print()
 print("=" * 68)

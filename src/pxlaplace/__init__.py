@@ -1,14 +1,18 @@
 """Variable-exponent p(x)-Laplacian energies on discrete positive cones.
 
-Library layout:
+Library layout, each module importing only from those above it and the
+two leaves ``expressions`` (the formula language) and ``reporting``
+(validation tables):
 
 * ``grid``        meshes, nodal fields, gradients, quadrature
 * ``exponents``   exponent fields, modular, Luxemburg norm
 * ``anisotropy``  integrand families A(x, xi) and their fluxes
 * ``energy``      discrete energies, line restrictions, Gateaux gradients
-* ``inequality``  convexity / gap / comparison property checkers
-* ``problems``    problem specs and hypothesis validators
-* ``solver``      energy minimization, eigenpairs, uniqueness probes
+* ``inequality``  convexity / gap / comparison checkers of given fields
+* ``problems``    problem specs, each with its energy model, and
+                  hypothesis validators
+* ``solver``      energy minimization, eigenpairs, and the uniqueness and
+                  weak-comparison experiments
 * ``cli``         command-line front end (``pxlaplace`` entry point)
 """
 
@@ -30,14 +34,14 @@ from .grid import (Mesh, NodeField, build_interval, build_rectangle,
                    cell_average, cell_gradient, constant_field, integrate,
                    interpolate)
 from .inequality import (ComparisonVerdict, GapReport, check_ray_convexity,
-                         comparison_check, diaz_saa_gap, ratio_bound,
-                         weak_comparison_experiment)
+                         comparison_check, diaz_saa_gap, ratio_bound)
 from .problems import (ProblemSpec, build_energy_model, sharpness_regime,
                        validate_corollary_chain, validate_f, validate_g,
                        validate_M)
 from .solver import (SolveReport, SolverOptions, first_eigenpair,
                      hopf_diagnostic, initial_guess, minimize_energy, solve,
                      solve_kirchhoff, solve_problem1, solve_problem2,
-                     uniqueness_experiment, weak_residual)
+                     uniqueness_experiment, weak_comparison_experiment,
+                     weak_residual)
 
 __version__ = "0.1.0"

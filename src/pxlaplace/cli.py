@@ -276,7 +276,7 @@ def _diaz_saa_sample(rng, model, cfg) -> tuple:
 def _comparison_sample(rng, model, cfg) -> tuple:
     base = rng.uniform(0.5, 1.5)
     extra = rng.uniform(0.0, 1.0, model.mesh.n_nodes)
-    verdict = inequality.weak_comparison_experiment(
+    verdict = solver.weak_comparison_experiment(
         model, grid.constant_field(model.mesh, base),
         grid.NodeField(model.mesh, base + extra), _solver_options(cfg),
         tol=1e-6)
@@ -319,6 +319,17 @@ def _cmd_solve(cfg, args) -> int:
     return EXIT_OK if rep.converged else EXIT_NONCONVERGED
 
 
+def _richardson(values) -> float:
+    """Richardson extrapolation of values on meshes halved one after the
+    other, for an error in even powers of h: level k combines neighbours
+    with weight 4^k, which eliminates the h^(2k) term."""
+    seq = list(values)
+    for k in range(1, len(seq)):
+        w = 4.0 ** k
+        seq = [(w * b - a) / (w - 1.0) for a, b in zip(seq, seq[1:])]
+    return seq[0]
+
+
 def _cmd_eig(cfg, args) -> int:
     if cfg is None:  # no --config: the unit interval
         cfg = {"domain": {"kind": "interval"}}
@@ -329,11 +340,8 @@ def _cmd_eig(cfg, args) -> int:
     sizes = [mesh0.resolution[0] * 2 ** k for k in range(args.levels)]
     lambdas = [solver.first_eigenpair(grid.build_interval(a, b, n), args.r)[0]
                for n in sizes]
-    seq = lambdas
-    while len(seq) > 1:  # eliminate the h^2 error term pairwise
-        seq = [(4.0 * seq[i + 1] - seq[i]) / 3.0 for i in range(len(seq) - 1)]
     report = {"command": "eig", "r": args.r, "sizes": sizes,
-              "lambdas": lambdas, "extrapolated": seq[0]}
+              "lambdas": lambdas, "extrapolated": _richardson(lambdas)}
     _dump_report(args, cfg, "eig_report.json", report)
     return EXIT_OK
 

@@ -11,6 +11,11 @@ mesh; the divergence form it represents in the continuum is not.
 Each check makes one line call: ``check_ray_convexity`` evaluates Phi at
 0, 1 and its whole theta grid in one ``phi_line`` call, and
 ``diaz_saa_gap`` both end derivatives in one ``phi_prime`` call.
+
+``comparison_check`` decides the weak-comparison verdict of two given
+fields; the experiment that solves for them,
+``solver.weak_comparison_experiment``, sits above this module, which
+imports nothing from the solver.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "diaz_saa_gap",
     "ratio_bound",
     "comparison_check",
-    "weak_comparison_experiment",
     "RATIO_CAP",
 ]
 
@@ -200,10 +204,6 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
                      scale=_scale(abs(i1) + abs(i2)))
 
 
-def _fraction_p_above_r(model: EnergyModel) -> float:
-    return float(np.mean(model.p_cells - model.exponent.r > 1e-12))
-
-
 def comparison_check(u1: NodeField, u2: NodeField, f1: NodeField,
                      f2: NodeField, model: EnergyModel, tol: float,
                      mode: str = "solutions") -> ComparisonVerdict:
@@ -215,48 +215,40 @@ def comparison_check(u1: NodeField, u2: NodeField, f1: NodeField,
     u1 must be a subsolution pairing (<= ``SUBSUPER_RESIDUAL_TOL``
     against every nonnegative nodal test function) and u2 a
     supersolution pairing.
-    Hypothesis violations are reported in the verdict, not raised; the
-    four fields must live on the model's mesh (``ValueError`` otherwise).
+    Hypothesis violations are reported in the verdict, not raised: each
+    failed hypothesis adds one note, and the hypotheses hold when there
+    is none.  An unknown mode, and a field off the model's mesh, raise
+    ``ValueError``, the mode first.
     """
+    if mode not in ("solutions", "subsuper"):
+        raise ValueError(f"unknown mode {mode!r}")
     _on_mesh(model.mesh, u1, u2, f1, f2)
     notes = []
-    hypothesis_ok = True
     if np.any(f1.values < 0):
-        hypothesis_ok = False
         notes.append("f1 has negative values")
     if np.any(f1.values > f2.values):
-        hypothesis_ok = False
         notes.append("f1 <= f2 fails at some node")
     interior = model.mesh.interior
-    if np.any(u1.values[interior] <= 0) or np.any(u2.values[interior] <= 0):
-        hypothesis_ok = False
+    a, b = u1.values[interior], u2.values[interior]
+    if np.any(a <= 0) or np.any(b <= 0):
         notes.append("fields are not positive at interior nodes")
-    else:
-        ratios = ratio_bound(u1, u2)
-        if not ratios.admissible:
-            hypothesis_ok = False
-            notes.append("interior ratio exceeds the admissibility cap")
-    frac = _fraction_p_above_r(model)
-    if frac == 0.0:
-        hypothesis_ok = False
+    elif not _ratio_bounds(a, b, RATIO_CAP)[0].admissible:
+        notes.append("interior ratio exceeds the admissibility cap")
+    if not np.any(model.p_cells - model.exponent.r > 1e-12):
         notes.append("p is identically r (comparison needs p > r somewhere)")
 
-    if mode == "subsuper" and hypothesis_ok:
+    if mode == "subsuper" and not notes:
         r1 = _bvp_residual(u1, f1, model)
         r2 = _bvp_residual(u2, f2, model)
         if np.max(r1.values[interior]) > SUBSUPER_RESIDUAL_TOL:
-            hypothesis_ok = False
             notes.append("u1 is not a discrete subsolution")
         if np.min(r2.values[interior]) < -SUBSUPER_RESIDUAL_TOL:
-            hypothesis_ok = False
             notes.append("u2 is not a discrete supersolution")
-    elif mode not in ("solutions", "subsuper"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     max_excess = float(np.max(u1.values - u2.values))
     return ComparisonVerdict(
         max_excess=max_excess,
-        hypothesis_ok=bool(hypothesis_ok),
+        hypothesis_ok=not notes,
         conclusion_ok=bool(max_excess <= tol),
         notes=tuple(notes),
     )
@@ -271,22 +263,3 @@ def _comparison_model(model: EnergyModel, f: NodeField) -> EnergyModel:
 
 def _bvp_residual(u: NodeField, f: NodeField, model: EnergyModel) -> NodeField:
     return gateaux_gradient(_comparison_model(model, f), u, eps=0.0)
-
-
-def weak_comparison_experiment(model: EnergyModel, f1: NodeField,
-                               f2: NodeField, solver_opts, tol: float) -> ComparisonVerdict:
-    """Solve the comparison problem for f1 and f2 and compare solutions.
-
-    The right-hand side f(x) u^(r-1) deliberately sits at the equality
-    edge of the subhomogeneity condition, so the problem validators are
-    bypassed; nonconvergence of either solve propagates.
-    """
-    from .solver import minimize_energy
-
-    results = []
-    for f in (f1, f2):
-        rep = minimize_energy(_comparison_model(model, f), solver_opts)
-        if not rep.converged:
-            raise RuntimeError("comparison solve did not converge")
-        results.append(rep.solution)
-    return comparison_check(results[0], results[1], f1, f2, model, tol)

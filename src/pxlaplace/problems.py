@@ -10,7 +10,7 @@ are marked indeterminate for anything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,8 +36,11 @@ __all__ = [
 class ProblemSpec:
     """A fully specified Dirichlet problem instance.
 
-    The exponent and every field of the reaction and absorption terms must
-    be sampled on ``mesh`` (``ValueError`` otherwise).
+    Construction builds the instance's one ``EnergyModel``, kept as
+    ``model``: the reaction, plus the absorption of a problem2 or the
+    Kirchhoff term of a kirchhoff problem; a term the kind does not read
+    is left out.  The model refuses an exponent or a field of those terms
+    not sampled on ``mesh`` (``ValueError``).
     """
 
     kind: str  # "problem1" | "problem2" | "kirchhoff"
@@ -46,6 +49,7 @@ class ProblemSpec:
     reaction: ReactionTerm
     absorption: AbsorptionTerm | None = None
     kirchhoff: KirchhoffTerm | None = None
+    model: EnergyModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("problem1", "problem2", "kirchhoff"):
@@ -54,21 +58,15 @@ class ProblemSpec:
             raise ValueError("problem2 needs an absorption term")
         if self.kind == "kirchhoff" and self.kirchhoff is None:
             raise ValueError("kirchhoff needs a Kirchhoff term")
-        _on_mesh(self.mesh, self.exponent, what="exponent")
-        terms = (self.reaction.h, self.reaction.q) + (
-            () if self.absorption is None
-            else (self.absorption.ell, self.absorption.Q))
-        _on_mesh(self.mesh, *terms, what="term field")
+        object.__setattr__(self, "model", EnergyModel(
+            self.mesh, self.exponent, reaction=self.reaction,
+            absorption=self.absorption if self.kind == "problem2" else None,
+            kirchhoff=self.kirchhoff if self.kind == "kirchhoff" else None))
 
 
 def build_energy_model(spec: ProblemSpec) -> EnergyModel:
-    return EnergyModel(
-        mesh=spec.mesh,
-        exponent=spec.exponent,
-        reaction=spec.reaction,
-        absorption=spec.absorption if spec.kind == "problem2" else None,
-        kirchhoff=spec.kirchhoff if spec.kind == "kirchhoff" else None,
-    )
+    """The energy model of ``spec``, built with it."""
+    return spec.model
 
 
 def _extrema(f: NodeField) -> tuple:

@@ -71,6 +71,13 @@ step: when its predicted decrease g . d is at most 4 ulps of the
 quotient, no trial could show a decrease, and the loop ends before
 trying one (1D r = 3 n = 256: 13 quotient evaluations instead of 67).
 
+The experiments of the paper's two applications sit here, above the
+checkers they read: ``uniqueness_experiment`` solves from several starts
+and takes the Diaz-Saa gap of each pair, and
+``weak_comparison_experiment`` solves the comparison problem for two
+right-hand sides and hands the solutions to
+``inequality.comparison_check``.
+
 The module does not import scipy: ``sp`` (``scipy.sparse``), ``spla``
 (``scipy.sparse.linalg``) and ``lapack`` (``scipy.linalg.lapack``) are
 module attributes resolved on first lookup by ``__getattr__``, and every
@@ -96,7 +103,8 @@ from .exponents import exponent_field
 from .grid import (Mesh, NodeField, _basis_pairing, _field_gradient,
                    _band, _gradient, _on_mesh, assemble, cell_average,
                    constant_field, integrate, interior_plan)
-from .inequality import diaz_saa_gap
+from .inequality import (ComparisonVerdict, _comparison_model,
+                         comparison_check, diaz_saa_gap)
 from .problems import ProblemSpec, build_energy_model, sharpness_regime, \
     validate_f, validate_g, validate_M
 
@@ -114,6 +122,7 @@ __all__ = [
     "solve_kirchhoff",
     "first_eigenpair",
     "uniqueness_experiment",
+    "weak_comparison_experiment",
     "hopf_diagnostic",
 ]
 
@@ -478,9 +487,11 @@ def first_eigenpair(mesh: Mesh, r: float):
     decreases the quotient; or after ``EIGEN_MAX_ITERS`` iterations.  A
     first step with no decrease, a non-finite step, or a metric that is
     not positive definite in floating point (r = 1.01 on 2D 8x8 meets
-    one) raises ``ValueError``.  Returns (lam, phi) with phi nonnegative
-    and its r-modular normalized to one; lam is the Rayleigh value of phi
-    itself, evaluated on the energy layer for every r.
+    one) raises ``ValueError``; a trial whose quotient overflows (r = 20
+    meets them) reads as no decrease, with no numpy warning.  Returns
+    (lam, phi) with phi nonnegative and its r-modular normalized to one;
+    lam is the Rayleigh value of phi itself, evaluated on the energy layer
+    for every r.
 
     One loop serves every r; only its setup depends on r, and supplies
     ``quotient(w) -> (num, den, carry)`` and ``step(carry, lam, den) ->
@@ -558,33 +569,36 @@ def first_eigenpair(mesh: Mesh, r: float):
     u = _bump_profile(mesh)[interior]
     u = u / quotient(u)[1] ** (1.0 / r)
     num, den, y = quotient(u)
-    for k in range(EIGEN_MAX_ITERS):
-        lam = num / den
-        g, chol = step(y, lam, den)  # g is minus the gradient
-        d = __getattr__("lapack").dpbtrs(chol, g, lower=1)[0]
-        if not np.isfinite(d).all():
-            raise ValueError("field values must be finite")
-        if g @ d <= 4.0 * np.spacing(lam):
-            break  # the predicted decrease is below lam's rounding
+    # a trial quotient may overflow (r = 20 does); every non-finite value
+    # is refused below by a test of its own, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(EIGEN_MAX_ITERS):
+            lam = num / den
+            g, chol = step(y, lam, den)  # g is minus the gradient
+            d = __getattr__("lapack").dpbtrs(chol, g, lower=1)[0]
+            if not np.isfinite(d).all():
+                raise ValueError("field values must be finite")
+            if g @ d <= 4.0 * np.spacing(lam):
+                break  # the predicted decrease is below lam's rounding
 
-        t = 1.0
-        while t > 1e-16:
-            trial = t * d
-            trial += u
-            n2, d2, y2 = quotient(np.abs(trial, out=trial))
-            if d2 > 0 and n2 / d2 < lam:
-                break
-            t *= SHRINK
-        else:
-            if k == 0:
-                raise ValueError(f"no step lowers the quotient at r = {r}")
-            break  # no decrease down to t = 1e-16
-        # renormalized, the accepted trial has the quotient (n2 / d2) / 1
-        scale = d2 ** (1.0 / r)
-        trial /= scale
-        y2 /= scale
-        u, y = trial, y2
-        num, den = n2 / d2, 1.0
+            t = 1.0
+            while t > 1e-16:
+                trial = t * d
+                trial += u
+                n2, d2, y2 = quotient(np.abs(trial, out=trial))
+                if d2 > 0 and n2 / d2 < lam:
+                    break
+                t *= SHRINK
+            else:
+                if k == 0:
+                    raise ValueError(f"no step lowers the quotient at r = {r}")
+                break  # no decrease down to t = 1e-16
+            # renormalized, the accepted trial has the quotient (n2 / d2) / 1
+            scale = d2 ** (1.0 / r)
+            trial /= scale
+            y2 /= scale
+            u, y = trial, y2
+            num, den = n2 / d2, 1.0
 
     u = np.bincount(interior, u, mesh.n_nodes)  # zero on the boundary
     den = rayleigh(u)[1]
@@ -593,7 +607,7 @@ def first_eigenpair(mesh: Mesh, r: float):
     return num / den, phi
 
 
-# -- uniqueness and boundary diagnostics -------------------------------------
+# -- uniqueness, comparison and boundary diagnostics -------------------------
 
 @dataclass(frozen=True)
 class UniquenessReport:
@@ -651,6 +665,24 @@ def uniqueness_experiment(spec: ProblemSpec, opts: SolverOptions,
         expected_multiplicity=expected_multiplicity,
         passed=passed,
     )
+
+
+def weak_comparison_experiment(model: EnergyModel, f1: NodeField,
+                               f2: NodeField, solver_opts, tol: float) -> ComparisonVerdict:
+    """Solve the comparison problem for f1 and f2 and compare solutions.
+
+    The right-hand side f(x) u^(r-1) deliberately sits at the equality
+    edge of the subhomogeneity condition, so the problem validators are
+    bypassed; nonconvergence of either solve propagates.  The verdict is
+    ``inequality.comparison_check``'s.
+    """
+    results = []
+    for f in (f1, f2):
+        rep = minimize_energy(_comparison_model(model, f), solver_opts)
+        if not rep.converged:
+            raise RuntimeError("comparison solve did not converge")
+        results.append(rep.solution)
+    return comparison_check(results[0], results[1], f1, f2, model, tol)
 
 
 def hopf_diagnostic(u: NodeField) -> float:

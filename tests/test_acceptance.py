@@ -17,13 +17,13 @@ from pxlaplace.energy import (EnergyModel, dirichlet_part, energy_E,
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import (NodeField, build_interval, build_rectangle,
                             constant_field, interpolate)
-from pxlaplace.inequality import comparison_check, diaz_saa_gap, \
-    weak_comparison_experiment
+from pxlaplace.inequality import comparison_check, diaz_saa_gap
 from pxlaplace.problems import (ProblemSpec, validate_corollary_chain,
                                 validate_f, validate_g, validate_M)
 from pxlaplace.solver import (SolverOptions, first_eigenpair,
                               solve_kirchhoff, solve_problem1, solve_problem2,
-                              uniqueness_experiment)
+                              uniqueness_experiment,
+                              weak_comparison_experiment)
 
 from test_solver import shoot_sqrt_reaction
 

@@ -11,7 +11,7 @@ import pytest
 
 import pxlaplace
 from pxlaplace.cli import (EXIT_CHECK_FAILED, EXIT_NONCONVERGED, EXIT_OK,
-                           EXIT_USAGE, run_command)
+                           EXIT_USAGE, _richardson, run_command)
 from pxlaplace.solver import SolveReport
 
 
@@ -391,6 +391,16 @@ class TestEigCommand:
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["extrapolated"] == pytest.approx(np.pi ** 2, rel=5e-4)
+
+    def test_richardson_weights_remove_each_even_power(self):
+        # the exact eigenvalues (4/h^2) tan^2(pi h/2) of -u'' on (0, 1) at
+        # h = 1/n have an error in even powers of h; level k must weigh
+        # by 4^k (weight 4 at every level misses pi^2 by 8.5e-8)
+        import numpy as np
+        lams = [4.0 * n * n * np.tan(np.pi / (2 * n)) ** 2
+                for n in (64, 128, 256)]
+        assert abs(_richardson(lams) - np.pi ** 2) <= 1e-10
+        assert _richardson(lams[:2]) == (4.0 * lams[1] - lams[0]) / 3.0
 
 
 @pytest.mark.parametrize("domain", [

@@ -9,14 +9,16 @@ in-process tests hold the ``solver.sp``/``solver.spla``/``solver.lapack``
 seam: each resolves to scipy on lookup, a stand-in set as ``solver.spla``
 sees every sparse solve and one set as ``solver.lapack`` every band
 factorization and solve, and a module is imported at its first lookup
-only.  Two tests read the package's source instead of running it: the
-mesh check is written once, in ``grid._on_mesh``, and no module compares
-a value with a reaction kind, since a reaction carries none.
+only.  Three tests read the package's source instead of running it: the
+mesh check is written once, in ``grid._on_mesh``, no module compares a
+value with a reaction kind, since a reaction carries none, and the
+modules import one another one way, with no cycle.
 """
 
 import ast
 import collections
 import dataclasses
+import graphlib
 import importlib
 import json
 import os
@@ -274,3 +276,20 @@ def test_the_reaction_kind_is_read_only_by_the_validators():
                   if isinstance(node, ast.Compare)
                   and any(map(names_a_kind, (node.left, *node.comparators)))]
     assert sites == []
+
+
+def test_the_package_imports_one_way():
+    # every import between the package's modules, one inside a function
+    # body included, points one way: the import graph has a topological
+    # order (static_order raises graphlib.CycleError on a cycle)
+    graph = {}
+    for path in sorted((SRC / "pxlaplace").glob("*.py")):
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module
+                            else (alias.name for alias in node.names))
+    assert {"inequality", "problems"} <= graph["solver"]
+    assert "expressions" in graph["grid"]  # an import inside a function
+    order = list(graphlib.TopologicalSorter(graph).static_order())
+    assert order.index("inequality") < order.index("solver")

@@ -8,9 +8,8 @@ from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import NodeField, build_interval, build_rectangle, \
     constant_field, interpolate
 from pxlaplace.inequality import (check_ray_convexity, comparison_check,
-                                  diaz_saa_gap, ratio_bound,
-                                  weak_comparison_experiment)
-from pxlaplace.solver import SolverOptions
+                                  diaz_saa_gap, ratio_bound)
+from pxlaplace.solver import SolverOptions, weak_comparison_experiment
 
 
 def cone_model(n=64, p="2", r=2.0):
@@ -380,6 +379,16 @@ class TestComparisonCheck:
         f = constant_field(mesh, 1.0)
         with pytest.raises(ValueError, match="unknown mode 'exact'"):
             comparison_check(u1, u2, f, f, model, tol=1e-6, mode="exact")
+
+    def test_unknown_mode_is_refused_before_any_work(self):
+        # the mode is the first input read: a field off the model's mesh
+        # would raise the mesh check's error
+        mesh, u1, u2 = self.closed_form_pair()
+        model = EnergyModel(mesh, exponent_field(mesh, 2.0, r=1.0))
+        f = constant_field(mesh, 1.0)
+        off = constant_field(build_interval(0, 2, 64), 1.0)
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            comparison_check(u1, u2, f, off, model, tol=1e-6, mode="bogus")
 
 
 class TestWeakComparisonExperiment:

@@ -6,7 +6,8 @@ from pxlaplace.energy import (KirchhoffTerm, power_absorption, power_reaction,
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import build_interval, build_rectangle, constant_field, \
     interpolate
-from pxlaplace.problems import (ProblemSpec, sharpness_regime,
+from pxlaplace.problems import (ProblemSpec, build_energy_model,
+                                sharpness_regime,
                                 validate_corollary_chain, validate_f,
                                 validate_g, validate_M)
 
@@ -220,6 +221,22 @@ class TestProblemSpec:
         with pytest.raises(ValueError,
                            match="term field sampled on a different mesh"):
             ProblemSpec("problem2", home, exponent, reaction, absorption)
+
+
+    def test_the_spec_keeps_its_one_model(self, mesh):
+        # built once, with the spec: the model of a problem1 leaves out
+        # the absorption and Kirchhoff terms its kind does not read
+        exponent = exponent_field(mesh, "2+x", r=1.5)
+        spec = ProblemSpec(
+            "problem1", mesh, exponent, power(mesh, "1", "1.2"),
+            power_absorption(constant_field(mesh, 1.0),
+                             constant_field(mesh, 2.0)),
+            saturating_kirchhoff(1.0, 2.0))
+        assert build_energy_model(spec) is spec.model
+        assert spec.model.exponent is exponent
+        assert spec.model.reaction is spec.reaction
+        assert spec.model.absorption is None
+        assert spec.model.kirchhoff is None
 
 
 @pytest.mark.parametrize("n", [16, 8])

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -1087,6 +1088,15 @@ class TestFirstEigenpair:
         # would pass it off as an eigenvalue
         with pytest.raises(ValueError, match="no step lowers the quotient"):
             first_eigenpair(build_interval(0, 1, 256), 12.0)
+
+    def test_no_first_step_raises_with_warnings_as_errors(self):
+        # at r = 20 the trial quotients overflow; numpy's overflow warning,
+        # raised as an error, used to stand in for the message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="no step lowers the quotient"):
+                first_eigenpair(build_interval(0, 1, 64), 20.0)
 
     def test_singular_metric_raises(self):
         # at r = 1.01 the metric weight (eps^2 + |grad u|^2)^(-0.495)

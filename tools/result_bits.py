@@ -171,7 +171,7 @@ def comparison_bits(n: int) -> str:
     mesh = _grid.build_interval(0, 1, n)
     model = workloads.energy.EnergyModel(
         mesh, workloads.exponent_field(mesh, workloads.P, 1.0))
-    v = workloads.inequality.weak_comparison_experiment(
+    v = workloads.solver.weak_comparison_experiment(
         model, _grid.interpolate(mesh, "1"), _grid.interpolate(mesh, "1+x"),
         workloads.solver.SolverOptions(), tol=1e-8)
     return (f"max_excess {v.max_excess.hex()} hypothesis_ok "
