@@ -1,14 +1,15 @@
 """Variable exponents p(x) with their bounds, modular and Luxemburg norm.
 
-An exponent field carries nodal samples of p, the grid extrema p_minus and
-p_plus, and the fixed homogeneity constant r with 1 <= r <= p_minus.  The
-modular of a field u is the integral of |u(x)|^p(x); the Luxemburg norm is
-the scaling that brings the modular to one.
+An exponent field carries nodal samples of p and the fixed homogeneity
+constant r, and derives the grid extrema p_minus and p_plus from the
+samples; it holds 1 <= r <= p_minus.  The modular of a field u is the
+integral of |u(x)|^p(x); the Luxemburg norm is the scaling that brings
+the modular to one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,18 +31,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExponentField:
-    """Nodal exponent samples with extrema and the comparison constant r."""
+    """Nodal exponent samples and the comparison constant r.
+
+    The field is given its samples and r, and derives the grid extrema
+    p_minus and p_plus from the samples by ``exponent_bounds`` (so
+    ``dataclasses.replace`` derives them again); it refuses samples not
+    above 1 and an r outside [1, p_minus].
+    """
 
     values: NodeField
-    p_minus: float
-    p_plus: float
     r: float
+    p_minus: float = field(init=False)
+    p_plus: float = field(init=False)
 
     def __post_init__(self):
-        if not 1.0 <= self.r <= self.p_minus:
+        p_minus, p_plus = exponent_bounds(self.values)
+        if not 1.0 <= self.r <= p_minus:
             raise ValueError(
-                f"need 1 <= r <= p_minus, got r={self.r}, p_minus={self.p_minus}"
+                f"need 1 <= r <= p_minus, got r={self.r}, p_minus={p_minus}"
             )
+        object.__setattr__(self, "p_minus", p_minus)
+        object.__setattr__(self, "p_plus", p_plus)
 
     @property
     def mesh(self) -> Mesh:
@@ -54,9 +64,7 @@ class ExponentField:
 def exponent_field(mesh: Mesh, p, r: float) -> ExponentField:
     """Build an ExponentField by sampling ``p`` (number, callable or
     expression text) at the mesh nodes."""
-    pf = interpolate(mesh, p)
-    p_minus, p_plus = exponent_bounds(pf)
-    return ExponentField(pf, p_minus, p_plus, float(r))
+    return ExponentField(interpolate(mesh, p), float(r))
 
 
 def exponent_bounds(p: NodeField) -> tuple:

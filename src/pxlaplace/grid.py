@@ -8,6 +8,12 @@ and integrals use one quadrature point per cell (segment midpoint, triangle
 centroid).  Node ordering is lexicographic by coordinate, so all reductions
 are reproducible.
 
+A mesh is its nodes, its cells and its resolution.  Everything else, the
+bounds and boundary nodes of the nodes' bounding box, and per cell the
+measure, centroid and basis gradients, the mesh derives from them with
+one simplex rule for d = 1 and 2; the builders ``build_interval`` and
+``build_rectangle`` only lay out the grid and test its total measure.
+
 The kernels work vertex by vertex.  Each mesh keeps vertex-major,
 read-only copies of its cell table and basis gradients, built once with
 the mesh: per cell vertex, one contiguous array of node indices and one
@@ -62,23 +68,34 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable simplicial mesh of an interval or rectangle.
 
-    The mesh holds private read-only copies of its six array fields, so
-    later writes to the caller's arrays do not reach it.  The vertex-major
-    copies and the interior index are built once, with the mesh.  Its
-    interior assembly plan is built on first use by ``interior_plan`` and
-    kept with the mesh.
+    A mesh is given its nodes, its cells and its resolution, and derives
+    the rest once, with the mesh: the dimension (the columns of
+    ``nodes``), the bounds and boundary nodes of the nodes' bounding box,
+    and per cell the measure, the centroid and the basis gradients, by
+    one simplex rule for d = 1 and 2.  With E the (d, d) matrix of edges
+    e_k = P_k - P_0, the gradients of vertices 1..d are the cofactors of
+    E times 1/det E, vertex 0's is minus their sum, the measure is
+    |det E|/d! and the centroid the vertex sum over d + 1.  So
+    ``dataclasses.replace(mesh, nodes=...)`` derives them all again.  A
+    mesh refuses cells or a resolution that do not fit its nodes'
+    dimension, and a cell whose measure is not finite and positive.
+
+    The mesh holds private read-only copies of its arrays, so later
+    writes to the caller's arrays do not reach it.  Meshes compare and
+    hash by identity.  The interior assembly plan is built on first use
+    by ``interior_plan`` and kept with the mesh.
 
     Attributes:
-        dimension: 1 or 2.
-        bounds: (a, b) in 1D, (ax, bx, ay, by) in 2D.
-        resolution: (n_cells,) in 1D, (nx, ny) quad counts in 2D.
         nodes: (n_nodes, dimension) coordinates, lexicographic order.
         cells: (n_cells, dimension+1) node indices per cell.
-        boundary_mask: True exactly at nodes on the domain boundary.
+        resolution: (n_cells,) in 1D, (nx, ny) quad counts in 2D.
+        dimension: 1 or 2.
+        bounds: (a, b) in 1D, (ax, bx, ay, by) in 2D.
+        boundary_mask: True exactly at nodes on the bounding box.
         cell_measures: length/area per cell, all positive.
         quad_points: one point per cell (midpoint / centroid).
         shape_grads: (n_cells, dimension+1, dimension) gradients of the
@@ -91,30 +108,54 @@ class Mesh:
             increasing order.
     """
 
-    dimension: int
-    bounds: tuple
-    resolution: tuple
     nodes: np.ndarray
     cells: np.ndarray
-    boundary_mask: np.ndarray
-    cell_measures: np.ndarray
-    quad_points: np.ndarray
-    shape_grads: np.ndarray
-    vertex_cells: np.ndarray = field(init=False, repr=False, compare=False)
-    vertex_grads: np.ndarray = field(init=False, repr=False, compare=False)
-    interior: np.ndarray = field(init=False, repr=False, compare=False)
-    _plan: tuple | None = field(default=None, init=False, repr=False,
-                                compare=False)
+    resolution: tuple
+    dimension: int = field(init=False)
+    bounds: tuple = field(init=False)
+    boundary_mask: np.ndarray = field(init=False, repr=False)
+    cell_measures: np.ndarray = field(init=False, repr=False)
+    quad_points: np.ndarray = field(init=False, repr=False)
+    shape_grads: np.ndarray = field(init=False, repr=False)
+    vertex_cells: np.ndarray = field(init=False, repr=False)
+    vertex_grads: np.ndarray = field(init=False, repr=False)
+    interior: np.ndarray = field(init=False, repr=False)
+    _plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("nodes", "cells", "boundary_mask", "cell_measures",
-                     "quad_points", "shape_grads"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        object.__setattr__(self, "vertex_cells", _readonly(self.cells.T))
-        object.__setattr__(self, "vertex_grads",
-                           _readonly(self.shape_grads.transpose(1, 2, 0)))
-        object.__setattr__(self, "interior",
-                           _readonly(np.flatnonzero(~self.boundary_mask)))
+        nodes, cells = _readonly(self.nodes), _readonly(self.cells)
+        d = nodes.shape[1] if nodes.ndim == 2 else 0
+        if d not in (1, 2) or len(self.resolution) != d \
+                or cells.ndim != 2 or cells.shape[1] != d + 1:
+            raise ValueError("nodes, cells, resolution do not fit d = 1 or 2")
+        X = np.ascontiguousarray(nodes.T)  # X[c]: coordinate c of each node
+        P = X.take(cells.T, axis=1)  # P[c, v]: that of each cell's vertex v
+        e = P[:, 1:] - P[:, :1]  # e[c, k - 1] = coordinate c of P_k - P_0
+        if d == 1:
+            det, cof = e[0, 0], np.ones_like(e)
+        else:  # e1x e2y - e1y e2x; cof[k - 1] is vertex k's cofactor row
+            det = e[0, 0] * e[1, 1] - e[1, 0] * e[0, 1]
+            cof = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]])
+        measures = np.abs(det) / d  # |det|/d!, d! = d for d <= 2
+        if not np.all((measures > 0) & (measures < np.inf)):
+            raise ValueError("a cell's measure is not finite and positive")
+        g = cof * (1.0 / det)
+        grads = np.concatenate([-g.sum(axis=0, keepdims=True), g])
+        lo, hi = X.min(axis=1, keepdims=True), X.max(axis=1, keepdims=True)
+        boundary = ((X == lo) | (X == hi)).any(axis=0)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "cells", cells)
+        derived = dict(
+            dimension=d,
+            bounds=tuple(float(b) for b in np.hstack([lo, hi]).ravel()),
+            boundary_mask=boundary, cell_measures=measures,
+            quad_points=(P.sum(axis=1) / (d + 1)).T,
+            shape_grads=grads.transpose(2, 0, 1), vertex_cells=cells.T,
+            vertex_grads=grads, interior=np.flatnonzero(~boundary))
+        for name, value in derived.items():
+            if isinstance(value, np.ndarray):
+                value = _readonly(value)
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
@@ -198,25 +239,16 @@ def build_interval(a: float, b: float, n_cells: int) -> Mesh:
     Endpoints are flagged as boundary nodes.
     """
     a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"degenerate interval: a={a} must be < b={b}")
+    if not (a < b and b - a < np.inf):
+        raise ValueError(f"degenerate interval: need finite a={a} < b={b}")
     n_cells = _cell_count(n_cells, "n_cells")
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
 
     xs = np.linspace(a, b, n_cells + 1)
-    nodes = xs[:, None]
     cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    measures = np.diff(xs)
-    boundary = np.zeros(n_cells + 1, dtype=bool)
-    boundary[[0, -1]] = True
-    quad = 0.5 * (xs[:-1] + xs[1:])[:, None]
-    inv_h = 1.0 / measures
-    shape_grads = np.stack([-inv_h[:, None], inv_h[:, None]], axis=1)
-
-    mesh = Mesh(1, (a, b), (n_cells,), nodes, cells, boundary, measures, quad,
-                shape_grads)
-    _check_measures(mesh, b - a)
+    mesh = Mesh(xs[:, None], cells, (n_cells,))
+    _check_volume(mesh, b - a)
     return mesh
 
 
@@ -225,8 +257,9 @@ def build_rectangle(ax: float, bx: float, ay: float, by: float,
     """Uniform triangulation of (ax,bx) x (ay,by): nx*ny quads, two
     triangles each, split along the same diagonal orientation."""
     ax, bx, ay, by = map(float, (ax, bx, ay, by))
-    if not (ax < bx and ay < by):
-        raise ValueError("degenerate rectangle: need ax < bx and ay < by")
+    if not (ax < bx and ay < by and max(bx - ax, by - ay) < np.inf):
+        raise ValueError("degenerate rectangle: need finite ax < bx "
+                         "and ay < by")
     nx, ny = _cell_count(nx, "nx"), _cell_count(ny, "ny")
     if nx < 2 or ny < 2:
         raise ValueError(f"nx, ny must be >= 2, got {nx}, {ny}")
@@ -237,46 +270,20 @@ def build_rectangle(ax: float, bx: float, ay: float, by: float,
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    n00, n10 = nid(ii, jj), nid(ii + 1, jj)
-    n01, n11 = nid(ii, jj + 1), nid(ii + 1, jj + 1)
+    n00 = (ii * (ny + 1) + jj).ravel()
+    n10, n01, n11 = n00 + (ny + 1), n00 + 1, n00 + (ny + 2)
     # diagonal from (i,j) to (i+1,j+1) in every quad
     lower = np.column_stack([n00, n10, n11])
     upper = np.column_stack([n00, n11, n01])
-    cells = np.vstack([np.column_stack([lower, upper]).reshape(-1, 3)])
+    cells = np.column_stack([lower, upper]).reshape(-1, 3)
 
-    boundary = np.zeros(nodes.shape[0], dtype=bool)
-    gi, gj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
-    edge = (gi == 0) | (gi == nx) | (gj == 0) | (gj == ny)
-    boundary[nid(gi[edge], gj[edge])] = True
-
-    p0 = nodes[cells[:, 0]]
-    p1 = nodes[cells[:, 1]]
-    p2 = nodes[cells[:, 2]]
-    e1, e2 = p1 - p0, p2 - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    measures = 0.5 * np.abs(det)
-    quad = (p0 + p1 + p2) / 3.0
-
-    # gradients of barycentric coordinates: [g1; g2] = inv([e1; e2])^T
-    inv_det = 1.0 / det
-    g1 = np.column_stack([e2[:, 1], -e2[:, 0]]) * inv_det[:, None]
-    g2 = np.column_stack([-e1[:, 1], e1[:, 0]]) * inv_det[:, None]
-    shape_grads = np.stack([-(g1 + g2), g1, g2], axis=1)
-
-    mesh = Mesh(2, (ax, bx, ay, by), (nx, ny), nodes, cells, boundary,
-                measures, quad, shape_grads)
-    _check_measures(mesh, (bx - ax) * (by - ay))
+    mesh = Mesh(nodes, cells, (nx, ny))
+    _check_volume(mesh, (bx - ax) * (by - ay))
     return mesh
 
 
-def _check_measures(mesh: Mesh, volume: float):
-    if np.any(mesh.cell_measures <= 0):
-        raise ValueError("mesh has a cell with nonpositive measure")
+def _check_volume(mesh: Mesh, volume: float):
     if abs(mesh.total_measure - volume) > 1e-12 * abs(volume):
         raise ValueError("cell measures do not sum to the domain measure")
 

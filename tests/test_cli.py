@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -232,6 +233,26 @@ class TestSolveCommand:
         assert run_command(["solve", "--config", str(cfg), "--seed", "7",
                             "--quiet"]) == EXIT_USAGE
         assert "config error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain,message", [
+        ('{"kind": "interval", "b": 1e400}', "degenerate interval"),
+        ('{"kind": "rectangle", "ay": -1e308, "by": 1e308}',
+         "degenerate rectangle"),
+    ], ids=["interval-b-overflows", "rectangle-span-overflows"])
+    def test_non_finite_domain_exits_2(self, tmp_path, capsys, domain,
+                                       message):
+        # JSON reads 1e400 as inf; the domain refuses it before any numpy
+        # warning, and the message names the domain, not the exponent
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**BASE, "domain": "DOMAIN"}).replace(
+            '"DOMAIN"', domain))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_command(["solve", "--config", str(cfg), "--seed", "7",
+                                "--quiet"]) == EXIT_USAGE
+        assert caught == []
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", solver={"max_iters": 1})

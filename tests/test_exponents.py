@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pxlaplace.exponents import (UNBOUNDED, exponent_bounds, exponent_field,
-                                 luxemburg_norm, modular, sobolev_conjugate,
+from pxlaplace.exponents import (UNBOUNDED, ExponentField, exponent_bounds,
+                                 exponent_field, luxemburg_norm, modular,
+                                 sobolev_conjugate,
                                  validate_exponent_hypothesis)
 from pxlaplace.grid import NodeField, build_interval, build_rectangle, \
     constant_field, interpolate
@@ -30,6 +33,27 @@ class TestExponentBounds:
     def test_r_above_p_minus_rejected(self, mesh):
         with pytest.raises(ValueError, match="r <= p_minus"):
             exponent_field(mesh, "2+x", r=2.5)
+
+
+class TestExponentField:
+    def test_extrema_are_derived_from_the_samples(self, mesh):
+        p = ExponentField(interpolate(mesh, "2+x"), 1.5)
+        assert (p.p_minus, p.p_plus) == (2.0, 3.0)
+        q = replace(p, values=interpolate(mesh, "3+x"))
+        assert (q.p_minus, q.p_plus) == (3.0, 4.0)
+
+    def test_r_above_the_samples_is_refused(self, mesh):
+        # the extrema are not inputs, so a constant p = 2 cannot be
+        # given p_minus = 5 to admit r = 3
+        with pytest.raises(ValueError, match="r <= p_minus"):
+            ExponentField(constant_field(mesh, 2.0), 3.0)
+        with pytest.raises(TypeError):
+            ExponentField(constant_field(mesh, 2.0), p_minus=5.0,
+                          p_plus=5.0, r=3.0)
+
+    def test_samples_not_above_one_are_refused(self, mesh):
+        with pytest.raises(ValueError, match="invalid exponent"):
+            ExponentField(constant_field(mesh, 1.0), 1.0)
 
 
 class TestValidateHypothesis:

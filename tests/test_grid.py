@@ -36,6 +36,14 @@ class TestBuildInterval:
         with pytest.raises(ValueError):
             build_interval(0, 1, 1)
 
+    @pytest.mark.parametrize("a,b", [(0, np.inf), (-np.inf, 0),
+                                     (-1e308, 1e308), (0, np.nan)],
+                             ids=["inf", "minus-inf", "span-overflow", "nan"])
+    def test_non_finite_bounds_refused(self, a, b):
+        # refused before np.linspace, which warns on an infinite span
+        with pytest.raises(ValueError, match="degenerate interval"):
+            build_interval(a, b, 4)
+
     def test_node_order_lexicographic(self):
         mesh = build_interval(-1, 3, 8)
         assert np.all(np.diff(mesh.nodes[:, 0]) > 0)
@@ -55,6 +63,13 @@ class TestBuildRectangle:
     def test_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             build_rectangle(0, 0, 0, 1, 2, 2)
+
+    @pytest.mark.parametrize("bounds", [(0, np.inf, 0, 1), (0, 1, -np.inf, 1),
+                                        (0, 1, -1e308, 1e308)],
+                             ids=["inf", "minus-inf", "span-overflow"])
+    def test_non_finite_bounds_refused(self, bounds):
+        with pytest.raises(ValueError, match="degenerate rectangle"):
+            build_rectangle(*bounds, 2, 2)
 
     def test_boundary_count(self):
         mesh = build_rectangle(0, 1, 0, 1, 4, 3)
@@ -123,24 +138,16 @@ def test_scatter_add_matches_add_at_bitwise(dim, width):
 
 def _sheared_mesh() -> Mesh:
     """The 7 x 5 unit-square grid with its nodes mapped by the matrix
-    [[1, 0.11], [0.37, 0.83]], and the basis gradients, measures and
-    centroids recomputed for the mapped nodes (the bounds, which the
-    kernels do not read, stay the square's).
+    [[1, 0.11], [0.37, 0.83]]; the mesh derives its basis gradients,
+    measures and centroids from the mapped nodes.
 
     On the structured grids every cell has, per gradient component, a
     vertex whose basis gradient component is zero, so the order in which
     a kernel adds the vertices cannot show in its bits; here none is zero.
     """
     base = build_rectangle(0, 1, 0, 1, 7, 5)
-    nodes = base.nodes @ np.array([[1.0, 0.11], [0.37, 0.83]]).T
-    p0, p1, p2 = (nodes[base.cells[:, k]] for k in range(3))
-    e1, e2 = p1 - p0, p2 - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    g1 = np.column_stack([e2[:, 1], -e2[:, 0]]) / det[:, None]
-    g2 = np.column_stack([-e1[:, 1], e1[:, 0]]) / det[:, None]
-    return Mesh(2, base.bounds, base.resolution, nodes, base.cells,
-                base.boundary_mask, 0.5 * np.abs(det), (p0 + p1 + p2) / 3.0,
-                np.stack([-(g1 + g2), g1, g2], axis=1))
+    return Mesh(base.nodes @ np.array([[1.0, 0.11], [0.37, 0.83]]).T,
+                base.cells, base.resolution)
 
 
 KERNEL_MESHES = [(1, 7), (1, 256), (1, 1024), (2, (3, 4)), (2, (16, 17)),
@@ -232,6 +239,54 @@ def test_mesh_keeps_private_copies_of_its_arrays():
         a = getattr(m2, name)
         assert a.flags.c_contiguous and not a.flags.writeable
     assert cells.flags.writeable
+
+
+@pytest.mark.parametrize("mesh", [build_interval(0, 1, 4),
+                                  build_rectangle(0, 1, 0, 1, 3, 2)],
+                         ids=["1d", "2d"])
+def test_replaced_nodes_derive_the_geometry_again(mesh):
+    # the geometry, bounds and boundary are derived from the nodes, so
+    # doubling them doubles the domain: its measure is 2^d
+    m2 = replace(mesh, nodes=2 * mesh.nodes)
+    assert integrate(constant_field(m2, 1.0)) == 2.0 ** mesh.dimension
+    assert m2.bounds == tuple(2 * b for b in mesh.bounds)
+    assert np.array_equal(m2.boundary_mask, mesh.boundary_mask)
+    assert np.array_equal(m2.quad_points, 2 * mesh.quad_points)
+    assert np.array_equal(m2.shape_grads, mesh.shape_grads / 2)
+    with pytest.raises(ValueError):  # derived fields are not inputs
+        replace(mesh, cell_measures=2 * mesh.cell_measures)
+
+
+def test_meshes_compare_by_identity():
+    mesh, twin = build_interval(0, 1, 4), build_interval(0, 1, 4)
+    assert mesh == mesh and mesh != twin
+    assert len({mesh, twin, mesh}) == 2
+
+
+def test_mesh_refuses_arrays_of_another_dimension():
+    square = build_rectangle(0, 1, 0, 1, 3, 2)
+    line = build_interval(0, 1, 4)
+    for nodes, cells, resolution in [
+            (square.nodes[:, :1], square.cells, square.resolution),
+            (square.nodes, square.cells, (6,)),
+            (square.nodes, square.cells[:, :2], square.resolution),
+            (line.nodes, line.cells, (2, 2)),
+            (line.nodes, np.column_stack([line.cells, line.cells[:, 0]]),
+             line.resolution),
+            (np.zeros((5, 3)), line.cells, (4, 1, 1))]:
+        with pytest.raises(ValueError, match="do not fit"):
+            Mesh(nodes, cells, resolution)
+
+
+@pytest.mark.parametrize("bad", [0.25, np.nan, np.inf],
+                         ids=["zero", "nan", "inf"])
+def test_mesh_refuses_a_cell_without_a_finite_positive_measure(bad):
+    # node 0 moved onto node 1 gives a zero length; a NaN or infinite
+    # coordinate gives a NaN or infinite one
+    nodes = build_interval(0, 1, 4).nodes.copy()
+    nodes[0 if bad == 0.25 else 1] = bad
+    with pytest.raises(ValueError, match="not finite and positive"):
+        Mesh(nodes, build_interval(0, 1, 4).cells, (4,))
 
 
 def test_cell_average_is_kept_with_the_field():

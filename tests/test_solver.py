@@ -456,6 +456,18 @@ def test_overflowing_trials_end_every_stage_on_the_floor(monkeypatch):
     assert unshifted[1:] == ((0,) * 7, ("floor",) * 7)
 
 
+def test_non_finite_start_energy_raises():
+    # from the bump times 1e120 the energy overflows to inf while the
+    # gradient stays finite, so the descent refuses the model inputs
+    # instead of assembling a metric
+    spec = problem1_spec(n=16, p="2+x", r=1.5, q="1.2")
+    init = NodeField(spec.mesh, 1e120 * solver._bump_profile(spec.mesh))
+    with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+        with pytest.raises(ValueError, match="non-finite energy"):
+            minimize_energy(build_energy_model(spec),
+                            SolverOptions(init=init))
+
+
 def test_singular_metric_floors_and_the_rerun_converges():
     # from this start SuperLU finds the unshifted metric exactly singular
     # and the Newton direction is NaN; the retries on the shifted metric
@@ -1081,6 +1093,26 @@ class TestFirstEigenpair:
         lam, _ = first_eigenpair(build_interval(0, 1, 256), 3.0)
         assert len(calls) <= 15
         assert lam.hex() == "0x1.c4a3d2c82d931p+4"
+
+    def test_ends_on_the_halving_scan(self, monkeypatch):
+        # 1D r = 1.8 n = 32 takes 59 steps; at the 60th no trial down to
+        # t = 1e-16 lowers the quotient, and the descent ends there: 60
+        # band solves, and 125 quotient evaluations (2 at the start, 67
+        # trials over the 59 steps, the last step's 54 halvings and 2 at
+        # the end).  lam sits 0.15% above the closed form
+        # (r - 1)(2 pi / (r sin(pi / r)))^r = 7.80352
+        calls = self._lapack_stand_in(monkeypatch)
+        quotients = []
+        real = solver.dirichlet_part
+
+        def counting(*args, **kwargs):
+            quotients.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "dirichlet_part", counting)
+        lam, _ = first_eigenpair(build_interval(0, 1, 32), 1.8)
+        assert calls["dpbtrs"] == 60 and len(quotients) == 125
+        assert lam.hex() == "0x1.f4282d2972a3dp+2"
 
     def test_no_first_step_raises(self):
         # at r = 12 no step from the bump lowers the quotient; returning

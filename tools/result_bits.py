@@ -25,7 +25,10 @@ r = 1 weak-comparison experiment (``COMPARISON``): the hex of
 come the eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on 1D
 and 2D meshes, r = 4 and 12 included, a non-square 2D r = 2 mesh), each
 on one line with the hex of lambda and the sha256 of phi, or the message
-of the error the call raises.  Diffing the output of two
+of the error the call raises.  Each workload ends with one line per
+distinct mesh its cases read (``mesh-<resolution>``): the sha256 of
+each of the mesh's ``MESH_ARRAYS``, ``quad_points`` included, which no
+result reads.  Diffing the output of two
 checkouts shows whether their results, whole fields included, are
 bitwise equal.  The package is imported from the ``src/``
 next to this script; nothing under ``bench/`` is changed.
@@ -50,6 +53,22 @@ import workloads  # noqa: E402
 
 def _sha256(values) -> str:
     return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+MESH_ARRAYS = ("nodes", "cells", "boundary_mask", "cell_measures",
+               "quad_points", "shape_grads")
+
+
+def case_mesh(case: workloads.Case):
+    """The mesh a case reads: its first argument's, or that argument."""
+    first = case.args[0]
+    return first if isinstance(first, workloads.grid.Mesh) else first.mesh
+
+
+def mesh_bits(mesh) -> str:
+    """The sha256 of each of a mesh's ``MESH_ARRAYS``."""
+    return " ".join(f"{name} {_sha256(getattr(mesh, name))}"
+                    for name in MESH_ARRAYS)
 
 
 def report_bits(case: workloads.Case) -> str:
@@ -201,10 +220,13 @@ def main(argv) -> int:
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
     for name in args.workload or workloads.WORKLOADS:
+        meshes = {}
         for case in workloads.build(name, args.seed):
             print(name, case.name, workloads.signature(case.run()),
                   flush=True)
             print(name, case.name, report_bits(case), flush=True)
+            mesh = case_mesh(case)
+            meshes.setdefault((mesh.bounds, mesh.resolution), mesh)
         if name == "solve-1d":
             for case_name, *case in EXTRA_SOLVES:
                 print(name, case_name, extra_solve_bits(*case), flush=True)
@@ -220,6 +242,9 @@ def main(argv) -> int:
         if name == "eigen":
             for case_name, mesh, r in EXTRA_EIGEN:
                 print(name, case_name, extra_eigen_bits(mesh, r), flush=True)
+        for (_, resolution), mesh in meshes.items():
+            print(name, "mesh-" + "x".join(map(str, resolution)),
+                  mesh_bits(mesh), flush=True)
     return 0
 
 
