@@ -8,11 +8,13 @@ and integrals use one quadrature point per cell (segment midpoint, triangle
 centroid).  Node ordering is lexicographic by coordinate, so all reductions
 are reproducible.
 
-A mesh is its nodes, its cells and its resolution.  Everything else, the
-bounds and boundary nodes of the nodes' bounding box, and per cell the
-measure, centroid and basis gradients, the mesh derives from them with
-one simplex rule for d = 1 and 2; the builders ``build_interval`` and
-``build_rectangle`` only lay out the grid and test its total measure.
+A mesh is its box and its resolution.  It checks them, lays out the
+uniform grid's nodes and cells itself and derives the rest from them:
+the boundary nodes on the box, and per cell the measure, centroid and
+basis gradients, with one simplex rule for d = 1 and 2.  So every mesh
+is the uniform grid of its box, which point evaluation and the
+Hopf diagnostic read by index; the builders ``build_interval`` and
+``build_rectangle`` are one ``Mesh`` call each.
 
 The kernels work vertex by vertex.  Each mesh keeps vertex-major,
 read-only copies of its cell table and basis gradients, built once with
@@ -70,32 +72,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable simplicial mesh of an interval or rectangle.
+    """Immutable uniform simplicial mesh of an interval or rectangle.
 
-    A mesh is given its nodes, its cells and its resolution, and derives
-    the rest once, with the mesh: the dimension (the columns of
-    ``nodes``), the bounds and boundary nodes of the nodes' bounding box,
-    and per cell the measure, the centroid and the basis gradients, by
-    one simplex rule for d = 1 and 2.  With E the (d, d) matrix of edges
+    A mesh is given its box and its resolution, and derives the rest once,
+    with the mesh.  It refuses a box that is not finite and ordered ("a <
+    b" per axis), a count that is not an integer of at least 2, and a
+    grid whose cells do not all have a finite positive measure summing to
+    the box's.  It lays out the nodes lexicographically by coordinate
+    (``np.linspace`` per axis), the 1D segments (i, i + 1) and, per quad
+    in i-major order, the lower triangle (n00, n10, n11) and then the
+    upper one (n00, n11, n01), all split along the same diagonal.  Per
+    cell it derives the measure, the centroid and the basis gradients by
+    one simplex rule for d = 1 and 2: with E the (d, d) matrix of edges
     e_k = P_k - P_0, the gradients of vertices 1..d are the cofactors of
     E times 1/det E, vertex 0's is minus their sum, the measure is
-    |det E|/d! and the centroid the vertex sum over d + 1.  So
-    ``dataclasses.replace(mesh, nodes=...)`` derives them all again.  A
-    mesh refuses cells or a resolution that do not fit its nodes'
-    dimension, and a cell whose measure is not finite and positive.
+    |det E|/d! and the centroid the vertex sum over d + 1.  The boundary
+    nodes are those with a coordinate on the box.  So
+    ``dataclasses.replace(mesh, bounds=...)`` lays out and derives them
+    all again, and no mesh is other than the uniform grid of its box.
 
-    The mesh holds private read-only copies of its arrays, so later
-    writes to the caller's arrays do not reach it.  Meshes compare and
-    hash by identity.  The interior assembly plan is built on first use
-    by ``interior_plan`` and kept with the mesh.
+    The arrays are read-only and private to the mesh.  Meshes compare
+    and hash by identity.  The interior assembly plan is built on first
+    use by ``interior_plan`` and kept with the mesh.
 
     Attributes:
+        bounds: (a, b) in 1D, (ax, bx, ay, by) in 2D, as floats.
+        resolution: (n_cells,) in 1D, (nx, ny) quad counts in 2D, as ints.
         nodes: (n_nodes, dimension) coordinates, lexicographic order.
         cells: (n_cells, dimension+1) node indices per cell.
-        resolution: (n_cells,) in 1D, (nx, ny) quad counts in 2D.
         dimension: 1 or 2.
-        bounds: (a, b) in 1D, (ax, bx, ay, by) in 2D.
-        boundary_mask: True exactly at nodes on the bounding box.
+        boundary_mask: True exactly at nodes on the box's boundary.
         cell_measures: length/area per cell, all positive.
         quad_points: one point per cell (midpoint / centroid).
         shape_grads: (n_cells, dimension+1, dimension) gradients of the
@@ -108,11 +114,11 @@ class Mesh:
             increasing order.
     """
 
-    nodes: np.ndarray
-    cells: np.ndarray
+    bounds: tuple
     resolution: tuple
+    nodes: np.ndarray = field(init=False, repr=False)
+    cells: np.ndarray = field(init=False, repr=False)
     dimension: int = field(init=False)
-    bounds: tuple = field(init=False)
     boundary_mask: np.ndarray = field(init=False, repr=False)
     cell_measures: np.ndarray = field(init=False, repr=False)
     quad_points: np.ndarray = field(init=False, repr=False)
@@ -123,32 +129,51 @@ class Mesh:
     _plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        nodes, cells = _readonly(self.nodes), _readonly(self.cells)
-        d = nodes.shape[1] if nodes.ndim == 2 else 0
-        if d not in (1, 2) or len(self.resolution) != d \
-                or cells.ndim != 2 or cells.shape[1] != d + 1:
-            raise ValueError("nodes, cells, resolution do not fit d = 1 or 2")
-        X = np.ascontiguousarray(nodes.T)  # X[c]: coordinate c of each node
+        d = len(self.resolution)
+        if d not in (1, 2) or len(self.bounds) != 2 * d:
+            raise ValueError("bounds and resolution do not fit d = 1 or 2")
+        bounds = tuple(map(float, self.bounds))
+        if not all(a < b and b - a < np.inf
+                   for a, b in zip(bounds[::2], bounds[1::2])):
+            raise ValueError(f"degenerate {('interval', 'rectangle')[d - 1]}:"
+                             f" need finite lower < upper bounds, got {bounds}")
+        names = ("n_cells",) if d == 1 else ("nx", "ny")
+        for n, name in zip(self.resolution, names):  # 16 or 16.0, not 16.9
+            if not float(n).is_integer():
+                raise ValueError(f"{name} must be an integer, got {n!r}")
+        res = tuple(map(int, self.resolution))
+        if min(res) < 2:
+            raise ValueError(f"{', '.join(names)} must be >= 2, got "
+                             + ", ".join(map(str, res)))
+        lo, hi = np.array(bounds[::2]), np.array(bounds[1::2])
+        axes = map(np.linspace, lo, hi, [n + 1 for n in res])
+        X = np.array(np.meshgrid(*axes, indexing="ij")).reshape(d, -1)
+        idx = np.arange(X.shape[1]).reshape([n + 1 for n in res])
+        if d == 1:  # X[c] is coordinate c of each node, idx its grid index
+            cells = np.column_stack([idx[:-1], idx[1:]])
+        else:  # per quad, the lower then the upper triangle
+            n00, n11 = idx[:-1, :-1], idx[1:, 1:]
+            cells = np.stack([n00, idx[1:, :-1], n11, n00, n11, idx[:-1, 1:]],
+                             axis=-1).reshape(-1, 3)
         P = X.take(cells.T, axis=1)  # P[c, v]: that of each cell's vertex v
         e = P[:, 1:] - P[:, :1]  # e[c, k - 1] = coordinate c of P_k - P_0
         if d == 1:
             det, cof = e[0, 0], np.ones_like(e)
         else:  # e1x e2y - e1y e2x; cof[k - 1] is vertex k's cofactor row
-            det = e[0, 0] * e[1, 1] - e[1, 0] * e[0, 1]
+            with np.errstate(over="ignore"):  # an infinite area is refused
+                det = e[0, 0] * e[1, 1] - e[1, 0] * e[0, 1]
             cof = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]])
         measures = np.abs(det) / d  # |det|/d!, d! = d for d <= 2
         if not np.all((measures > 0) & (measures < np.inf)):
             raise ValueError("a cell's measure is not finite and positive")
+        if abs(measures.sum() - np.prod(hi - lo)) > 1e-12 * np.prod(hi - lo):
+            raise ValueError("cell measures do not sum to the domain measure")
         g = cof * (1.0 / det)
         grads = np.concatenate([-g.sum(axis=0, keepdims=True), g])
-        lo, hi = X.min(axis=1, keepdims=True), X.max(axis=1, keepdims=True)
-        boundary = ((X == lo) | (X == hi)).any(axis=0)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "cells", cells)
+        boundary = ((X == lo[:, None]) | (X == hi[:, None])).any(axis=0)
         derived = dict(
-            dimension=d,
-            bounds=tuple(float(b) for b in np.hstack([lo, hi]).ravel()),
-            boundary_mask=boundary, cell_measures=measures,
+            bounds=bounds, resolution=res, nodes=X.T, cells=cells,
+            dimension=d, boundary_mask=boundary, cell_measures=measures,
             quad_points=(P.sum(axis=1) / (d + 1)).T,
             shape_grads=grads.transpose(2, 0, 1), vertex_cells=cells.T,
             vertex_grads=grads, interior=np.flatnonzero(~boundary))
@@ -210,7 +235,8 @@ class NodeField:
         return NodeField(self.mesh, values)
 
     def at(self, points) -> np.ndarray:
-        """Evaluate the piecewise-linear interpolant at arbitrary points."""
+        """Evaluate the piecewise-linear interpolant at points of the
+        mesh's box."""
         return _interp_p1(self, points)
 
 
@@ -226,66 +252,17 @@ def _on_mesh(mesh: Mesh, *fields, what: str = "field"):
             raise ValueError(f"{what} sampled on a different mesh")
 
 
-def _cell_count(n, name: str) -> int:
-    """A cell count given as an integral number (16 or 16.0, not 16.9)."""
-    if not float(n).is_integer():
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    return int(n)
-
-
 def build_interval(a: float, b: float, n_cells: int) -> Mesh:
-    """Uniform mesh of (a, b) with ``n_cells`` segments.
-
-    Endpoints are flagged as boundary nodes.
-    """
-    a, b = float(a), float(b)
-    if not (a < b and b - a < np.inf):
-        raise ValueError(f"degenerate interval: need finite a={a} < b={b}")
-    n_cells = _cell_count(n_cells, "n_cells")
-    if n_cells < 2:
-        raise ValueError(f"n_cells must be >= 2, got {n_cells}")
-
-    xs = np.linspace(a, b, n_cells + 1)
-    cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    mesh = Mesh(xs[:, None], cells, (n_cells,))
-    _check_volume(mesh, b - a)
-    return mesh
+    """Uniform mesh of (a, b) with ``n_cells`` segments; the endpoints are
+    its boundary nodes."""
+    return Mesh((a, b), (n_cells,))
 
 
 def build_rectangle(ax: float, bx: float, ay: float, by: float,
                     nx: int, ny: int) -> Mesh:
     """Uniform triangulation of (ax,bx) x (ay,by): nx*ny quads, two
     triangles each, split along the same diagonal orientation."""
-    ax, bx, ay, by = map(float, (ax, bx, ay, by))
-    if not (ax < bx and ay < by and max(bx - ax, by - ay) < np.inf):
-        raise ValueError("degenerate rectangle: need finite ax < bx "
-                         "and ay < by")
-    nx, ny = _cell_count(nx, "nx"), _cell_count(ny, "ny")
-    if nx < 2 or ny < 2:
-        raise ValueError(f"nx, ny must be >= 2, got {nx}, {ny}")
-
-    xs = np.linspace(ax, bx, nx + 1)
-    ys = np.linspace(ay, by, ny + 1)
-    # node (i, j) -> index i*(ny+1)+j: lexicographic by (x, y)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    n00 = (ii * (ny + 1) + jj).ravel()
-    n10, n01, n11 = n00 + (ny + 1), n00 + 1, n00 + (ny + 2)
-    # diagonal from (i,j) to (i+1,j+1) in every quad
-    lower = np.column_stack([n00, n10, n11])
-    upper = np.column_stack([n00, n11, n01])
-    cells = np.column_stack([lower, upper]).reshape(-1, 3)
-
-    mesh = Mesh(nodes, cells, (nx, ny))
-    _check_volume(mesh, (bx - ax) * (by - ay))
-    return mesh
-
-
-def _check_volume(mesh: Mesh, volume: float):
-    if abs(mesh.total_measure - volume) > 1e-12 * abs(volume):
-        raise ValueError("cell measures do not sum to the domain measure")
+    return Mesh((ax, bx, ay, by), (nx, ny))
 
 
 def _gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
@@ -318,8 +295,12 @@ def _field_gradient(u: NodeField) -> np.ndarray:
 
 
 def cell_gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
-    """(n_cells, dimension) gradients of the P1 interpolant of nodal values:
-    the transposed view of ``_gradient``'s result, one row per cell."""
+    """(n_cells, dimension) gradients of the P1 interpolant of nodal values,
+    one per mesh node: the transposed view of ``_gradient``'s result, one
+    row per cell."""
+    if np.shape(nodal) != (mesh.n_nodes,):
+        raise ValueError(f"got {np.shape(nodal)} values for "
+                         f"{mesh.n_nodes} nodes")
     return _gradient(mesh, nodal).T
 
 
@@ -430,10 +411,12 @@ def integrate(values, mesh: Mesh | None = None) -> float:
 
     The one cell quadrature: every energy, pairing and modular in the
     package integrates through it.  Accepts per-cell scalars or a
-    NodeField (averaged to quad points first).  Cells are reduced in
-    their fixed construction order.
+    NodeField (averaged to quad points first), which must be sampled on
+    ``mesh`` when one is given.  Cells are reduced in their fixed
+    construction order.
     """
     if isinstance(values, NodeField):
+        _on_mesh(mesh or values.mesh, values)
         mesh = values.mesh
         cellvals = cell_average(values)
     else:
@@ -477,16 +460,19 @@ def constant_field(mesh: Mesh, c: float) -> NodeField:
 
 
 def _interp_p1(u: NodeField, points) -> np.ndarray:
-    """P1 interpolation of a nodal field at arbitrary points.
+    """P1 interpolation of a nodal field at points of the mesh's box.
 
-    Relies on the structured layout: meshes are always uniform interval or
-    rectangle grids.  At cell quadrature points this coincides with the
-    vertex average used by ``integrate``.
+    Reads the grid cell of each point from the bounds and resolution, as
+    every mesh is the uniform grid of its box.  At cell quadrature points
+    this coincides with the vertex average used by ``integrate``.  A point
+    that is not finite or lies outside the box raises ``ValueError``.
     """
     mesh = u.mesh
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != mesh.dimension:
         pts = pts.reshape(-1, mesh.dimension)
+    if not np.all((pts >= mesh.bounds[::2]) & (pts <= mesh.bounds[1::2])):
+        raise ValueError("points must be finite and inside the mesh's box")
     if mesh.dimension == 1:
         out = np.interp(pts[:, 0], mesh.nodes[:, 0], u.values)
         return out if out.size > 1 else float(out[0])

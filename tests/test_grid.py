@@ -109,6 +109,13 @@ class TestGradient:
         u = interpolate(mesh, lambda x, y: 2 * x - 5 * y + 1)
         assert np.allclose(cell_gradient(mesh, u.values), [2.0, -5.0], atol=1e-13)
 
+    def test_values_must_be_one_per_node(self):
+        # too many, too few, in 1D and 2D: refused, not read off the cells
+        for mesh in (build_interval(0, 1, 4), build_rectangle(0, 1, 0, 1, 2, 2)):
+            for n in (3, mesh.n_nodes + 2, mesh.n_nodes + 3):
+                with pytest.raises(ValueError, match="values for"):
+                    cell_gradient(mesh, np.ones(n))
+
     def test_linearity(self):
         mesh = build_interval(0, 1, 16)
         rng = np.random.default_rng(3)
@@ -136,22 +143,8 @@ def test_scatter_add_matches_add_at_bitwise(dim, width):
     assert scatter_add(mesh, contrib).tobytes() == expected.tobytes()
 
 
-def _sheared_mesh() -> Mesh:
-    """The 7 x 5 unit-square grid with its nodes mapped by the matrix
-    [[1, 0.11], [0.37, 0.83]]; the mesh derives its basis gradients,
-    measures and centroids from the mapped nodes.
-
-    On the structured grids every cell has, per gradient component, a
-    vertex whose basis gradient component is zero, so the order in which
-    a kernel adds the vertices cannot show in its bits; here none is zero.
-    """
-    base = build_rectangle(0, 1, 0, 1, 7, 5)
-    return Mesh(base.nodes @ np.array([[1.0, 0.11], [0.37, 0.83]]).T,
-                base.cells, base.resolution)
-
-
 KERNEL_MESHES = [(1, 7), (1, 256), (1, 1024), (2, (3, 4)), (2, (16, 17)),
-                 (2, (64, 64)), (2, "sheared")]
+                 (2, (64, 64))]
 
 
 @pytest.mark.parametrize("dim,size", KERNEL_MESHES,
@@ -159,12 +152,8 @@ KERNEL_MESHES = [(1, 7), (1, 256), (1, 1024), (2, (3, 4)), (2, (16, 17)),
 def test_vertex_kernels_match_dense_formulas_bitwise(dim, size):
     # the dense per-cell formulas the vertex-major kernels replaced, with
     # cell vectors given and returned component-major, (dim, n_cells)
-    if size == "sheared":
-        mesh = _sheared_mesh()
-        assert np.all(mesh.shape_grads != 0.0)
-    else:
-        mesh = build_interval(0, 1, size) if dim == 1 else \
-            build_rectangle(0, 1.5, 0, 1, *size)
+    mesh = build_interval(0, 1, size) if dim == 1 else \
+        build_rectangle(0, 1.5, 0, 1, *size)
     G, m = mesh.shape_grads, mesh.cell_measures
     rng = np.random.default_rng(17)
     for scale in (1.0, 1e3, 1e6, 1e9):
@@ -223,38 +212,51 @@ def test_interior_index_is_kept_with_the_mesh():
 
 
 def test_mesh_keeps_private_copies_of_its_arrays():
-    # a mesh built from the caller's arrays must not see later writes to
-    # them: its cells and the kept vertex-major copy stay in agreement
-    mesh = build_interval(0, 1, 4)
-    cells = np.array(mesh.cells)
-    nodes = np.array(mesh.nodes)
-    m2 = replace(mesh, cells=cells, nodes=nodes)
-    cells[0] = [1, 2]
-    nodes[0] = 5.0
-    assert np.array_equal(m2.cells, mesh.cells)
-    assert np.array_equal(m2.vertex_cells.T, m2.cells)
-    assert np.array_equal(m2.nodes, mesh.nodes)
-    for name in ("nodes", "cells", "boundary_mask", "cell_measures",
-                 "quad_points", "shape_grads"):
-        a = getattr(m2, name)
-        assert a.flags.c_contiguous and not a.flags.writeable
-    assert cells.flags.writeable
+    # a mesh lays out its own nodes and cells, so no caller holds a
+    # writable view of them, and they are not inputs to replace
+    for mesh in (build_interval(0, 1, 4), build_rectangle(0, 1, 0, 1, 3, 2)):
+        for name in ("nodes", "cells", "boundary_mask", "cell_measures",
+                     "quad_points", "shape_grads", "vertex_cells",
+                     "vertex_grads", "interior"):
+            a = getattr(mesh, name)
+            assert a.flags.c_contiguous and not a.flags.writeable
+        for name in ("nodes", "cells"):
+            with pytest.raises(ValueError):
+                replace(mesh, **{name: getattr(mesh, name)})
 
 
 @pytest.mark.parametrize("mesh", [build_interval(0, 1, 4),
                                   build_rectangle(0, 1, 0, 1, 3, 2)],
                          ids=["1d", "2d"])
 def test_replaced_nodes_derive_the_geometry_again(mesh):
-    # the geometry, bounds and boundary are derived from the nodes, so
-    # doubling them doubles the domain: its measure is 2^d
-    m2 = replace(mesh, nodes=2 * mesh.nodes)
+    # replacing the bounds lays out the nodes again, and the geometry,
+    # bounds and boundary follow them: doubling the box gives measure 2^d
+    m2 = replace(mesh, bounds=tuple(2 * b for b in mesh.bounds))
     assert integrate(constant_field(m2, 1.0)) == 2.0 ** mesh.dimension
+    assert np.array_equal(m2.nodes, 2 * mesh.nodes)
     assert m2.bounds == tuple(2 * b for b in mesh.bounds)
+    assert m2.resolution == mesh.resolution
+    assert np.array_equal(m2.cells, mesh.cells)
     assert np.array_equal(m2.boundary_mask, mesh.boundary_mask)
     assert np.array_equal(m2.quad_points, 2 * mesh.quad_points)
     assert np.array_equal(m2.shape_grads, mesh.shape_grads / 2)
     with pytest.raises(ValueError):  # derived fields are not inputs
         replace(mesh, cell_measures=2 * mesh.cell_measures)
+
+
+def test_mesh_is_the_uniform_grid_of_its_box():
+    # a direct call lays out exactly the builders' grid: lexicographic
+    # nodes, and per quad the lower then the upper triangle
+    mesh = Mesh((0, 2, 0, 4), (2, 2.0))
+    assert mesh.bounds == (0.0, 2.0, 0.0, 4.0) and mesh.resolution == (2, 2)
+    assert mesh.nodes.tolist() == [[i, 2 * j] for i in range(3)
+                                   for j in range(3)]
+    assert mesh.cells.tolist() == [[0, 3, 4], [0, 4, 1], [1, 4, 5],
+                                   [1, 5, 2], [3, 6, 7], [3, 7, 4],
+                                   [4, 7, 8], [4, 8, 5]]
+    assert mesh.boundary_mask.tolist() == [True] * 4 + [False] + [True] * 4
+    assert Mesh((0, 1), (4.0,)).cells.tolist() == [[0, 1], [1, 2], [2, 3],
+                                                  [3, 4]]
 
 
 def test_meshes_compare_by_identity():
@@ -264,29 +266,35 @@ def test_meshes_compare_by_identity():
 
 
 def test_mesh_refuses_arrays_of_another_dimension():
-    square = build_rectangle(0, 1, 0, 1, 3, 2)
-    line = build_interval(0, 1, 4)
-    for nodes, cells, resolution in [
-            (square.nodes[:, :1], square.cells, square.resolution),
-            (square.nodes, square.cells, (6,)),
-            (square.nodes, square.cells[:, :2], square.resolution),
-            (line.nodes, line.cells, (2, 2)),
-            (line.nodes, np.column_stack([line.cells, line.cells[:, 0]]),
-             line.resolution),
-            (np.zeros((5, 3)), line.cells, (4, 1, 1))]:
+    # a 1D mesh takes two bounds and one count, a 2D mesh four and two
+    for bounds, resolution in [
+            ((0, 1), (2, 2)), ((0, 1, 0, 1), (4,)), ((0, 1, 0), (2, 2)),
+            ((0, 1, 0, 1, 0, 1), (2, 2, 2)), ((), ())]:
         with pytest.raises(ValueError, match="do not fit"):
-            Mesh(nodes, cells, resolution)
+            Mesh(bounds, resolution)
 
 
-@pytest.mark.parametrize("bad", [0.25, np.nan, np.inf],
-                         ids=["zero", "nan", "inf"])
-def test_mesh_refuses_a_cell_without_a_finite_positive_measure(bad):
-    # node 0 moved onto node 1 gives a zero length; a NaN or infinite
-    # coordinate gives a NaN or infinite one
-    nodes = build_interval(0, 1, 4).nodes.copy()
-    nodes[0 if bad == 0.25 else 1] = bad
+@pytest.mark.parametrize("bounds,resolution", [
+    ((1e16, 1e16 + 2), (4,)), ((0, 1e300, 0, 1e300), (2, 2))],
+    ids=["zero", "inf"])
+def test_mesh_refuses_a_cell_without_a_finite_positive_measure(bounds,
+                                                               resolution):
+    # a box too narrow for its spacing collapses nodes onto each other,
+    # and one too wide has an area that overflows
     with pytest.raises(ValueError, match="not finite and positive"):
-        Mesh(nodes, build_interval(0, 1, 4).cells, (4,))
+        Mesh(bounds, resolution)
+
+
+def test_mesh_checks_its_box_and_counts_itself():
+    # the builders' checks, on a direct call
+    with pytest.raises(ValueError, match="degenerate interval"):
+        Mesh((1, 0), (4,))
+    with pytest.raises(ValueError, match="degenerate rectangle"):
+        Mesh((0, 1, 0, np.nan), (2, 2))
+    with pytest.raises(ValueError, match="ny must be an integer"):
+        Mesh((0, 1, 0, 1), (2, 2.5))
+    with pytest.raises(ValueError, match="nx, ny must be >= 2"):
+        Mesh((0, 1, 0, 1), (2, 1))
 
 
 def test_cell_average_is_kept_with_the_field():
@@ -353,6 +361,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(np.ones(3), mesh)
 
+    def test_field_on_another_mesh_refused(self):
+        # the mesh given is the one integrated over, or the call fails
+        mesh = build_interval(0, 1, 4)
+        one = constant_field(mesh, 1.0)
+        assert integrate(one, mesh) == integrate(one) == 1.0
+        with pytest.raises(ValueError, match="different mesh"):
+            integrate(one, build_interval(0, 2, 4))
+
     def test_gradient_square_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -412,6 +428,25 @@ class TestNodeField:
             u = NodeField(mesh, rng.uniform(size=mesh.n_nodes))
             assert np.allclose(u.at(mesh.quad_points), cell_average(u),
                                atol=1e-13)
+
+    @pytest.mark.parametrize("point", [[np.nan], [1.5], [-0.25], [np.inf],
+                                       [0.5, np.nan]],
+                             ids=["nan", "right", "left", "inf", "nan-second"])
+    def test_point_outside_the_interval_refused(self, point):
+        u = interpolate(build_interval(0, 1, 4), "x")
+        assert u.at([0.0, 0.5, 1.0]).tolist() == [0.0, 0.5, 1.0]
+        with pytest.raises(ValueError, match="inside the mesh's box"):
+            u.at(point)
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.5], [5.0, 0.5],
+                                       [0.5, -1e-9], [0.5, np.inf]],
+                             ids=["nan", "right", "below", "inf"])
+    def test_point_outside_the_rectangle_refused(self, point):
+        # neither numpy's cast of NaN to an index nor a clip to the edge
+        u = interpolate(build_rectangle(0, 1, 0, 1, 4, 4), "x + 2*y")
+        assert u.at([[0.0, 0.0], [0.5, 0.25]]).tolist() == [0.0, 1.0]
+        with pytest.raises(ValueError, match="inside the mesh's box"):
+            u.at([[0.25, 0.25], point])
 
     def test_immutable(self):
         mesh = build_interval(0, 1, 4)

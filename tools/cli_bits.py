@@ -3,13 +3,16 @@
 Runs each subcommand of ``python -m pxlaplace`` once, in a temporary
 directory, on the config of the README's command-line section (with a
 ``sweep`` block added), the two checks also on a weighted rectangle,
-``validate`` also on that config without ``q`` (a source), and then each
-demo.  For every run it prints the exit code, the sha256 of
-stdout and the sha256 of each file the run wrote, one line each, sorted
-by file name.  Output files go to the config's ``output.dir``, or to
+``validate`` also on that config without ``q`` (a source), ``validate``
+on three bad domains that exit 2 (an interval with b < a, an interval
+of 16.5 cells, a rectangle given ``--nx 1``), and then each demo.  For
+every run it prints the exit code, the sha256 of stdout and of stderr
+and the sha256 of each file the run wrote, one line each, sorted by
+file name.  Output files go to the config's ``output.dir``, or to
 ``--out`` where the run passes it.  The package is imported from the
 ``src/`` next to this script.  Diffing the output of two checkouts shows
-whether their command-line outputs and demo printouts are byte-identical.
+whether their command-line outputs, messages and demo printouts are
+byte-identical.
 
 Usage: python tools/cli_bits.py
 """
@@ -67,6 +70,11 @@ RUNS = {
     "check-diaz-saa 2D": (["check-diaz-saa", "--samples", "20",
                            "--seed", "1"], RECTANGLE_CONFIG),
     "validate source": (["validate"], SOURCE_CONFIG),
+    "validate b < a": (["validate"], dict(
+        README_CONFIG, domain={"kind": "interval", "a": 1.0, "b": 0.0})),
+    "validate n = 16.5": (["validate"], dict(
+        README_CONFIG, domain={"kind": "interval", "n": 16.5})),
+    "validate 2D --nx 1": (["validate", "--nx", "1"], RECTANGLE_CONFIG),
 }
 
 
@@ -76,11 +84,13 @@ def _sha(data: bytes) -> str:
 
 def _run(label: str, argv: list, cwd: Path, env: dict):
     """Run ``python argv`` in ``cwd`` and print its exit code, the hash
-    of its stdout and the hash of every file it wrote under ``cwd``."""
+    of its stdout and stderr and the hash of every file it wrote under
+    ``cwd``."""
     before = set(cwd.rglob("*"))
     proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True)
-    lines = [("exit", proc.returncode), ("stdout", _sha(proc.stdout))]
+    lines = [("exit", proc.returncode), ("stdout", _sha(proc.stdout)),
+             ("stderr", _sha(proc.stderr))]
     lines += [(f.relative_to(cwd).as_posix(), _sha(f.read_bytes()))
               for f in sorted(set(cwd.rglob("*")) - before) if f.is_file()]
     for name, value in lines:
