@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import NodeField, _on_mesh, cell_average
+from .grid import NodeField, _interp_p1, _on_mesh, _one_point, cell_average
 
 __all__ = [
     "AnisotropyModel",
@@ -74,12 +74,6 @@ class AnisotropyModel:
         w.flags.writeable = False
         return w
 
-    def weights_at(self, points) -> np.ndarray | None:
-        """The weights at the points, one row each."""
-        if self.weights is None:
-            return None
-        return np.array([np.atleast_1d(w.at(points)) for w in self.weights])
-
 
 def isotropic(exponent: ExponentField) -> AnisotropyModel:
     return AnisotropyModel(exponent)
@@ -121,28 +115,32 @@ def _flux_rows(p: np.ndarray, w, xi: np.ndarray, eps: float = 0.0) -> np.ndarray
     return out
 
 
-def _point_data(model: AnisotropyModel, x):
-    return np.atleast_1d(model.exponent.values.at(x)), model.weights_at(x)
+def _point_data(model: AnisotropyModel, points: np.ndarray) -> tuple:
+    """p at each of the (m, dimension) points, shape (m,), and the
+    weights there, None or one row each, shape (dimension, m)."""
+    fields = (model.exponent.values,) + (model.weights or ())
+    p, *w = (_interp_p1(f, points) for f in fields)
+    return p, np.array(w) if w else None
 
 
 def eval_A(model: AnisotropyModel, x, xi) -> float:
     """A(x, xi) at a single point; nonnegative, p(x)-homogeneous in xi."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float)).T
-    p, w = _point_data(model, x)
+    p, w = _point_data(model, _one_point(model.mesh, x))
     return float((_quad_form(w, xi) ** (p / 2.0))[0])
 
 
 def eval_N(model: AnisotropyModel, x, xi) -> float:
     """N(x, xi) = A(x, xi)^(r/p(x)); r-homogeneous in xi."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float)).T
-    n = _quad_form(model.weights_at(x), xi) ** (model.exponent.r / 2.0)
-    return float(n[0])
+    w = _point_data(model, _one_point(model.mesh, x))[1]
+    return float((_quad_form(w, xi) ** (model.exponent.r / 2.0))[0])
 
 
 def flux_a(model: AnisotropyModel, x, xi) -> np.ndarray:
     """Flux a(x, xi) = grad_xi A / p(x); a(x, 0) = 0."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float)).T
-    p, w = _point_data(model, x)
+    p, w = _point_data(model, _one_point(model.mesh, x))
     return _flux_rows(p, w, xi)[:, 0]
 
 
@@ -195,24 +193,21 @@ def check_hypothesis_A(model: AnisotropyModel, sample_count: int,
     k = min(len(axes), sample_count)
     etas[:k] = axes[:k]
 
+    # every sample at once, one column j of the Jacobians per pair of
+    # _flux_rows calls; it works column by column, so each sample's
+    # column is what the sample alone gives
+    p, w = _point_data(model, pts)
     step = 1e-6
-    gamma_hat = np.inf
-    Gamma_hat = 0.0
-    for k in range(sample_count):
-        x, xi, eta = pts[k], xis[k], etas[k]
-        p, w = _point_data(model, x)
-        jac = np.empty((dim, dim))
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = step
-            hi = _flux_rows(p, w, (xi + e)[:, None])[:, 0]
-            lo = _flux_rows(p, w, (xi - e)[:, None])[:, 0]
-            jac[:, j] = (hi - lo) / (2.0 * step)
-        if not np.all(np.isfinite(jac)):
-            raise ValueError("flux Jacobian has non-finite entries: model defect")
-        scale = np.linalg.norm(xi) ** (p[0] - 2.0)
-        gamma_hat = min(gamma_hat, float(eta @ jac @ eta) / (scale * eta @ eta))
-        Gamma_hat = max(Gamma_hat, float(np.abs(jac).sum()) / scale)
+    fd = [(_flux_rows(p, w, xis.T + e) - _flux_rows(p, w, xis.T - e)).T
+          for e in step * np.eye(dim)[:, :, None]]
+    jac = np.stack(fd, axis=2) / (2.0 * step)  # (sample, i, j)
+    if not np.all(np.isfinite(jac)):
+        raise ValueError("flux Jacobian has non-finite entries: model defect")
+    scale = np.linalg.norm(xis, axis=1) ** (p - 2.0)
+    eJe = (etas[:, None] @ jac @ etas[:, :, None])[:, 0, 0]
+    gamma_hat = np.min(eJe / ((scale[:, None] * etas)[:, None]
+                              @ etas[:, :, None])[:, 0, 0])
+    Gamma_hat = np.max(np.abs(jac).sum(axis=(1, 2)) / scale)
 
     passed = gamma_hat > 0.0 and np.isfinite(Gamma_hat)
     return HypothesisAReport(float(gamma_hat), float(Gamma_hat), bool(passed),
@@ -242,25 +237,25 @@ def check_N_strict_convexity(model: AnisotropyModel, sample_count: int,
     dim = model.mesh.dimension
     r = model.exponent.r
 
-    min_margin = np.inf
-    strict_ok = True
-    ray_equality = False
-    for k in range(sample_count):
-        w = model.weights_at(pts[k])
-        xi1 = rng.standard_normal(dim)
-        if k % 4 == 3:
-            xi2 = 2.0 * xi1  # common-ray probe
-        else:
-            xi2 = rng.standard_normal(dim)
-        stack = np.column_stack([xi1, xi2, 0.5 * (xi1 + xi2)])
-        n1, n2, nmid = _quad_form(w, stack) ** (r / 2.0)
-        margin = 0.5 * (n1 + n2) - nmid
-        scale = max(1.0, n1 + n2)
-        min_margin = min(min_margin, margin / scale)
-        if np.linalg.norm(xi1 - xi2) > 1e-6 and margin <= 0.0:
-            strict_ok = False
-            if abs(margin) <= 1e-12 * scale:
-                ray_equality = True
+    # all the normals in one call, in the order a loop over the samples
+    # draws them: xi1, then xi2 unless the sample is a common-ray probe
+    k = np.arange(sample_count)
+    ray = k % 4 == 3
+    first = 2 * k - k // 4  # the normals drawn before sample k
+    normals = rng.standard_normal((2 * sample_count - sample_count // 4,
+                                   dim)).T
+    xi1 = normals[:, first]
+    xi2 = 2.0 * xi1  # common-ray probe
+    xi2[:, ~ray] = normals[:, first[~ray] + 1]
+    w = _point_data(model, pts)[1]
+    n1, n2, nmid = (_quad_form(w, v) ** (r / 2.0)
+                    for v in (xi1, xi2, 0.5 * (xi1 + xi2)))
+    margin = 0.5 * (n1 + n2) - nmid
+    scale = np.maximum(1.0, n1 + n2)
+    min_margin = np.min(margin / scale)
+    bad = (np.linalg.norm(xi1 - xi2, axis=0) > 1e-6) & (margin <= 0.0)
+    strict_ok = not bad.any()
+    ray_equality = bool(np.any(bad & (np.abs(margin) <= 1e-12 * scale)))
 
     passed = min_margin >= -1e-12 and strict_ok
     return MidpointConvexityReport(float(min_margin), bool(strict_ok),

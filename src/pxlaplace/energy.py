@@ -30,8 +30,8 @@ import numpy as np
 from .anisotropy import AnisotropyModel, _dot, _flux_rows, _quad_form
 from .exponents import ExponentField
 from .grid import (Mesh, NodeField, _field_gradient, _gradient, _on_mesh,
-                   cell_average, constant_field, flux_loads, integrate,
-                   scatter_add)
+                   _one_point, cell_average, constant_field, flux_loads,
+                   integrate, scatter_add)
 
 __all__ = [
     "ReactionTerm",
@@ -215,6 +215,7 @@ def _f_cells(u: np.ndarray, h: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _potential(h: NodeField, q: NodeField, x, u: float) -> float:
     """``_F_cells`` of the one value u with h and q taken at the point x."""
+    x = _one_point(h.mesh, x)
     h = np.atleast_1d(h.at(x))
     q = np.atleast_1d(q.at(x))
     return float(_F_cells(np.atleast_1d(float(u)), h, q)[0])

@@ -155,10 +155,11 @@ def luxemburg_norm(u: NodeField, p: ExponentField) -> float:
 UNBOUNDED = np.finfo(float).max
 
 
-def sobolev_conjugate(p: ExponentField, dimension: int) -> NodeField:
-    """Nodewise N*p/(N-p) where p(x) < N; the UNBOUNDED sentinel elsewhere."""
+def sobolev_conjugate(p: ExponentField) -> NodeField:
+    """Nodewise N*p/(N-p) where p(x) < N, with N the dimension of p's
+    mesh; the UNBOUNDED sentinel elsewhere."""
     vals = p.values.values
-    n = float(dimension)
+    n = float(p.mesh.dimension)
     out = np.where(vals < n,
                    n * vals / np.where(vals < n, n - vals, 1.0),
                    UNBOUNDED)

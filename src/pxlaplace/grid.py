@@ -16,6 +16,14 @@ is the uniform grid of its box, which point evaluation and the
 Hopf diagnostic read by index; the builders ``build_interval`` and
 ``build_rectangle`` are one ``Mesh`` call each.
 
+Point evaluation (``NodeField.at``, through ``_interp_p1``) is one P1
+rule for d = 1 and 2: the grid coordinate of a point picks its cell,
+the last cell holding the upper edge, and the point's simplex is the
+mesh's own diagonal split, Freudenthal's, walked along the axes in
+decreasing local coordinate.  It evaluates any batch of points at once;
+the single-point functions of the package check through ``_one_point``
+that they were given exactly one.
+
 The kernels work vertex by vertex.  Each mesh keeps vertex-major,
 read-only copies of its cell table and basis gradients, built once with
 the mesh: per cell vertex, one contiguous array of node indices and one
@@ -236,8 +244,11 @@ class NodeField:
 
     def at(self, points) -> np.ndarray:
         """Evaluate the piecewise-linear interpolant at points of the
-        mesh's box."""
-        return _interp_p1(self, points)
+        mesh's box by ``_interp_p1``'s one rule for d = 1 and 2: a float
+        for one point, an array of one value per point otherwise (empty
+        for no points)."""
+        out = _interp_p1(self, points)
+        return out if out.size != 1 else float(out[0])
 
 
 def _on_mesh(mesh: Mesh, *fields, what: str = "field"):
@@ -459,39 +470,57 @@ def constant_field(mesh: Mesh, c: float) -> NodeField:
     return NodeField(mesh, np.full(mesh.n_nodes, float(c)))
 
 
+def _one_point(mesh: Mesh, x) -> np.ndarray:
+    """The point ``x`` as a (1, dimension) array.
+
+    The single-point functions (``eval_A``, ``eval_N``, ``flux_a`` and
+    the potentials) call it, so an ``x`` that does not hold exactly one
+    coordinate per space dimension raises ``ValueError``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size != mesh.dimension:
+        raise ValueError(f"need one point, got an array of shape {x.shape}")
+    return x.reshape(1, -1)
+
+
 def _interp_p1(u: NodeField, points) -> np.ndarray:
     """P1 interpolation of a nodal field at points of the mesh's box.
 
-    Reads the grid cell of each point from the bounds and resolution, as
-    every mesh is the uniform grid of its box.  At cell quadrature points
-    this coincides with the vertex average used by ``integrate``.  A point
-    that is not finite or lies outside the box raises ``ValueError``.
+    One rule for d = 1 and 2, read from the bounds and resolution, as
+    every mesh is the uniform grid of its box.  Per axis, the grid
+    coordinate f = (x - lo)/h, taken as n itself on the upper edge, gives
+    the cell i = min(floor f, n - 1), so the last cell holds the upper
+    edge, and the local coordinate t = f - i in [0, 1].  The simplex is
+    the mesh's diagonal split, Freudenthal's: the walk from the cell's
+    first corner along the axes in decreasing t (ties take x first), with
+    weights 1 - t(1), t(1) - t(2), ..., t(d).  Each corner c of the cell
+    (a 0/1 step per axis) gets the weight
+    max(0, min of t over c's axes - max of t over the others), 1 and 0
+    standing for an empty min and max: the walk's weight at the walk's
+    corners, 0 elsewhere.  The corners are added in Gray-code order, each
+    one axis step from the last (0, x, xy, y in 2D), so a lower triangle
+    adds u00 (1 - tx) + u10 (tx - ty) + u11 ty and an upper one
+    u00 (1 - ty) + u11 tx + u01 (ty - tx) in that order, a zero term
+    changing no sum.  A point on the box's boundary at a node of the
+    last cell reads that node's value, and at cell quadrature points the
+    result is the vertex average used by ``integrate``.  Returns one value
+    per point; a point that is not finite or lies outside the box raises
+    ``ValueError``.
     """
     mesh = u.mesh
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != mesh.dimension:
-        pts = pts.reshape(-1, mesh.dimension)
-    if not np.all((pts >= mesh.bounds[::2]) & (pts <= mesh.bounds[1::2])):
+    pts = np.asarray(points, dtype=float).reshape(-1, mesh.dimension)
+    lo, hi = np.array(mesh.bounds[::2]), np.array(mesh.bounds[1::2])
+    if not np.all((pts >= lo) & (pts <= hi)):
         raise ValueError("points must be finite and inside the mesh's box")
-    if mesh.dimension == 1:
-        out = np.interp(pts[:, 0], mesh.nodes[:, 0], u.values)
-        return out if out.size > 1 else float(out[0])
-
-    ax, bx, ay, by = mesh.bounds
-    nx, ny = mesh.resolution
-    hx, hy = (bx - ax) / nx, (by - ay) / ny
-    fi = np.clip((pts[:, 0] - ax) / hx, 0.0, nx * (1 - 1e-16))
-    fj = np.clip((pts[:, 1] - ay) / hy, 0.0, ny * (1 - 1e-16))
-    i, j = fi.astype(int), fj.astype(int)
-    xi, eta = fi - i, fj - j
-
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    v = u.values
-    u00, u10 = v[nid(i, j)], v[nid(i + 1, j)]
-    u01, u11 = v[nid(i, j + 1)], v[nid(i + 1, j + 1)]
-    low = u00 * (1 - xi) + u10 * (xi - eta) + u11 * eta
-    upp = u00 * (1 - eta) + u11 * xi + u01 * (eta - xi)
-    out = np.where(xi >= eta, low, upp)
-    return out if out.size > 1 else float(out[0])
+    n = np.array(mesh.resolution)
+    f = np.where(pts < hi, (pts - lo) / ((hi - lo) / n), n)
+    i = np.minimum(f.astype(int), n - 1)
+    t = f - i
+    out = np.zeros(len(pts))
+    for k in range(2 ** mesh.dimension):  # the corners in Gray-code order
+        c = (k ^ k >> 1) >> np.arange(mesh.dimension) & 1
+        lam = (t[:, c == 1].min(axis=1, initial=1.0)
+               - t[:, c == 0].max(axis=1, initial=0.0))
+        node = np.ravel_multi_index((i + c).T, n + 1)
+        out += u.values[node] * np.maximum(lam, 0.0)
+    return out

@@ -102,14 +102,15 @@ def validate_f(term: ReactionTerm, r: float) -> ValidationReport:
     return report
 
 
-def validate_g(term: AbsorptionTerm, r: float, p: ExponentField,
-               dimension: int) -> ValidationReport:
+def validate_g(term: AbsorptionTerm, r: float,
+               p: ExponentField) -> ValidationReport:
     """Hypotheses on the absorption term, decided in closed form.
 
     (g1) positivity for s > 0 with g(x, 0) = 0;
     (g2) s -> g(x, s)/s^(r-1) monotone increasing (not necessarily
          strictly): Q >= r nodewise;
-    (g3) growth exponent between 1 and the Sobolev conjugate of p.
+    (g3) growth exponent between 1 and the Sobolev conjugate of p, in
+         the dimension of p's mesh.
 
     Witnesses record the small-s domination constant C0 with
     g(x, s) <= C0 s^(r-1) near zero, and the large-s growth constant.
@@ -128,7 +129,7 @@ def validate_g(term: AbsorptionTerm, r: float, p: ExponentField,
         witness = int(np.argmin(term.Q.values))
         report.add("g2", FAIL,
                    f"Q < r at node {witness} (Q = {term.Q.values[witness]})")
-    pstar = sobolev_conjugate(p, dimension)
+    pstar = sobolev_conjugate(p)
     margin = pstar.values - term.Q.values
     if Q_minus > 1 and np.all(margin > 0):
         pstar_min = float(pstar.values.min())

@@ -447,8 +447,7 @@ def hypotheses(spec: ProblemSpec) -> dict:
     r = spec.exponent.r
     reports = {"f": validate_f(spec.reaction, r)}
     if spec.kind == "problem2":
-        reports["g"] = validate_g(spec.absorption, r, spec.exponent,
-                                  spec.mesh.dimension)
+        reports["g"] = validate_g(spec.absorption, r, spec.exponent)
     elif spec.kind == "kirchhoff":
         reports["M"] = validate_M(spec.kirchhoff)
     return reports

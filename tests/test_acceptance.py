@@ -322,7 +322,7 @@ def test_criterion_10_problem2():
 
     spec = spec_with(1.0)
     ok = validate_f(spec.reaction, 1.8).passed
-    ok = ok and validate_g(spec.absorption, 1.8, spec.exponent, 1).passed
+    ok = ok and validate_g(spec.absorption, 1.8, spec.exponent).passed
     ok = ok and validate_corollary_chain(
         spec.reaction.q, spec.absorption.Q, 1.8, spec.exponent).passed
     rep = uniqueness_experiment(spec, SolverOptions(), n_inits=2, seed=31,
@@ -390,16 +390,16 @@ def test_criterion_12_validator_examples():
     p1 = exponent_field(mesh, 2.0, r=2.0)
     checks.append(validate_g(
         power_absorption(constant_field(mesh, 1.0), constant_field(mesh, 2.0)),
-        2.0, p1, 1).passed is True)
+        2.0, p1).passed is True)
     checks.append(validate_g(
         power_absorption(constant_field(mesh, 1.0),
                          interpolate(mesh, "1.5+0.2*x")),
-        1.8, exponent_field(mesh, 2.0, r=1.8), 1)["g2"].status == "fail")
+        1.8, exponent_field(mesh, 2.0, r=1.8))["g2"].status == "fail")
     mesh2 = build_rectangle(0, 1, 0, 1, 2, 2)
     checks.append(validate_g(
         power_absorption(constant_field(mesh2, 1.0),
                          constant_field(mesh2, 7.0)),
-        1.2, exponent_field(mesh2, 1.5, r=1.2), 2)["g3"].status == "fail")
+        1.2, exponent_field(mesh2, 1.5, r=1.2))["g3"].status == "fail")
     # diffusion-scale validator: pass / fail(M1) / fail(M2)
     from pxlaplace.energy import KirchhoffTerm
     checks.append(validate_M(saturating_kirchhoff(1.0, 2.0)).passed is True)

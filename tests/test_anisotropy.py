@@ -5,6 +5,8 @@ from pxlaplace.anisotropy import (AnisotropyModel, _flux_rows, _quad_form,
                                   check_hypothesis_A,
                                   check_N_strict_convexity, eval_A, eval_N,
                                   flux_a, isotropic, weighted_quadratic)
+from pxlaplace.energy import (potential_F, potential_G, power_absorption,
+                              power_reaction)
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import (build_interval, build_rectangle, constant_field,
                             interpolate)
@@ -117,6 +119,37 @@ class TestFlux:
                     / (2 * step) / p
             a = flux_a(model, x, xi)
             assert np.allclose(a, fd, rtol=1e-6, atol=1e-9)
+
+
+def _at_point_functions(model):
+    """The single-point functions, each called as f(x) on ``model``."""
+    mesh = model.mesh
+    xi = np.ones(mesh.dimension)
+    h, q = constant_field(mesh, 2.0), interpolate(mesh, "1.5+x")
+    return {
+        "eval_A": lambda x: eval_A(model, x, xi),
+        "eval_N": lambda x: eval_N(model, x, xi),
+        "flux_a": lambda x: flux_a(model, x, xi),
+        "potential_F": lambda x: potential_F(power_reaction(h, q), x, 0.5),
+        "potential_G": lambda x: potential_G(power_absorption(h, q), x, 0.5),
+    }
+
+
+@pytest.mark.parametrize("name", ["eval_A", "eval_N", "flux_a",
+                                  "potential_F", "potential_G"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_single_point_functions_refuse_several_points(name, dim):
+    # eval_A, eval_N and flux_a read the first of the points, and the
+    # potentials raised numpy's broadcast error
+    if dim == 1:
+        model, one, two = iso_1d("2+x", 1.5), [0.1], [[0.1], [0.9]]
+    else:
+        model = weighted_2d((4, 1), 2.5, 2.0)
+        one, two = [0.1, 0.2], [[0.1, 0.2], [0.9, 0.8]]
+    f = _at_point_functions(model)[name]
+    assert np.all(np.isfinite(f(one)))
+    with pytest.raises(ValueError, match="need one point"):
+        f(two)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -138,15 +138,15 @@ class TestLuxemburgNorm:
 class TestSobolevConjugate:
     def test_1d_always_unbounded(self, mesh):
         p = exponent_field(mesh, "2+x", r=1.0)
-        assert np.all(sobolev_conjugate(p, 1).values == UNBOUNDED)
+        assert np.all(sobolev_conjugate(p).values == UNBOUNDED)
 
     def test_2d_p2_unbounded(self):
         mesh = build_rectangle(0, 1, 0, 1, 2, 2)
         p = exponent_field(mesh, 2.0, r=1.0)
-        assert np.all(sobolev_conjugate(p, 2).values == UNBOUNDED)
+        assert np.all(sobolev_conjugate(p).values == UNBOUNDED)
 
     def test_2d_p_below_dimension(self):
         # N=2, p=1.5: conjugate is 2*1.5/(2-1.5) = 6
         mesh = build_rectangle(0, 1, 0, 1, 2, 2)
         p = exponent_field(mesh, 1.5, r=1.0)
-        assert np.allclose(sobolev_conjugate(p, 2).values, 6.0)
+        assert np.allclose(sobolev_conjugate(p).values, 6.0)

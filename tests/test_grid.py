@@ -448,6 +448,57 @@ class TestNodeField:
         with pytest.raises(ValueError, match="inside the mesh's box"):
             u.at([[0.25, 0.25], point])
 
+    def test_upper_edge_reads_the_nodal_value(self):
+        # the cell of a point on the upper edge is the last one, at local
+        # coordinate 1, not a clip just below the edge
+        u = interpolate(build_rectangle(0, 1, 0, 1, 2, 2), "x+y")
+        assert u.at([1.0, 1.0]) == 2.0
+        assert u.at([[1.0, 0.5], [0.5, 1.0]]).tolist() == [1.5, 1.5]
+        assert interpolate(build_rectangle(0, 1, 0, 1, 64, 64),
+                           "x+y").at([1.0, 1.0]) == 2.0
+        # on 49 cells, (1 - 0)/(1/49) rounds above 49: the edge is
+        # taken as the grid coordinate n itself
+        assert interpolate(build_rectangle(0, 1, 0, 1, 49, 49),
+                           "x+y").at([1.0, 1.0]) == 2.0
+        u = NodeField(build_interval(0, 1, 49), np.arange(50.0))
+        assert u.at([0.0, 1.0]).tolist() == [0.0, 49.0]
+
+    @pytest.mark.parametrize("mesh", [
+        build_interval(0, 1, 7), build_rectangle(0, 1, 0, 2, 64, 33),
+    ], ids=["1d-n7", "2d-64x33"])
+    def test_one_rule_agrees_with_the_interval_and_triangle_formulas(
+            self, mesh):
+        # np.interp in 1D, and in 2D the lower and upper triangle of the
+        # cell, found by clipping the grid coordinate below the upper edge
+        rng = np.random.default_rng(41)
+        v = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        lo, hi = np.array(mesh.bounds[::2]), np.array(mesh.bounds[1::2])
+        pts = rng.uniform(lo, hi, (10_000, mesh.dimension))
+        if mesh.dimension == 1:
+            expected = np.interp(pts[:, 0], mesh.nodes[:, 0], v)
+        else:
+            (nx, ny), h = mesh.resolution, (hi - lo) / mesh.resolution
+            f = np.clip((pts - lo) / h, 0.0, np.array([nx, ny]) * (1 - 1e-16))
+            (i, j), (xi, eta) = f.astype(int).T, (f - f.astype(int)).T
+            u00, u10 = v[i * (ny + 1) + j], v[(i + 1) * (ny + 1) + j]
+            u01, u11 = v[i * (ny + 1) + j + 1], v[(i + 1) * (ny + 1) + j + 1]
+            expected = np.where(
+                xi >= eta, u00 * (1 - xi) + u10 * (xi - eta) + u11 * eta,
+                u00 * (1 - eta) + u11 * xi + u01 * (eta - xi))
+        got = NodeField(mesh, v).at(pts)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(v).max()
+        if mesh.dimension == 2:  # the corners' order adds the same sums
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mesh", [
+        build_interval(0, 1, 4), build_rectangle(0, 1, 0, 1, 4, 4),
+    ], ids=["1d", "2d"])
+    def test_empty_batch_reads_no_values(self, mesh):
+        u = interpolate(mesh, "1+x")
+        for points in ([], np.empty((0, mesh.dimension))):
+            out = u.at(points)
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
     def test_immutable(self):
         mesh = build_interval(0, 1, 4)
         u = constant_field(mesh, 1.0)

@@ -79,14 +79,14 @@ class TestValidateG:
         p = exponent_field(mesh, 2.0, r=2.0)
         term = power_absorption(constant_field(mesh, 1.0),
                                 constant_field(mesh, 2.0))
-        rep = validate_g(term, r=2.0, p=p, dimension=1)
+        rep = validate_g(term, r=2.0, p=p)
         assert rep.passed
 
     def test_Q_below_r_fails_with_witness(self, mesh):
         p = exponent_field(mesh, 2.0, r=1.8)
         term = power_absorption(constant_field(mesh, 1.0),
                                 interpolate(mesh, "1.5+0.2*x"))
-        rep = validate_g(term, r=1.8, p=p, dimension=1)
+        rep = validate_g(term, r=1.8, p=p)
         assert rep["g2"].status == "fail"
         assert "node" in rep["g2"].witness
 
@@ -96,7 +96,7 @@ class TestValidateG:
         p = exponent_field(mesh2, 1.5, r=1.2)
         term = power_absorption(constant_field(mesh2, 1.0),
                                 constant_field(mesh2, 7.0))
-        rep = validate_g(term, r=1.2, p=p, dimension=2)
+        rep = validate_g(term, r=1.2, p=p)
         assert rep["g3"].status == "fail"
         assert "6.0" in rep["g3"].witness
 
@@ -142,7 +142,7 @@ class TestCorollaryChain:
         assert chain.passed
         f_rep = validate_f(power_reaction(constant_field(mesh, 2.0), q), 1.8)
         g_rep = validate_g(power_absorption(constant_field(mesh, 1.0), Q),
-                           1.8, p, 1)
+                           1.8, p)
         assert f_rep.passed and g_rep.passed
 
 
@@ -247,5 +247,4 @@ def test_validate_g_refuses_a_term_on_another_mesh(n):
     term = power_absorption(constant_field(other, 1.0),
                             constant_field(other, 2.0))
     with pytest.raises(ValueError, match="term field sampled on a different"):
-        validate_g(term, r=1.5, p=exponent_field(home, "2+x", r=1.5),
-                   dimension=1)
+        validate_g(term, r=1.5, p=exponent_field(home, "2+x", r=1.5))

@@ -28,13 +28,18 @@ on one line with the hex of lambda and the sha256 of phi, or the message
 of the error the call raises.  Each workload ends with one line per
 distinct mesh its cases read (``mesh-<resolution>``): the sha256 of
 each of the mesh's ``MESH_ARRAYS``, ``quad_points`` included, which no
-result reads.  Diffing the output of two
+result reads.  After the workloads comes the point layer, which no
+bench case reaches (``points``): the reports of ``check_hypothesis_A``
+and ``check_N_strict_convexity`` on each of the ``CERTIFICATES`` models,
+every float as hex, and the hex of ``NodeField.at`` on the seeded
+points and the box corners of each of the ``POINT_FIELDS`` meshes.
+Diffing the output of two
 checkouts shows whether their results, whole fields included, are
 bitwise equal.  The package is imported from the ``src/``
 next to this script; nothing under ``bench/`` is changed.
 
 Usage: python tools/result_bits.py [--seed S] [WORKLOAD ...]
-       (default: seed 1, every workload)
+       (default: seed 1, every workload and then ``points``)
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -137,6 +143,59 @@ SOURCE_SOLVES = (
 COMPARISON = ("comparison-r1-n64", 64)
 
 
+def _model(mesh, p: str, r: float, weights=None):
+    """An anisotropy model on ``mesh``: isotropic, or weighted-quadratic
+    with one weight expression per axis."""
+    exponent = workloads.exponent_field(mesh, p, r)
+    if weights is None:
+        return workloads.anisotropy.isotropic(exponent)
+    return workloads.anisotropy.weighted_quadratic(
+        exponent, [_grid.interpolate(mesh, w) for w in weights])
+
+
+# (name, model, sample count, seed): the certificates' cases of
+# tests/test_anisotropy.py, then an 8x8 model whose p and weights vary
+_I8 = _grid.build_interval(0, 1, 8)
+_S2 = _grid.build_rectangle(0, 1, 0, 1, 2, 2)
+_S8 = _grid.build_rectangle(0, 1, 0, 1, 8, 8)
+CERTIFICATES = (
+    ("iso-1d-p2-r1-s1", _model(_I8, "2", 1.0), 30, 1),
+    ("iso-1d-p4-r1-s2", _model(_I8, "4", 1.0), 30, 2),
+    ("iso-2d-p4-r2-s3", _model(_S2, "4", 2.0), 200, 3),
+    ("iso-1d-p2-r2-s5", _model(_I8, "2", 2.0), 100, 5),
+    ("iso-1d-p2-r1-s6", _model(_I8, "2", 1.0), 100, 6),
+    ("weighted-2d-p2.5-r2-s7", _model(_S2, "2.5", 2.0, ("4", "1")), 100, 7),
+    ("weighted-8x8-r1.5-s4", _model(_S8, "2+x", 1.5, ("1+x", "2-y")), 200, 4),
+)
+# (name, mesh): a field of seeded nodal values, evaluated by .at
+POINT_FIELDS = (
+    ("at-1d-n7", _grid.build_interval(0, 1, 7)),
+    ("at-2d-64x33", _grid.build_rectangle(0, 1, 0, 2, 64, 33)),
+)
+
+
+def certificate_bits(model, count: int, seed: int) -> str:
+    """Both certificates' reports on one ``CERTIFICATES`` case."""
+    a = workloads.anisotropy.check_hypothesis_A(model, count, seed)
+    n = workloads.anisotropy.check_N_strict_convexity(model, count, seed)
+    return (f"gamma_hat {a.gamma_hat.hex()} Gamma_hat {a.Gamma_hat.hex()} "
+            f"passed {a.passed} min_margin {n.min_margin.hex()} strict_ok "
+            f"{n.strict_ok} ray_equality {n.ray_equality_found} "
+            f"passed {n.passed}")
+
+
+def point_bits(mesh) -> str:
+    """The hex of ``.at`` on 16 seeded points of the box and its corners,
+    for a field of seeded nodal values."""
+    rng = np.random.default_rng(11)
+    u = _grid.NodeField(mesh, rng.uniform(-1.0, 1.0, mesh.n_nodes))
+    lo, hi = np.array(mesh.bounds[::2]), np.array(mesh.bounds[1::2])
+    corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij"))
+    pts = np.vstack([rng.uniform(lo, hi, (16, lo.size)),
+                     corners.reshape(lo.size, -1).T])
+    return " ".join(float(v).hex() for v in u.at(pts))
+
+
 def _solve_line(rep) -> str:
     """``converged``, iterations, stage exits, energy hex and solution
     sha256 of one solve report."""
@@ -212,14 +271,22 @@ def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the check pairs (default 1)")
+    sections = workloads.WORKLOADS + ("points",)
     parser.add_argument("workload", nargs="*",
                         help="workloads to run (default: all of "
-                        + ", ".join(workloads.WORKLOADS) + ")")
+                        + ", ".join(sections) + ")")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.workload) - set(workloads.WORKLOADS))
+    unknown = sorted(set(args.workload) - set(sections))
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
-    for name in args.workload or workloads.WORKLOADS:
+    for name in args.workload or sections:
+        if name == "points":
+            for case_name, model, count, seed in CERTIFICATES:
+                print(name, case_name, certificate_bits(model, count, seed),
+                      flush=True)
+            for case_name, mesh in POINT_FIELDS:
+                print(name, case_name, point_bits(mesh), flush=True)
+            continue
         meshes = {}
         for case in workloads.build(name, args.seed):
             print(name, case.name, workloads.signature(case.run()),
