@@ -9,9 +9,13 @@ restrictions along segments in the cone and their derivatives are computed
 in closed form, and the derivative formulas are the exact derivatives of
 the discrete line values (the consistency tests rely on this).  A line
 call takes one theta or a 1-D array of them: the combinations are formed,
-checked finite and rooted as one stack, each tested for the cone once,
-and each keeps its own gradient, density and sum, so a value is bitwise
-the same whichever thetas share its call.
+checked finite, tested for the cone and rooted as one (k, n_nodes)
+stack, and each row keeps its own gradient, density and sum, so a value
+is bitwise the same whichever thetas share its call.  The rows are not
+stacked further: one (k, n_cells) density would allocate temporaries of
+k times the mesh, which cost more than they save on large 2D meshes.  A
+cone row's density is formed in place and reads the mesh's vertex
+indexers, views on a 1D mesh (``grid.Mesh.vertex_cells``).
 
 Reaction, absorption and saturating Kirchhoff terms extend the gradient
 energies to the three Dirichlet problems; the Gateaux gradient assembles
@@ -247,15 +251,20 @@ def kirchhoff_M(term: KirchhoffTerm, s: float) -> float:
 
 # -- cone energies ----------------------------------------------------------
 
-def _require_cone(mesh: Mesh, values: np.ndarray, theta=None):
+def _require_cone(mesh: Mesh, values: np.ndarray, thetas=None):
     """Positive at interior nodes; zero trace allowed at the boundary.
 
-    The error names ``theta`` when the values are the combination at it.
+    ``values`` is one field, or with ``thetas`` the (k, n_nodes) stack of
+    the combinations at them, tested as one array; the error then names
+    the first theta whose row leaves the cone.
     """
-    if values.min() <= 0 and ((values < 0).any()
-                              or ((values == 0) & ~mesh.boundary_mask).any()):
-        raise ValueError("field is outside the positive cone" if theta is None
-                         else f"combination leaves the cone at theta={theta}")
+    if values.size and values.min() <= 0:
+        out = (values < 0) | ((values == 0) & ~mesh.boundary_mask)
+        if out.any():
+            raise ValueError(
+                "field is outside the positive cone" if thetas is None else
+                "combination leaves the cone at "
+                f"theta={thetas[out.any(axis=1).argmax()]}")
 
 
 def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
@@ -264,13 +273,22 @@ def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
 
     The rows are rooted as one stack and r/p and p/2 are formed once; each
     row keeps its own gradient, density and sum, so every value is the
-    one a single row gives.
+    one a single row gives.  A row's density is formed in place,
+    |grad w|_W^2 raised to p/2 and times r/p and the cell measures, and
+    summed as ``integrate`` sums; as the products commute, the value is
+    bitwise the one ``integrate`` gives.
     """
     mesh = model.mesh
     p = model.p_cells
     r_p, half_p = model.exponent.r / p, p / 2.0
-    return [integrate(r_p * _quad_form(weights, _gradient(mesh, w)) ** half_p,
-                      mesh) for w in v ** (1.0 / model.exponent.r)]
+    out = []
+    for w in v ** (1.0 / model.exponent.r):
+        s = _quad_form(weights, _gradient(mesh, w))
+        s **= half_p
+        s *= r_p
+        s *= mesh.cell_measures
+        out.append(float(s.sum()))
+    return out
 
 
 def _cone_energy(v: NodeField, model: EnergyModel, weights) -> float:
@@ -395,8 +413,8 @@ def cone_delta(v1: NodeField, v2: NodeField) -> float:
 def _combinations(v1: NodeField, v2: NodeField, theta,
                   mesh: Mesh) -> np.ndarray:
     """Rows (1-theta) v1 + theta v2, one per theta, formed as one stack,
-    checked finite at once and tested for the cone row by row.  Both
-    fields must live on ``mesh``, the model's."""
+    checked finite and tested for the cone at once.  Both fields must
+    live on ``mesh``, the model's."""
     _on_mesh(mesh, v1, v2)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
@@ -406,8 +424,7 @@ def _combinations(v1: NodeField, v2: NodeField, theta,
         v = (1.0 - t) * v1.values + t * v2.values
     if not np.isfinite(v).all():
         raise ValueError("field values must be finite")
-    for ti, row in zip(thetas, v):
-        _require_cone(mesh, row, ti)
+    _require_cone(mesh, v, thetas)
     return v
 
 

@@ -36,13 +36,17 @@ class ExponentField:
     The field is given its samples and r, and derives the grid extrema
     p_minus and p_plus from the samples by ``exponent_bounds`` (so
     ``dataclasses.replace`` derives them again); it refuses samples not
-    above 1 and an r outside [1, p_minus].
+    above 1 and an r outside [1, p_minus].  It also derives ``above_r``,
+    the package's one rule for "p exceeds r on a cell": a read-only mask
+    of the cells whose ``cellwise`` p exceeds r by more than 1e-12.  As
+    r <= p_minus, p is identically r exactly when the mask is empty.
     """
 
     values: NodeField
     r: float
     p_minus: float = field(init=False)
     p_plus: float = field(init=False)
+    above_r: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p_minus, p_plus = exponent_bounds(self.values)
@@ -52,6 +56,9 @@ class ExponentField:
             )
         object.__setattr__(self, "p_minus", p_minus)
         object.__setattr__(self, "p_plus", p_plus)
+        above = self.cellwise() - self.r > 1e-12
+        above.flags.writeable = False
+        object.__setattr__(self, "above_r", above)
 
     @property
     def mesh(self) -> Mesh:

@@ -24,20 +24,22 @@ decreasing local coordinate.  It evaluates any batch of points at once;
 the single-point functions of the package check through ``_one_point``
 that they were given exactly one.
 
-The kernels work vertex by vertex.  Each mesh keeps vertex-major,
-read-only copies of its cell table and basis gradients, built once with
-the mesh: per cell vertex, one contiguous array of node indices and one
-contiguous array per gradient component.  A cell gradient is then the sum
-over vertices of basis gradient times vertex value, and a cell average the
-sum of the vertex values divided once by their count; both add in the same
-order as the dense per-cell formulas, so their results are bitwise the
-same.  Cell vectors stay component-major, shape (dimension, n_cells), from
-the gradient kernel ``_gradient`` through every flux, weight and reduction
-that reads them; only the public ``cell_gradient`` hands out the
-transposed (n_cells, dimension) view.  A field keeps its cell gradient
-and its cell average, each computed on first use by ``_field_gradient``
-and ``cell_average``, so every energy, gradient and metric at one field
-reads the same arrays.
+The kernels work vertex by vertex.  Each mesh keeps, built once with the
+mesh, one node indexer per cell vertex and a vertex-major, read-only copy
+of its basis gradients, one contiguous array per vertex and gradient
+component.  An indexer is a slice where that vertex's nodes are a
+contiguous range (both vertices of a 1D mesh), so reading through it is a
+view, and a read-only index array otherwise (every 2D vertex).  A cell
+gradient is then the sum over vertices of basis gradient times vertex
+value, and a cell average the sum of the vertex values divided once by
+their count; both add in the same order as the dense per-cell formulas, so
+their results are bitwise the same.  Cell vectors stay component-major,
+shape (dimension, n_cells), from the gradient kernel ``_gradient`` through
+every flux, weight and reduction that reads them; only the public
+``cell_gradient`` hands out the transposed (n_cells, dimension) view.  A
+field keeps its cell gradient and its cell average, each computed on first
+use by ``_field_gradient`` and ``cell_average``, so every energy, gradient
+and metric at one field reads the same arrays.
 
 The interior-node matrices (the Newton metric, the r = 2 stiffness and
 mass) are given as local cell matrices and share one assembly plan per
@@ -78,6 +80,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _indexer(nodes: np.ndarray):
+    """``slice(a, a + len(nodes))`` if ``nodes`` is the range a, a + 1,
+    ..., else a read-only copy of ``nodes``: either selects the same
+    values."""
+    a = int(nodes[0])
+    if np.array_equal(nodes, np.arange(a, a + nodes.size)):
+        return slice(a, a + nodes.size)
+    return _readonly(nodes)
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable uniform simplicial mesh of an interval or rectangle.
@@ -114,8 +126,9 @@ class Mesh:
         quad_points: one point per cell (midpoint / centroid).
         shape_grads: (n_cells, dimension+1, dimension) gradients of the
             nodal P1 basis restricted to each cell.
-        vertex_cells: (dimension+1, n_cells) copy of ``cells``, one row
-            per cell vertex.
+        vertex_cells: one node indexer per cell vertex, selecting
+            ``cells[:, v]``: a slice where that column is a contiguous
+            range of node numbers, else a read-only copy of it.
         vertex_grads: (dimension+1, dimension, n_cells) copy of
             ``shape_grads``, one row per vertex and gradient component.
         interior: indices of the interior (non-boundary) nodes, in
@@ -131,7 +144,7 @@ class Mesh:
     cell_measures: np.ndarray = field(init=False, repr=False)
     quad_points: np.ndarray = field(init=False, repr=False)
     shape_grads: np.ndarray = field(init=False, repr=False)
-    vertex_cells: np.ndarray = field(init=False, repr=False)
+    vertex_cells: tuple = field(init=False, repr=False)
     vertex_grads: np.ndarray = field(init=False, repr=False)
     interior: np.ndarray = field(init=False, repr=False)
     _plan: tuple | None = field(default=None, init=False, repr=False)
@@ -183,7 +196,8 @@ class Mesh:
             bounds=bounds, resolution=res, nodes=X.T, cells=cells,
             dimension=d, boundary_mask=boundary, cell_measures=measures,
             quad_points=(P.sum(axis=1) / (d + 1)).T,
-            shape_grads=grads.transpose(2, 0, 1), vertex_cells=cells.T,
+            shape_grads=grads.transpose(2, 0, 1),
+            vertex_cells=tuple(map(_indexer, cells.T)),
             vertex_grads=grads, interior=np.flatnonzero(~boundary))
         for name, value in derived.items():
             if isinstance(value, np.ndarray):
@@ -283,7 +297,8 @@ def _gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
     package differentiates through it, and reads its result in this
     component-major layout.  In 1D it is the difference quotient per
     segment; it is exact for globally affine fields and linear in the
-    values.  Summed vertex by vertex in ``vertex_grads`` layout.
+    values.  Summed vertex by vertex in ``vertex_grads`` layout, each
+    vertex's values read through its ``vertex_cells`` indexer.
     """
     G, C = mesh.vertex_grads, mesh.vertex_cells
     out = G[0] * nodal[C[0]]
@@ -488,24 +503,25 @@ def _interp_p1(u: NodeField, points) -> np.ndarray:
 
     One rule for d = 1 and 2, read from the bounds and resolution, as
     every mesh is the uniform grid of its box.  Per axis, the grid
-    coordinate f = (x - lo)/h, taken as n itself on the upper edge, gives
-    the cell i = min(floor f, n - 1), so the last cell holds the upper
-    edge, and the local coordinate t = f - i in [0, 1].  The simplex is
-    the mesh's diagonal split, Freudenthal's: the walk from the cell's
-    first corner along the axes in decreasing t (ties take x first), with
-    weights 1 - t(1), t(1) - t(2), ..., t(d).  Each corner c of the cell
-    (a 0/1 step per axis) gets the weight
+    coordinate f = (x - lo)/h, taken as the integer j = rint(f) where x
+    is the mesh's own coordinate of grid line j (``np.linspace(lo, hi,
+    n + 1)[j]``; so a node's coordinate reads its index, and the upper
+    edge n), gives the cell i = min(floor f, n - 1), so the last cell
+    holds the upper edge, and the local coordinate t = f - i in [0, 1].
+    The simplex is the mesh's diagonal split, Freudenthal's: the walk
+    from the cell's first corner along the axes in decreasing t (ties
+    take x first), with weights 1 - t(1), t(1) - t(2), ..., t(d).  Each
+    corner c of the cell (a 0/1 step per axis) gets the weight
     max(0, min of t over c's axes - max of t over the others), 1 and 0
     standing for an empty min and max: the walk's weight at the walk's
     corners, 0 elsewhere.  The corners are added in Gray-code order, each
     one axis step from the last (0, x, xy, y in 2D), so a lower triangle
     adds u00 (1 - tx) + u10 (tx - ty) + u11 ty and an upper one
     u00 (1 - ty) + u11 tx + u01 (ty - tx) in that order, a zero term
-    changing no sum.  A point on the box's boundary at a node of the
-    last cell reads that node's value, and at cell quadrature points the
-    result is the vertex average used by ``integrate``.  Returns one value
-    per point; a point that is not finite or lies outside the box raises
-    ``ValueError``.
+    changing no sum.  A point at a node reads that node's value, and at
+    cell quadrature points the result is the vertex average used by
+    ``integrate``.  Returns one value per point; a point that is not
+    finite or lies outside the box raises ``ValueError``.
     """
     mesh = u.mesh
     pts = np.asarray(points, dtype=float).reshape(-1, mesh.dimension)
@@ -513,7 +529,11 @@ def _interp_p1(u: NodeField, points) -> np.ndarray:
     if not np.all((pts >= lo) & (pts <= hi)):
         raise ValueError("points must be finite and inside the mesh's box")
     n = np.array(mesh.resolution)
-    f = np.where(pts < hi, (pts - lo) / ((hi - lo) / n), n)
+    f = (pts - lo) / ((hi - lo) / n)
+    j = np.rint(f).astype(int)  # the nearest grid line per axis
+    axes = map(np.linspace, lo, hi, n + 1)  # as the mesh lays out its nodes
+    lines = np.transpose([a[k] for a, k in zip(axes, j.T)])
+    f = np.where(pts == lines, j, f)
     i = np.minimum(f.astype(int), n - 1)
     t = f - i
     out = np.zeros(len(pts))

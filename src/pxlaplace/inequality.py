@@ -114,7 +114,6 @@ def check_ray_convexity(v1: NodeField, v2: NodeField, model: EnergyModel,
     proportional = (ratios.size > 0
                     and np.ptp(ratios) <= 1e-10 * max(1.0, np.abs(ratios).max())
                     and np.array_equal(b[~pos] == 0, a[~pos] == 0))
-    p_eq_r = bool(np.max(np.abs(model.p_cells - model.exponent.r)) <= 1e-12)
 
     return RayConvexityReport(
         slacks=slacks,
@@ -122,7 +121,7 @@ def check_ray_convexity(v1: NodeField, v2: NodeField, model: EnergyModel,
         scale=scale,
         equality_on_grid=bool(np.all(np.abs(slacks) <= 1e-10 * scale)),
         proportional_pair=bool(proportional),
-        p_equals_r=p_eq_r,
+        p_equals_r=not model.exponent.above_r.any(),
         passed=bool(min_slack >= -1e-10 * scale),
     )
 
@@ -234,7 +233,7 @@ def comparison_check(u1: NodeField, u2: NodeField, f1: NodeField,
         notes.append("fields are not positive at interior nodes")
     elif not _ratio_bounds(a, b, RATIO_CAP)[0].admissible:
         notes.append("interior ratio exceeds the admissibility cap")
-    if not np.any(model.p_cells - model.exponent.r > 1e-12):
+    if not model.exponent.above_r.any():
         notes.append("p is identically r (comparison needs p > r somewhere)")
 
     if mode == "subsuper" and not notes:

@@ -208,13 +208,13 @@ def sharpness_regime(spec: ProblemSpec) -> RegimeTag:
     unclassified:      anything else.
 
     A source is the power term with q = 1, so it is classified too.
-    Fractions are measured at quadrature points.
+    Fractions are measured at quadrature points, that of p > r on the
+    exponent's ``above_r`` cells.
     """
     exp = spec.exponent
     r = exp.r
-    p_cells = exp.cellwise()
     q_cells = cell_average(spec.reaction.q)
-    frac_p = float(np.mean(p_cells - r > 1e-12))
+    frac_p = float(np.mean(exp.above_r))
     frac_q = float(np.mean(r - q_cells > 1e-12))
     q_minus, q_plus = _extrema(spec.reaction.q)
 

@@ -51,6 +51,18 @@ class TestExponentField:
             ExponentField(constant_field(mesh, 2.0), p_minus=5.0,
                           p_plus=5.0, r=3.0)
 
+    def test_cells_above_r_are_derived_with_the_field(self, mesh):
+        # the one rule for "p exceeds r on a cell": p = 2 up to x = 1/2,
+        # 1.5 + x beyond, exceeds r = 2 on the cells right of 1/2
+        x = mesh.nodes[:, 0]
+        p = ExponentField(NodeField(mesh, np.where(x < 0.5, 2.0, 1.5 + x)),
+                          2.0)
+        assert np.array_equal(p.above_r, mesh.quad_points[:, 0] > 0.5)
+        assert np.array_equal(p.above_r, p.cellwise() - p.r > 1e-12)
+        assert not p.above_r.flags.writeable
+        assert not replace(p, values=constant_field(mesh, 2.0)).above_r.any()
+        assert p == replace(p)
+
     def test_samples_not_above_one_are_refused(self, mesh):
         with pytest.raises(ValueError, match="invalid exponent"):
             ExponentField(constant_field(mesh, 1.0), 1.0)

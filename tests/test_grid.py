@@ -3,6 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pxlaplace.anisotropy import _dot, _flux_rows
+from pxlaplace.energy import EnergyModel, flux_pairing
+from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import (Mesh, NodeField, _basis_pairing, _field_gradient,
                             _gradient, build_interval, build_rectangle,
                             cell_average, cell_gradient, constant_field,
@@ -186,18 +189,64 @@ def test_vertex_kernels_match_dense_formulas_bitwise(dim, size):
 
 
 def test_vertex_major_copies_are_read_only():
+    # one indexer per vertex, selecting that vertex's nodes: a slice on a
+    # 1D mesh, a read-only index array on a 2D one
     for mesh in (build_interval(0, 1, 8), build_rectangle(0, 1, 0, 1, 3, 4)):
         nloc = mesh.dimension + 1
-        assert mesh.vertex_cells.shape == (nloc, mesh.n_cells)
+        assert len(mesh.vertex_cells) == nloc
         assert mesh.vertex_grads.shape == (nloc, mesh.dimension,
                                            mesh.n_cells)
-        assert np.array_equal(mesh.vertex_cells.T, mesh.cells)
+        nodes = np.arange(mesh.n_nodes)
+        for v, c in enumerate(mesh.vertex_cells):
+            assert np.array_equal(nodes[c], mesh.cells[:, v])
+            assert isinstance(c, slice) == (mesh.dimension == 1)
+            if mesh.dimension == 2:
+                assert c.flags.c_contiguous and not c.flags.writeable
+                with pytest.raises(ValueError):
+                    c[0] = 1
         assert np.array_equal(mesh.vertex_grads.transpose(2, 0, 1),
                               mesh.shape_grads)
-        for a in (mesh.vertex_cells, mesh.vertex_grads):
-            assert a.flags.c_contiguous and not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0, 0] = 1
+        a = mesh.vertex_grads
+        assert a.flags.c_contiguous and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+
+
+INDEXER_MESHES = [build_interval(0, 1, n) for n in (2, 7, 1024)] + [
+    build_rectangle(0, 1, 0, 1, 3, 4), build_rectangle(0, 1, 0, 2, 64, 33)]
+
+
+@pytest.mark.parametrize("mesh", INDEXER_MESHES,
+                         ids=["1d-2", "1d-7", "1d-1024", "2d-3x4", "2d-64x33"])
+def test_indexed_kernels_match_the_gathered_forms_bitwise(mesh):
+    # each vertex's values, read through its indexer (a view on a 1D
+    # mesh), give the bits of the gathers u[cells[:, v]] summed in vertex
+    # order; a 1D mesh has no vertex whose nodes are not a range
+    assert [isinstance(c, slice) for c in mesh.vertex_cells] \
+        == [mesh.dimension == 1] * (mesh.dimension + 1)
+    G, cells, d = mesh.vertex_grads, mesh.cells, mesh.dimension
+    rng = np.random.default_rng(23)
+    w, s = rng.uniform(0.1, 10.0, (2, mesh.n_nodes))
+
+    def gathered_gradient(u):
+        out = G[0] * u[cells[:, 0]]
+        for v in range(1, d + 1):
+            out = out + G[v] * u[cells[:, v]]
+        return out
+
+    assert _gradient(mesh, w).tobytes() == gathered_gradient(w).tobytes()
+    total = w[cells[:, 0]] + w[cells[:, 1]]
+    for v in range(2, d + 1):
+        total = total + w[cells[:, v]]
+    assert (cell_average(NodeField(mesh, w)).tobytes()
+            == (total / (d + 1)).tobytes())
+    model = EnergyModel(mesh, exponent_field(mesh, "2.5+x", 1.5))
+    for weights in (None, rng.uniform(1.0, 2.0, (d, mesh.n_cells))):
+        flux = _flux_rows(model.p_cells, weights, gathered_gradient(w))
+        gathered = np.sum(_dot(flux, gathered_gradient(s))
+                          * mesh.cell_measures)
+        assert (flux_pairing(model, w, s, weights).hex()
+                == float(gathered).hex())
 
 
 def test_interior_index_is_kept_with_the_mesh():
@@ -216,10 +265,13 @@ def test_mesh_keeps_private_copies_of_its_arrays():
     # writable view of them, and they are not inputs to replace
     for mesh in (build_interval(0, 1, 4), build_rectangle(0, 1, 0, 1, 3, 2)):
         for name in ("nodes", "cells", "boundary_mask", "cell_measures",
-                     "quad_points", "shape_grads", "vertex_cells",
-                     "vertex_grads", "interior"):
+                     "quad_points", "shape_grads", "vertex_grads",
+                     "interior"):
             a = getattr(mesh, name)
             assert a.flags.c_contiguous and not a.flags.writeable
+        for c in mesh.vertex_cells:  # a slice holds no array
+            assert isinstance(c, slice) or (c.flags.c_contiguous
+                                            and not c.flags.writeable)
         for name in ("nodes", "cells"):
             with pytest.raises(ValueError):
                 replace(mesh, **{name: getattr(mesh, name)})
@@ -462,6 +514,15 @@ class TestNodeField:
                            "x+y").at([1.0, 1.0]) == 2.0
         u = NodeField(build_interval(0, 1, 49), np.arange(50.0))
         assert u.at([0.0, 1.0]).tolist() == [0.0, 49.0]
+
+    def test_nodes_read_their_own_values(self):
+        # a node whose (x - lo)/h rounds below its index is read at its
+        # grid line, not from the cell below at t = 1 - eps
+        meshes = [build_interval(0, 1, n) for n in range(2, 120)]
+        for mesh in meshes + [build_rectangle(0, 1, 0, 2, 64, 33)]:
+            v = np.random.default_rng(mesh.n_nodes).uniform(-1.0, 1.0,
+                                                            mesh.n_nodes)
+            assert NodeField(mesh, v).at(mesh.nodes).tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("mesh", [
         build_interval(0, 1, 7), build_rectangle(0, 1, 0, 2, 64, 33),

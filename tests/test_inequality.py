@@ -65,17 +65,20 @@ class TestCheckRayConvexity:
 
     @pytest.mark.parametrize("kind", ["W", "W_A"])
     def test_one_cone_check_per_line_value(self, monkeypatch, kind):
-        # Phi(0), Phi(1) and one value per theta, each checked once
+        # Phi(0), Phi(1) and one value per theta: one stack, checked once,
+        # so no combination is checked twice
         calls = []
         check = energy._require_cone
         monkeypatch.setattr(energy, "_require_cone",
-                            lambda *a: calls.append(1) or check(*a))
+                            lambda *a: calls.append(a[1]) or check(*a))
         model = cone_model(p="2+x", r=1.5)
         rng = np.random.default_rng(5)
         v1, v2 = (NodeField(model.mesh, rng.uniform(0.1, 10, model.mesh.n_nodes))
                   for _ in range(2))
         check_ray_convexity(v1, v2, model, self.thetas, kind=kind)
-        assert len(calls) == self.thetas.size + 2
+        t = np.concatenate(([0.0, 1.0], self.thetas))[:, None]
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], (1.0 - t) * v1.values + t * v2.values)
 
     @pytest.mark.parametrize("kind", ["W", "W_A"])
     @pytest.mark.parametrize("dim", [1, 2])
