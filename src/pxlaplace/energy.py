@@ -10,12 +10,17 @@ in closed form, and the derivative formulas are the exact derivatives of
 the discrete line values (the consistency tests rely on this).  A line
 call takes one theta or a 1-D array of them: the combinations are formed,
 checked finite, tested for the cone and rooted as one (k, n_nodes)
-stack, and each row keeps its own gradient, density and sum, so a value
-is bitwise the same whichever thetas share its call.  The rows are not
-stacked further: one (k, n_cells) density would allocate temporaries of
-k times the mesh, which cost more than they save on large 2D meshes.  A
-cone row's density is formed in place and reads the mesh's vertex
-indexers, views on a 1D mesh (``grid.Mesh.vertex_cells``).
+stack.  The W and W_A rows are then taken in blocks of kb =
+max(1, 16384 // (dimension * n_cells)) rows, one gradient, density and
+flux pass per block (``_row_blocks``), which keeps each (dimension, kb,
+n_cells) temporary within 128 KiB, glibc malloc's default mmap
+threshold; above it the temporaries page-fault on every call.  Each row
+of a block gets the products it gets alone, in the same order, and is
+summed as its own contiguous 1-D array, so a value is bitwise the same
+whichever thetas share its call; at kb = 1 (a 64 x 64 mesh) a block is
+the 1-D row itself.  A density is formed in place and reads the mesh's
+vertex indexers, views on a 1D mesh (``grid.Mesh.vertex_cells``).  The
+J_hat rows go one at a time.
 
 Reaction, absorption and saturating Kirchhoff terms extend the gradient
 energies to the three Dirichlet problems; the Gateaux gradient assembles
@@ -267,27 +272,53 @@ def _require_cone(mesh: Mesh, values: np.ndarray, thetas=None):
                 f"theta={thetas[out.any(axis=1).argmax()]}")
 
 
+# A line-row block's budget: 16,384 float64 values, 128 KiB.  glibc's
+# malloc serves a request above its mmap threshold, 128 KiB by default,
+# from fresh pages that fault in on first touch and go back on free, so a
+# block's (dimension, kb, n_cells) temporaries are kept within it.
+_ROW_BLOCK = 16384
+
+
+def _row_blocks(mesh: Mesh, k: int, weights) -> tuple:
+    """Indexers of k line rows in blocks, and the flux weights shaped for
+    the blocks' gradients.
+
+    A block holds kb = max(1, _ROW_BLOCK // (dimension * n_cells)) rows,
+    a slice of the stack, with the weights as (dimension, 1, n_cells).  At
+    kb = 1 a block is one row's index, so it reads the 1-D row, and the
+    weights are as given: the ops of that row alone.
+    """
+    kb = _ROW_BLOCK // (mesh.dimension * mesh.n_cells)
+    if kb <= 1:
+        return range(k), weights
+    return ([slice(i, i + kb) for i in range(0, k, kb)],
+            None if weights is None else weights[:, None])
+
+
 def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
     """The cone energy of each row of v, (k, n_nodes), whose caller has
     checked every row is in the cone.
 
-    The rows are rooted as one stack and r/p and p/2 are formed once; each
-    row keeps its own gradient, density and sum, so every value is the
-    one a single row gives.  A row's density is formed in place,
-    |grad w|_W^2 raised to p/2 and times r/p and the cell measures, and
-    summed as ``integrate`` sums; as the products commute, the value is
-    bitwise the one ``integrate`` gives.
+    The rows are rooted as one stack and r/p and p/2 are formed once.
+    They are taken in ``_row_blocks``; a block's gradients, densities and
+    sums are those each of its rows gives alone, so every value is the
+    one a single row gives.  A density is formed in place, |grad w|_W^2
+    raised to p/2 and times r/p and the cell measures, and summed as
+    ``integrate`` sums; as the products commute, the value is bitwise the
+    one ``integrate`` gives.
     """
     mesh = model.mesh
     p = model.p_cells
     r_p, half_p = model.exponent.r / p, p / 2.0
+    roots = v ** (1.0 / model.exponent.r)
+    blocks, weights = _row_blocks(mesh, len(v), weights)
     out = []
-    for w in v ** (1.0 / model.exponent.r):
-        s = _quad_form(weights, _gradient(mesh, w))
+    for b in blocks:
+        s = _quad_form(weights, _gradient(mesh, roots[b]))
         s **= half_p
         s *= r_p
         s *= mesh.cell_measures
-        out.append(float(s.sum()))
+        out += [float(row.sum()) for row in np.atleast_2d(s)]
     return out
 
 
@@ -334,6 +365,22 @@ def dirichlet_part(u: NodeField, model: EnergyModel,
     return integrate(s / p, model.mesh)
 
 
+def _flux_pairings(model: EnergyModel, w: np.ndarray, s: np.ndarray,
+                   weights) -> list:
+    """``flux_pairing`` of each pair of rows of w and s, (k, n_nodes)
+    each, taken in ``_row_blocks`` as ``_cone_energies`` takes its rows;
+    every value is bitwise the one its pair gives alone."""
+    mesh = model.mesh
+    blocks, weights = _row_blocks(mesh, len(w), weights)
+    out = []
+    for b in blocks:
+        flux = _flux_rows(model.p_cells, weights, _gradient(mesh, w[b]))
+        d = _dot(flux, _gradient(mesh, s[b]))
+        d *= mesh.cell_measures
+        out += [float(row.sum()) for row in np.atleast_2d(d)]
+    return out
+
+
 def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,
                  weights) -> float:
     """Integral of a(x, grad w) . grad s for nodal values w and s.
@@ -341,9 +388,8 @@ def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,
     ``weights`` are the cell weights of the anisotropic flux, or None for
     the isotropic one.
     """
-    mesh = model.mesh
-    flux = _flux_rows(model.p_cells, weights, _gradient(mesh, w))
-    return integrate(_dot(flux, _gradient(mesh, s)), mesh)
+    return _flux_pairings(model, np.atleast_2d(w), np.atleast_2d(s),
+                          weights)[0]
 
 
 def _plus_F(base: float, u: NodeField, potentials) -> float:
@@ -435,9 +481,13 @@ def _per_theta(theta, values: list):
 
 def _line_weights(model: EnergyModel, kind: str):
     """Flux weights of the line functional ``kind``: None for "W", the
-    model's cell weights for "W_A" and "J_hat"."""
+    model's cell weights for "W_A" and "J_hat".  An unknown kind, and
+    "J_hat" on a model without reaction and Kirchhoff terms, are refused
+    here, before a line call does any work."""
     if kind == "W":
         return None
+    if kind == "J_hat" and (model.kirchhoff is None or model.reaction is None):
+        raise ValueError("J_hat needs reaction and Kirchhoff terms")
     if kind in ("W_A", "J_hat"):
         return model.w_cells
     raise ValueError(f"unknown line functional {kind!r}")
@@ -456,7 +506,7 @@ def phi_line(v1: NodeField, v2: NodeField, theta, model: EnergyModel,
     weights = _line_weights(model, kind)
     v = _combinations(v1, v2, theta, model.mesh)
     if kind == "J_hat":
-        return _per_theta(theta, [energy_J(NodeField(model.mesh, w), model)
+        return _per_theta(theta, [energy_value(NodeField(model.mesh, w), model)
                                   for w in v ** (1.0 / model.exponent.r)])
     return _per_theta(theta, _cone_energies(model, v, weights))
 
@@ -489,19 +539,17 @@ def phi_prime(v1: NodeField, v2: NodeField, theta, model: EnergyModel,
     v = _combinations(v1, v2, theta, mesh)
     r = model.exponent.r
     s_rows = _quotient(v2.values - v1.values, v, r)
-    if kind == "J_hat" and (model.kirchhoff is None or model.reaction is None):
-        raise ValueError("J_hat needs reaction and Kirchhoff terms")
-    out = []
-    for w_nodal, s in zip(v ** (1.0 / r), s_rows):
-        d = flux_pairing(model, w_nodal, s, weights)
-        if kind == "J_hat":
-            w = NodeField(mesh, w_nodal)
-            d = kirchhoff_M(model.kirchhoff, dirichlet_part(w, model)) * d / r
-            wc = cell_average(w)
-            sc = cell_average(NodeField(mesh, s))
-            for sign, h, q in model.potentials:
-                d += sign * integrate(_f_cells(wc, h, q) * sc, mesh) / r
-        out.append(d)
+    roots = v ** (1.0 / r)
+    out = _flux_pairings(model, roots, s_rows, weights)
+    if kind != "J_hat":
+        return _per_theta(theta, out)
+    for i, (w_nodal, s) in enumerate(zip(roots, s_rows)):  # row by row
+        w = NodeField(mesh, w_nodal)
+        m = kirchhoff_M(model.kirchhoff, dirichlet_part(w, model))
+        out[i] = m * out[i] / r
+        wc, sc = cell_average(w), cell_average(NodeField(mesh, s))
+        for sign, h, q in model.potentials:
+            out[i] += sign * integrate(_f_cells(wc, h, q) * sc, mesh) / r
     return _per_theta(theta, out)
 
 

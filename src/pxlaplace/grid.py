@@ -291,19 +291,30 @@ def build_rectangle(ax: float, bx: float, ay: float, by: float,
 
 
 def _gradient(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
-    """(dimension, n_cells) gradients of the P1 interpolant of nodal values.
+    """(dimension, n_cells) gradients of the P1 interpolant of nodal values,
+    or (dimension, k, n_cells) for a (k, n_nodes) stack of k fields.
 
     The one gradient kernel: every energy, flux, metric and checker in the
     package differentiates through it, and reads its result in this
     component-major layout.  In 1D it is the difference quotient per
     segment; it is exact for globally affine fields and linear in the
     values.  Summed vertex by vertex in ``vertex_grads`` layout, each
-    vertex's values read through its ``vertex_cells`` indexer.
+    vertex's values read through its ``vertex_cells`` indexer.  A stack
+    reads a slice as a view and an index array by ``take``, which gives
+    C-contiguous (k, n_cells) values (indexing ``nodal[:, c]`` gathers
+    two to three times as slowly, into a strided array); each of its rows
+    gets the products and sums, in the same vertex order, that it gets
+    alone, so its gradients are bitwise the row's.
     """
     G, C = mesh.vertex_grads, mesh.vertex_cells
-    out = G[0] * nodal[C[0]]
+    read = nodal.__getitem__
+    if nodal.ndim == 2:
+        G = G[:, :, None]
+        read = lambda c: (nodal[:, c] if isinstance(c, slice)
+                          else nodal.take(c, axis=1))
+    out = G[0] * read(C[0])
     for g, c in zip(G[1:], C[1:]):
-        out += g * nodal[c]
+        out += g * read(c)
     return out
 
 

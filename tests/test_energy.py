@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from pxlaplace.anisotropy import _flux_rows, weighted_quadratic
-from pxlaplace.energy import _f_cells, _quotient
+from pxlaplace.anisotropy import _dot, _flux_rows, _quad_form, weighted_quadratic
+from pxlaplace.energy import _f_cells, _quotient, _row_blocks
 from pxlaplace.energy import (EnergyModel, M_hat, W_A_functional, W_functional,
                               dirichlet_part, energy_E, energy_E_hat, energy_J,
                               energy_value, flux_pairing, gateaux_gradient,
@@ -14,7 +14,8 @@ from pxlaplace.energy import (EnergyModel, M_hat, W_A_functional, W_functional,
                               saturating_kirchhoff, source_reaction)
 from pxlaplace.exponents import exponent_field
 from pxlaplace.grid import (NodeField, _gradient, build_interval,
-                            build_rectangle, constant_field, interpolate)
+                            build_rectangle, constant_field, integrate,
+                            interpolate)
 
 
 def make_model(n=64, p="2", r=1.0, h=None, q=None, ell=None, Q=None,
@@ -545,8 +546,40 @@ def zero_trace_pair(mesh, seed):
     return pair
 
 
+def block_model(mesh):
+    """p = 2+x, r = 1.5 and the weighted-quadratic flux of weights 1+x
+    and 2-y on ``mesh``, with no terms."""
+    exponent = exponent_field(mesh, "2+x", r=1.5)
+    weights = [interpolate(mesh, w) for w in ("1+x", "2-y")[:mesh.dimension]]
+    return EnergyModel(mesh, exponent,
+                       anisotropy=weighted_quadratic(exponent, weights))
+
+
+def row_alone(line, model, kind, v1, v2, t):
+    """The line value at t from the 1-D root row alone, by the per-row
+    formulas: the density integrated, or the flux paired with the
+    quotient's gradient."""
+    mesh, p, r = model.mesh, model.p_cells, model.exponent.r
+    weights = None if kind == "W" else model.w_cells
+    v = (1.0 - t) * v1.values + t * v2.values
+    xi = _gradient(mesh, v ** (1.0 / r))
+    if line is phi_line:
+        return integrate(_quad_form(weights, xi) ** (p / 2.0) * (r / p), mesh)
+    s = _quotient(v2.values - v1.values, v[None], r)[0]
+    return integrate(_dot(_flux_rows(p, weights, xi), _gradient(mesh, s)),
+                     mesh)
+
+
+# (id, mesh, block sizes of 9 line rows): 16,384 // (d * n_cells) rows a
+# block, so 4 on the first two meshes and 1 on 64 x 64
+BLOCK_MESHES = [("1d-4096", build_interval(0, 1, 4096), [4, 4, 1]),
+                ("2d-32x32", build_rectangle(0, 1, 0, 1, 32, 32), [4, 4, 1]),
+                ("2d-64x64", build_rectangle(0, 1, 0, 1, 64, 64), [1] * 9)]
+
+
 class TestThetaArrays:
     thetas = np.array([0.0, 1.0, 0.05, 0.37, 0.95])
+    nine = np.linspace(0.0, 1.0, 9)
 
     @pytest.mark.parametrize("line", [phi_line, phi_prime])
     @pytest.mark.parametrize("kind", ["W", "W_A", "J_hat"])
@@ -572,6 +605,25 @@ class TestThetaArrays:
                 v = NodeField(model.mesh, (1.0 - t) * v1.values + t * v2.values)
                 assert value.hex() == functional(v, model).hex()
 
+    @pytest.mark.parametrize("line", [phi_line, phi_prime])
+    @pytest.mark.parametrize("kind", ["W", "W_A"])
+    @pytest.mark.parametrize("mesh,sizes", [m[1:] for m in BLOCK_MESHES],
+                             ids=[m[0] for m in BLOCK_MESHES])
+    def test_split_stack_matches_rows_bitwise(self, mesh, sizes, line, kind):
+        # blocks of 4, 4 and 1 rows, or each row alone: every value is the
+        # scalar call's and that of the 1-D row's own formulas
+        model = block_model(mesh)
+        blocks = _row_blocks(mesh, len(self.nine), None)[0]
+        assert [len(range(9)[b]) if isinstance(b, slice) else 1
+                for b in blocks] == sizes
+        v1, v2 = zero_trace_pair(mesh, 107)
+        values = line(v1, v2, self.nine, model, kind)
+        for t, value in zip(self.nine, values):
+            alone = line(v1, v2, float(t), model, kind)
+            assert float(value).hex() == alone.hex()
+            assert alone.hex() == row_alone(line, model, kind, v1, v2,
+                                            float(t)).hex()
+
     def test_one_value_per_theta(self):
         model = line_model(1)
         v1, v2 = zero_trace_pair(model.mesh, 101)
@@ -579,6 +631,17 @@ class TestThetaArrays:
         assert phi_prime(v1, v2, np.array([]), model).shape == (0,)
         with pytest.raises(ValueError, match="1-D array"):
             phi_line(v1, v2, np.zeros((2, 2)), model)
+
+
+@pytest.mark.parametrize("line", [phi_line, phi_prime])
+def test_J_hat_terms_are_checked_before_any_work(line):
+    # one message from both calls, raised before the combinations are
+    # formed: a pair outside the cone is not reached
+    model = make_model(n=16, p="2+x", r=1.5, h="1", q="1.5")
+    v1 = constant_field(model.mesh, -1.0)
+    with pytest.raises(ValueError,
+                       match="^J_hat needs reaction and Kirchhoff terms$"):
+        line(v1, v1, np.array([0.0, 0.5]), model, "J_hat")
 
 
 class TestConeAndQuotient:

@@ -249,6 +249,33 @@ def test_indexed_kernels_match_the_gathered_forms_bitwise(mesh):
                 == float(gathered).hex())
 
 
+STACK_MESHES = [build_interval(0, 1, 7), build_interval(0, 1, 1024),
+                build_rectangle(0, 1, 0, 1, 3, 4),
+                build_rectangle(0, 1.5, 0, 1, 32, 32)]
+
+
+@pytest.mark.parametrize("mesh", STACK_MESHES,
+                         ids=["1d-7", "1d-1024", "2d-3x4", "2d-32x32"])
+def test_stacked_gradient_matches_rows_bitwise(mesh):
+    # a (k, n_nodes) stack, read through slices (1D) or index arrays
+    # (2D), gives (d, k, n_cells) gradients whose row j is bitwise the
+    # gradient of row j alone, and is C-contiguous, so a row of it is
+    # a contiguous 1-D array; a stack of one row, and a stack of
+    # broadcast rows, as the quotient gives at r = 1, do the same
+    rng = np.random.default_rng(31)
+    d = mesh.dimension
+    rows = rng.uniform(-10.0, 10.0, (5, mesh.n_nodes))
+    rows[1] *= 1e6
+    rows[2, ::3] = 0.0
+    for stack in (rows, rows[3:4], rows[1:4],
+                  np.broadcast_to(rows[0], (3, mesh.n_nodes))):
+        grads = _gradient(mesh, stack)
+        assert grads.shape == (d, len(stack), mesh.n_cells)
+        assert grads.flags.c_contiguous
+        for j, row in enumerate(stack):
+            assert grads[:, j].tobytes() == _gradient(mesh, row).tobytes()
+
+
 def test_interior_index_is_kept_with_the_mesh():
     for mesh in (build_interval(0, 1, 8), build_rectangle(0, 1, 0, 1, 3, 4)):
         interior = mesh.interior

@@ -13,8 +13,9 @@ all of ``BENCHMARK.json``'s.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` it
 prints the parent's and the change's median, the change's relative
-difference, the parent's interquartile range (Q3 - Q1, inclusive
-quartiles) and the pairs the change wins: a win is a value strictly
+difference, each side's quartiles Q1 and Q3 (inclusive quartiles), the
+parent's interquartile range Q3 - Q1 and the pairs the change wins: a
+win is a value strictly
 better in the metric's ``better`` direction, and a tie counts for
 neither side.  So the rule "the change wins at least nine pairs in ten
 and the medians differ by more than the parent's IQR" reads off one
@@ -50,16 +51,23 @@ def run_once(side: Path, command: list, workload: str, seed: int,
                          f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
 
 
+def quartiles(values: list) -> tuple:
+    """Q1, median and Q3 of one side's runs, inclusive quartiles."""
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def compare(parent: list, change: list, metric: dict) -> dict:
-    """Medians, the parent's IQR and the change's wins for one metric."""
+    """Medians, each side's quartiles, the parent's IQR and the change's
+    wins for one metric."""
     name = metric["name"]
     p = [r["metrics"][name]["value"] for r in parent]
     c = [r["metrics"][name]["value"] for r in change]
     sign = 1.0 if metric["better"] == "lower" else -1.0
-    q1, _, q3 = statistics.quantiles(p, n=4, method="inclusive")
-    pm, cm = statistics.median(p), statistics.median(c)
+    (q1, pm, q3), (c1, cm, c3) = quartiles(p), quartiles(c)
     return {"parent_median": pm, "change_median": cm,
             "relative": cm / pm - 1.0 if pm else None,
+            "parent_q1": q1, "parent_q3": q3,
+            "change_q1": c1, "change_q3": c3,
             "parent_iqr": q3 - q1,
             "change_wins": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
             "pairs": len(p), "parent_runs": p, "change_runs": c,
@@ -103,11 +111,14 @@ def main(argv=None) -> int:
         print(f"# {workload}: {args.pairs} pairs, seed {args.seed}, "
               f"{args.seconds:g} s")
         print(f"{'metric':<14} {'parent':>12} {'change':>12} {'relative':>9}"
+              f" {'parent_q1..q3':>23} {'change_q1..q3':>23}"
               f" {'parent_iqr':>11} {'wins':>6}")
         for name, m in metrics.items():
             rel = "" if m["relative"] is None else f"{m['relative']:+.1%}"
             print(f"{name:<14} {m['parent_median']:>12.6g} "
                   f"{m['change_median']:>12.6g} {rel:>9} "
+                  f"{m['parent_q1']:>11.6g}..{m['parent_q3']:<10.6g} "
+                  f"{m['change_q1']:>11.6g}..{m['change_q3']:<10.6g} "
                   f"{m['parent_iqr']:>11.4g} "
                   f"{m['change_wins']:>3}/{m['pairs']}")
         print("failed " + ", ".join(f"{side} {f}/{a}"

@@ -25,7 +25,11 @@ r = 1 weak-comparison experiment (``COMPARISON``): the hex of
 come the eigen cases the benchmark lacks (``EXTRA_EIGEN``: r != 2 on 1D
 and 2D meshes, r = 4 and 12 included, a non-square 2D r = 2 mesh), each
 on one line with the hex of lambda and the sha256 of phi, or the message
-of the error the call raises.  Each workload ends with one line per
+of the error the call raises.  After the ``checks`` cases come, in their
+two-line format, the check cases the benchmark lacks (``EXTRA_LINES``:
+two seeded convexity and two seeded gap pairs on each of a 1D n = 4096
+mesh and the weighted 32 x 32 square, where a convexity call's nine line
+rows split into blocks of 4, 4 and 1).  Each workload ends with one line per
 distinct mesh its cases read (``mesh-<resolution>``): the sha256 of
 each of the mesh's ``MESH_ARRAYS``, ``quad_points`` included, which no
 result reads.  After the workloads comes the point layer, which no
@@ -121,6 +125,34 @@ EXTRA_EIGEN = (
     ("eig-2d-r4-8x8", _grid.build_rectangle(0, 1, 0, 1, 8, 8), 4.0),
     ("eig-1d-r12-n256", _grid.build_interval(0, 1, 256), 12.0),
 )
+
+
+# (label, mesh, weights or None): the bench's check models, p = 2+x and
+# r = 1.5, isotropic or under the weighted-quadratic flux, on meshes whose
+# line rows split into blocks: 16,384 // (d * n_cells) = 4 rows a block
+EXTRA_LINES = (
+    ("1d-n4096", _grid.build_interval(0, 1, 4096), None),
+    ("2d-32x32-weighted", _grid.build_rectangle(0, 1, 0, 1, 32, 32),
+     ("1+x", "2-y")),
+)
+
+
+def extra_line_cases(seed: int) -> list:
+    """Two convexity and two gap cases per ``EXTRA_LINES`` model, their
+    pairs drawn as the bench draws its check pairs, from ``seed``."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for label, mesh, weights in EXTRA_LINES:
+        model = _model(mesh, workloads.P, workloads.R, weights)
+        model = workloads.energy.EnergyModel(mesh, model.exponent,
+                                             anisotropy=model)
+        for kind, zero_boundary in (("convexity", False), ("gap", True)):
+            for i in range(2):
+                pair = tuple(workloads._cone_field(rng, mesh, zero_boundary)
+                             for _ in range(2))
+                cases.append(workloads.Case(f"{kind}-{label}-{i}", kind,
+                                            pair + (model,)))
+    return cases
 
 
 # (name, cells per side of the unit square): the bench's problem1 terms
@@ -294,6 +326,11 @@ def main(argv) -> int:
             print(name, case.name, report_bits(case), flush=True)
             mesh = case_mesh(case)
             meshes.setdefault((mesh.bounds, mesh.resolution), mesh)
+        if name == "checks":
+            for case in extra_line_cases(args.seed):
+                print(name, case.name, workloads.signature(case.run()),
+                      flush=True)
+                print(name, case.name, report_bits(case), flush=True)
         if name == "solve-1d":
             for case_name, *case in EXTRA_SOLVES:
                 print(name, case_name, extra_solve_bits(*case), flush=True)
