@@ -95,17 +95,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _quad_form(w: np.ndarray | None, xi: np.ndarray) -> np.ndarray:
-    """sum_i w_i xi_i^2 per column (w = None means unit weights).
-
-    The products (w_i xi_i) xi_i are formed in place in one new array and
-    added in component order into its first row: the products and sums of
-    ``_dot(w xi, xi)``, without its two further temporaries."""
-    out = xi * xi if w is None else w * xi
-    if w is not None:
-        out *= xi
-    for x in out[1:]:
-        out[0] += x
-    return out[0]
+    """sum_i w_i xi_i^2 per column (w = None means unit weights)."""
+    return _dot(xi if w is None else w * xi, xi)
 
 
 def _flux_rows(p: np.ndarray, w, xi: np.ndarray, eps: float = 0.0) -> np.ndarray:

@@ -11,16 +11,16 @@ the discrete line values (the consistency tests rely on this).  A line
 call takes one theta or a 1-D array of them: the combinations are formed,
 checked finite, tested for the cone and rooted as one (k, n_nodes)
 stack.  The W and W_A rows are then taken in blocks of kb =
-max(1, 16384 // (dimension * n_cells)) rows, one gradient, density and
-flux pass per block (``_row_blocks``), which keeps each (dimension, kb,
-n_cells) temporary within 128 KiB, glibc malloc's default mmap
-threshold; above it the temporaries page-fault on every call.  Each row
-of a block gets the products it gets alone, in the same order, and is
-summed as its own contiguous 1-D array, so a value is bitwise the same
-whichever thetas share its call; at kb = 1 (a 64 x 64 mesh) a block is
-the 1-D row itself.  A density is formed in place and reads the mesh's
-vertex indexers, views on a 1D mesh (``grid.Mesh.vertex_cells``).  The
-J_hat rows go one at a time.
+4096 // (dimension * n_cells) rows (``_row_blocks``), one gradient,
+density and flux pass per block, whose temporaries stay within a budget
+measured to page-fault no more often than single rows do: a 1D
+n = 1024 or a 16 x 16 call takes 9 rows in blocks of 4, 4 and 1, a
+64 x 64 call takes them one at a time as 1-D arrays.  Each row of a
+block gets the products it gets alone, in the same order, and is summed
+as its own contiguous 1-D array, so a value is bitwise the same
+whichever thetas share its call.  The J_hat rows go one at a time.  A
+density is formed in place and reads the mesh's vertex indexers, views
+on a 1D mesh (``grid.Mesh.vertex_cells``).
 
 Reaction, absorption and saturating Kirchhoff terms extend the gradient
 energies to the three Dirichlet problems; the Gateaux gradient assembles
@@ -272,27 +272,39 @@ def _require_cone(mesh: Mesh, values: np.ndarray, thetas=None):
                 f"theta={thetas[out.any(axis=1).argmax()]}")
 
 
-# A line-row block's budget: 16,384 float64 values, 128 KiB.  glibc's
-# malloc serves a request above its mmap threshold, 128 KiB by default,
-# from fresh pages that fault in on first touch and go back on free, so a
-# block's (dimension, kb, n_cells) temporaries are kept within it.
-_ROW_BLOCK = 16384
+# A line-row block's budget: 4,096 float64 values (32 KiB) in each of its
+# (dimension, kb, n_cells) temporaries.  It was measured, not derived from
+# one allocator threshold: glibc malloc hands freed memory back to the
+# system above its mmap and trim thresholds, which move as a process runs
+# and count every live temporary of a call, and that memory faults in
+# again on the next call.  In fresh processes running the bench's check
+# cases, blocks within this budget faulted no more often than rows alone
+# on 1D n = 1,024 to 3,072 and on 16 x 16 and 32 x 32; budgets of 8,192
+# and 16,384 values faulted 60 to 130 times a case, and ran up to 46%
+# slower, on 1D n = 1,536 to 3,072 and (16,384) on 32 x 32.
+_ROW_BLOCK = 4096
 
 
 def _row_blocks(mesh: Mesh, k: int, weights) -> tuple:
     """Indexers of k line rows in blocks, and the flux weights shaped for
     the blocks' gradients.
 
-    A block holds kb = max(1, _ROW_BLOCK // (dimension * n_cells)) rows,
-    a slice of the stack, with the weights as (dimension, 1, n_cells).  At
-    kb = 1 a block is one row's index, so it reads the 1-D row, and the
-    weights are as given: the ops of that row alone.
+    A block holds kb = _ROW_BLOCK // (dimension * n_cells) rows, a slice
+    of the stack, with the weights as (dimension, 1, n_cells).  Where
+    kb < 2 or there is one row, the rows go one at a time, each the 1-D
+    row with the weights as given, so with the ops of that row alone.
     """
     kb = _ROW_BLOCK // (mesh.dimension * mesh.n_cells)
-    if kb <= 1:
+    if kb <= 1 or k <= 1:
         return range(k), weights
     return ([slice(i, i + kb) for i in range(0, k, kb)],
             None if weights is None else weights[:, None])
+
+
+def _row_sums(s: np.ndarray) -> list:
+    """The sum of s, one row, or of each row of s, a block, each row
+    summed as its own contiguous 1-D array."""
+    return [float(s.sum())] if s.ndim == 1 else [float(r.sum()) for r in s]
 
 
 def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
@@ -318,7 +330,7 @@ def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
         s **= half_p
         s *= r_p
         s *= mesh.cell_measures
-        out += [float(row.sum()) for row in np.atleast_2d(s)]
+        out += _row_sums(s)
     return out
 
 
@@ -377,7 +389,7 @@ def _flux_pairings(model: EnergyModel, w: np.ndarray, s: np.ndarray,
         flux = _flux_rows(model.p_cells, weights, _gradient(mesh, w[b]))
         d = _dot(flux, _gradient(mesh, s[b]))
         d *= mesh.cell_measures
-        out += [float(row.sum()) for row in np.atleast_2d(d)]
+        out += _row_sums(d)
     return out
 
 
@@ -388,8 +400,12 @@ def flux_pairing(model: EnergyModel, w: np.ndarray, s: np.ndarray,
     ``weights`` are the cell weights of the anisotropic flux, or None for
     the isotropic one.
     """
-    return _flux_pairings(model, np.atleast_2d(w), np.atleast_2d(s),
-                          weights)[0]
+    mesh = model.mesh
+    if not np.shape(w) == np.shape(s) == (mesh.n_nodes,):
+        raise ValueError(f"got {np.shape(w)} and {np.shape(s)} values for "
+                         f"{mesh.n_nodes} nodes")
+    flux = _flux_rows(model.p_cells, weights, _gradient(mesh, w))
+    return integrate(_dot(flux, _gradient(mesh, s)), mesh)
 
 
 def _plus_F(base: float, u: NodeField, potentials) -> float:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pxlaplace.anisotropy import (AnisotropyModel, _dot, _flux_rows,
-                                  _quad_form, check_hypothesis_A,
+from pxlaplace.anisotropy import (AnisotropyModel, _flux_rows, _quad_form,
+                                  check_hypothesis_A,
                                   check_N_strict_convexity, eval_A, eval_N,
                                   flux_a, isotropic, weighted_quadratic)
 from pxlaplace.energy import (potential_F, potential_G, power_absorption,
@@ -207,24 +207,27 @@ def test_flux_rows_fast_path_matches_masked_path(dim, weighted):
         (s ** ((p[1::7] - 2.0) / 2.0) * wxi[:, 1::7]).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(1, 300), (2, 300), (2, 4, 300)],
-                         ids=["1d", "2d", "2d-stack"])
+@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_quad_form_in_place_matches_the_dot_form_bitwise(shape, weighted):
-    # the products (w_i xi_i) xi_i, formed in place and added in
-    # component order, are those of _dot(w xi, xi); xi is left as it was
+def test_quad_form_of_a_stack_matches_its_rows_bitwise(dim, weighted):
+    # a (d, k, n) stack of gradients with (d, 1, n) weights, as a line
+    # block gives them: row j is the quadratic form of xi[:, j] alone,
+    # summed in component order, and xi is left as it was
     rng = np.random.default_rng(37)
-    xi = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape)
+    xi = rng.standard_normal((dim, 4, 300)) * 10.0 ** rng.uniform(
+        -150, 150, (dim, 4, 300))
     xi[..., ::7] = 0.0
-    w = None
-    if weighted:
-        w = rng.uniform(0.5, 2.0, (shape[0],) + (1,) * (len(shape) - 2)
-                        + shape[-1:])
+    w = rng.uniform(0.5, 2.0, (dim, 300)) if weighted else None
     before = xi.copy()
-    q = _quad_form(w, xi)
-    assert q.shape == shape[1:]
-    assert q.tobytes() == _dot(xi if w is None else w * xi, xi).tobytes()
-    assert xi.tobytes() == before.tobytes()
+    q = _quad_form(None if w is None else w[:, None], xi)
+    assert q.shape == (4, 300) and xi.tobytes() == before.tobytes()
+    for j in range(4):
+        row = xi[:, j] * xi[:, j] if w is None else w * xi[:, j] * xi[:, j]
+        expected = row[0]
+        for x in row[1:]:
+            expected = expected + x
+        assert q[j].tobytes() == _quad_form(w, xi[:, j]).tobytes()
+        assert q[j].tobytes() == expected.tobytes()
 
 
 class TestHypothesisA:

@@ -449,6 +449,18 @@ class TestPhiPrime:
             got = flux_pairing(model, w, s, model.w_cells)
             assert got.hex() == expected.hex()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_flux_pairing_refuses_stacked_values(self, dim):
+        # one pairing of one field each: a stack of rows, or values of
+        # the wrong length, are refused, not read as their first row
+        model = make_model(n=16) if dim == 1 else block_model(
+            build_rectangle(0, 1, 0, 1, 4, 4))
+        n = model.mesh.n_nodes
+        one, two = np.ones(n), np.ones((2, n))
+        for w, s in ((two, two), (one, two), (two, one), (one, one[1:])):
+            with pytest.raises(ValueError, match="values for"):
+                flux_pairing(model, w, s, model.w_cells)
+
     def test_proportional_pair_derivative(self):
         # Phi(t) = (1+t)^2 W(v1) so Phi'(0) = 2 W(v1) -> 1/3
         model = make_model(n=256)
@@ -570,10 +582,13 @@ def row_alone(line, model, kind, v1, v2, t):
                      mesh)
 
 
-# (id, mesh, block sizes of 9 line rows): 16,384 // (d * n_cells) rows a
-# block, so 4 on the first two meshes and 1 on 64 x 64
-BLOCK_MESHES = [("1d-4096", build_interval(0, 1, 4096), [4, 4, 1]),
-                ("2d-32x32", build_rectangle(0, 1, 0, 1, 32, 32), [4, 4, 1]),
+# (id, mesh, block sizes of 9 line rows): 4,096 // (d * n_cells) rows a
+# block, so 4 on 1D n = 1024 and 2D 16 x 16, 2 on 1D n = 2048, and 1 on
+# 1D n = 4096 and 2D 64 x 64
+BLOCK_MESHES = [("1d-1024", build_interval(0, 1, 1024), [4, 4, 1]),
+                ("1d-2048", build_interval(0, 1, 2048), [2, 2, 2, 2, 1]),
+                ("1d-4096", build_interval(0, 1, 4096), [1] * 9),
+                ("2d-16x16", build_rectangle(0, 1, 0, 1, 16, 16), [4, 4, 1]),
                 ("2d-64x64", build_rectangle(0, 1, 0, 1, 64, 64), [1] * 9)]
 
 
@@ -610,9 +625,11 @@ class TestThetaArrays:
     @pytest.mark.parametrize("mesh,sizes", [m[1:] for m in BLOCK_MESHES],
                              ids=[m[0] for m in BLOCK_MESHES])
     def test_split_stack_matches_rows_bitwise(self, mesh, sizes, line, kind):
-        # blocks of 4, 4 and 1 rows, or each row alone: every value is the
-        # scalar call's and that of the 1-D row's own formulas
+        # blocks of 4, 4 and 1 or of 2 rows, or each row alone: every
+        # value is the scalar call's and that of the 1-D row's own formulas
         model = block_model(mesh)
+        one, weights = _row_blocks(mesh, 1, model.w_cells)
+        assert one == range(1) and weights is model.w_cells
         blocks = _row_blocks(mesh, len(self.nine), None)[0]
         assert [len(range(9)[b]) if isinstance(b, slice) else 1
                 for b in blocks] == sizes

@@ -27,9 +27,10 @@ and 2D meshes, r = 4 and 12 included, a non-square 2D r = 2 mesh), each
 on one line with the hex of lambda and the sha256 of phi, or the message
 of the error the call raises.  After the ``checks`` cases come, in their
 two-line format, the check cases the benchmark lacks (``EXTRA_LINES``:
-two seeded convexity and two seeded gap pairs on each of a 1D n = 4096
-mesh and the weighted 32 x 32 square, where a convexity call's nine line
-rows split into blocks of 4, 4 and 1).  Each workload ends with one line per
+two seeded convexity and two seeded gap pairs on each of 1D n = 2048 and
+n = 64 meshes and the weighted 16 x 16 square, where a convexity call's
+nine line rows go in blocks of 2, in one block, and in blocks of 4, 4
+and 1).  Each workload ends with one line per
 distinct mesh its cases read (``mesh-<resolution>``): the sha256 of
 each of the mesh's ``MESH_ARRAYS``, ``quad_points`` included, which no
 result reads.  After the workloads comes the point layer, which no
@@ -129,10 +130,12 @@ EXTRA_EIGEN = (
 
 # (label, mesh, weights or None): the bench's check models, p = 2+x and
 # r = 1.5, isotropic or under the weighted-quadratic flux, on meshes whose
-# line rows split into blocks: 16,384 // (d * n_cells) = 4 rows a block
+# line rows go in other blocks than the bench's: 4,096 // (d * n_cells)
+# = 2, 64 and 4 rows a block
 EXTRA_LINES = (
-    ("1d-n4096", _grid.build_interval(0, 1, 4096), None),
-    ("2d-32x32-weighted", _grid.build_rectangle(0, 1, 0, 1, 32, 32),
+    ("1d-n2048", _grid.build_interval(0, 1, 2048), None),
+    ("1d-n64", _grid.build_interval(0, 1, 64), None),
+    ("2d-16x16-weighted", _grid.build_rectangle(0, 1, 0, 1, 16, 16),
      ("1+x", "2-y")),
 )
 
