@@ -8,19 +8,21 @@ cone energies are convex exactly, not just in the mesh limit.  Line
 restrictions along segments in the cone and their derivatives are computed
 in closed form, and the derivative formulas are the exact derivatives of
 the discrete line values (the consistency tests rely on this).  A line
-call takes one theta or a 1-D array of them: the combinations are formed,
-checked finite, tested for the cone and rooted as one (k, n_nodes)
-stack.  The W and W_A rows are then taken in blocks of kb =
+call takes one theta or a 1-D array of them: the combinations are formed
+as one (k, n_nodes) stack, checked finite and tested for the cone from
+one min() and one max() of it (``_require_cone``), and rooted at once.
+The W and W_A rows are then taken in blocks of kb =
 4096 // (dimension * n_cells) rows (``_row_blocks``), one gradient,
 density and flux pass per block, whose temporaries stay within a budget
 measured to page-fault no more often than single rows do: a 1D
 n = 1024 or a 16 x 16 call takes 9 rows in blocks of 4, 4 and 1, a
 64 x 64 call takes them one at a time as 1-D arrays.  Each row of a
-block gets the products it gets alone, in the same order, and is summed
-as its own contiguous 1-D array, so a value is bitwise the same
-whichever thetas share its call.  The J_hat rows go one at a time.  A
-density is formed in place and reads the mesh's vertex indexers, views
-on a 1D mesh (``grid.Mesh.vertex_cells``).
+block gets the products it gets alone, in the same order, and a block
+is summed by one last-axis sum (``_row_sums``), which numpy takes
+pairwise along each contiguous row as it sums that row alone, so a
+value is bitwise the same whichever thetas share its call.  The J_hat
+rows go one at a time.  A density is formed in place and reads the
+mesh's vertex indexers, views on a 1D mesh (``grid.Mesh.vertex_cells``).
 
 Reaction, absorption and saturating Kirchhoff terms extend the gradient
 energies to the three Dirichlet problems; the Gateaux gradient assembles
@@ -32,6 +34,7 @@ however many energies, gradients and metrics are taken at it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,13 +260,22 @@ def kirchhoff_M(term: KirchhoffTerm, s: float) -> float:
 # -- cone energies ----------------------------------------------------------
 
 def _require_cone(mesh: Mesh, values: np.ndarray, thetas=None):
-    """Positive at interior nodes; zero trace allowed at the boundary.
+    """Finite, and positive at interior nodes; zero trace allowed at the
+    boundary.
 
     ``values`` is one field, or with ``thetas`` the (k, n_nodes) stack of
-    the combinations at them, tested as one array; the error then names
-    the first theta whose row leaves the cone.
+    the combinations at them, tested as one array; the cone error then
+    names the first theta whose row leaves the cone.  Both tests read one
+    min() and one max() of the values (either is NaN where a value is),
+    so a value that is not finite is refused before any cone error, and
+    the cone's masks are formed only when the min is <= 0.
     """
-    if values.size and values.min() <= 0:
+    if not values.size:
+        return
+    lo, hi = values.min(), values.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("field values must be finite")
+    if lo <= 0:
         out = (values < 0) | ((values == 0) & ~mesh.boundary_mask)
         if out.any():
             raise ValueError(
@@ -302,9 +314,10 @@ def _row_blocks(mesh: Mesh, k: int, weights) -> tuple:
 
 
 def _row_sums(s: np.ndarray) -> list:
-    """The sum of s, one row, or of each row of s, a block, each row
-    summed as its own contiguous 1-D array."""
-    return [float(s.sum())] if s.ndim == 1 else [float(r.sum()) for r in s]
+    """The sum of s, one row, or of each row of s, a C-contiguous block,
+    as floats.  A block takes one last-axis sum, which numpy takes
+    pairwise along each contiguous row as it sums that row alone."""
+    return [float(s.sum())] if s.ndim == 1 else s.sum(axis=-1).tolist()
 
 
 def _cone_energies(model: EnergyModel, v: np.ndarray, weights) -> list:
@@ -475,8 +488,8 @@ def cone_delta(v1: NodeField, v2: NodeField) -> float:
 def _combinations(v1: NodeField, v2: NodeField, theta,
                   mesh: Mesh) -> np.ndarray:
     """Rows (1-theta) v1 + theta v2, one per theta, formed as one stack,
-    checked finite and tested for the cone at once.  Both fields must
-    live on ``mesh``, the model's."""
+    checked finite and tested for the cone at once by ``_require_cone``.
+    Both fields must live on ``mesh``, the model's."""
     _on_mesh(mesh, v1, v2)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
@@ -484,8 +497,6 @@ def _combinations(v1: NodeField, v2: NodeField, theta,
     t = thetas[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         v = (1.0 - t) * v1.values + t * v2.values
-    if not np.isfinite(v).all():
-        raise ValueError("field values must be finite")
     _require_cone(mesh, v, thetas)
     return v
 

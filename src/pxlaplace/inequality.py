@@ -97,9 +97,16 @@ def check_ray_convexity(v1: NodeField, v2: NodeField, model: EnergyModel,
 
     slack(theta) = (1-theta) Phi(0) + theta Phi(1) - Phi(theta) must be
     nonnegative up to rounding; it vanishes identically exactly when the
-    pair is proportional and p is identically r.
+    pair is proportional and p is identically r.  ``theta_grid`` is a
+    nonempty iterable of numbers; a number, a grid of another rank and an
+    empty grid are refused (``ValueError``) before any line work.
     """
-    thetas = np.asarray(list(theta_grid), dtype=float)
+    try:
+        thetas = np.asarray(list(theta_grid), dtype=float)
+    except TypeError:  # a number, or entries that are not numbers
+        thetas = None
+    if thetas is None or thetas.ndim != 1:
+        raise ValueError("theta_grid must be a 1-D sequence of numbers")
     if thetas.size == 0:
         raise ValueError("theta_grid must be nonempty")
     phis = phi_line(v1, v2, np.concatenate(([0.0, 1.0], thetas)), model, kind)
@@ -111,9 +118,11 @@ def check_ray_convexity(v1: NodeField, v2: NodeField, model: EnergyModel,
     a, b = v1.values, v2.values
     pos = a > 0
     ratios = b[pos] / a[pos]
-    proportional = (ratios.size > 0
-                    and np.ptp(ratios) <= 1e-10 * max(1.0, np.abs(ratios).max())
-                    and np.array_equal(b[~pos] == 0, a[~pos] == 0))
+    proportional = False
+    if ratios.size:  # the spread and |ratio|'s max from one min and max
+        lo, hi = ratios.min(), ratios.max()
+        proportional = (hi - lo <= 1e-10 * max(1.0, abs(lo), abs(hi))
+                        and np.array_equal(b[~pos] == 0, a[~pos] == 0))
 
     return RayConvexityReport(
         slacks=slacks,
@@ -142,7 +151,7 @@ def ratio_bound(u1: NodeField, u2: NodeField, cap: float = RATIO_CAP) -> RatioBo
 def _ratio_bounds(a: np.ndarray, b: np.ndarray, cap: float) -> tuple:
     """``ratio_bound`` of the interior values a of u1 and b of u2, and the
     ratio array b / a its ``sup21`` is taken from."""
-    if np.any(b <= 0) or np.any(a <= 0):
+    if not (b.min() > 0 and a.min() > 0):
         raise ValueError("ratio_bound needs positive interior values")
     ratios = b / a
     sup12 = float(np.max(a / b))
@@ -153,13 +162,15 @@ def _ratio_bounds(a: np.ndarray, b: np.ndarray, cap: float) -> tuple:
 
 def _classify_equality(w1: NodeField, w2: NodeField,
                        ratios: np.ndarray) -> str:
-    """The equality class of a pair whose positive interior ratio array
-    w2/w1 is ``ratios``."""
+    """The equality class of a nonnegative pair whose positive interior
+    ratio array w2/w1 is ``ratios``; as the values are nonnegative, their
+    max() is their largest magnitude."""
     a, b = w1.values, w2.values
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
+    scale = max(a.max(), b.max(), 1e-300)
     if np.max(np.abs(a - b)) <= 1e-10 * scale:
         return "identical"
-    if np.ptp(ratios) <= 1e-8 * max(1.0, ratios.max()):
+    lo, hi = ratios.min(), ratios.max()
+    if hi - lo <= 1e-8 * max(1.0, hi):
         return "proportional"
     return "distinct"
 
@@ -182,7 +193,8 @@ def diaz_saa_gap(w1: NodeField, w2: NodeField, model: EnergyModel,
     pairs that are not positive at interior nodes or whose interior ratio
     exceeds the admissibility cap.
     Each field's boundary is tested and its interior gathered once, and
-    one ratio array serves the bounds and the equality class.
+    one ratio array serves the bounds and the equality class; each test
+    reads one min() and one max() of the array it tests.
     """
     mesh = model.mesh
     _on_mesh(mesh, w1, w2)

@@ -185,9 +185,10 @@ class SolverOptions:
             raise ValueError("max_iters must be an integer >= 1")
         if not _is_int(self.seed):
             raise ValueError("seed must be an integer")
-        if not (isinstance(self.init, NodeField)
-                or self.init in ("bump", "random")):
-            raise ValueError(f"unknown init {self.init!r}")
+        init = self.init  # a NodeField, or a str naming a start
+        if not (isinstance(init, NodeField)
+                or isinstance(init, str) and init in ("bump", "random")):
+            raise ValueError(f"unknown init {init!r}")
 
 
 @dataclass(frozen=True)

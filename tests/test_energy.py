@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from pxlaplace import energy
 from pxlaplace.anisotropy import _dot, _flux_rows, _quad_form, weighted_quadratic
-from pxlaplace.energy import _f_cells, _quotient, _row_blocks
+from pxlaplace.energy import _f_cells, _quotient, _row_blocks, _row_sums
 from pxlaplace.energy import (EnergyModel, M_hat, W_A_functional, W_functional,
                               dirichlet_part, energy_E, energy_E_hat, energy_J,
                               energy_value, flux_pairing, gateaux_gradient,
@@ -869,3 +870,76 @@ class TestModelCells:
         with pytest.raises(ValueError, match="different exponent"):
             EnergyModel(mesh, exponent_field(mesh, "2+x", r=1.5),
                         anisotropy=aniso)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129, 1024, 2049, 8192])
+@pytest.mark.parametrize("kb", range(1, 10))
+def test_row_sums_of_a_block_match_its_rows_bitwise(kb, n):
+    # one last-axis sum of a C-contiguous block sums each row pairwise,
+    # as the row alone is summed
+    s = np.random.default_rng(1000 * kb + n).uniform(-1.0, 3.0, (kb, n))
+    assert [x.hex() for x in _row_sums(s)] == \
+        [float(r.sum()).hex() for r in s]
+    assert [x.hex() for x in _row_sums(s[0])] == [float(s[0].sum()).hex()]
+
+
+class TestOnePassConeCheck:
+    """Finiteness and the cone are decided from one min and one max of a
+    line call's stack, in one ``_require_cone`` call, finiteness first."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        check = energy._require_cone
+        monkeypatch.setattr(energy, "_require_cone",
+                            lambda *a: calls.append(a[1]) or check(*a))
+        return calls
+
+    @pytest.mark.parametrize("line", [phi_line, phi_prime])
+    @pytest.mark.parametrize("bad_first", [False, True],
+                             ids=["cone-exit-first", "non-finite-first"])
+    @pytest.mark.parametrize("kind,a,b,bad,out", [
+        ("nan", 1.0, 2.0, np.nan, -5.0),
+        ("+inf", 1.0, 1e308, 3.0, -1.0),
+        ("-inf", 1e308, 1.0, 3.0, 1.5),
+    ], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_refused_before_the_cone(self, monkeypatch, line,
+                                                bad_first, kind, a, b, bad,
+                                                out):
+        # theta = out gives a finite row outside the cone, theta = bad a
+        # row holding the non-finite kind
+        model = make_model(n=16, p="2+x", r=1.5)
+        v1, v2 = (constant_field(model.mesh, c) for c in (a, b))
+        calls = self.spy(monkeypatch)
+        thetas = np.array([bad, out] if bad_first else [out, bad])
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            line(v1, v2, thetas, model)
+        assert len(calls) == 1
+        stack = calls[0]
+        test = {"nan": np.isnan, "+inf": np.isposinf, "-inf": np.isneginf}
+        row = {True: 0, False: 1}[bad_first]
+        assert test[kind](stack[row]).all()
+        assert np.isfinite(stack[1 - row]).all()
+        assert (stack[1 - row] < 0).any()
+
+    @pytest.mark.parametrize("line", [phi_line, phi_prime])
+    def test_interior_zero_names_the_first_failing_theta(self, monkeypatch,
+                                                         line):
+        model = make_model(n=16, p="2+x", r=1.5)
+        ones = np.ones(model.mesh.n_nodes)
+        a, b = ones.copy(), ones.copy()
+        a[3], b[9] = 0.0, 0.0
+        v1, v2 = NodeField(model.mesh, a), NodeField(model.mesh, b)
+        calls = self.spy(monkeypatch)
+        with pytest.raises(ValueError, match=r"^combination leaves the cone "
+                           r"at theta=1\.0$"):
+            line(v1, v2, np.array([0.5, 1.0, 0.0]), model)
+        assert len(calls) == 1
+
+    def test_single_fields_keep_their_message(self):
+        model = make_model(n=16, p="2+x", r=1.5)
+        values = np.ones(model.mesh.n_nodes)
+        values[4] = -0.0
+        with pytest.raises(ValueError,
+                           match="^field is outside the positive cone$"):
+            W_functional(NodeField(model.mesh, values), model)

@@ -421,3 +421,111 @@ class TestWeakComparisonExperiment:
             weak_comparison_experiment(
                 model, constant_field(mesh, 1.0), interpolate(mesh, "1+x"),
                 SolverOptions(max_iters=1), tol=1e-6)
+
+
+class TestThetaGridChecks:
+    @pytest.mark.parametrize("grid", [0.5, np.float64(0.5), np.array(0.5),
+                                      [[0.25, 0.5]], np.full((2, 2), 0.5),
+                                      [object()]],
+                             ids=["float", "numpy-float", "0-d", "2-d-list",
+                                  "2-d-array", "not-numbers"])
+    def test_grid_that_is_not_1d_is_refused_before_any_line_work(
+            self, monkeypatch, grid):
+        import pxlaplace.inequality as inequality
+        model = cone_model()
+        v = constant_field(model.mesh, 1.0)
+        monkeypatch.setattr(inequality, "phi_line", None)  # no line call
+        with pytest.raises(ValueError, match="^theta_grid must be a 1-D "
+                           "sequence of numbers$"):
+            check_ray_convexity(v, v, model, grid)
+
+    def test_empty_grid_keeps_its_message(self):
+        model = cone_model()
+        v = constant_field(model.mesh, 1.0)
+        for grid in ([], np.array([]), ()):
+            with pytest.raises(ValueError,
+                               match="^theta_grid must be nonempty$"):
+                check_ray_convexity(v, v, model, grid)
+
+    def test_iterables_of_numbers_are_taken(self):
+        model = cone_model(p="2+x", r=1.5)
+        v1 = interpolate(model.mesh, "1+x")
+        v2 = interpolate(model.mesh, "2-x")
+        thetas = [0.25, 0.5, 0.75]
+        want = check_ray_convexity(v1, v2, model, np.array(thetas)).slacks
+        for grid in (thetas, tuple(thetas), (t for t in thetas)):
+            got = check_ray_convexity(v1, v2, model, grid).slacks
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def _perturbations_around(edge, count=400):
+    """Relative perturbations spanning ``edge`` finely enough that the
+    rounded tests land on both sides of it."""
+    return edge * (1.0 + np.linspace(-4e-6, 4e-6, count))
+
+
+class TestRatioTestsAtTheirEdges:
+    """The ratio tests read one min and one max of the ratio array and
+    decide exactly as the spread and magnitude formulas do."""
+
+    def test_proportional_pair_at_its_edge(self):
+        model = cone_model(n=16, p="2", r=2.0)
+        a = interpolate(model.mesh, "1+x").values
+        seen = set()
+        for c in (0.3, 1.0, 7.0):
+            for delta in _perturbations_around(1e-10):
+                b = c * a
+                b[5] *= 1.0 + delta
+                pos = a > 0
+                ratios = b[pos] / a[pos]
+                expected = bool(
+                    np.ptp(ratios) <= 1e-10 * max(1.0, np.abs(ratios).max()))
+                rep = check_ray_convexity(NodeField(model.mesh, a),
+                                          NodeField(model.mesh, b), model,
+                                          [0.5])
+                assert rep.proportional_pair == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+    def test_gap_equality_class_at_its_edge(self):
+        model = cone_model(n=16, p="2", r=2.0)
+        w1 = zero_trace(model.mesh, interpolate(model.mesh, "x*(1-x)").values)
+        interior = model.mesh.interior
+        seen = set()
+        for c in (0.3, 1.0, 7.0):
+            for delta in _perturbations_around(1e-8):
+                b = c * w1.values
+                b[5] *= 1.0 + delta
+                ratios = b[interior] / w1.values[interior]
+                identical = (np.max(np.abs(w1.values - b)) <= 1e-10 * max(
+                    np.abs(w1.values).max(), np.abs(b).max(), 1e-300))
+                expected = ("identical" if identical else "proportional"
+                            if np.ptp(ratios) <= 1e-8 * max(1.0, ratios.max())
+                            else "distinct")
+                rep = diaz_saa_gap(w1, NodeField(model.mesh, b), model)
+                assert rep.equality_class == expected
+                seen.add(expected)
+        assert seen == {"proportional", "distinct"}
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1e-3],
+                             ids=["zero", "negative-zero", "negative"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_ratio_bound_refuses_nonpositive_interior_values(self, value,
+                                                             which):
+        mesh = build_interval(0, 1, 16)
+        pair = [np.ones(mesh.n_nodes), np.ones(mesh.n_nodes)]
+        pair[which][7] = value
+        u1, u2 = (NodeField(mesh, v) for v in pair)
+        with pytest.raises(ValueError,
+                           match="^ratio_bound needs positive interior "
+                           "values$"):
+            ratio_bound(u1, u2)
+
+    def test_ratio_bound_takes_a_tiny_positive_value(self):
+        mesh = build_interval(0, 1, 16)
+        tiny = np.ones(mesh.n_nodes)
+        tiny[7] = 1e-300
+        rb = ratio_bound(NodeField(mesh, np.ones(mesh.n_nodes)),
+                         NodeField(mesh, tiny))
+        assert rb.sup12 == 1.0 / 1e-300 and rb.sup21 == 1.0
+        assert not rb.admissible

@@ -1376,3 +1376,10 @@ class TestSolve2D:
         rep = minimize_energy(self._problem1_8x8(("1+x", "2-y")), opts)
         assert rep.converged and rep.positivity_ok
         assert rep.residual_max <= opts.grad_tol
+
+
+@pytest.mark.parametrize("init", [np.zeros(5), [0.0, 1.0], None, ("bump",)],
+                         ids=["ndarray", "list", "none", "tuple"])
+def test_init_that_is_neither_a_field_nor_a_name_is_refused(init):
+    with pytest.raises(ValueError, match="^unknown init "):
+        SolverOptions(init=init)

@@ -30,7 +30,12 @@ two-line format, the check cases the benchmark lacks (``EXTRA_LINES``:
 two seeded convexity and two seeded gap pairs on each of 1D n = 2048 and
 n = 64 meshes and the weighted 16 x 16 square, where a convexity call's
 nine line rows go in blocks of 2, in one block, and in blocks of 4, 4
-and 1).  Each workload ends with one line per
+and 1), and then one line per refused check call (``refusal_calls``:
+NaN and overflowing thetas, interior zeros in a field, a line and a gap
+pair, a combination that leaves the cone at a named theta, an
+inadmissible gap ratio, and -0.0 and negative interior values of a
+gap pair) with the message of its ``ValueError``, so the order of the
+refusals is part of the diff.  Each workload ends with one line per
 distinct mesh its cases read (``mesh-<resolution>``): the sha256 of
 each of the mesh's ``MESH_ARRAYS``, ``quad_points`` included, which no
 result reads.  After the workloads comes the point layer, which no
@@ -156,6 +161,59 @@ def extra_line_cases(seed: int) -> list:
                 cases.append(workloads.Case(f"{kind}-{label}-{i}", kind,
                                             pair + (model,)))
     return cases
+
+
+def refusal_calls() -> list:
+    """(name, call) of each check call that is refused, on the bench's
+    W_A check model, p = 2+x and r = 1.5, on 1D n = 64; the positive
+    pair is 1+x and 2-x, the zero-trace one x(1-x) and a multiple of it."""
+    mesh = _grid.build_interval(0, 1, 64)
+    model = _model(mesh, workloads.P, workloads.R)
+    model = workloads.energy.EnergyModel(mesh, model.exponent,
+                                         anisotropy=model)
+    ineq, energy = workloads.inequality, workloads.energy
+    x = mesh.nodes[:, 0]
+    v1, v2 = _grid.NodeField(mesh, 1.0 + x), _grid.NodeField(mesh, 2.0 - x)
+    w = x * (1.0 - x)
+
+    def field(values, node=None, value=0.0):
+        """The field of ``values``, with ``value`` at the interior node
+        ``node`` when one is given."""
+        values = values.copy()
+        if node is not None:
+            values[node] = value
+        return _grid.NodeField(mesh, values)
+
+    def line(theta):
+        return lambda: energy.phi_line(v1, v2, np.array(theta), model, "W_A")
+
+    return [
+        ("nan-theta", line([3.0, np.nan])),
+        ("overflow-theta", line([0.5, 1e308])),
+        ("interior-zero-field", lambda: energy.W_A_functional(
+            field(1.0 + x, 32), model)),
+        ("interior-zero-line", lambda: ineq.check_ray_convexity(
+            v1, field(2.0 - x, 32), model, [0.5], kind="W_A")),
+        ("leaves-cone", lambda: ineq.check_ray_convexity(
+            v1, v2, model, [0.5, 3.0, -2.0], kind="W_A")),
+        ("gap-inadmissible", lambda: ineq.diaz_saa_gap(
+            field(w), field(1e-7 * w), model)),
+        ("gap-interior-zero", lambda: ineq.diaz_saa_gap(
+            field(w), field(w, 32), model)),
+        ("gap-interior-negative-zero", lambda: ineq.diaz_saa_gap(
+            field(w, 32, -0.0), field(w), model)),
+        ("gap-interior-negative", lambda: ineq.diaz_saa_gap(
+            field(w), field(w, 5, -1e-3), model)),
+    ]
+
+
+def refusal_bits(call) -> str:
+    """The message of the ``ValueError`` a ``refusal_calls`` call raises."""
+    try:
+        call()
+    except ValueError as exc:
+        return f"error {exc}"
+    return "not refused"
 
 
 # (name, cells per side of the unit square): the bench's problem1 terms
@@ -334,6 +392,9 @@ def main(argv) -> int:
                 print(name, case.name, workloads.signature(case.run()),
                       flush=True)
                 print(name, case.name, report_bits(case), flush=True)
+            for case_name, call in refusal_calls():
+                print(name, "refusal-" + case_name, refusal_bits(call),
+                      flush=True)
         if name == "solve-1d":
             for case_name, *case in EXTRA_SOLVES:
                 print(name, case_name, extra_solve_bits(*case), flush=True)
